@@ -32,11 +32,10 @@ from .verify import check_spce, check_spne
 _BUILTINS = ("counterexample", "parking", "vcas")
 
 
-_PRECISION = 9
-
-
-def _fmt(x) -> str:
-    return format(float(x), f".{_PRECISION}g")
+def _formatter(precision: int):
+    """Number formatter with ``precision`` significant digits (at least one)."""
+    spec = f".{max(1, precision)}g"
+    return lambda x: format(float(x), spec)
 
 
 def _load(model_ref: str, params_blob):
@@ -63,18 +62,18 @@ def _unfold(bundle, horizon, mode, max_nodes=None):
     return unfold_tree(bundle.model, bundle.initial, horizon, **kwargs)
 
 
-def cmd_unfold(args) -> int:
+def cmd_unfold(args, fmt) -> int:
     bundle = _load(args.model, args.params)
     horizon = bundle.horizon if args.horizon is None else args.horizon
     structure = _unfold(bundle, horizon, args.mode, args.max_nodes)
     st = stats(structure)
-    print(f"{st['nodes']},{st['transitions']},{_fmt(st['build_time'])}")
+    print(f"{st['nodes']},{st['transitions']},{fmt(st['build_time'])}")
     if args.out:
         structure.to_json(args.out)
     return 0
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, fmt) -> int:
     bundle = _load(args.model, args.params)
     horizon = bundle.horizon if args.horizon is None else args.horizon
     structure = _unfold(bundle, horizon, args.mode, args.max_nodes)
@@ -101,11 +100,11 @@ def cmd_solve(args) -> int:
     else:  # minimax
         mm = run_minimax(structure, bundle.rewards)
         elapsed = time.perf_counter() - t0
-        print(f"{_fmt(mm.values[0, 0])},{_fmt(mm.values[0, 1])},{_fmt(mm.values[0].sum())},{_fmt(elapsed)}")
+        print(f"{fmt(mm.values[0, 0])},{fmt(mm.values[0, 1])},{fmt(mm.values[0].sum())},{fmt(elapsed)}")
         return 0
     elapsed = time.perf_counter() - t0
     v = solution.values[0]
-    print(f"{_fmt(v.sum())},{_fmt(v[0])},{_fmt(v[1])},{_fmt(elapsed)}")
+    print(f"{fmt(v.sum())},{fmt(v[0])},{fmt(v[1])},{fmt(elapsed)}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -115,20 +114,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, fmt) -> int:
     bundle = _load(args.model, args.params)
     horizon = bundle.horizon if args.horizon is None else args.horizon
     structure = _unfold(bundle, horizon, args.mode, args.max_nodes)
     solution = solution_from_json(structure, args.solution)
     check = check_spne if solution.kind == "ne" else check_spce
     report = check(structure, bundle.rewards, solution, tol=args.tol)
-    print(f"{'pass' if report.passed else 'fail'},{_fmt(report.max_gap)}")
+    print(f"{'pass' if report.passed else 'fail'},{fmt(report.max_gap)}")
     if args.out:
         report.to_json(args.out)
     return 0 if report.passed else 4
 
 
-def cmd_plotdata(args) -> int:
+def cmd_plotdata(args, fmt) -> int:
     runs = json.loads(Path(args.runs).read_text()) if Path(args.runs).exists() else json.loads(args.runs)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -151,7 +150,7 @@ def cmd_plotdata(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["label", "k", "h_equilibria", "h_zero_sum"])
         for label, k, he, hz in altitude_rows:
-            writer.writerow([label, k, _fmt(he), _fmt(hz)])
+            writer.writerow([label, k, fmt(he), fmt(hz)])
 
     for spec in runs.get("sw_trace", []):
         bundle = _load(spec["model"], json.dumps(spec.get("params", {})))
@@ -196,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-policy", default="uniform-last-stage",
                    choices=["uniform-last-stage", "max-sw"])
     p.add_argument("--np-solver", default="reinduce",
-                   choices=["reinduce", "coordinate-ascent", "grid", "reinduce+ascent"])
+                   choices=["reinduce", "coordinate-ascent", "grid"])
     p.add_argument("--solver-rounds", type=int, default=4)
     p.set_defaults(func=cmd_solve)
 
@@ -215,11 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _PRECISION
     args = build_parser().parse_args(argv)
-    _PRECISION = max(1, getattr(args, "precision", 9))
+    fmt = _formatter(getattr(args, "precision", 9))
     try:
-        return args.func(args)
+        return args.func(args, fmt)
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 2

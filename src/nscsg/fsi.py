@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, StageGameCache, run_gbi
-from .speprog import coordinate_ascent_solve, reinduction_solve, solve_exact_grid
+from .speprog import (_free_part, _grid_search, _incentive_gaps, coordinate_ascent_solve,
+                      evaluate_values, reinduction_solve)
 from .unfold import Node, Structure
 
 
@@ -27,10 +28,9 @@ class FsiConfig:
     ``policy`` is "uniform-last-stage" or "max-sw" (a welfare-greedy walk
     with exploration rate ``epsilon``).  ``solver`` is one of "reinduce"
     (equilibrium re-seeding plus re-induction), "coordinate-ascent" (LP block
-    steps) or "grid" (exact grid search on the free part, tiny instances
-    only).  "reinduce+ascent" runs the re-seeding pass first and polishes
-    with the LP steps.  ``region_mode`` is informational: when set, the
-    structure handed to :func:`run_fsi` must match it.
+    steps) or "grid" (exact grid search on the free part at
+    ``grid_resolution``, tiny instances only).  ``solver_rounds`` bounds the
+    passes of the first two.
     """
 
     m_max: int = 10
@@ -41,7 +41,6 @@ class FsiConfig:
     solver_rounds: int = 4
     grid_resolution: int = 4
     init_policy: str = "sw-optimal"
-    region_mode: bool | None = None
 
     def __post_init__(self):
         if self.m_max < 0:
@@ -50,7 +49,7 @@ class FsiConfig:
             raise ModelError("epsilon must lie in [0, 1]")
         if self.policy not in ("uniform-last-stage", "max-sw"):
             raise ModelError(f"unknown history policy {self.policy!r}")
-        if self.solver not in ("reinduce", "coordinate-ascent", "grid", "reinduce+ascent"):
+        if self.solver not in ("reinduce", "coordinate-ascent", "grid"):
             raise ModelError(f"unknown solver {self.solver!r}")
 
 
@@ -127,9 +126,6 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     ``on_iteration(m, solution)`` is called after every merge, mainly so
     test harnesses can audit intermediate solutions.
     """
-    if cfg.region_mode is not None and cfg.region_mode != (structure.mode == "region"):
-        raise ModelError(f"configuration expects region_mode={cfg.region_mode}, "
-                         f"got a {structure.mode} structure")
     rng = np.random.default_rng(cfg.seed)
     cache = cache or StageGameCache()
     current = run_gbi(structure, rewards, kind, policy=cfg.init_policy,
@@ -158,10 +154,6 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
             result = reinduction_solve(structure, rewards, kind, frozen, current,
                                        rounds=cfg.solver_rounds, cache=cache)
             status = "reinduce"
-            if cfg.solver == "reinduce+ascent":
-                result = coordinate_ascent_solve(structure, rewards, kind, frozen, result,
-                                                 rounds=cfg.solver_rounds)
-                status = "reinduce+ascent"
 
         new_sw = float(result.values[0].sum())
         if new_sw >= sw - 1e-12:
@@ -184,50 +176,9 @@ def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: s
     equilibrium after every step), so only grid points that are equilibria
     themselves can replace it.  Falls back to the incumbent otherwise.
     """
-    import itertools
-
-    from .errors import ResourceLimitError
-    from .nfg import StageSolution
-    from .speprog import _compositions, _incentive_gaps, _validate_partition, evaluate_values
-
-    nonleaf = set(structure.nonleaf_ids())
-    free = sorted(nonleaf - set(frozen))
-    _validate_partition(structure, set(free))
-    d = cfg.grid_resolution
-    base_vals, base_z = evaluate_values(structure, rewards, current)
-    tol = max(_incentive_gaps(structure, kind, current, base_vals, base_z), 1e-9)
-
-    grids = []
-    total = 1
-    for nid in free:
-        node = structure.nodes[nid]
-        m1, m2 = (len(node.menus[0]), len(node.menus[1]))
-        if kind == "ne":
-            g1 = [np.array(c, dtype=float) / d for c in _compositions(d, m1)]
-            g2 = [np.array(c, dtype=float) / d for c in _compositions(d, m2)]
-            grid = [(a, b) for a in g1 for b in g2]
-        else:
-            grid = [np.array(c, dtype=float).reshape(m1, m2) / d
-                    for c in _compositions(d, m1 * m2)]
-        grids.append(grid)
-        total *= len(grid)
-        if total > 2_000_000:
-            raise ResourceLimitError("free-part grid is too large; use a smaller region or resolution")
-
-    best = current
-    best_sw = float(current.values[0].sum())
-    for combo in itertools.product(*grids):
-        cand = current.copy()
-        for nid, point in zip(free, combo):
-            if kind == "ne":
-                cand.profiles[nid] = StageSolution("ne", point[0], point[1], None, np.zeros(2))
-            else:
-                cand.profiles[nid] = StageSolution("ce", None, None, point, np.zeros(2))
-        values, z = evaluate_values(structure, rewards, cand)
-        if _incentive_gaps(structure, kind, cand, values, z) > tol:
-            continue
-        sw = float(values[0].sum())
-        if sw > best_sw + 1e-12:
-            cand.values = values
-            best, best_sw = cand, sw
-    return best
+    free = _free_part(structure, frozen)
+    values, z = evaluate_values(structure, rewards, current)
+    tol = max(_incentive_gaps(structure, kind, current, values, z), 1e-9)
+    nodes = [structure.nodes[nid] for nid in sorted(free)]
+    return _grid_search(structure, rewards, kind, nodes, cfg.grid_resolution, current, tol,
+                        max_points=2_000_000).solution

@@ -29,7 +29,7 @@ IDLE = "idle"
 PROB_TOL = 1e-12
 
 #: Default number of decimal digits kept when building canonical state keys.
-KEY_PRECISION = 9
+KEY_DIGITS = 9
 
 
 def as_vector(x) -> np.ndarray:
@@ -175,11 +175,11 @@ def _round_component(v: float, precision: int) -> float:
     return 0.0 if r == 0.0 else r  # normalise -0.0
 
 
-def vector_key(v: np.ndarray, precision: int = KEY_PRECISION) -> tuple[float, ...]:
+def vector_key(v: np.ndarray, precision: int = KEY_DIGITS) -> tuple[float, ...]:
     return tuple(_round_component(x, precision) for x in np.asarray(v, dtype=float).ravel())
 
 
-def canonical_key(state: GlobalState, precision: int = KEY_PRECISION):
+def canonical_key(state: GlobalState, precision: int = KEY_DIGITS):
     """Opaque hashable key; equal iff all components agree after rounding.
 
     Stable across runs: built purely from rounded component values.

@@ -3,10 +3,11 @@
 The equilibrium conditions over a whole unfolded structure form a sparse
 polynomial system in the strategy variables mu, the value variables V and the
 post-action variables Z.  This module builds those systems, evaluates and
-checks assignments, and provides three ways of improving a feasible solution:
-an exact grid search for desk-scale instances, feasibility-preserving block
-coordinate ascent with exact LP sub-steps, and an equilibrium re-seeding
-search that re-runs backward induction above a changed node.
+checks assignments with one per-node incentive gap, and provides the three
+inner solvers of FSI: an exact grid search for desk-scale instances (the
+whole structure or one free part), feasibility-preserving block coordinate
+ascent with exact LP sub-steps, and an equilibrium re-seeding search that
+re-runs backward induction above a changed node.
 """
 from __future__ import annotations
 
@@ -340,6 +341,33 @@ def check_feasibility(system: ConstraintSystem, assignment: dict, tol: float) ->
     return FeasibilityReport(max_eq <= tol and max_ge <= tol, max_eq, max_ge, worst)
 
 
+def one_shot_gaps(kind: str, profile: StageSolution, z1: np.ndarray, z2: np.ndarray,
+                  value: np.ndarray) -> tuple[float, float]:
+    """Largest one-shot gain of agent 1 and of agent 2 at one node.
+
+    For independent mixtures ("ne") this is the best pure deviation against
+    the other agent's mixture less the node value ``value``.  For joint
+    recommendations ("ce") it is the best swap of a recommended action for
+    another one (Kwiatkowska et al., TACAS 2022), never negative; ``value``
+    is not read.
+    """
+    if kind == "ne":
+        return (float((z1 @ profile.mu2).max() - value[0]),
+                float((profile.mu1 @ z2).max() - value[1]))
+    mu = profile.mu_joint
+    m, n = mu.shape
+    gap1 = 0.0
+    for a in range(m):
+        # value of swapping recommendation a for each alternative row
+        diffs = mu[a, :] @ (z1[a, :][:, None] - z1.T)
+        gap1 = max(gap1, float(-diffs.min(initial=0.0)))
+    gap2 = 0.0
+    for b in range(n):
+        diffs = (z2[:, b][:, None] - z2).T @ mu[:, b]
+        gap2 = max(gap2, float(-diffs.min(initial=0.0)))
+    return gap1, gap2
+
+
 def _incentive_gaps(structure: Structure, kind: str, solution: EquilibriumSolution,
                     values: np.ndarray, z: dict) -> float:
     """Largest incentive violation over all nodes, sidestepping the full system."""
@@ -347,22 +375,8 @@ def _incentive_gaps(structure: Structure, kind: str, solution: EquilibriumSoluti
     for node in structure.nodes:
         if structure.is_leaf(node):
             continue
-        z1, z2 = z[(node.id, 0)], z[(node.id, 1)]
-        prof = solution.profiles[node.id]
-        if kind == "ne":
-            dev1 = z1 @ prof.mu2  # value of each pure row against mu2
-            dev2 = prof.mu1 @ z2
-            worst = max(worst, float(dev1.max() - values[node.id, 0]),
-                        float(dev2.max() - values[node.id, 1]))
-        else:
-            mu = prof.mu_joint
-            m, n = mu.shape
-            for a in range(m):
-                diffs = mu[a, :] @ (z1[a, :][:, None] - z1.T)  # vs each alternative row
-                worst = max(worst, float(-diffs.min(initial=0.0)))
-            for b in range(n):
-                diffs = (z2[:, b][:, None] - z2).T @ mu[:, b]
-                worst = max(worst, float(-diffs.min(initial=0.0)))
+        worst = max(worst, *one_shot_gaps(kind, solution.profiles[node.id], z[(node.id, 0)],
+                                          z[(node.id, 1)], values[node.id]))
     return worst
 
 
@@ -406,12 +420,22 @@ def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
     if resolution < 1:
         raise ModelError("grid resolution must be at least 1")
     tol = 0.5 / resolution if tol is None else tol
-    nonleaf = [structure.nodes[i] for i in structure.nonleaf_ids()]
-    nonleaf.sort(key=lambda n: n.id)
+    nonleaf = [structure.nodes[i] for i in sorted(structure.nonleaf_ids())]
+    return _grid_search(structure, rewards, kind, nonleaf, resolution, None, tol, max_points)
 
+
+def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resolution: int,
+                 base: Optional[EquilibriumSolution], tol: float, max_points: int) -> GridResult:
+    """Grid search over the strategy data of ``nodes`` (given in id order).
+
+    Every other node keeps the data of ``base``; without a base, ``nodes``
+    must be all nonleaf nodes.  A point is feasible when its largest
+    incentive gap is at most ``tol``, and it replaces the best so far (at
+    first ``base``, if given) only when it raises the root welfare.
+    """
     per_node_grids = []
     total_points = 1
-    for node in nonleaf:
+    for node in nodes:
         m1, m2 = (len(node.menus[0]), len(node.menus[1]))
         if kind == "ne":
             g1 = [np.array(c, dtype=float) / resolution for c in _compositions(resolution, m1)]
@@ -425,22 +449,24 @@ def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
         if total_points > max_points:
             raise ResourceLimitError(
                 f"grid enumeration needs {total_points} points (> {max_points})",
-                stats={"nodes": len(nonleaf), "resolution": resolution},
+                stats={"nodes": len(nodes), "resolution": resolution},
             )
 
-    best_sw = None
-    best_profiles = None
+    best = base
+    best_sw = None if base is None else float(base.values[0].sum())
     checked = 0
     feasible = 0
     for combo in itertools.product(*per_node_grids):
         checked += 1
-        profiles = {}
-        for node, point in zip(nonleaf, combo):
+        if base is None:
+            cand = EquilibriumSolution(kind, np.zeros((len(structure.nodes), 2)), {}, "grid")
+        else:
+            cand = base.copy()
+        for node, point in zip(nodes, combo):
             if kind == "ne":
-                profiles[node.id] = StageSolution("ne", point[0], point[1], None, np.zeros(2))
+                cand.profiles[node.id] = StageSolution("ne", point[0], point[1], None, np.zeros(2))
             else:
-                profiles[node.id] = StageSolution("ce", None, None, point, np.zeros(2))
-        cand = EquilibriumSolution(kind, np.zeros((len(structure.nodes), 2)), profiles, "grid")
+                cand.profiles[node.id] = StageSolution("ce", None, None, point, np.zeros(2))
         values, z = evaluate_values(structure, rewards, cand)
         if _incentive_gaps(structure, kind, cand, values, z) > tol:
             continue
@@ -449,24 +475,27 @@ def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
         if best_sw is None or sw > best_sw + 1e-12:
             best_sw = sw
             cand.values = values
-            for node in nonleaf:
+            for node in nodes:
                 prof = cand.profiles[node.id]
                 cand.profiles[node.id] = StageSolution(
                     prof.kind, prof.mu1, prof.mu2, prof.mu_joint, values[node.id].copy()
                 )
-            best_profiles = cand
-    return GridResult(best_profiles, best_sw, checked, feasible, tol)
+            best = cand
+    return GridResult(best, best_sw, checked, feasible, tol)
 
 
 # ---------------------------------------------------------------------------
 # frozen-set validation and value propagation
 
 
-def _validate_partition(structure: Structure, free: set) -> None:
+def _free_part(structure: Structure, frozen: set) -> set:
+    """Nonleaf nodes outside ``frozen``; each must have only free parents."""
+    free = set(structure.nonleaf_ids()) - set(frozen)
     for nid in free:
         for pid in structure.nodes[nid].parents:
             if pid not in free:
                 raise ModelError("free set must contain every parent of a free history")
+    return free
 
 
 def _free_ancestors(structure: Structure, free: set, target: int) -> list:
@@ -515,9 +544,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     they keep feasibility and do not decrease the root social welfare, so the
     output is feasible and at least as good as the input.
     """
-    nonleaf = set(structure.nonleaf_ids())
-    free = nonleaf - set(frozen)
-    _validate_partition(structure, free)
+    free = _free_part(structure, frozen)
     current = init.copy()
     values, z = evaluate_values(structure, rewards, current)
     base_gap = _incentive_gaps(structure, kind, current, values, z)
@@ -742,9 +769,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     an equilibrium of its own stage game), so feasibility is maintained; a
     move is kept only when it strictly improves the root social welfare.
     """
-    nonleaf = set(structure.nonleaf_ids())
-    free = nonleaf - set(frozen)
-    _validate_partition(structure, free)
+    free = _free_part(structure, frozen)
     cache = cache or StageGameCache()
     rng = np.random.default_rng(0)
 

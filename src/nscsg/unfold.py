@@ -20,7 +20,9 @@ from .model import (
     RewardStructure,
     available_labels,
     canonical_key,
+    joint_actions,
     refresh_percepts,
+    successors,
 )
 
 DEFAULT_NODE_CAP = 5_000_000
@@ -125,14 +127,17 @@ class RegionGraph(Structure):
         self.key_index = key_index  # (canonical merged-state key, stage) -> node id
 
     def node_for(self, state: GlobalState, stage: int) -> Node:
-        merged = state if self.model.availability_on_old_percept else refresh_percepts(self.model, state)
-        return self.nodes[self.key_index[(canonical_key(merged), stage)]]
+        return self.nodes[self.key_index[(canonical_key(_decision_state(self.model, state)), stage)]]
+
+
+def _decision_state(model: NsCsg, state: GlobalState) -> GlobalState:
+    """The state availability and merging read: percepts refreshed unless the
+    model evaluates availability on the stored percept."""
+    return state if model.availability_on_old_percept else refresh_percepts(model, state)
 
 
 def _expand(model: NsCsg, node: Node):
     """Joint-action menus and the successor distribution map of one node."""
-    from .model import joint_actions, successors
-
     decision = node.decision
     menus = tuple(available_labels(model, decision, i) for i in range(model.n_agents))
     joints = tuple(joint_actions(model, node.state))
@@ -142,20 +147,25 @@ def _expand(model: NsCsg, node: Node):
     return menus, joints, edges
 
 
-def _decision_state(model: NsCsg, state: GlobalState) -> GlobalState:
-    return state if model.availability_on_old_percept else refresh_percepts(model, state)
+def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merge: bool):
+    """Breadth-first unfolding shared by trees and region graphs.
 
-
-def unfold_tree(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int = DEFAULT_NODE_CAP) -> GameTree:
-    """Breadth-first unfolding into a history tree with deterministic node ids."""
+    With ``merge`` off every successor becomes a new node, and leaves keep
+    their delivered percepts.  With it on, successors are keyed by
+    (canonical decision-state key, stage) and equal keys share one node whose
+    ``parent``/``in_action`` name the first history that created it.
+    """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
     model.check_state(state)
     root = Node(0, 0, state, _decision_state(model, state))
     nodes = [root]
+    key_index = {(canonical_key(root.decision), 0): 0} if merge else None
+    parent_sets = [set()]
     frontier = [root]
     for stage in range(horizon):
+        leaf_stage = stage + 1 == horizon
         nxt = []
         for node in frontier:
             menus, joints, edges = _expand(model, node)
@@ -163,23 +173,44 @@ def unfold_tree(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int =
             for joint in joints:
                 pairs = []
                 for succ_state, prob in edges[joint]:
-                    child = Node(
-                        len(nodes), stage + 1, succ_state,
-                        _decision_state(model, succ_state) if stage + 1 < horizon else succ_state,
-                        parent=node.id, in_action=joint,
-                    )
-                    child.parents = (node.id,)
-                    nodes.append(child)
-                    nxt.append(child)
-                    pairs.append((prob, child.id))
-                    if len(nodes) > max_nodes:
-                        raise ResourceLimitError(
-                            f"tree exceeded {max_nodes} nodes at stage {stage + 1}",
-                            stats={"nodes": len(nodes), "stage": stage + 1},
-                        )
+                    # tree leaves are neither merged nor decided at, so they
+                    # keep their delivered percepts
+                    decision = (succ_state if leaf_stage and not merge
+                                else _decision_state(model, succ_state))
+                    cid = None
+                    if merge:
+                        key = (canonical_key(decision), stage + 1)
+                        cid = key_index.get(key)
+                    if cid is None:
+                        cid = len(nodes)
+                        child = Node(cid, stage + 1, succ_state, decision,
+                                     parent=node.id, in_action=joint)
+                        nodes.append(child)
+                        parent_sets.append(set())
+                        nxt.append(child)
+                        if merge:
+                            key_index[key] = cid
+                        if len(nodes) > max_nodes:
+                            what = "region graph" if merge else "tree"
+                            raise ResourceLimitError(
+                                f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
+                                stats={"nodes": len(nodes), "stage": stage + 1},
+                            )
+                    parent_sets[cid].add(node.id)
+                    pairs.append((prob, cid))
                 node.children[joint] = tuple(pairs)
         frontier = nxt
-    return GameTree(model, horizon, nodes, time.perf_counter() - t0)
+    for node, parents in zip(nodes, parent_sets):
+        node.parents = tuple(sorted(parents))
+    build_time = time.perf_counter() - t0
+    if merge:
+        return RegionGraph(model, horizon, nodes, build_time, key_index)
+    return GameTree(model, horizon, nodes, build_time)
+
+
+def unfold_tree(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int = DEFAULT_NODE_CAP) -> GameTree:
+    """Breadth-first unfolding into a history tree with deterministic node ids."""
+    return _unfold(model, state, horizon, max_nodes, merge=False)
 
 
 def unfold_regions(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int = DEFAULT_NODE_CAP) -> RegionGraph:
@@ -189,56 +220,11 @@ def unfold_regions(model: NsCsg, state: GlobalState, horizon: int, max_nodes: in
     overwritten by the observation functions before anything can read it;
     two states with equal local states, refreshed percepts and environment
     have identical futures.  (This assumes reward functions do not read the
-    stale stored percepts, which holds for observation-driven models.)
+    stale stored percepts, which holds for observation-driven models.)  With
+    availability on the old percept the stored percept stays relevant, so
+    merging keys on the raw state.
     """
-    if horizon < 0:
-        raise ModelError("horizon must be nonnegative")
-    # with availability on the old percept the stored percept stays relevant,
-    # so merging must key on the raw state
-    def merge_state(s: GlobalState) -> GlobalState:
-        return s if model.availability_on_old_percept else refresh_percepts(model, s)
-
-    t0 = time.perf_counter()
-    model.check_state(state)
-    root = Node(0, 0, state, _decision_state(model, state))
-    nodes = [root]
-    key_index = {(canonical_key(merge_state(state)), 0): 0}
-    frontier = [root]
-    parent_sets: dict[int, set] = {0: set()}
-    for stage in range(horizon):
-        nxt = []
-        for node in frontier:
-            menus, joints, edges = _expand(model, node)
-            node.menus, node.joints = menus, joints
-            for joint in joints:
-                pairs = []
-                for succ_state, prob in edges[joint]:
-                    refreshed = merge_state(succ_state)
-                    key = (canonical_key(refreshed), stage + 1)
-                    cid = key_index.get(key)
-                    if cid is None:
-                        child = Node(
-                            len(nodes), stage + 1, succ_state,
-                            succ_state if model.availability_on_old_percept else refreshed,
-                            parent=node.id, in_action=joint,
-                        )
-                        nodes.append(child)
-                        key_index[key] = child.id
-                        parent_sets[child.id] = set()
-                        nxt.append(child)
-                        cid = child.id
-                        if len(nodes) > max_nodes:
-                            raise ResourceLimitError(
-                                f"region graph exceeded {max_nodes} nodes at stage {stage + 1}",
-                                stats={"nodes": len(nodes), "stage": stage + 1},
-                            )
-                    parent_sets[cid].add(node.id)
-                    pairs.append((prob, cid))
-                node.children[joint] = tuple(pairs)
-        frontier = nxt
-    for nid, parents in parent_sets.items():
-        nodes[nid].parents = tuple(sorted(parents))
-    return RegionGraph(model, horizon, nodes, time.perf_counter() - t0, key_index)
+    return _unfold(model, state, horizon, max_nodes, merge=True)
 
 
 # ---------------------------------------------------------------------------

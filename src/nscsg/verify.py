@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution
-from .speprog import evaluate_values
+from .speprog import evaluate_values, one_shot_gaps
 from .unfold import Path, Structure, path_value
 
 
@@ -106,25 +106,13 @@ def check_spce(structure: Structure, rewards, solution: EquilibriumSolution,
     """
     if solution.kind != "ce":
         raise ModelError("check_spce expects a joint-recommendation solution")
-    _, z = evaluate_values(structure, rewards, solution)
+    values, z = evaluate_values(structure, rewards, solution)
     gaps = {}
     for node in structure.nodes:
         if structure.is_leaf(node):
             continue
-        mu = solution.profiles[node.id].mu_joint
-        z1, z2 = z[(node.id, 0)], z[(node.id, 1)]
-        m, n = mu.shape
-        worst1 = 0.0
-        for a in range(m):
-            # value of swapping recommendation a for each alternative row
-            diffs = mu[a, :] @ (z1[a, :][:, None] - z1.T)
-            worst1 = max(worst1, float(-diffs.min(initial=0.0)))
-        gaps[(node.id, 0)] = worst1
-        worst2 = 0.0
-        for b in range(n):
-            diffs = (z2[:, b][:, None] - z2).T @ mu[:, b]
-            worst2 = max(worst2, float(-diffs.min(initial=0.0)))
-        gaps[(node.id, 1)] = worst2
+        gaps[(node.id, 0)], gaps[(node.id, 1)] = one_shot_gaps(
+            "ce", solution.profiles[node.id], z[(node.id, 0)], z[(node.id, 1)], values[node.id])
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)
 

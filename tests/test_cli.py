@@ -63,6 +63,15 @@ class TestSolve:
         sw = float(out.split(",")[0])
         assert sw == pytest.approx(-8.0, abs=1e-9)
 
+    def test_precision_applies_to_one_call(self, capsys):
+        argv = ("solve", "--model", "counterexample", "--params", '{"phi": -10.123456789}')
+        code, out, _ = run_cli(*argv, "--precision", "4", capsys=capsys)
+        assert code == 0
+        assert out.split(",")[0] == "-8.123"
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        assert out.split(",")[0] == "-8.12345679"
+
     def test_exact_counterexample(self, capsys):
         code, out, _ = run_cli("solve", "--model", "counterexample",
                                "--params", '{"phi": -10}', "--algo", "exact",

@@ -4,13 +4,14 @@ import pytest
 from conftest import random_model
 
 from nscsg.benchmarks import build
-from nscsg.errors import ModelError
+from nscsg.errors import ModelError, ResourceLimitError
 from nscsg.fsi import (
     FsiConfig,
     freeze_partition,
     run_fsi,
     sample_history_uniform,
     select_history_max_sw,
+    solve_exact_grid_on_free,
     write_trace_csv,
 )
 from nscsg.gbi import run_gbi, social_welfare
@@ -101,7 +102,7 @@ class TestRunFsi:
             rg = unfold_regions(bm.model, bm.initial, bm.horizon)
             for kind in ("ne", "ce"):
                 cfg = FsiConfig(m_max=2, seed=seed, solver=solver,
-                                solver_rounds=2, grid_resolution=3, region_mode=True)
+                                solver_rounds=2, grid_resolution=3)
                 try:
                     sol, trace = run_fsi(rg, bm.rewards, kind, cfg)
                 except Exception as exc:
@@ -114,6 +115,24 @@ class TestRunFsi:
                 assert all(b >= a - 1e-9 for a, b in zip(sws, sws[1:]))
                 check = check_spne if kind == "ne" else check_spce
                 assert check(rg, bm.rewards, sol, tol=1e-6).passed
+
+
+class TestGridOnFree:
+    def test_all_frozen_returns_incumbent(self, counterexample):
+        bm, tree = counterexample
+        init = run_gbi(tree, bm.rewards, "ne", "sw-optimal")
+        frozen = set(tree.nonleaf_ids())
+        result = solve_exact_grid_on_free(tree, bm.rewards, "ne", frozen, init, FsiConfig())
+        assert result is init
+
+    def test_oversized_free_part_raises(self, counterexample):
+        bm, tree = counterexample
+        init = run_gbi(tree, bm.rewards, "ne", "sw-optimal")
+        # two free 2x2 nodes at resolution 50 need 2601^2 > 2,000,000 points
+        with pytest.raises(ResourceLimitError) as err:
+            solve_exact_grid_on_free(tree, bm.rewards, "ne", set(), init,
+                                     FsiConfig(grid_resolution=50))
+        assert err.value.stats["resolution"] == 50
 
 
 class TestHistorySampling:

@@ -95,6 +95,10 @@ class TestRegionGraph:
         bm, tree = counterexample
         rg = unfold_regions(bm.model, bm.initial, bm.horizon)
         assert len(rg.nodes) == len(tree.nodes)
+        for t, r in zip(tree.nodes, rg.nodes):
+            assert (t.id, t.stage, t.menus, t.joints, t.children, t.parents) == (
+                r.id, r.stage, r.menus, r.joints, r.children, r.parents)
+            assert canonical_key(t.state) == canonical_key(r.state)
 
     def test_merging_on_random_model(self):
         bm = random_model(3)
@@ -117,6 +121,13 @@ class TestRegionGraph:
         for n in tree.nodes:
             if n.stage == 1 and int(n.state.env[0]) in (2, 3, 5):
                 assert n.joints == (("idle", "idle"),)
+
+    def test_node_cap_raises_with_stats(self):
+        model, initial, _ = full_branching_model()
+        # the four stage-1 states are distinct, so the fourth node breaks a cap of 3
+        with pytest.raises(ResourceLimitError) as err:
+            unfold_regions(model, initial, 3, max_nodes=3)
+        assert err.value.stats == {"nodes": 4, "stage": 1}
 
     def test_parking_region_sizes(self):
         # shipped lane table: one off the published 258/1080 and 386/1689
