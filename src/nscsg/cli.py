@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,10 @@ def _load(model_ref: str, params_blob):
             params = json.loads(params_blob)
     if model_ref in _BUILTINS:
         return benchmarks.build(model_ref, params)
-    loaded = load_model_json(model_ref)
-    if isinstance(loaded, benchmarks.BuiltModel):
-        return loaded
-    model, initial, rewards = loaded
-    horizon = int(params.get("horizon", 1))
-    return benchmarks.BuiltModel(model, initial, rewards, horizon)
+    bundle = load_model_json(model_ref)
+    if "horizon" in params:
+        bundle = replace(bundle, horizon=int(params["horizon"]))
+    return bundle
 
 
 def _unfold(bundle, horizon, mode, max_nodes=None):
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-K", "--horizon", type=int, default=None)
         p.add_argument("--mode", choices=["tree", "region"], default=mode_default)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="accepted for interface parity")
         p.add_argument("--precision", type=int, default=9)
         p.add_argument("--max-nodes", type=int, default=None)
         p.add_argument("--out", default=None)

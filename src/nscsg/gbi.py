@@ -5,6 +5,10 @@ rewards, and every interior node is solved as an induced one-shot game whose
 entries combine the immediate rewards with the probability-weighted successor
 values.  On a region graph this computes strategies that depend on the state
 and the stage only.
+
+:func:`stage_matrices` is the one stage-game kernel (the only reader of the
+reward callbacks and ``node.children``) and :func:`induce` the one bottom-up
+pass over it: every solver and checker differs only in its per-node step.
 """
 from __future__ import annotations
 
@@ -28,16 +32,41 @@ def stage_matrices(structure: Structure, rewards, node: Node, values: np.ndarray
     """
     m1, m2 = node.menus
     z = np.zeros((2, len(m1), len(m2)))
+    state_rewards = [r.state_reward(node.state) for r in rewards]
     for a, lab1 in enumerate(m1):
         for b, lab2 in enumerate(m2):
             joint = (lab1, lab2)
             pairs = node.children[joint]
             for i, r in enumerate(rewards):
-                acc = r.action_reward(node.state, joint) + r.state_reward(node.state)
+                acc = r.action_reward(node.state, joint) + state_rewards[i]
                 for p, cid in pairs:
                     acc += p * values[cid, i]
                 z[i, a, b] = acc
     return z[0], z[1]
+
+
+def induce(structure: Structure, rewards, step, profiles: Optional[dict] = None,
+           games: Optional[dict] = None) -> np.ndarray:
+    """The one bottom-up pass: values of shape (n_nodes, 2), stage by stage.
+
+    A leaf's value is its state rewards; every other node's value is
+    ``step(node, z1, z2)`` on its stage matrices.  With ``profiles``
+    (strategy data by node id), a nonleaf node without an entry is an error;
+    ``games`` receives the stage matrices as ``games[(node id, agent)]``.
+    """
+    values = np.zeros((len(structure.nodes), 2))
+    for stage in range(structure.horizon, -1, -1):
+        for node in structure.stage_nodes(stage):
+            if structure.is_leaf(node):
+                values[node.id] = [r.state_reward(node.state) for r in rewards]
+                continue
+            if profiles is not None and node.id not in profiles:
+                raise ModelError(f"strategy data missing at history {node.id}")
+            z1, z2 = stage_matrices(structure, rewards, node, values)
+            if games is not None:
+                games[(node.id, 0)], games[(node.id, 1)] = z1, z2
+            values[node.id] = step(node, z1, z2)
+    return values
 
 
 @dataclass
@@ -92,18 +121,13 @@ def run_gbi(
         raise ModelError("backward induction is implemented for two agents")
     rng = np.random.default_rng(seed)
     cache = cache or StageGameCache()
-    n = len(structure.nodes)
-    values = np.zeros((n, 2))
     profiles: dict[int, StageSolution] = {}
-    for stage in range(structure.horizon, -1, -1):
-        for node in structure.stage_nodes(stage):
-            if structure.is_leaf(node):
-                values[node.id] = [r.state_reward(node.state) for r in rewards]
-                continue
-            z1, z2 = stage_matrices(structure, rewards, node, values)
-            sol = cache.solve(BimatrixGame(z1, z2), kind, policy, rng)
-            profiles[node.id] = sol
-            values[node.id] = sol.payoffs
+
+    def step(node, z1, z2):
+        sol = profiles[node.id] = cache.solve(BimatrixGame(z1, z2), kind, policy, rng)
+        return sol.payoffs
+
+    values = induce(structure, rewards, step)
     return EquilibriumSolution(kind, values, profiles, policy)
 
 
@@ -118,20 +142,15 @@ def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> M
 
     Only agent 1's reward structure is consulted.
     """
-    r1 = rewards[0]
-    n = len(structure.nodes)
-    values = np.zeros((n, 2))
     profiles: dict[int, StageSolution] = {}
-    for stage in range(structure.horizon, -1, -1):
-        for node in structure.stage_nodes(stage):
-            if structure.is_leaf(node):
-                v = r1.state_reward(node.state)
-                values[node.id] = [v, -v]
-                continue
-            z1, _ = stage_matrices(structure, (r1, r1), node, values)
-            x, y, v = zero_sum_value(z1)
-            profiles[node.id] = StageSolution("ne", x, y, None, np.array([v, -v]))
-            values[node.id] = [v, -v]
+
+    def step(node, z1, _):
+        x, y, v = zero_sum_value(z1)
+        profiles[node.id] = StageSolution("ne", x, y, None, np.array([v, -v]))
+        return v, v
+
+    values = induce(structure, (rewards[0], rewards[0]), step)
+    values[:, 1] = -values[:, 0]
     return MinimaxSolution(values, profiles)
 
 

@@ -445,9 +445,11 @@ def _tabular_agent(idx: int, doc: dict) -> AgentSpec:
 def load_model_json(source):
     """Load a tabular model file, or dispatch to a named built-in dynamics.
 
-    Returns the loaded bundle from :mod:`nscsg.benchmarks` for built-ins, or
-    an ``(NsCsg, GlobalState, rewards)`` triple for fully tabular files.
+    Returns a :class:`nscsg.benchmarks.BuiltModel` either way; a tabular
+    file's horizon is its ``"horizon"`` entry (default 1).
     """
+    from . import benchmarks
+
     if isinstance(source, dict):
         doc = source
     else:
@@ -456,8 +458,6 @@ def load_model_json(source):
 
     env_doc = doc.get("environment", {})
     if "builtin" in env_doc:
-        from . import benchmarks
-
         return benchmarks.build(env_doc["builtin"], env_doc.get("params", {}))
 
     agents = tuple(_tabular_agent(i, a) for i, a in enumerate(doc["agents"]))
@@ -496,4 +496,4 @@ def load_model_json(source):
             return _rows.get(vector_key(s.env), _d)
 
         rewards.append(RewardStructure(lambda s, a: 0.0, state_reward))
-    return model, state, tuple(rewards)
+    return benchmarks.BuiltModel(model, state, tuple(rewards), int(doc.get("horizon", 1)))

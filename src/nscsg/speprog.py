@@ -8,6 +8,10 @@ inner solvers of FSI: an exact grid search for desk-scale instances (the
 whole structure or one free part), feasibility-preserving block coordinate
 ascent with exact LP sub-steps, and an equilibrium re-seeding search that
 re-runs backward induction above a changed node.
+
+Payoffs come from the stage-game kernel :func:`nscsg.gbi.stage_matrices`;
+whole-structure passes (evaluation, Z-definition constants) are the one
+bottom-up pass :func:`nscsg.gbi.induce`.
 """
 from __future__ import annotations
 
@@ -18,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
-from .gbi import EquilibriumSolution, StageGameCache, stage_matrices
+from .gbi import EquilibriumSolution, StageGameCache, induce, stage_matrices
 from .lp import LinearProgram, lp_solve
-from .nfg import BimatrixGame, StageSolution, _ce_from_lp, enumerate_ne
+from .nfg import BimatrixGame, StageSolution, _ce_constraints, _ce_from_lp, enumerate_ne
 from .unfold import Structure
 
 GRID_CAP = 5_000_000
@@ -91,37 +95,26 @@ class ConstraintSystem:
         return out
 
 
-def _leaf_values(structure: Structure, rewards) -> np.ndarray:
-    vals = np.zeros((len(structure.nodes), 2))
-    for node in structure.nodes:
-        if structure.is_leaf(node):
-            vals[node.id] = [r.state_reward(node.state) for r in rewards]
-    return vals
+def _z_constants(structure: Structure, rewards) -> dict:
+    """Stage matrices with every nonleaf value zero: immediate rewards plus
+    expected leaf rewards, keyed (node id, agent)."""
+    consts: dict = {}
+    induce(structure, rewards, lambda *_: (0.0, 0.0), games=consts)
+    return consts
 
 
-def _immediate(structure: Structure, rewards, node, joint) -> tuple[float, float]:
-    return tuple(
-        r.action_reward(node.state, joint) + r.state_reward(node.state) for r in rewards
-    )
-
-
-def _z_definitions(structure: Structure, rewards, node, constraints, variables):
+def _z_definitions(structure: Structure, node, consts, constraints, variables):
     """Z-definition equalities for one node; leaf successor values fold into
-    the constant term."""
-    leaf_vals = None
-    for joint in node.joints:
+    the constant term, taken from :func:`_z_constants` (whose row-major
+    order is the order of ``node.joints``)."""
+    for k, joint in enumerate(node.joints):
         for i in range(2):
             z = VarId("Z", node.id, i, joint=joint)
             variables.add(z)
-            const = -_immediate(structure, rewards, node, joint)[i]
+            const = -consts[(node.id, i)].flat[k]
             terms = [(1.0, (z,))]
             for p, cid in node.children[joint]:
-                child = structure.nodes[cid]
-                if structure.is_leaf(child):
-                    if leaf_vals is None:
-                        leaf_vals = _leaf_values(structure, rewards)
-                    const -= p * leaf_vals[cid, i]
-                else:
+                if not structure.is_leaf(structure.nodes[cid]):
                     v = VarId("V", cid, i)
                     variables.add(v)
                     terms.append((-p, (v,)))
@@ -140,12 +133,13 @@ def build_ne_system(structure: Structure, rewards) -> ConstraintSystem:
     constraints: list = []
     variables: set = set()
     counts = {}
+    consts = _z_constants(structure, rewards)
     for node in structure.nodes:
         if structure.is_leaf(node):
             continue
         m1, m2 = node.menus
         counts[node.id] = (len(m1), len(m2))
-        _z_definitions(structure, rewards, node, constraints, variables)
+        _z_definitions(structure, node, consts, constraints, variables)
         mu1 = {a: VarId("muN", node.id, 0, a) for a in m1}
         mu2 = {b: VarId("muN", node.id, 1, b) for b in m2}
         variables.update(mu1.values())
@@ -189,12 +183,13 @@ def build_ce_system(structure: Structure, rewards) -> ConstraintSystem:
     constraints: list = []
     variables: set = set()
     counts = {}
+    consts = _z_constants(structure, rewards)
     for node in structure.nodes:
         if structure.is_leaf(node):
             continue
         m1, m2 = node.menus
         counts[node.id] = (len(m1), len(m2))
-        _z_definitions(structure, rewards, node, constraints, variables)
+        _z_definitions(structure, node, consts, constraints, variables)
         mu = {j: VarId("muC", node.id, joint=j) for j in node.joints}
         variables.update(mu.values())
         for i in range(2):
@@ -270,20 +265,13 @@ def evaluate_values(structure: Structure, rewards, solution: EquilibriumSolution
     Returns ``(values, z)`` where ``values`` has shape (n_nodes, 2) and
     ``z[(node, agent)]`` is the payoff matrix over the node's menus.
     """
-    values = _leaf_values(structure, rewards)
     z: dict = {}
-    for stage in range(structure.horizon - 1, -1, -1):
-        for node in structure.stage_nodes(stage):
-            if structure.is_leaf(node):
-                continue
-            z1, z2 = stage_matrices(structure, rewards, node, values)
-            z[(node.id, 0)], z[(node.id, 1)] = z1, z2
-            prof = solution.profiles.get(node.id)
-            if prof is None:
-                raise ModelError(f"strategy data missing at history {node.id}")
-            joint = prof.joint_distribution()
-            values[node.id] = [(joint * z1).sum(), (joint * z2).sum()]
-    return values, z
+
+    def step(node, z1, z2):
+        joint = solution.profiles[node.id].joint_distribution()
+        return (joint * z1).sum(), (joint * z2).sum()
+
+    return induce(structure, rewards, step, solution.profiles, z), z
 
 
 def assignment_from_solution(structure: Structure, rewards, solution: EquilibriumSolution) -> dict:
@@ -417,22 +405,24 @@ def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
     to ``tol`` (default 0.5 / resolution).  Ties break on enumeration order,
     which is lexicographic in the per-node grids.
     """
-    if resolution < 1:
-        raise ModelError("grid resolution must be at least 1")
-    tol = 0.5 / resolution if tol is None else tol
     nonleaf = [structure.nodes[i] for i in sorted(structure.nonleaf_ids())]
     return _grid_search(structure, rewards, kind, nonleaf, resolution, None, tol, max_points)
 
 
 def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resolution: int,
-                 base: Optional[EquilibriumSolution], tol: float, max_points: int) -> GridResult:
+                 base: Optional[EquilibriumSolution], tol: Optional[float],
+                 max_points: int) -> GridResult:
     """Grid search over the strategy data of ``nodes`` (given in id order).
 
     Every other node keeps the data of ``base``; without a base, ``nodes``
     must be all nonleaf nodes.  A point is feasible when its largest
-    incentive gap is at most ``tol``, and it replaces the best so far (at
-    first ``base``, if given) only when it raises the root welfare.
+    incentive gap is at most ``tol`` (default 0.5 / resolution), and it
+    replaces the best so far (at first ``base``, if given) only when it
+    raises the root welfare.
     """
+    if resolution < 1:
+        raise ModelError("grid resolution must be at least 1")
+    tol = 0.5 / resolution if tol is None else tol
     per_node_grids = []
     total_points = 1
     for node in nodes:
@@ -498,6 +488,11 @@ def _free_part(structure: Structure, frozen: set) -> set:
     return free
 
 
+def _bottom_up(structure: Structure, ids) -> list:
+    """Node ids ordered by decreasing stage, then by id."""
+    return sorted(ids, key=lambda nid: (-structure.nodes[nid].stage, nid))
+
+
 def _free_ancestors(structure: Structure, free: set, target: int) -> list:
     """Free nodes strictly above ``target`` ordered by decreasing stage."""
     anc = set()
@@ -510,22 +505,7 @@ def _free_ancestors(structure: Structure, free: set, target: int) -> list:
                     anc.add(pid)
                     nxt.add(pid)
         frontier = nxt
-    return sorted(anc, key=lambda nid: (-structure.nodes[nid].stage, nid))
-
-
-def _edge_weight(structure: Structure, node, joint_dist: np.ndarray, child: int) -> float:
-    """Probability of stepping from ``node`` to ``child`` under the node's mix."""
-    m1, m2 = node.menus
-    w = 0.0
-    for a, la in enumerate(m1):
-        for b, lb in enumerate(m2):
-            p_joint = joint_dist[a, b]
-            if p_joint == 0.0:
-                continue
-            for p, cid in node.children[(la, lb)]:
-                if cid == child:
-                    w += p_joint * p
-    return w
+    return _bottom_up(structure, anc)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +532,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
         raise ModelError(f"initial solution is infeasible (gap {base_gap:.3g})")
     current.values = values
 
-    order = sorted(free, key=lambda nid: (-structure.nodes[nid].stage, nid))
+    order = _bottom_up(structure, free)
     sw = float(values[0].sum())
     for _ in range(max(rounds, 0)):
         improved = False
@@ -596,20 +576,22 @@ def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
         k = len(m2)
         grad_here = np.stack([current.profiles[nid].mu1 @ z1, current.profiles[nid].mu1 @ z2])
 
-    # propagate gradients upward through the free ancestors
+    # propagate gradients upward through the free ancestors: a node's Z
+    # entries move with its children's values, its value with its Z entries
     anc = _free_ancestors(structure, free, nid)
     grads = {nid: grad_here}  # node id -> (2, k) gradient of its value vector
-    for qid in sorted(anc, key=lambda q: -structure.nodes[q].stage):
-        qnode = structure.nodes[qid]
-        joint = current.profiles[qid].joint_distribution()
-        g = np.zeros((2, k))
-        for cid, gc in grads.items():
-            if structure.nodes[cid].stage != qnode.stage + 1:
-                continue
-            w = _edge_weight(structure, qnode, joint, cid)
-            if w:
-                g += w * gc
-        grads[qid] = g
+    zgrads = {}  # node id -> (|A1|, |A2|, 2, k) gradients of its Z entries
+    for qid in anc:
+        qm1, qm2 = structure.nodes[qid].menus
+        zg = np.zeros((len(qm1), len(qm2), 2, k))
+        for a, la in enumerate(qm1):
+            for b, lb in enumerate(qm2):
+                for p, cid in structure.nodes[qid].children[(la, lb)]:
+                    gc = grads.get(cid)
+                    if gc is not None:
+                        zg[a, b] += p * gc
+        zgrads[qid] = zg
+        grads[qid] = np.tensordot(current.profiles[qid].joint_distribution(), zg, axes=2)
     if 0 not in grads:
         return None  # block cannot influence the root
 
@@ -624,50 +606,27 @@ def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
         rhs_ub.append(const)
 
     # own-node incentives
-    if kind == "ce":
-        for a in range(len(m1)):
-            for alt in range(len(m1)):
-                if alt == a:
-                    continue
-                lin = np.zeros((len(m1), len(m2)))
-                lin[a, :] = z1[a, :] - z1[alt, :]
-                add_ge(lin.ravel(), 0.0)
-        for b in range(len(m2)):
-            for alt in range(len(m2)):
-                if alt == b:
-                    continue
-                lin = np.zeros((len(m1), len(m2)))
-                lin[:, b] = z2[:, b] - z2[:, alt]
-                add_ge(lin.ravel(), 0.0)
+    if kind == "ce":  # the stage game's swap rows, A_ub mu <= 0
+        a_ub, b_ub = _ce_constraints(BimatrixGame(z1, z2))
+        if a_ub is not None:
+            rows_ub.extend(a_ub)
+            rhs_ub.extend(b_ub)
     elif agent == 0:
-        w1 = z1 @ current.profiles[nid].mu2
-        w2raw = z2.T  # (|m2|, |m1|)
         for a in range(len(m1)):  # agent 1 cannot gain by any pure row
-            add_ge(grad_here[0], -w1[a])
+            add_ge(grad_here[0], -grad_here[0][a])
         for b in range(len(m2)):  # agent 2 cannot gain by any pure column
-            add_ge(grad_here[1] - w2raw[b], 0.0)
+            add_ge(grad_here[1] - z2[:, b], 0.0)
     else:
-        w2 = current.profiles[nid].mu1 @ z2
-        w1raw = z1  # (|m1|, |m2|)
         for b in range(len(m2)):
-            add_ge(grad_here[1], -w2[b])
+            add_ge(grad_here[1], -grad_here[1][b])
         for a in range(len(m1)):
-            add_ge(grad_here[0] - w1raw[a], 0.0)
+            add_ge(grad_here[0] - z1[a], 0.0)
 
     # incentives at every free ancestor whose Z entries move with the block
     for qid in anc:
-        qnode = structure.nodes[qid]
-        qm1, qm2 = qnode.menus
+        qm1, qm2 = structure.nodes[qid].menus
         zq1, zq2 = z[(qid, 0)], z[(qid, 1)]
-        zgrad = {}  # (agent, a, b) -> gradient vector
-        for a, la in enumerate(qm1):
-            for b, lb in enumerate(qm2):
-                gz = np.zeros((2, k))
-                for p, cid in qnode.children[(la, lb)]:
-                    gc = grads.get(cid)
-                    if gc is not None:
-                        gz += p * gc
-                zgrad[(a, b)] = gz
+        zgrad = zgrads[qid]
         prof = current.profiles[qid]
         if kind == "ce":
             mu = prof.mu_joint
@@ -679,7 +638,7 @@ def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
                     const = 0.0
                     for b in range(len(qm2)):
                         const += mu[a, b] * (zq1[a, b] - zq1[alt, b])
-                        lin += mu[a, b] * (zgrad[(a, b)][0] - zgrad[(alt, b)][0])
+                        lin += mu[a, b] * (zgrad[a, b][0] - zgrad[alt, b][0])
                     add_ge(lin, const)
             for b in range(len(qm2)):
                 for alt in range(len(qm2)):
@@ -689,7 +648,7 @@ def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
                     const = 0.0
                     for a in range(len(qm1)):
                         const += mu[a, b] * (zq2[a, b] - zq2[a, alt])
-                        lin += mu[a, b] * (zgrad[(a, b)][1] - zgrad[(a, alt)][1])
+                        lin += mu[a, b] * (zgrad[a, b][1] - zgrad[a, alt][1])
                     add_ge(lin, const)
         else:
             mu1q, mu2q = prof.mu1, prof.mu2
@@ -699,14 +658,14 @@ def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
                 lin = vgrad[0].copy()
                 const = vq[0]
                 for b in range(len(qm2)):
-                    lin -= mu2q[b] * zgrad[(a, b)][0]
+                    lin -= mu2q[b] * zgrad[a, b][0]
                     const -= mu2q[b] * zq1[a, b]
                 add_ge(lin, const)
             for b in range(len(qm2)):
                 lin = vgrad[1].copy()
                 const = vq[1]
                 for a in range(len(qm1)):
-                    lin -= mu1q[a] * zgrad[(a, b)][1]
+                    lin -= mu1q[a] * zgrad[a, b][1]
                     const -= mu1q[a] * zq2[a, b]
                 add_ge(lin, const)
 
@@ -778,7 +737,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     current.values = values
     sw = float(values[0].sum())
 
-    order = sorted(free, key=lambda nid: (-structure.nodes[nid].stage, nid))
+    order = _bottom_up(structure, free)
     for _ in range(max(rounds, 0)):
         best = None
         for nid in order:

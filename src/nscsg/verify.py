@@ -4,7 +4,8 @@ The checkers work directly from the definition: a profile passes when no
 agent can improve at any history, measured either against a best-response
 dynamic program (independent mixtures) or against all one-shot action swaps
 (joint recommendations).  They recompute every value from the strategy data
-rather than trusting the values stored in a solution.
+rather than trusting the values stored in a solution.  Both read the stage
+games through the one bottom-up pass :func:`nscsg.gbi.induce`.
 """
 from __future__ import annotations
 
@@ -14,44 +15,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .gbi import EquilibriumSolution
+from .gbi import EquilibriumSolution, induce
 from .speprog import evaluate_values, one_shot_gaps
 from .unfold import Path, Structure, path_value
+
+
+def _best_responses(structure: Structure, rewards, solution: EquilibriumSolution) -> np.ndarray:
+    """Best-response values of both agents, shape (n_nodes, 2), in one pass."""
+    if solution.kind != "ne":
+        raise ModelError("best responses are defined against independent mixtures")
+
+    def step(node, z1, z2):
+        prof = solution.profiles[node.id]
+        return (z1 @ prof.mu2).max(), (prof.mu1 @ z2).max()
+
+    return induce(structure, rewards, step, solution.profiles)
 
 
 def best_response_value(structure: Structure, rewards, solution: EquilibriumSolution,
                         agent: int) -> np.ndarray:
     """Best value the agent can secure at every node against the opponent's
     fixed mixtures, optimising over all of its own behaviours."""
-    if solution.kind != "ne":
-        raise ModelError("best responses are defined against independent mixtures")
-    r = rewards[agent]
-    other = 1 - agent
-    br = np.zeros(len(structure.nodes))
-    for stage in range(structure.horizon, -1, -1):
-        for node in structure.stage_nodes(stage):
-            if structure.is_leaf(node):
-                br[node.id] = r.state_reward(node.state)
-                continue
-            prof = solution.profiles.get(node.id)
-            if prof is None:
-                raise ModelError(f"strategy data missing at history {node.id}")
-            opp = prof.mu2 if agent == 0 else prof.mu1
-            menus = node.menus
-            best = -np.inf
-            for own_label in menus[agent]:
-                total = 0.0
-                for w, opp_label in zip(opp, menus[other]):
-                    if w == 0.0:
-                        continue
-                    joint = (own_label, opp_label) if agent == 0 else (opp_label, own_label)
-                    val = r.action_reward(node.state, joint) + r.state_reward(node.state)
-                    for p, cid in node.children[joint]:
-                        val += p * br[cid]
-                    total += w * val
-                best = max(best, total)
-            br[node.id] = best
-    return br
+    return _best_responses(structure, rewards, solution)[:, agent]
 
 
 @dataclass(frozen=True)
@@ -86,13 +71,11 @@ def check_spne(structure: Structure, rewards, solution: EquilibriumSolution,
                tol: float = 1e-6) -> CheckReport:
     """Every history must leave no agent a profitable unilateral deviation."""
     values, _ = evaluate_values(structure, rewards, solution)
+    br = _best_responses(structure, rewards, solution)
     gaps = {}
     for agent in range(2):
-        br = best_response_value(structure, rewards, solution, agent)
-        for node in structure.nodes:
-            if structure.is_leaf(node):
-                continue
-            gaps[(node.id, agent)] = float(br[node.id] - values[node.id, agent])
+        for nid in structure.nonleaf_ids():
+            gaps[(nid, agent)] = float(br[nid, agent] - values[nid, agent])
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)
 

@@ -101,6 +101,38 @@ def random_model(seed: int, max_actions: int = 3, max_locs: int = 3,
     raise RuntimeError("could not draw a desk-scale model")
 
 
+def coin_model_doc() -> dict:
+    """Tabular model file: agent 1 leaves location 0 by a fair coin and stays
+    at 1; agent 2 stands still; agent 1 earns -1 per state."""
+    return {
+        "name": "coin",
+        "agents": [
+            {
+                "local_states": [[0], [1]],
+                "percepts": [[0]],
+                "actions": [{"label": "go", "value": [1]}],
+                "transitions": [
+                    {"loc": [0], "per": [0], "joint": ["go", "go"],
+                     "dist": [{"loc": [0], "prob": 0.5}, {"loc": [1], "prob": 0.5}]},
+                    {"loc": [1], "per": [0], "joint": ["go", "go"],
+                     "dist": [{"loc": [1], "prob": 1.0}]},
+                ],
+            },
+            {
+                "local_states": [[0]],
+                "percepts": [[0]],
+                "actions": [{"label": "go", "value": [1]}],
+            },
+        ],
+        "environment": {"dim": 1, "table": [
+            {"env": [0], "joint": ["go", "go"], "next": [0]},
+        ]},
+        "initial": {"agents": [{"loc": [0], "per": [0]}, {"loc": [0], "per": [0]}],
+                    "env": [0]},
+        "rewards": [{"default": -1.0}, {"default": 0.0}],
+    }
+
+
 def enumerate_paths(structure, node=None):
     """All (path nodes, probability, action labels) triples from ``node``."""
     node = node or structure.root

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import coin_model_doc
+
 from nscsg.cli import main
 
 
@@ -46,6 +48,22 @@ class TestUnfold:
         code, _, err = run_cli("unfold", "--model", "counterexample",
                                "--params", '{"phi": "NaN"}', capsys=capsys)
         assert code == 2
+
+    def test_tabular_file_horizon(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(coin_model_doc()))
+        rows = {}
+        for extra in ((), ("--params", '{"horizon": 2}'), ("--params", '{"horizon": 2}', "-K", "3")):
+            code, out, _ = run_cli("unfold", "--model", str(path), *extra, capsys=capsys)
+            assert code == 0
+            rows[len(extra)] = tuple(out.split(",")[:2])
+        # the coin tree has 3 / 6 / 10 nodes at horizon 1 / 2 / 3
+        assert rows == {0: ("3", "2"), 2: ("6", "5"), 4: ("10", "9")}
+
+    def test_threads_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["unfold", "--model", "counterexample", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_resource_error_exit_code(self, capsys):
         code, _, err = run_cli("unfold", "--model", "counterexample",

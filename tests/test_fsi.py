@@ -15,6 +15,7 @@ from nscsg.fsi import (
     write_trace_csv,
 )
 from nscsg.gbi import run_gbi, social_welfare
+from nscsg.speprog import solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import check_spce, check_spne
 
@@ -133,6 +134,15 @@ class TestGridOnFree:
             solve_exact_grid_on_free(tree, bm.rewards, "ne", set(), init,
                                      FsiConfig(grid_resolution=50))
         assert err.value.stats["resolution"] == 50
+
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolution_below_one_raises_like_standalone_grid(self, counterexample, resolution):
+        bm, tree = counterexample
+        with pytest.raises(ModelError, match="grid resolution must be at least 1"):
+            solve_exact_grid(tree, bm.rewards, "ne", resolution)
+        cfg = FsiConfig(m_max=2, seed=1, solver="grid", grid_resolution=resolution)
+        with pytest.raises(ModelError, match="grid resolution must be at least 1"):
+            run_fsi(tree, bm.rewards, "ne", cfg)
 
 
 class TestHistorySampling:

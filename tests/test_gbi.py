@@ -12,6 +12,7 @@ from nscsg.gbi import (
     solution_to_json,
     stage_matrices,
 )
+from nscsg.model import RewardStructure
 from nscsg.nfg import BimatrixGame, zero_sum_value
 from nscsg.speprog import evaluate_values
 from nscsg.unfold import unfold_regions, unfold_tree
@@ -22,6 +23,44 @@ from nscsg.verify import check_spce, check_spne
 def counterexample_tree():
     bm = build("counterexample", {"phi": -10})
     return bm, unfold_tree(bm.model, bm.initial, bm.horizon)
+
+
+def counting_rewards(rewards):
+    """Reward structures that count their callback calls per agent."""
+    counts = {"state": [0, 0], "action": [0, 0]}
+
+    def wrap(i, r):
+        def state_reward(state):
+            counts["state"][i] += 1
+            return r.state_reward(state)
+
+        def action_reward(state, joint):
+            counts["action"][i] += 1
+            return r.action_reward(state, joint)
+
+        return RewardStructure(action_reward, state_reward)
+
+    return tuple(wrap(i, r) for i, r in enumerate(rewards)), counts
+
+
+class TestOneKernel:
+    """Every solver and checker reads payoffs through one stage-game kernel:
+    one pass calls each agent's state reward once per node and its action
+    reward once per (nonleaf node, joint action)."""
+
+    @pytest.mark.parametrize("caller, passes", [
+        (lambda tree, rewards, sol: run_gbi(tree, rewards, "ne"), 1),
+        (lambda tree, rewards, sol: evaluate_values(tree, rewards, sol), 1),
+        (lambda tree, rewards, sol: check_spne(tree, rewards, sol), 2),
+    ], ids=["run_gbi", "evaluate_values", "check_spne"])
+    def test_reward_calls_per_pass(self, counterexample_tree, caller, passes):
+        bm, tree = counterexample_tree
+        sol = run_gbi(tree, bm.rewards, "ne")
+        rewards, counts = counting_rewards(bm.rewards)
+        caller(tree, rewards, sol)
+        joints = sum(len(tree.nodes[nid].joints) for nid in tree.nonleaf_ids())
+        assert counts == {"state": [passes * len(tree.nodes)] * 2,
+                          "action": [passes * joints] * 2}
 
 
 class TestRunGbi:

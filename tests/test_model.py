@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nscsg.benchmarks import build
+from conftest import coin_model_doc
+
+from nscsg.benchmarks import BuiltModel, build
 from nscsg.errors import ModelError
 from nscsg.model import (
     FeedForwardNet,
@@ -165,39 +167,19 @@ class TestCanonicalKey:
 
 class TestTabularLoader:
     def test_small_tabular_model(self, tmp_path):
-        doc = {
-            "name": "coin",
-            "agents": [
-                {
-                    "local_states": [[0], [1]],
-                    "percepts": [[0]],
-                    "actions": [{"label": "go", "value": [1]}],
-                    "transitions": [
-                        {"loc": [0], "per": [0], "joint": ["go", "go"],
-                         "dist": [{"loc": [0], "prob": 0.5}, {"loc": [1], "prob": 0.5}]},
-                        {"loc": [1], "per": [0], "joint": ["go", "go"],
-                         "dist": [{"loc": [1], "prob": 1.0}]},
-                    ],
-                },
-                {
-                    "local_states": [[0]],
-                    "percepts": [[0]],
-                    "actions": [{"label": "go", "value": [1]}],
-                },
-            ],
-            "environment": {"dim": 1, "table": [
-                {"env": [0], "joint": ["go", "go"], "next": [0]},
-            ]},
-            "initial": {"agents": [{"loc": [0], "per": [0]}, {"loc": [0], "per": [0]}],
-                        "env": [0]},
-            "rewards": [{"default": -1.0}, {"default": 0.0}],
-        }
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        model, state, rewards = load_model_json(path)
-        dist = successors(model, state, ("go", "go"))
+        path.write_text(json.dumps(coin_model_doc()))
+        bundle = load_model_json(path)
+        assert isinstance(bundle, BuiltModel)
+        dist = successors(bundle.model, bundle.initial, ("go", "go"))
         assert sorted(p for _, p in dist) == [0.5, 0.5]
-        assert rewards[0].state_reward(state) == -1.0
+        assert bundle.rewards[0].state_reward(bundle.initial) == -1.0
+        assert bundle.horizon == 1
+
+    def test_horizon_from_file(self):
+        doc = coin_model_doc()
+        doc["horizon"] = 3
+        assert load_model_json(doc).horizon == 3
 
     def test_builtin_dispatch(self):
         bundle = load_model_json({"environment": {"builtin": "counterexample",

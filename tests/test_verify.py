@@ -6,6 +6,7 @@ import pytest
 from conftest import enumerate_paths, path_reward_by_hand, random_model, random_profiles
 
 from nscsg.benchmarks import build
+from nscsg.errors import ModelError
 from nscsg.gbi import EquilibriumSolution, run_gbi
 from nscsg.model import FeedForwardNet
 from nscsg.nfg import StageSolution
@@ -93,6 +94,31 @@ class TestBestResponseValue:
 
 
 class TestCheckSpne:
+    @pytest.mark.parametrize("seed", (None, 101, 137))
+    def test_gaps_are_best_response_less_value(self, seed):
+        from nscsg.speprog import evaluate_values
+
+        bm = build("counterexample", {"phi": -10}) if seed is None else random_model(seed)
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        sol = random_profiles(tree, "ne", np.random.default_rng(seed))
+        values, _ = evaluate_values(tree, bm.rewards, sol)
+        br = [best_response_value(tree, bm.rewards, sol, agent) for agent in range(2)]
+        report = check_spne(tree, bm.rewards, sol)
+        assert report.gaps == {(nid, agent): float(br[agent][nid] - values[nid, agent])
+                               for agent in range(2) for nid in tree.nonleaf_ids()}
+
+    def test_missing_strategy_data_raises(self):
+        from nscsg.speprog import evaluate_values
+
+        bm = build("counterexample", {"phi": -10})
+        tree = unfold_tree(bm.model, bm.initial, 2)
+        sol = run_gbi(tree, bm.rewards, "ne")
+        del sol.profiles[tree.nonleaf_ids()[-1]]
+        for check in (evaluate_values, check_spne,
+                      lambda *args: best_response_value(*args, 1)):
+            with pytest.raises(ModelError, match="strategy data missing"):
+                check(tree, bm.rewards, sol)
+
     def test_gbi_output_passes(self):
         for seed in (109, 113):
             bm = random_model(seed)
