@@ -321,15 +321,27 @@ def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str,
     return tuple(sorted(avail, key=order.__getitem__))
 
 
+def decision_state(model: NsCsg, state: GlobalState, refreshed: GlobalState | None = None) -> GlobalState:
+    """The state availability reads at ``state``: ``state`` with refreshed
+    percepts (``refreshed`` when the caller already has it), or ``state``
+    itself when the model evaluates availability on the stored percept."""
+    if model.availability_on_old_percept:
+        return state
+    return refresh_percepts(model, state) if refreshed is None else refreshed
+
+
+def action_menus(model: NsCsg, decision: GlobalState) -> tuple[tuple[str, ...], ...]:
+    """Every agent's available labels at decision state ``decision``."""
+    return tuple(available_labels(model, decision, i) for i in range(model.n_agents))
+
+
 def joint_actions(model: NsCsg, state: GlobalState) -> list[tuple[str, ...]]:
     """All joint actions at ``state`` in a deterministic order.
 
     Percepts are refreshed first unless the model opts out; the product is
     ordered by each agent's action declaration order.
     """
-    s = state if model.availability_on_old_percept else refresh_percepts(model, state)
-    menus = [available_labels(model, s, i) for i in range(model.n_agents)]
-    return list(itertools.product(*menus))
+    return list(itertools.product(*action_menus(model, decision_state(model, state))))
 
 
 def successors(model: NsCsg, state: GlobalState, joint: tuple[str, ...]):
@@ -340,15 +352,21 @@ def successors(model: NsCsg, state: GlobalState, joint: tuple[str, ...]):
     the percept refresh.
     """
     refreshed = refresh_percepts(model, state)
-    decision = state if model.availability_on_old_percept else refreshed
+    menus = action_menus(model, decision_state(model, state, refreshed))
     for i in range(model.n_agents):
-        menu = available_labels(model, decision, i)
-        if joint[i] not in menu:
+        if joint[i] not in menus[i]:
             raise ModelError(
-                f"agent {model.agents[i].name}: action {joint[i]!r} unavailable, menu is {list(menu)}"
+                f"agent {model.agents[i].name}: action {joint[i]!r} unavailable, menu is {list(menus[i])}"
             )
+    return step(model, refreshed, joint)
+
+
+def step(model: NsCsg, refreshed: GlobalState, joint: tuple[str, ...]):
+    """Successor distribution under ``joint`` of a state whose percepts are
+    already refreshed, as :func:`successors` returns it; ``joint`` is taken
+    to be available."""
     actions = tuple(model.agents[i].action(joint[i]) for i in range(model.n_agents))
-    env2 = as_vector(model.env_step(state.env, actions))
+    env2 = as_vector(model.env_step(refreshed.env, actions))
     if env2.shape[0] != model.env_dim:
         raise ModelError("environment transition changed dimension")
 

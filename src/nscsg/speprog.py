@@ -539,7 +539,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
         for nid in order:
             blocks = [(nid, None)] if kind == "ce" else [(nid, 0), (nid, 1)]
             for _, agent in blocks:
-                cand = _block_lp_step(structure, rewards, kind, free, current, nid, agent)
+                cand = _block_lp_step(structure, kind, free, current, values, z, nid, agent)
                 if cand is None:
                     continue
                 new_vals, new_z = evaluate_values(structure, rewards, cand)
@@ -548,7 +548,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
                 new_sw = float(new_vals[0].sum())
                 if new_sw >= sw - 1e-12:
                     cand.values = new_vals
-                    current = cand
+                    current, values, z = cand, new_vals, new_z
                     if new_sw > sw + tol:
                         improved = True
                     sw = max(sw, new_sw)
@@ -557,10 +557,10 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     return current
 
 
-def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
-                   current: EquilibriumSolution, nid: int, agent):
-    """One exact LP over the chosen block; returns a candidate or ``None``."""
-    values, z = evaluate_values(structure, rewards, current)
+def _block_lp_step(structure: Structure, kind: str, free: set, current: EquilibriumSolution,
+                   values: np.ndarray, z: dict, nid: int, agent):
+    """One exact LP over the chosen block, given ``current``'s values and Z
+    matrices; returns a candidate or ``None``."""
     node = structure.nodes[nid]
     m1, m2 = node.menus
     z1, z2 = z[(nid, 0)], z[(nid, 1)]

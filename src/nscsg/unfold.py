@@ -7,6 +7,7 @@ expose the same node interface, so the solvers operate on either.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,11 +19,11 @@ from .model import (
     GlobalState,
     NsCsg,
     RewardStructure,
-    available_labels,
+    action_menus,
     canonical_key,
-    joint_actions,
+    decision_state,
     refresh_percepts,
-    successors,
+    step,
 )
 
 DEFAULT_NODE_CAP = 5_000_000
@@ -34,7 +35,8 @@ class Node:
 
     ``state`` stores percepts as delivered by the previous step; ``decision``
     is the state used for availability (percepts refreshed unless the model
-    opts out).  ``children`` maps each joint action to the tuple of
+    opts out); until a tree node is expanded, and at tree leaves, it is the
+    delivered state.  ``children`` maps each joint action to the tuple of
     (probability, child id) pairs.
     """
 
@@ -122,36 +124,14 @@ class GameTree(Structure):
 class RegionGraph(Structure):
     mode = "region"
 
-    def __init__(self, model, horizon, nodes, build_time, key_index):
-        super().__init__(model, horizon, nodes, build_time)
-        self.key_index = key_index  # (canonical merged-state key, stage) -> node id
-
-    def node_for(self, state: GlobalState, stage: int) -> Node:
-        return self.nodes[self.key_index[(canonical_key(_decision_state(self.model, state)), stage)]]
-
-
-def _decision_state(model: NsCsg, state: GlobalState) -> GlobalState:
-    """The state availability and merging read: percepts refreshed unless the
-    model evaluates availability on the stored percept."""
-    return state if model.availability_on_old_percept else refresh_percepts(model, state)
-
-
-def _expand(model: NsCsg, node: Node):
-    """Joint-action menus and the successor distribution map of one node."""
-    decision = node.decision
-    menus = tuple(available_labels(model, decision, i) for i in range(model.n_agents))
-    joints = tuple(joint_actions(model, node.state))
-    edges = {}
-    for joint in joints:
-        edges[joint] = successors(model, node.state, joint)
-    return menus, joints, edges
-
 
 def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merge: bool):
     """Breadth-first unfolding shared by trees and region graphs.
 
-    With ``merge`` off every successor becomes a new node, and leaves keep
-    their delivered percepts.  With it on, successors are keyed by
+    Each state is perceived once: its refreshed percepts serve its decision
+    state, menus, joint actions and every successor.  With ``merge`` off
+    every successor becomes a new node, perceived when expanded, and leaves
+    keep their delivered percepts.  With it on, successors are keyed by
     (canonical decision-state key, stage) and equal keys share one node whose
     ``parent``/``in_action`` name the first history that created it.
     """
@@ -159,28 +139,29 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
     model.check_state(state)
-    root = Node(0, 0, state, _decision_state(model, state))
+    root = Node(0, 0, state, decision_state(model, state))
     nodes = [root]
-    key_index = {(canonical_key(root.decision), 0): 0} if merge else None
+    ids_by_key = {(canonical_key(root.decision), 0): 0} if merge else None
     parent_sets = [set()]
     frontier = [root]
     for stage in range(horizon):
-        leaf_stage = stage + 1 == horizon
         nxt = []
         for node in frontier:
-            menus, joints, edges = _expand(model, node)
-            node.menus, node.joints = menus, joints
-            for joint in joints:
+            # a decision state that is not the delivered state was refreshed at creation
+            refreshed = (refresh_percepts(model, node.state) if node.decision is node.state
+                         else node.decision)
+            node.decision = decision_state(model, node.state, refreshed)
+            node.menus = action_menus(model, node.decision)
+            node.joints = tuple(itertools.product(*node.menus))
+            for joint in node.joints:
                 pairs = []
-                for succ_state, prob in edges[joint]:
-                    # tree leaves are neither merged nor decided at, so they
-                    # keep their delivered percepts
-                    decision = (succ_state if leaf_stage and not merge
-                                else _decision_state(model, succ_state))
+                for succ_state, prob in step(model, refreshed, joint):
                     cid = None
+                    decision = succ_state
                     if merge:
+                        decision = decision_state(model, succ_state)
                         key = (canonical_key(decision), stage + 1)
-                        cid = key_index.get(key)
+                        cid = ids_by_key.get(key)
                     if cid is None:
                         cid = len(nodes)
                         child = Node(cid, stage + 1, succ_state, decision,
@@ -189,7 +170,7 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                         parent_sets.append(set())
                         nxt.append(child)
                         if merge:
-                            key_index[key] = cid
+                            ids_by_key[key] = cid
                         if len(nodes) > max_nodes:
                             what = "region graph" if merge else "tree"
                             raise ResourceLimitError(
@@ -203,9 +184,8 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     for node, parents in zip(nodes, parent_sets):
         node.parents = tuple(sorted(parents))
     build_time = time.perf_counter() - t0
-    if merge:
-        return RegionGraph(model, horizon, nodes, build_time, key_index)
-    return GameTree(model, horizon, nodes, build_time)
+    cls = RegionGraph if merge else GameTree
+    return cls(model, horizon, nodes, build_time)
 
 
 def unfold_tree(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int = DEFAULT_NODE_CAP) -> GameTree:

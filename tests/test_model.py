@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from nscsg.model import (
     save_net_json,
     successors,
 )
+from nscsg.unfold import unfold_regions
 
 
 class TestNnForward:
@@ -196,3 +198,23 @@ class TestPerceptRefreshOrder:
         bm = build("vcas", {"nets": [net] * 9, "t0": 2})  # stored advisory is 1
         menus = joint_actions(bm.model, bm.initial)
         assert ("-9.33", "-9.33") in menus  # advisory-2 accelerations
+
+    def test_availability_on_old_percept(self):
+        # with the flag the stored advisory 1 sets the menu, while successors
+        # still carry the refreshed advisory 2 and merging keys the raw state
+        bias = np.zeros(9)
+        bias[1] = 1.0
+        net = FeedForwardNet(((np.zeros((9, 4)), bias),))
+        bm = build("vcas", {"nets": [net] * 9, "t0": 2})
+        model = dataclasses.replace(bm.model, availability_on_old_percept=True)
+        advisory1 = ("-3", "0", "3")
+        assert joint_actions(model, bm.initial) == [(a, b) for a in advisory1 for b in advisory1]
+        for joint in joint_actions(model, bm.initial):
+            for state, _ in successors(model, bm.initial, joint):
+                assert [a.per.tolist() for a in state.agent_states] == [[2.0], [2.0]]
+        rg = unfold_regions(model, bm.initial, bm.horizon)
+        assert rg.root.menus == (advisory1, advisory1)
+        assert rg.root.decision.agent_states[0].per.tolist() == [1.0]
+        assert all(n.decision is n.state for n in rg.nodes)
+        keys = [(canonical_key(n.state), n.stage) for n in rg.nodes]
+        assert len(keys) == len(set(keys))

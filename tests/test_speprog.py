@@ -295,6 +295,32 @@ class TestCoordinateAscent:
         out = coordinate_ascent_solve(tree, bm.rewards, "ce", frozen, init, rounds=4)
         assert float(out.values[0].sum()) >= social_welfare(init) - 1e-9
 
+    @pytest.mark.parametrize("kind, passes", [("ne", 9), ("ce", 5)])
+    def test_one_evaluation_per_candidate(self, counterexample, monkeypatch, kind, passes):
+        # the initial evaluation plus one per candidate; a block step reuses
+        # the values already held for the current solution
+        import nscsg.speprog as speprog
+
+        bm, tree = counterexample
+        init = run_gbi(tree, bm.rewards, kind)
+        counts = {"evaluate": 0, "candidates": 0}
+
+        def evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate_values(*args)
+
+        block_step = speprog._block_lp_step
+
+        def step(*args):
+            cand = block_step(*args)
+            counts["candidates"] += cand is not None
+            return cand
+
+        monkeypatch.setattr(speprog, "evaluate_values", evaluate)
+        monkeypatch.setattr(speprog, "_block_lp_step", step)
+        coordinate_ascent_solve(tree, bm.rewards, kind, set(), init, rounds=2)
+        assert counts["evaluate"] == 1 + counts["candidates"] == passes
+
     def test_infeasible_init_rejected(self, counterexample):
         bm, tree = counterexample
         bad = random_profiles(tree, "ne", np.random.default_rng(3))

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -223,3 +227,71 @@ class TestInvariants:
         doc = tree.to_json(tmp_path / "tree.json")
         assert doc["nodes"][0]["stage"] == 0
         assert len(doc["nodes"]) == 12
+
+
+def _old_percept(bm):
+    return dataclasses.replace(bm.model, availability_on_old_percept=True)
+
+
+class TestPinnedOutputs:
+    # sha256 of the exported JSON; node ids, states, joint actions and edge order all
+    # enter the digest, so any change in the unfolding shows here
+    @pytest.mark.parametrize("name, params, unfold, old_percept, digest", [
+        ("counterexample", {"phi": -10}, unfold_tree, False,
+         "643e801ce2b2542e32461025bc734e3d180fe72ef4b683aea8bce0c3f372bc21"),
+        ("counterexample", {"phi": -10}, unfold_regions, False,
+         "0d75f60e160e8b96e64969af7c8ba607456dfa87549cb877c5c6f0ea03fa2a82"),
+        ("parking", {"horizon": 4}, unfold_tree, False,
+         "e1a472bef1e63511bba2955060eec16e980b409c21e6274836ac0d79b2470e28"),
+        ("parking", {"horizon": 4}, unfold_regions, False,
+         "0630d0a9dbb83aaedb4a4dc2ea9749afedc28b5d3d051810784a733482da69f6"),
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions, False,
+         "fcf2cf983717241c44b2b201935979bf0fad24021e72d88d9539620a4f5db065"),
+        ("vcas", {"t0": 3}, unfold_tree, False,
+         "2d86d51f364c523f2982e8b4c704260b862753a7150f23b7c2827daad40d87e0"),
+        ("vcas", {"t0": 3}, unfold_regions, False,
+         "dd6589f0b67a8efd9e1a2d5b584759fbfa17c954eabc40ca7151f8f468cee7cf"),
+        ("vcas", {"t0": 3}, unfold_tree, True,
+         "d31dc38a9cc0703bebc5e328fb65ec34e90ba0c95ff17fe92d87d2066bbbdfb1"),
+        ("vcas", {"t0": 3}, unfold_regions, True,
+         "359cde2f08f9cf95d24192417525cc0de22d298b56f292cd6f10cc9d2293ea7f"),
+    ], ids=["counterexample-tree", "counterexample-region", "parking-k4-tree",
+            "parking-k4-region", "parking-k8-region", "vcas-t3-tree", "vcas-t3-region",
+            "vcas-t3-tree-old-percept", "vcas-t3-region-old-percept"])
+    def test_structure_digest(self, name, params, unfold, old_percept, digest):
+        bm = build(name, params)
+        model = _old_percept(bm) if old_percept else bm.model
+        structure = unfold(model, bm.initial, bm.horizon)
+        assert hashlib.sha256(json.dumps(structure.to_json()).encode()).hexdigest() == digest
+
+
+class TestPerceiveOnce:
+    # each state's percepts are computed once: at expansion (tree, and region
+    # graphs deciding on the stored percept) or, for a region merge key, once
+    # per created transition plus the root
+    @pytest.mark.parametrize("name, params, unfold, old_percept, expect", [
+        ("vcas", {"t0": 3}, unfold_tree, False, 91),
+        ("vcas", {"t0": 3}, unfold_regions, False, 811),
+        ("vcas", {"t0": 3}, unfold_regions, True, 91),
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions, False, 1625),
+    ], ids=["vcas-t3-tree", "vcas-t3-region", "vcas-t3-region-old-percept", "parking-k8-region"])
+    def test_observation_calls(self, name, params, unfold, old_percept, expect):
+        bm = build(name, params)
+        model = _old_percept(bm) if old_percept else bm.model
+        calls = [0] * model.n_agents
+
+        def counted(i, observe):
+            def observation(state):
+                calls[i] += 1
+                return observe(state)
+            return observation
+
+        model = dataclasses.replace(model, agents=tuple(
+            dataclasses.replace(spec, observation=counted(i, spec.observation))
+            for i, spec in enumerate(model.agents)))
+        structure = unfold(model, bm.initial, bm.horizon)
+        if unfold is unfold_regions and not old_percept:
+            assert expect == 1 + structure.n_transitions()
+        else:
+            assert expect == len(structure.nonleaf_ids())
+        assert calls == [expect] * model.n_agents
