@@ -56,6 +56,15 @@ _ENV_BOX = ((-3000.0, 3000.0), (-2500.0, 2500.0), (-2500.0, 2500.0), (0.0, 40.0)
 
 _NET_SHAPE = (4, 45, 45, 45, 45, 45, 45, 45, 9)
 
+#: The intruder's network input (-h, hdot_int, hdot_own, t) as a selection
+#: and sign of the environment (h, hdot_own, hdot_int, t).
+_INTRUDER_VIEW = [0, 2, 1, 3]
+_INTRUDER_SIGN = np.array([-1.0, 1.0, 1.0, 1.0])
+
+#: Relative gap between the two best advisory scores below which a batched
+#: observation is recomputed from the single state.
+_NEAR_TIE = 1e-6
+
 
 def _label(a: float) -> str:
     return f"{a:g}"
@@ -170,12 +179,33 @@ def _make_agent(name: str, idx: int, nets, eps: float) -> AgentSpec:
     def availability(loc, per):
         return tuple(_label(a) for a in advisory_actions(int(round(per[0]))))
 
-    def observation(state, _idx=idx):
+    def net_input(env, _idx=idx):
+        # the ownship reads (h, hdot_own, hdot_int, t), the intruder its mirror image
+        return env if _idx == 0 else env[..., _INTRUDER_VIEW] * _INTRUDER_SIGN
+
+    def advisory_index(state, _idx=idx) -> int:
         ad = int(round(state.agent_states[_idx].per[0]))
-        h, vo, vi, t = state.env
-        inputs = (h, vo, vi, t) if _idx == 0 else (-h, vi, vo, t)
-        scores = nn_forward(nets[ad - 1], np.array(inputs))
-        return percepts[int(np.argmax(scores))]  # ties resolve to the lowest index
+        scores = nn_forward(nets[ad - 1], net_input(state.env))
+        return int(np.argmax(scores))  # ties resolve to the lowest index
+
+    def observation(state):
+        return percepts[advisory_index(state)]
+
+    def batch_observation(states, _idx=idx):
+        # one matmul per layer for all states that store the same advisory
+        ads = np.rint([s.agent_states[_idx].per[0] for s in states]).astype(int)
+        inputs = net_input(np.array([s.env for s in states]))
+        out = np.empty(len(states), dtype=int)
+        for ad in np.unique(ads).tolist():
+            rows = np.flatnonzero(ads == ad)
+            scores = nn_forward(nets[ad - 1], inputs[rows])
+            out[rows] = np.argmax(scores, axis=1)
+            # gemm and gemv may round differently: decide near-ties state by state
+            top2 = np.partition(scores, -2, axis=1)[:, -2:]
+            near = top2[:, 1] - top2[:, 0] <= _NEAR_TIE * (1.0 + np.abs(top2[:, 1]))
+            for r in rows[near].tolist():
+                out[r] = advisory_index(states[r])
+        return out
 
     def local_transition(loc, per, joint, _idx=idx):
         executed = float(joint[_idx])
@@ -193,6 +223,7 @@ def _make_agent(name: str, idx: int, nets, eps: float) -> AgentSpec:
         availability=availability,
         observation=observation,
         local_transition=local_transition,
+        batch_observation=batch_observation,
     )
 
 

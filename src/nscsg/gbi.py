@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .model import RewardStructure
+from .model import RewardStructure, zero_rewards
 from .nfg import BimatrixGame, StageSolution, any_equilibrium, zero_sum_value
 from .unfold import Node, Structure
 
@@ -140,7 +140,8 @@ class MinimaxSolution:
 def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> MinimaxSolution:
     """Zero-sum baseline: agent 1 maximises its reward, agent 2 minimises it.
 
-    Only agent 1's reward structure is consulted.
+    Only agent 1's reward structure is consulted; agent 2's stage matrix is
+    built from zero rewards and discarded.
     """
     profiles: dict[int, StageSolution] = {}
 
@@ -149,7 +150,7 @@ def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> M
         profiles[node.id] = StageSolution("ne", x, y, None, np.array([v, -v]))
         return v, v
 
-    values = induce(structure, (rewards[0], rewards[0]), step)
+    values = induce(structure, (rewards[0], zero_rewards()), step)
     values[:, 1] = -values[:, 0]
     return MinimaxSolution(values, profiles)
 

@@ -78,18 +78,22 @@ class FeedForwardNet:
 
 
 def nn_forward(net: FeedForwardNet, x) -> np.ndarray:
-    """Evaluate ``net`` on input ``x``.
+    """Evaluate ``net`` on input ``x``, or on every row of a (k, d) matrix ``x``.
 
     Hidden activations are rectified (max with 0), the output layer is
-    linear.  Raises :class:`ModelError` naming the offending layer on a
-    dimension mismatch.
+    linear.  A matrix input runs one ``X @ W.T + b`` per layer and returns
+    the (k, output) scores.  Raises :class:`ModelError` naming the offending
+    layer on a dimension mismatch.
     """
-    v = np.asarray(x, dtype=float).ravel()
+    v = np.asarray(x, dtype=float)
+    batch = v.ndim == 2
+    if not batch:
+        v = v.ravel()
     last = len(net.layers) - 1
     for k, (w, b) in enumerate(net.layers):
-        if v.shape[0] != w.shape[1]:
-            raise ModelError(f"layer {k}: expected input dim {w.shape[1]}, got {v.shape[0]}")
-        v = w @ v + b
+        if v.shape[-1] != w.shape[1]:
+            raise ModelError(f"layer {k}: expected input dim {w.shape[1]}, got {v.shape[-1]}")
+        v = v @ w.T + b if batch else w @ v + b
         if k < last:
             v = np.maximum(v, 0.0)
     return v
@@ -190,6 +194,34 @@ def canonical_key(state: GlobalState, precision: int = KEY_DIGITS):
     )
 
 
+def canonical_keys(states: Sequence[GlobalState], precision: int = KEY_DIGITS) -> list[bytes]:
+    """Merge keys of many states from one rounding pass over their stacked
+    (loc, per, ..., env) vectors.
+
+    Two keys are equal iff the states have the same component sizes and
+    agree in every component after ``np.round``; keys compare only with
+    keys from this function.
+    """
+    if not states:
+        return []
+    fields = [[a.loc for a in s.agent_states] + [a.per for a in s.agent_states] + [s.env]
+              for s in states]
+    try:
+        blocks = [np.stack(col) for col in zip(*fields)]
+    except ValueError:  # component sizes differ between states: one row each
+        return [_key_rows([np.atleast_2d(np.ravel(v)) for v in f], precision)[0] for f in fields]
+    return _key_rows(blocks, precision)
+
+
+def _key_rows(blocks, precision: int) -> list[bytes]:
+    """One key per row of the (k, d_f) ``blocks``: their widths, then the
+    rounded values (-0.0 normalised), as bytes."""
+    k = blocks[0].shape[0]
+    widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))
+    rows = np.hstack([widths, np.round(np.hstack(blocks), precision) + 0.0])
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One agent: finite state machinery plus perception and local dynamics.
@@ -199,7 +231,10 @@ class AgentSpec:
     ``observation(state)`` maps the full global state to this agent's next
     percept.  ``local_transition(loc, per, joint)`` returns a tuple of
     ``(next_loc, probability)`` pairs; ``joint`` is the tuple of all agents'
-    action labels.
+    action labels.  The optional ``batch_observation(states)`` returns, for
+    a sequence of global states, the index into ``percepts`` of each state's
+    ``observation``; :func:`refresh_batch` uses it to observe many states at
+    once.
     """
 
     name: str
@@ -209,6 +244,7 @@ class AgentSpec:
     availability: Callable[[np.ndarray, np.ndarray], tuple[str, ...]]
     observation: Callable[[GlobalState], np.ndarray]
     local_transition: Callable[[np.ndarray, np.ndarray, tuple[str, ...]], tuple]
+    batch_observation: Callable[[Sequence[GlobalState]], Sequence[int]] | None = None
 
     def __post_init__(self):
         labels = tuple(a.label for a in self.actions)
@@ -287,20 +323,48 @@ class NsCsg:
 # one-step semantics
 
 
+def _observe(spec: AgentSpec, state: GlobalState) -> np.ndarray:
+    per = as_vector(spec.observation(state))
+    if vector_key(per) not in spec.percept_keys():
+        raise ModelError(f"agent {spec.name}: observation output {per.tolist()} is not a percept")
+    return per
+
+
 def observe_all(model: NsCsg, state: GlobalState) -> tuple[np.ndarray, ...]:
     """Refreshed percepts of all agents, validated against their percept sets."""
     model.check_state(state)
-    out = []
-    for i, spec in enumerate(model.agents):
-        per = as_vector(spec.observation(state))
-        if vector_key(per) not in spec.percept_keys():
-            raise ModelError(f"agent {spec.name}: observation output {per.tolist()} is not a percept")
-        out.append(per)
-    return tuple(out)
+    return tuple(_observe(spec, state) for spec in model.agents)
 
 
 def refresh_percepts(model: NsCsg, state: GlobalState) -> GlobalState:
     return state.with_percepts(observe_all(model, state))
+
+
+def _observe_batch(spec: AgentSpec, states: list[GlobalState]) -> list[np.ndarray]:
+    if spec.batch_observation is None:
+        return [_observe(spec, s) for s in states]
+    idx = np.asarray(spec.batch_observation(states))
+    if idx.shape != (len(states),) or idx.dtype.kind not in "iu":
+        raise ModelError(f"agent {spec.name}: batched observation must give one percept index per "
+                         f"state, got shape {idx.shape} of {idx.dtype} for {len(states)} states")
+    if idx.min() < 0 or idx.max() >= len(spec.percepts):
+        raise ModelError(f"agent {spec.name}: batched observation index outside the percept set "
+                         f"0..{len(spec.percepts) - 1}")
+    percepts = [as_vector(p) for p in spec.percepts]
+    return [percepts[k] for k in idx.tolist()]
+
+
+def refresh_batch(model: NsCsg, states: Sequence[GlobalState]) -> list[GlobalState]:
+    """:func:`refresh_percepts` of every state in ``states``, with one
+    ``batch_observation`` call per agent that has one; the other agents are
+    observed state by state."""
+    states = list(states)
+    if not states:
+        return []
+    for s in states:
+        model.check_state(s)
+    columns = [_observe_batch(spec, states) for spec in model.agents]
+    return [s.with_percepts(pers) for s, pers in zip(states, zip(*columns))]
 
 
 def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str, ...]:
@@ -328,6 +392,13 @@ def decision_state(model: NsCsg, state: GlobalState, refreshed: GlobalState | No
     if model.availability_on_old_percept:
         return state
     return refresh_percepts(model, state) if refreshed is None else refreshed
+
+
+def decision_states(model: NsCsg, states: Sequence[GlobalState]) -> list[GlobalState]:
+    """:func:`decision_state` of every state in ``states``, refreshed in one batch."""
+    if model.availability_on_old_percept:
+        return list(states)
+    return refresh_batch(model, states)
 
 
 def action_menus(model: NsCsg, decision: GlobalState) -> tuple[tuple[str, ...], ...]:
@@ -370,6 +441,8 @@ def step(model: NsCsg, refreshed: GlobalState, joint: tuple[str, ...]):
     if env2.shape[0] != model.env_dim:
         raise ModelError("environment transition changed dimension")
 
+    # the outcomes of one joint share env and percepts, so they differ only in
+    # the local states of agents with more than one outcome: those key the merge
     per_agent = []
     for i, spec in enumerate(model.agents):
         st = refreshed.agent_states[i]
@@ -377,25 +450,24 @@ def step(model: NsCsg, refreshed: GlobalState, joint: tuple[str, ...]):
         total = sum(p for _, p in dist)
         if abs(total - 1.0) > PROB_TOL or any(p <= 0 for _, p in dist):
             raise ModelError(f"agent {spec.name}: local transition is not a distribution (mass {total})")
-        per_agent.append([(as_vector(loc), float(p)) for loc, p in dist])
+        branches = len(dist) > 1
+        per_agent.append([(as_vector(loc), float(p), vector_key(loc) if branches else None)
+                          for loc, p in dist])
 
     merged: dict = {}
-    order: list = []
     for combo in itertools.product(*per_agent):
         prob = 1.0
         agent_states = []
-        for i, (loc, p) in enumerate(combo):
+        for i, (loc, p, _) in enumerate(combo):
             prob *= p
             agent_states.append(AgentState(loc, refreshed.agent_states[i].per))
-        succ = GlobalState(tuple(agent_states), env2)
-        key = canonical_key(succ)
+        key = tuple(k for _, _, k in combo)
         if key in merged:
             s0, p0 = merged[key]
             merged[key] = (s0, p0 + prob)
         else:
-            merged[key] = (succ, prob)
-            order.append(key)
-    out = tuple(merged[k] for k in order)
+            merged[key] = (GlobalState(tuple(agent_states), env2), prob)
+    out = tuple(merged.values())
     total = sum(p for _, p in out)
     if abs(total - 1.0) > 1e-9:
         raise ModelError(f"successor mass {total} != 1")

@@ -20,13 +20,18 @@ from .model import (
     NsCsg,
     RewardStructure,
     action_menus,
-    canonical_key,
+    canonical_keys,
     decision_state,
-    refresh_percepts,
+    decision_states,
+    refresh_batch,
     step,
 )
 
 DEFAULT_NODE_CAP = 5_000_000
+
+#: Frontier nodes perceived and keyed together: large enough for one matmul
+#: per layer to pay off, small enough to bound the successors held at once.
+_SLICE = 1024
 
 
 @dataclass
@@ -129,56 +134,73 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     """Breadth-first unfolding shared by trees and region graphs.
 
     Each state is perceived once: its refreshed percepts serve its decision
-    state, menus, joint actions and every successor.  With ``merge`` off
-    every successor becomes a new node, perceived when expanded, and leaves
-    keep their delivered percepts.  With it on, successors are keyed by
-    (canonical decision-state key, stage) and equal keys share one node whose
-    ``parent``/``in_action`` name the first history that created it.
+    state, menus, joint actions and every successor.  Each stage's frontier
+    is taken in slices of ``_SLICE`` nodes, and the slice's unexpanded nodes
+    are refreshed in one batch.  With ``merge`` off every successor becomes
+    a new node right after its step, perceived when expanded, and leaves
+    keep their delivered percepts.  With it on, all successors of a slice
+    get their decision states and merge keys in one batch each; equal
+    (key, stage) pairs share one node whose ``parent``/``in_action`` name
+    the first history that created it.  Node ids follow the frontier, joint
+    and successor order in both modes.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
     model.check_state(state)
-    root = Node(0, 0, state, decision_state(model, state))
-    nodes = [root]
-    ids_by_key = {(canonical_key(root.decision), 0): 0} if merge else None
+    nodes = [Node(0, 0, state, decision_state(model, state))]
     parent_sets = [set()]
-    frontier = [root]
+    frontier = nodes[:]
     for stage in range(horizon):
         nxt = []
-        for node in frontier:
+        ids_by_key = {}
+
+        def link(parent, joint, succ, decision, key=None):
+            cid = ids_by_key.get(key) if merge else None
+            if cid is None:
+                cid = len(nodes)
+                child = Node(cid, stage + 1, succ, decision, parent=parent.id, in_action=joint)
+                nodes.append(child)
+                parent_sets.append(set())
+                nxt.append(child)
+                if merge:
+                    ids_by_key[key] = cid
+                if len(nodes) > max_nodes:
+                    what = "region graph" if merge else "tree"
+                    raise ResourceLimitError(
+                        f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
+                        stats={"nodes": len(nodes), "stage": stage + 1},
+                    )
+            parent_sets[cid].add(parent.id)
+            return cid
+
+        for lo in range(0, len(frontier), _SLICE):
+            chunk = frontier[lo:lo + _SLICE]
             # a decision state that is not the delivered state was refreshed at creation
-            refreshed = (refresh_percepts(model, node.state) if node.decision is node.state
-                         else node.decision)
-            node.decision = decision_state(model, node.state, refreshed)
-            node.menus = action_menus(model, node.decision)
-            node.joints = tuple(itertools.product(*node.menus))
-            for joint in node.joints:
-                pairs = []
-                for succ_state, prob in step(model, refreshed, joint):
-                    cid = None
-                    decision = succ_state
+            fresh = iter(refresh_batch(model, [n.state for n in chunk if n.decision is n.state]))
+            refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
+            steps = []  # region mode: (node, joint, outcomes) in id order
+            for node, ref in zip(chunk, refreshed):
+                node.decision = decision_state(model, node.state, ref)
+                node.menus = action_menus(model, node.decision)
+                node.joints = tuple(itertools.product(*node.menus))
+                for joint in node.joints:
+                    outcomes = step(model, ref, joint)
                     if merge:
-                        decision = decision_state(model, succ_state)
-                        key = (canonical_key(decision), stage + 1)
-                        cid = ids_by_key.get(key)
-                    if cid is None:
-                        cid = len(nodes)
-                        child = Node(cid, stage + 1, succ_state, decision,
-                                     parent=node.id, in_action=joint)
-                        nodes.append(child)
-                        parent_sets.append(set())
-                        nxt.append(child)
-                        if merge:
-                            ids_by_key[key] = cid
-                        if len(nodes) > max_nodes:
-                            what = "region graph" if merge else "tree"
-                            raise ResourceLimitError(
-                                f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
-                                stats={"nodes": len(nodes), "stage": stage + 1},
-                            )
-                    parent_sets[cid].add(node.id)
-                    pairs.append((prob, cid))
+                        steps.append((node, joint, outcomes))
+                    else:
+                        node.children[joint] = tuple(
+                            (prob, link(node, joint, succ, succ)) for succ, prob in outcomes)
+            if not merge:
+                continue
+            decisions = decision_states(model, [s for _, _, outs in steps for s, _ in outs])
+            keys = canonical_keys(decisions)
+            k = 0
+            for node, joint, outcomes in steps:
+                pairs = []
+                for succ, prob in outcomes:
+                    pairs.append((prob, link(node, joint, succ, decisions[k], keys[k])))
+                    k += 1
                 node.children[joint] = tuple(pairs)
         frontier = nxt
     for node, parents in zip(nodes, parent_sets):

@@ -62,6 +62,14 @@ class TestOneKernel:
         assert counts == {"state": [passes * len(tree.nodes)] * 2,
                           "action": [passes * joints] * 2}
 
+    def test_minimax_reads_only_agent_one(self, counterexample_tree):
+        # the zero-sum baseline builds agent 1's stage games only
+        bm, tree = counterexample_tree
+        rewards, counts = counting_rewards(bm.rewards)
+        run_minimax(tree, rewards)
+        joints = sum(len(tree.nodes[nid].joints) for nid in tree.nonleaf_ids())
+        assert counts == {"state": [len(tree.nodes), 0], "action": [joints, 0]}
+
 
 class TestRunGbi:
     def test_counterexample_welfare_both_kinds(self, counterexample_tree):

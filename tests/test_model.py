@@ -9,20 +9,24 @@ from conftest import coin_model_doc
 from nscsg.benchmarks import BuiltModel, build
 from nscsg.errors import ModelError
 from nscsg.model import (
+    AgentState,
     FeedForwardNet,
     GlobalState,
     as_vector,
     canonical_key,
+    canonical_keys,
     joint_actions,
     load_model_json,
     load_net_json,
     nn_forward,
     observe_all,
     random_net,
+    refresh_batch,
+    refresh_percepts,
     save_net_json,
     successors,
 )
-from nscsg.unfold import unfold_regions
+from nscsg.unfold import unfold_regions, unfold_tree
 
 
 class TestNnForward:
@@ -49,6 +53,20 @@ class TestNnForward:
         net = FeedForwardNet(((np.eye(2), np.zeros(2)),))
         with pytest.raises(ModelError, match="layer 0"):
             nn_forward(net, [1.0, 2.0, 3.0])
+
+    def test_matrix_input_matches_rows(self):
+        net = random_net((4, 45, 45, 45, 45, 45, 45, 45, 9), seed=11)
+        x = np.random.default_rng(2).normal(size=(7, 4)) * [50.0, 5.0, 5.0, 3.0]
+        scores = nn_forward(net, x)
+        assert scores.shape == (7, 9)
+        for row, out in zip(x, scores):
+            assert np.allclose(out, nn_forward(net, row), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3))], ids=["vector", "matrix"])
+    def test_matrix_dimension_mismatch_names_layer(self, x):
+        net = random_net((2, 3, 2), seed=1)
+        with pytest.raises(ModelError, match="layer 0: expected input dim 2, got 3"):
+            nn_forward(net, x)
 
     def test_bad_layer_shapes_rejected(self):
         with pytest.raises(ModelError, match="layer 1"):
@@ -83,6 +101,44 @@ class TestObserveAll:
         bm = build("vcas", {"nets": [net] * 9, "t0": 2})
         pers = observe_all(bm.model, bm.initial)
         assert pers[0][0] == 5.0 and pers[1][0] == 5.0
+
+
+def _tied_net():
+    """Advisory network whose output rows 2 and 5 are identical and on top."""
+    layers = random_net((4, 45, 45, 9), seed=5).layers
+    w, b = (a.copy() for a in layers[-1])
+    w[5], b[2], b[5] = w[2], 100.0, 100.0
+    return FeedForwardNet(layers[:-1] + ((w, b),))
+
+
+class TestBatchedObservation:
+    @pytest.mark.parametrize("params", [{"t0": 4}, {"nets": [_tied_net()] * 9, "t0": 3}],
+                             ids=["stub-t4", "exact-tie"])
+    def test_matches_per_state_observation(self, params):
+        bm = build("vcas", params)
+        states = [n.state for n in unfold_regions(bm.model, bm.initial, bm.horizon).nodes]
+        for spec in bm.model.agents:
+            batched = spec.batch_observation(states).tolist()
+            assert batched == [int(spec.observation(s)[0]) - 1 for s in states]
+            if "nets" in params:  # ties resolve to the lowest index
+                assert set(batched) == {2}
+        expect = [canonical_key(refresh_percepts(bm.model, s)) for s in states]
+        assert [canonical_key(s) for s in refresh_batch(bm.model, states)] == expect
+
+    @pytest.mark.parametrize("indices, message", [
+        (lambda states: [0] * (len(states) + 1), "one percept index per state"),
+        (lambda states: [12] * len(states), "outside the percept set"),
+        (lambda states: [-1] * len(states), "outside the percept set"),
+        (lambda states: [0.0] * len(states), "one percept index per state"),
+    ], ids=["length", "index-high", "index-negative", "float"])
+    def test_bad_indices_rejected(self, indices, message):
+        bm = build("counterexample", {})
+        assert len(bm.model.agents[0].percepts) == 12  # valid indices 0..11
+        agents = (dataclasses.replace(bm.model.agents[0], batch_observation=indices),
+                  bm.model.agents[1])
+        model = dataclasses.replace(bm.model, agents=agents)
+        with pytest.raises(ModelError, match=message):
+            refresh_batch(model, [bm.initial, bm.initial])
 
 
 class TestSuccessors:
@@ -166,6 +222,27 @@ class TestCanonicalKey:
     def test_half_apart_distinct(self):
         assert canonical_key(self._state([4.5])) != canonical_key(self._state([4.0]))
 
+    def test_batched_keys_merge_like_canonical_key(self):
+        # the one-pass keys of the region unfolding merge exactly the states
+        # canonical_key merges; the tree repeats many states per stage
+        bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
+        states = [n.decision for n in unfold_tree(bm.model, bm.initial, bm.horizon).nodes]
+
+        def first_index(keys):
+            seen = {}
+            return [seen.setdefault(k, i) for i, k in enumerate(keys)]
+
+        expect = first_index([canonical_key(s) for s in states])
+        assert len(set(expect)) < len(states)
+        assert first_index(canonical_keys(states)) == expect
+
+    def test_batched_keys_separate_component_sizes(self):
+        # both states stack to the values (1, 2, 3, 0)
+        a = GlobalState((AgentState(as_vector([1, 2]), as_vector([3])),), as_vector([0]))
+        b = GlobalState((AgentState(as_vector([1]), as_vector([2, 3])),), as_vector([0]))
+        ka, kb, ka2 = canonical_keys([a, b, a])
+        assert ka != kb and ka == ka2 == canonical_keys([a, a])[0]
+
 
 class TestTabularLoader:
     def test_small_tabular_model(self, tmp_path):
@@ -177,6 +254,17 @@ class TestTabularLoader:
         assert sorted(p for _, p in dist) == [0.5, 0.5]
         assert bundle.rewards[0].state_reward(bundle.initial) == -1.0
         assert bundle.horizon == 1
+
+    def test_repeated_next_local_state_merges(self):
+        # agent 1 lists location 1 twice: one successor with the summed mass
+        doc = coin_model_doc()
+        doc["agents"][0]["transitions"][0]["dist"] = [{"loc": [1], "prob": 0.25},
+                                                      {"loc": [1], "prob": 0.75}]
+        bundle = load_model_json(doc)
+        dist = successors(bundle.model, bundle.initial, ("go", "go"))
+        assert len(dist) == 1
+        state, p = dist[0]
+        assert p == 1.0 and state.agent_states[0].loc.tolist() == [1.0]
 
     def test_horizon_from_file(self):
         doc = coin_model_doc()

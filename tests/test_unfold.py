@@ -255,9 +255,14 @@ class TestPinnedOutputs:
          "d31dc38a9cc0703bebc5e328fb65ec34e90ba0c95ff17fe92d87d2066bbbdfb1"),
         ("vcas", {"t0": 3}, unfold_regions, True,
          "359cde2f08f9cf95d24192417525cc0de22d298b56f292cd6f10cc9d2293ea7f"),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_tree, False,
+         "efb924e4c81806be61b46e81180789af585aca541a6ad29eabed701f48e70524"),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions, False,
+         "3e3d49e001641e9b7d799d0a7faa4fedc159dd1071054fef9f0f1e5f2ba2a09a"),
     ], ids=["counterexample-tree", "counterexample-region", "parking-k4-tree",
             "parking-k4-region", "parking-k8-region", "vcas-t3-tree", "vcas-t3-region",
-            "vcas-t3-tree-old-percept", "vcas-t3-region-old-percept"])
+            "vcas-t3-tree-old-percept", "vcas-t3-region-old-percept",
+            "vcas-t3-eps0.2-tree", "vcas-t3-eps0.2-region"])
     def test_structure_digest(self, name, params, unfold, old_percept, digest):
         bm = build(name, params)
         model = _old_percept(bm) if old_percept else bm.model
@@ -286,8 +291,18 @@ class TestPerceiveOnce:
                 return observe(state)
             return observation
 
+        def counted_batch(i, observe):
+            if observe is None:
+                return None
+
+            def batch_observation(states):
+                calls[i] += len(states)
+                return observe(states)
+            return batch_observation
+
         model = dataclasses.replace(model, agents=tuple(
-            dataclasses.replace(spec, observation=counted(i, spec.observation))
+            dataclasses.replace(spec, observation=counted(i, spec.observation),
+                                batch_observation=counted_batch(i, spec.batch_observation))
             for i, spec in enumerate(model.agents)))
         structure = unfold(model, bm.initial, bm.horizon)
         if unfold is unfold_regions and not old_percept:
