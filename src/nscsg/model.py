@@ -194,13 +194,14 @@ def canonical_key(state: GlobalState, precision: int = KEY_DIGITS):
     )
 
 
-def canonical_keys(states: Sequence[GlobalState], precision: int = KEY_DIGITS) -> list[bytes]:
+def canonical_keys(states: Sequence[GlobalState]) -> list[bytes]:
     """Merge keys of many states from one rounding pass over their stacked
     (loc, per, ..., env) vectors.
 
     Two keys are equal iff the states have the same component sizes and
-    agree in every component after ``np.round``; keys compare only with
-    keys from this function.
+    agree in every component after rounding to ``KEY_DIGITS`` decimals as
+    :func:`canonical_key` rounds, so both give the same merge classes; keys
+    compare only with keys from this function.
     """
     if not states:
         return []
@@ -209,16 +210,27 @@ def canonical_keys(states: Sequence[GlobalState], precision: int = KEY_DIGITS) -
     try:
         blocks = [np.stack(col) for col in zip(*fields)]
     except ValueError:  # component sizes differ between states: one row each
-        return [_key_rows([np.atleast_2d(np.ravel(v)) for v in f], precision)[0] for f in fields]
-    return _key_rows(blocks, precision)
+        return [_key_rows([np.atleast_2d(np.ravel(v)) for v in f])[0] for f in fields]
+    return _key_rows(blocks)
 
 
-def _key_rows(blocks, precision: int) -> list[bytes]:
+def _key_rows(blocks) -> list[bytes]:
     """One key per row of the (k, d_f) ``blocks``: their widths, then the
     rounded values (-0.0 normalised), as bytes."""
     k = blocks[0].shape[0]
+    values = np.hstack(blocks)
+    rounded = np.round(values, KEY_DIGITS) + 0.0
+    # np.round rounds x * 10**KEY_DIGITS half to even, round() the exact
+    # decimal value of x; they agree unless the scaled value is within its
+    # own rounding error of a half step (every value once the margin passes
+    # 0.5, where doubles have no fraction left to round)
+    scaled = np.abs(values) * 10.0 ** KEY_DIGITS
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6 + 1e-15 * scaled
+    for i, j in zip(*np.nonzero(near_half)):
+        rounded[i, j] = _round_component(values[i, j], KEY_DIGITS)
     widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))
-    rows = np.hstack([widths, np.round(np.hstack(blocks), precision) + 0.0])
+    rows = np.hstack([widths, rounded])
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
@@ -385,20 +397,20 @@ def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str,
     return tuple(sorted(avail, key=order.__getitem__))
 
 
-def decision_state(model: NsCsg, state: GlobalState, refreshed: GlobalState | None = None) -> GlobalState:
-    """The state availability reads at ``state``: ``state`` with refreshed
-    percepts (``refreshed`` when the caller already has it), or ``state``
-    itself when the model evaluates availability on the stored percept."""
-    if model.availability_on_old_percept:
-        return state
-    return refresh_percepts(model, state) if refreshed is None else refreshed
-
-
-def decision_states(model: NsCsg, states: Sequence[GlobalState]) -> list[GlobalState]:
-    """:func:`decision_state` of every state in ``states``, refreshed in one batch."""
+def decision_states(model: NsCsg, states: Sequence[GlobalState],
+                    refreshed: Sequence[GlobalState] | None = None) -> list[GlobalState]:
+    """The states availability reads at ``states``: each state with refreshed
+    percepts (``refreshed`` when the caller already has them, else refreshed
+    in one batch), or the states themselves when the model evaluates
+    availability on the stored percept."""
     if model.availability_on_old_percept:
         return list(states)
-    return refresh_batch(model, states)
+    return refresh_batch(model, states) if refreshed is None else list(refreshed)
+
+
+def decision_state(model: NsCsg, state: GlobalState, refreshed: GlobalState | None = None) -> GlobalState:
+    """:func:`decision_states` of the one state ``state``."""
+    return decision_states(model, [state], None if refreshed is None else [refreshed])[0]
 
 
 def action_menus(model: NsCsg, decision: GlobalState) -> tuple[tuple[str, ...], ...]:

@@ -179,9 +179,10 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             # a decision state that is not the delivered state was refreshed at creation
             fresh = iter(refresh_batch(model, [n.state for n in chunk if n.decision is n.state]))
             refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
+            decided = decision_states(model, [n.state for n in chunk], refreshed)
             steps = []  # region mode: (node, joint, outcomes) in id order
-            for node, ref in zip(chunk, refreshed):
-                node.decision = decision_state(model, node.state, ref)
+            for node, ref, decision in zip(chunk, refreshed, decided):
+                node.decision = decision
                 node.menus = action_menus(model, node.decision)
                 node.joints = tuple(itertools.product(*node.menus))
                 for joint in node.joints:

@@ -208,6 +208,12 @@ class TestJointActions:
         assert len(joint_actions(bm.model, bm.initial)) == 9
 
 
+def _first_index(keys):
+    """Each key's first position: equal lists mean equal merge classes."""
+    seen = {}
+    return [seen.setdefault(k, i) for i, k in enumerate(keys)]
+
+
 class TestCanonicalKey:
     def _state(self, env):
         bm = build("counterexample", {})
@@ -227,14 +233,24 @@ class TestCanonicalKey:
         # canonical_key merges; the tree repeats many states per stage
         bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
         states = [n.decision for n in unfold_tree(bm.model, bm.initial, bm.horizon).nodes]
-
-        def first_index(keys):
-            seen = {}
-            return [seen.setdefault(k, i) for i, k in enumerate(keys)]
-
-        expect = first_index([canonical_key(s) for s in states])
+        expect = _first_index([canonical_key(s) for s in states])
         assert len(set(expect)) < len(states)
-        assert first_index(canonical_keys(states)) == expect
+        assert _first_index(canonical_keys(states)) == expect
+
+    def test_batched_keys_round_like_canonical_key_at_half_steps(self):
+        # round() rounds the exact decimal value: the double nearest 1.5e-9 is
+        # just below the half step, that of 2.5e-9 just above, whereas
+        # np.round (half to even after scaling) sends both to 2e-9; near 1e7
+        # the scaled values pass 2**53, where the two roundings also differ
+        envs = [1e-9, 1.5e-9, 2e-9, 2.5e-9, 3e-9, -0.0, 0.0, float("inf")]
+        rng = np.random.default_rng(3)
+        envs += ((rng.integers(-10**6, 10**6, 2000) + 0.5) / 1e9).tolist()
+        envs += (1e7 + rng.integers(0, 10**4, 2000) * 1e-9).tolist()
+        states = [self._state([e]) for e in envs]
+        single = [canonical_key(s) for s in states]
+        assert single[0] == single[1] != single[2] != single[3] == single[4]
+        assert single[5] == single[6]
+        assert _first_index(canonical_keys(states)) == _first_index(single)
 
     def test_batched_keys_separate_component_sizes(self):
         # both states stack to the values (1, 2, 3, 0)
