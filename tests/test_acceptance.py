@@ -10,6 +10,8 @@ punished), so no feasible solution attains them.  The analysis lives in the
 repository notes; the companion assertions pin the values the shipped model
 does attain.
 """
+import hashlib
+import json
 import os
 import time
 
@@ -21,7 +23,7 @@ from conftest import random_model, random_profiles
 from nscsg.benchmarks import build
 from nscsg.benchmarks.vcas import trust_update, vcas_dynamics
 from nscsg.fsi import FsiConfig, run_fsi
-from nscsg.gbi import StageGameCache, run_gbi, run_minimax, social_welfare
+from nscsg.gbi import StageGameCache, run_gbi, run_minimax, social_welfare, solution_to_json
 from nscsg.nfg import BimatrixGame, enumerate_ne
 from nscsg.speprog import (
     assignment_from_solution,
@@ -362,3 +364,170 @@ class TestCriterion8ZeroSumBaseline:
         ok = abs(mm.values[0, 0] - 1.0) <= 1e-9
         ok &= abs(mm.values[0, 1] + 1.0) <= 1e-9
         assert report(8, ok, f"(root value {mm.values[0, 0]:.9g})")
+
+
+def _digest(doc) -> str:
+    """SHA-256 of ``doc`` as JSON, every float rounded to 12 decimals as in
+    the benchmark digests (-0.0 becomes 0.0)."""
+    def rounded(x):
+        if isinstance(x, (list, tuple)):
+            return [rounded(v) for v in x]
+        if isinstance(x, dict):
+            return {k: rounded(v) for k, v in x.items()}
+        if hasattr(x, "tolist"):
+            return rounded(x.tolist())
+        if isinstance(x, float):
+            return round(x, 12) + 0.0
+        return x
+
+    return hashlib.sha256(json.dumps(rounded(doc), sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedSolutions:
+    """Pinned digests of whole solution files, checker reports and grid
+    counts: a change to the stage-game kernel or the bottom-up pass that
+    moves any output by more than 1e-12 fails here."""
+
+    PARKING = {
+        "ce/check":
+            "505e0654880d0396e19f6308bf85b5f06d1f612a7d2ba798165a67153a5655f4",
+        "ce/fsi":
+            "d1c68a7a002d7e444587859ef38dab34936c72cf58fd5f5bb6c3f0f7dcf94c6d",
+        "ce/gbi":
+            "a638e4b0208c92c31e06cdbee928c1deb3d3fc2a39c4e328794e29d518d1505d",
+        "ne/check":
+            "505e0654880d0396e19f6308bf85b5f06d1f612a7d2ba798165a67153a5655f4",
+        "ne/fsi":
+            "dfe1189974077545d9646e69e2dd825c835ba142d07371ace311927ccc667ec9",
+        "ne/gbi":
+            "6e9a4a03eadd90aeb67e26e7a46942e4480c97211615f406e71b224262549924",
+    }
+
+    RANDOM = {
+        "5000/ce/check":
+            "4223aac1d4cfba83236cb9442a40b4e583fc717d89799f9c634a01a5fbc98f4b",
+        "5000/ce/coordinate-ascent":
+            "bd3e4088a3793d6d97f82061219d6f2ae36f001dae7790132d4492a5e6c62efe",
+        "5000/ce/gbi":
+            "260de0deeb2b5c95540b07021af01124401abc6b1a66e6a487b5caa3978a7d07",
+        "5000/ce/reinduce":
+            "bd3e4088a3793d6d97f82061219d6f2ae36f001dae7790132d4492a5e6c62efe",
+        "5000/minimax":
+            "84a84a76b89da5100ad901cfd714ef3a46a61866d76af79f36559fb5833dec4d",
+        "5000/ne/check":
+            "7b6333dae70c751d0d72116790357dab9d90dca195e03de85796969871e1fc7b",
+        "5000/ne/coordinate-ascent":
+            "928fc45439ae0b882a66d2cf18d90cb31037ec8fb614326c39fbb7acea809ea5",
+        "5000/ne/gbi":
+            "483a527fc75138afd5bee4e3a39f5f5224c8239e4b7a35a7a0fd85eb69e20084",
+        "5000/ne/reinduce":
+            "928fc45439ae0b882a66d2cf18d90cb31037ec8fb614326c39fbb7acea809ea5",
+        "5003/ce/check":
+            "1f8635a92c412746e888f6d2aa5db40dcc7c3cecbeb5ee17e4dde10befa5b938",
+        "5003/ce/coordinate-ascent":
+            "5049a0fbc5d36e10b9c02d448d54396ec8a37851722630466ba1d915ac0b58e2",
+        "5003/ce/gbi":
+            "40245fd9088fd26414027ae93aae997ba416a45e7a39375e8b2c08f00f8f8bac",
+        "5003/ce/reinduce":
+            "5049a0fbc5d36e10b9c02d448d54396ec8a37851722630466ba1d915ac0b58e2",
+        "5003/minimax":
+            "93936261c037c7a8da6d9fd07515631efaeebff272ce90480906c1dfd33260e1",
+        "5003/ne/check":
+            "bf92901f9975ecc8696187c26b9268b6d6b96d319652135f84193a74427db5e4",
+        "5003/ne/coordinate-ascent":
+            "4e4c91a9642b50a81e329d2c5fd2cc1788275379f03030422f13f5e0ebafddab",
+        "5003/ne/gbi":
+            "22413041c725cf1b1f7c224c01222e960daa8796389d9c0655356f923c55c5b1",
+        "5003/ne/reinduce":
+            "4e4c91a9642b50a81e329d2c5fd2cc1788275379f03030422f13f5e0ebafddab",
+        "5032/ce/check":
+            "a34f2f7daf488077e3199f922c2dcecdda25ca8a17d50259af0cfd2f1cbf96b8",
+        "5032/ce/coordinate-ascent":
+            "48ab05bd8fa2a7da9009aaf66a56759bcf51f7384f7b2770bda0180ad1517242",
+        "5032/ce/gbi":
+            "c314d5389b7baebd12924c699c3faeefe614b96893501b62ea3b575c9a5c044f",
+        "5032/ce/reinduce":
+            "d0dbb5e8356c59c9774971e5bd2451d2a073eeb4b70e86674dbb1f3436d43661",
+        "5032/minimax":
+            "0cb99d6fbe604d1c4ca5637977729c479c697e87157555a6af6f90a1a7f5cf40",
+        "5032/ne/check":
+            "cd963bbb1f6e231e14f61b6d9237e0343a3f5454ec184442349ca350c1a6467c",
+        "5032/ne/coordinate-ascent":
+            "24f23f878f4e37129b7e8e557eeac85f24a92f8cac6518647f5fadf8e59304ed",
+        "5032/ne/gbi":
+            "2392c5d08e2170d74534df484462744ef7b75f8d06a64e586d7ed69499ab59f0",
+        "5032/ne/reinduce":
+            "6994a537216267e0c3f1aeec1fabc3a8510ca8c3c14e92cb16410d4b3f4cca45",
+        "5058/ce/check":
+            "dbb826c0312e96ad4b689b35b35ed9a3e85b55221401d79b2363e103cedeb89f",
+        "5058/ce/coordinate-ascent":
+            "fb8b0c6c0a9f19409fecc0ba897d712c9a9f571f3b5a4ba4a4e5d056a216a54f",
+        "5058/ce/gbi":
+            "aa3f639f4cb8f62fabd171e2fefff566b87228e66bcf6423bc6d0f2f9cba17df",
+        "5058/ce/reinduce":
+            "58311ab2b9d36079cb6f1d1a559786462d2f5ab995d4149a0512f7019e6ed393",
+        "5058/minimax":
+            "43f99c211e8ef89aa2910130682932f824813270beb75bb9ef2fb219eccdf2b5",
+        "5058/ne/check":
+            "4d686975ce7683449a2a9cdd985c61b899f57b10e82d7dab7a9977fa95e0e971",
+        "5058/ne/coordinate-ascent":
+            "56b2a40166a338f57630eefcd54f23dbdfe27df4e9bf99a089597925295f26ef",
+        "5058/ne/gbi":
+            "060102f0ee4d63c8f327e34cb3c6c94edd78e8d01363988eb23071cdd025827f",
+        "5058/ne/reinduce":
+            "1c718acd773a7ad65acd6d6498b31bca02ab8939068f9deae1649148f6ad6aac",
+    }
+
+    COUNTEREXAMPLE = {
+        "fsi-grid":
+            "68e8ed9c3c8465c9ec6647eb4f3df9f1b3ed1be8b401511e1159cbf08edbe512",
+        "grid-ce":
+            "98dcec729610ac26adddbf139106916130382f2a62329212f29d7f65cd48557a",
+        "grid-ne":
+            "0fa976175f90fb565ed2e8a6d2bdfecba99628296737f076a2919090c4eef563",
+    }
+
+    def test_parking_k8(self, parking_graphs):
+        bm, rg = parking_graphs[(8, 2)]
+        out = {}
+        for kind in ("ne", "ce"):
+            check = check_spne if kind == "ne" else check_spce
+            gbi = run_gbi(rg, bm.rewards, kind)
+            fsi, _ = run_fsi(rg, bm.rewards, kind, FsiConfig(m_max=4, seed=0, solver_rounds=3))
+            out[f"{kind}/gbi"] = _digest(solution_to_json(rg, gbi))
+            out[f"{kind}/fsi"] = _digest(solution_to_json(rg, fsi))
+            out[f"{kind}/check"] = _digest(check(rg, bm.rewards, fsi).to_json())
+        assert out == self.PARKING
+
+    def test_random_models(self):
+        out = {}
+        for seed in (5000, 5003, 5032, 5058):
+            bm = random_model(seed)
+            tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+            for kind in ("ne", "ce"):
+                check = check_spne if kind == "ne" else check_spce
+                gbi = run_gbi(tree, bm.rewards, kind)
+                out[f"{seed}/{kind}/gbi"] = _digest(solution_to_json(tree, gbi))
+                for solver in ("reinduce", "coordinate-ascent"):
+                    cfg = FsiConfig(m_max=3, seed=seed, policy="max-sw", epsilon=0.2,
+                                    solver=solver)
+                    sol, trace = run_fsi(tree, bm.rewards, kind, cfg)
+                    out[f"{seed}/{kind}/{solver}"] = _digest(
+                        [solution_to_json(tree, sol), [row.social_welfare for row in trace]])
+                bad = random_profiles(tree, kind, np.random.default_rng(seed))
+                out[f"{seed}/{kind}/check"] = _digest(check(tree, bm.rewards, bad).to_json())
+            out[f"{seed}/minimax"] = _digest(run_minimax(tree, bm.rewards).values)
+        assert out == self.RANDOM
+
+    def test_counterexample_grids(self):
+        bm = build("counterexample", {"phi": -10.0})
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        out = {}
+        for kind, resolution, counts in (("ne", 10, (14641, 10)), ("ce", 5, (3136, 36))):
+            grid = solve_exact_grid(tree, bm.rewards, kind, resolution)
+            assert (grid.checked, grid.feasible) == counts
+            out[f"grid-{kind}"] = _digest(solution_to_json(tree, grid.solution))
+        cfg = FsiConfig(m_max=5, seed=1, solver="grid", grid_resolution=5)
+        sol, trace = run_fsi(tree, bm.rewards, "ne", cfg)
+        out["fsi-grid"] = _digest([solution_to_json(tree, sol), [row.social_welfare for row in trace]])
+        assert out == self.COUNTEREXAMPLE
