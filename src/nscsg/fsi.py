@@ -177,8 +177,8 @@ def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: s
     themselves can replace it.  Falls back to the incumbent otherwise.
     """
     free = _free_part(structure, frozen)
-    values, z = evaluate_values(structure, rewards, current)
-    tol = max(_incentive_gaps(structure, kind, current, values, z), 1e-9)
+    _, z = evaluate_values(structure, rewards, current)
+    tol = max(_incentive_gaps(structure, z), 1e-9)
     nodes = [structure.nodes[nid] for nid in sorted(free)]
     return _grid_search(structure, rewards, kind, nodes, cfg.grid_resolution, current, tol,
                         max_points=2_000_000).solution

@@ -6,9 +6,13 @@ entries combine the immediate rewards with the probability-weighted successor
 values.  On a region graph this computes strategies that depend on the state
 and the stage only.
 
-:func:`stage_matrices` is the one stage-game kernel (the only reader of the
-reward callbacks and ``node.children``) and :func:`induce` the one bottom-up
-pass over it: every solver and checker differs only in its per-node step.
+The stage games are read from the structure's compiled form
+(:class:`nscsg.unfold.Compiled`): each reward callback runs once per node or
+(node, joint) for a structure and reward structure.  :func:`stage_games`
+builds the matrices of one stage group in one array step and
+:func:`stage_matrices` those of one node; :func:`induce` (one step per
+node) and :func:`induce_groups` (one step per stage group) are the one
+bottom-up pass, so every solver and checker differs only in its step.
 """
 from __future__ import annotations
 
@@ -19,9 +23,32 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError
-from .model import RewardStructure, zero_rewards
+from .model import RewardStructure
 from .nfg import BimatrixGame, StageSolution, any_equilibrium, zero_sum_value
-from .unfold import Node, Structure
+from .unfold import Node, StageGroup, Structure
+
+
+def stage_games(structure: Structure, rewards, group: StageGroup, values: np.ndarray,
+                rows=slice(None)) -> np.ndarray:
+    """Stage matrices of ``group``'s nodes (``rows`` of them) under each reward
+    structure, shape ``(len(rewards), *batch, n, m1, m2)`` for ``values`` of
+    shape ``(*batch, n_nodes, len(rewards))``.
+
+    Entry (a, b) is the action reward plus the node's state reward, then
+    p * v added one outcome of joint action (a, b) at a time: the order of a
+    per-joint loop, so a batch of nodes or of value tables gives every node
+    the bits it would get alone.
+    """
+    compiled = structure._compiled()
+    succ, prob = group.succ[rows], group.prob[rows]
+    z = np.empty((len(rewards),) + values.shape[:-2] + succ.shape[:-1])
+    for i, r in enumerate(rewards):
+        z[i] = compiled.rewards(r)[1][group.index][rows]
+        column = values[..., i]
+        for j, live in enumerate(group.live):
+            np.add(z[i], prob[..., j] * column[..., succ[..., j]], out=z[i],
+                   where=live if live is True else live[rows])
+    return z
 
 
 def stage_matrices(structure: Structure, rewards, node: Node, values: np.ndarray):
@@ -30,42 +57,71 @@ def stage_matrices(structure: Structure, rewards, node: Node, values: np.ndarray
     Entry (a, b) is the action reward plus the node's state reward plus the
     expected continuation value under joint action (a, b).
     """
-    m1, m2 = node.menus
-    z = np.zeros((2, len(m1), len(m2)))
-    state_rewards = [r.state_reward(node.state) for r in rewards]
-    for a, lab1 in enumerate(m1):
-        for b, lab2 in enumerate(m2):
-            joint = (lab1, lab2)
-            pairs = node.children[joint]
-            for i, r in enumerate(rewards):
-                acc = r.action_reward(node.state, joint) + state_rewards[i]
-                for p, cid in pairs:
-                    acc += p * values[cid, i]
-                z[i, a, b] = acc
-    return z[0], z[1]
+    group, row = structure._compiled().locate(node.id)
+    return tuple(stage_games(structure, rewards, group, values, slice(row, row + 1))[:, 0])
+
+
+def _leaf_values(structure: Structure, rewards, batch=()) -> np.ndarray:
+    """Values of shape (*batch, n_nodes, len(rewards)): a leaf's state rewards,
+    zero elsewhere."""
+    compiled = structure._compiled()
+    values = np.zeros((len(structure.nodes), len(rewards)))
+    for i, r in enumerate(rewards):
+        values[compiled.bounds[structure.horizon]:, i] = compiled.rewards(r)[0]
+    return np.broadcast_to(values, batch + values.shape).copy()
+
+
+def _require(structure: Structure, profiles: Optional[dict]) -> None:
+    """Raise for the first nonleaf node, bottom-up, without strategy data."""
+    if profiles is None:
+        return
+    bounds = structure._compiled().bounds
+    for stage in range(structure.horizon - 1, -1, -1):
+        for nid in range(bounds[stage], bounds[stage + 1]):
+            if nid not in profiles:
+                raise ModelError(f"strategy data missing at history {nid}")
 
 
 def induce(structure: Structure, rewards, step, profiles: Optional[dict] = None,
            games: Optional[dict] = None) -> np.ndarray:
-    """The one bottom-up pass: values of shape (n_nodes, 2), stage by stage.
+    """The one bottom-up pass, one node at a time: values of shape
+    (n_nodes, len(rewards)), stage by stage.
 
     A leaf's value is its state rewards; every other node's value is
-    ``step(node, z1, z2)`` on its stage matrices.  With ``profiles``
-    (strategy data by node id), a nonleaf node without an entry is an error;
-    ``games`` receives the stage matrices as ``games[(node id, agent)]``.
+    ``step(node, *matrices)`` on its stage matrices, called in id order
+    within each stage.  With ``profiles`` (strategy data by node id), a
+    nonleaf node without an entry is an error; ``games`` receives the stage
+    matrices as ``games[(node id, reward index)]``.
     """
-    values = np.zeros((len(structure.nodes), 2))
-    for stage in range(structure.horizon, -1, -1):
-        for node in structure.stage_nodes(stage):
-            if structure.is_leaf(node):
-                values[node.id] = [r.state_reward(node.state) for r in rewards]
-                continue
-            if profiles is not None and node.id not in profiles:
-                raise ModelError(f"strategy data missing at history {node.id}")
-            z1, z2 = stage_matrices(structure, rewards, node, values)
+    _require(structure, profiles)
+    compiled = structure._compiled()
+    values = _leaf_values(structure, rewards)
+    for stage in range(structure.horizon - 1, -1, -1):
+        zs = {g.index: stage_games(structure, rewards, g, values) for g in compiled.groups[stage]}
+        for nid in range(compiled.bounds[stage], compiled.bounds[stage + 1]):
+            group, row = compiled.locate(nid)
+            z = zs[group.index][:, row]
             if games is not None:
-                games[(node.id, 0)], games[(node.id, 1)] = z1, z2
-            values[node.id] = step(node, z1, z2)
+                for i, zi in enumerate(z):
+                    games[(nid, i)] = zi
+            values[nid] = step(structure.nodes[nid], *z)
+    return values
+
+
+def induce_groups(structure: Structure, rewards, step, profiles: Optional[dict] = None,
+                  batch: tuple = ()) -> np.ndarray:
+    """The one bottom-up pass, one stage group at a time: values of shape
+    (*batch, n_nodes, len(rewards)).
+
+    ``step(group, z)`` gets the group's :func:`stage_games` and returns its
+    values, shape (*batch, n, len(rewards)).  ``profiles`` is checked as in
+    :func:`induce`; ``batch`` adds leading axes, e.g. one per grid point.
+    """
+    _require(structure, profiles)
+    values = _leaf_values(structure, rewards, batch)
+    for groups in reversed(structure._compiled().groups):
+        for g in groups:
+            values[..., g.ids, :] = step(g, stage_games(structure, rewards, g, values))
     return values
 
 
@@ -83,12 +139,31 @@ class EquilibriumSolution:
 
 
 class StageGameCache:
-    """Memoises stage-game solutions keyed by rounded payoff matrices."""
+    """Memoises stage-game solutions keyed by rounded payoff matrices, and
+    the candidate equilibria of a stage game keyed by its exact payoffs."""
 
     def __init__(self):
         self._store = {}
         self.hits = 0
         self.misses = 0
+        self._candidates = {}
+        self.candidate_hits = 0
+        self.candidate_misses = 0
+
+    def stage_candidates(self, game: BimatrixGame, kind: str, enumerate_candidates) -> list:
+        """``enumerate_candidates(game, kind)``, computed on the first request.
+
+        The key holds the exact payoff bytes, so a hit returns what
+        recomputing would; a call that raises is not stored.
+        """
+        key = (kind, game.p1.shape, game.p1.tobytes(), game.p2.tobytes())
+        hit = self._candidates.get(key)
+        if hit is not None:
+            self.candidate_hits += 1
+            return hit
+        self.candidate_misses += 1
+        out = self._candidates[key] = enumerate_candidates(game, kind)
+        return out
 
     def solve(self, game: BimatrixGame, kind: str, policy: str, rng) -> StageSolution:
         if policy == "seeded-random":
@@ -140,19 +215,18 @@ class MinimaxSolution:
 def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> MinimaxSolution:
     """Zero-sum baseline: agent 1 maximises its reward, agent 2 minimises it.
 
-    Only agent 1's reward structure is consulted; agent 2's stage matrix is
-    built from zero rewards and discarded.
+    Only agent 1's reward structure is consulted: the pass builds agent 1's
+    stage matrices alone, and agent 2's value is the negation.
     """
     profiles: dict[int, StageSolution] = {}
 
-    def step(node, z1, _):
+    def step(node, z1):
         x, y, v = zero_sum_value(z1)
         profiles[node.id] = StageSolution("ne", x, y, None, np.array([v, -v]))
-        return v, v
+        return v
 
-    values = induce(structure, (rewards[0], zero_rewards()), step)
-    values[:, 1] = -values[:, 0]
-    return MinimaxSolution(values, profiles)
+    values = induce(structure, rewards[:1], step)
+    return MinimaxSolution(np.hstack((values, -values)), profiles)
 
 
 def social_welfare(solution, node: int = 0) -> float:

@@ -296,10 +296,6 @@ class RewardStructure:
     state_reward: Callable[[GlobalState], float]
 
 
-def zero_rewards() -> RewardStructure:
-    return RewardStructure(lambda s, a: 0.0, lambda s: 0.0)
-
-
 @dataclass(frozen=True)
 class NsCsg:
     """A neuro-symbolic concurrent stochastic game.

@@ -9,25 +9,32 @@ whole structure or one free part), feasibility-preserving block coordinate
 ascent with exact LP sub-steps, and an equilibrium re-seeding search that
 re-runs backward induction above a changed node.
 
-Payoffs come from the stage-game kernel :func:`nscsg.gbi.stage_matrices`;
-whole-structure passes (evaluation, Z-definition constants) are the one
-bottom-up pass :func:`nscsg.gbi.induce`.
+Payoffs come from the stage-game kernel :func:`nscsg.gbi.stage_games`;
+whole-structure passes (evaluation, incentive gaps, grid scoring, Z-definition
+constants) are the one bottom-up pass of :mod:`nscsg.gbi`, taken one stage
+group at a time wherever the step allows it.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
-from .gbi import EquilibriumSolution, StageGameCache, induce, stage_matrices
+from .gbi import (EquilibriumSolution, StageGameCache, _require, induce, induce_groups,
+                  stage_matrices)
 from .lp import LinearProgram, lp_solve
 from .nfg import BimatrixGame, StageSolution, _ce_constraints, _ce_from_lp, enumerate_ne
-from .unfold import Structure
+from .unfold import StageGroup, Structure
 
 GRID_CAP = 5_000_000
+#: Floats of values and stage matrices held per block of grid points scored
+#: together (about 0.5 MB): one batch axis amortises the pass's Python work.
+_GRID_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +266,75 @@ def dump_system(system: ConstraintSystem, path) -> None:
 # evaluation and feasibility
 
 
+class _Evaluation(Mapping):
+    """Stage matrices of one evaluation pass as ``z[(node id, agent)]``, read
+    from the stage groups' arrays.  Also holds the values, shape
+    (*batch, n_nodes, 2), and each group's matrices and stacked strategy
+    data, keyed by group index."""
+
+    def __init__(self, structure: Structure, kind: str, values: np.ndarray, games: dict,
+                 strategies: dict):
+        self.structure = structure
+        self.kind = kind
+        self.values = values
+        self.games = games
+        self.strategies = strategies
+
+    def __getitem__(self, key):
+        nid, agent = key
+        group, row = self.structure._compiled().locate(nid)
+        return self.games[group.index][agent][..., row, :, :]
+
+    def __iter__(self):
+        return ((nid, agent) for nid in self.structure.nonleaf_ids() for agent in range(2))
+
+    def __len__(self):
+        return 2 * len(self.structure.nonleaf_ids())
+
+
+def _stacked(kind: str, profiles: dict):
+    """Strategy data of a stage group's nodes, stacked: (mu1, mu2) with
+    shapes (n, m1) and (n, m2) for "ne", (mu,) with shape (n, m1, m2) for
+    "ce"."""
+    def strategies(group: StageGroup):
+        profs = [profiles[nid] for nid in group.ids]
+        if kind == "ne":
+            return np.array([p.mu1 for p in profs]), np.array([p.mu2 for p in profs])
+        return (np.array([p.mu_joint for p in profs]),)
+
+    return strategies
+
+
+def _evaluate(structure: Structure, rewards, kind: str, strategies, profiles=None,
+              batch: tuple = ()) -> _Evaluation:
+    """Values and stage matrices determined bottom-up by stacked strategy
+    data ``strategies(group)`` (see :func:`_stacked`; leading batch axes
+    allowed).  Each node's value is the sum over its own (m1, m2) block of
+    joint probability times payoff, so batching changes no bit."""
+    games: dict = {}
+    stacks: dict = {}
+
+    def step(group, z):
+        stacks[group.index] = s = strategies(group)
+        games[group.index] = z
+        joint = s[0] if kind == "ce" else s[0][..., :, None] * s[1][..., None, :]
+        flat = z.shape[1:-2] + (-1,)
+        return np.stack([(joint * zi).reshape(flat).sum(axis=-1) for zi in z], axis=-1)
+
+    values = induce_groups(structure, rewards, step, profiles, batch)
+    return _Evaluation(structure, kind, values, games, stacks)
+
+
 def evaluate_values(structure: Structure, rewards, solution: EquilibriumSolution):
     """Values and Z entries determined bottom-up by the strategy data.
 
     Returns ``(values, z)`` where ``values`` has shape (n_nodes, 2) and
-    ``z[(node, agent)]`` is the payoff matrix over the node's menus.
+    ``z[(node, agent)]`` is the payoff matrix over the node's menus (a
+    read-only mapping over the stage groups' arrays).
     """
-    z: dict = {}
-
-    def step(node, z1, z2):
-        joint = solution.profiles[node.id].joint_distribution()
-        return (joint * z1).sum(), (joint * z2).sum()
-
-    return induce(structure, rewards, step, solution.profiles, z), z
+    ev = _evaluate(structure, rewards, solution.kind,
+                   _stacked(solution.kind, solution.profiles), solution.profiles)
+    return ev.values, ev
 
 
 def assignment_from_solution(structure: Structure, rewards, solution: EquilibriumSolution) -> dict:
@@ -329,9 +392,17 @@ def check_feasibility(system: ConstraintSystem, assignment: dict, tol: float) ->
     return FeasibilityReport(max_eq <= tol and max_ge <= tol, max_eq, max_ge, worst)
 
 
-def one_shot_gaps(kind: str, profile: StageSolution, z1: np.ndarray, z2: np.ndarray,
-                  value: np.ndarray) -> tuple[float, float]:
-    """Largest one-shot gain of agent 1 and of agent 2 at one node.
+def _deviation_values(z1: np.ndarray, z2: np.ndarray, mu1: np.ndarray, mu2: np.ndarray):
+    """Best pure-deviation payoffs of agent 1 against ``mu2`` and of agent 2
+    against ``mu1``; leading axes are batch axes."""
+    return (np.matmul(z1, mu2[..., None])[..., 0].max(axis=-1),
+            np.matmul(mu1[..., None, :], z2)[..., 0, :].max(axis=-1))
+
+
+def _gaps(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: np.ndarray):
+    """Largest one-shot gain of agent 1 and of agent 2 at each of a stack of
+    nodes; ``strategies`` as in :func:`_stacked`, ``value`` of shape
+    (..., 2), and leading axes are batch axes.
 
     For independent mixtures ("ne") this is the best pure deviation against
     the other agent's mixture less the node value ``value``.  For joint
@@ -340,32 +411,40 @@ def one_shot_gaps(kind: str, profile: StageSolution, z1: np.ndarray, z2: np.ndar
     is not read.
     """
     if kind == "ne":
-        return (float((z1 @ profile.mu2).max() - value[0]),
-                float((profile.mu1 @ z2).max() - value[1]))
-    mu = profile.mu_joint
-    m, n = mu.shape
-    gap1 = 0.0
+        best1, best2 = _deviation_values(z1, z2, *strategies)
+        return best1 - value[..., 0], best2 - value[..., 1]
+    mu, = strategies
+    m, n = mu.shape[-2:]
+    gap1 = np.zeros(z1.shape[:-2])
     for a in range(m):
         # value of swapping recommendation a for each alternative row
-        diffs = mu[a, :] @ (z1[a, :][:, None] - z1.T)
-        gap1 = max(gap1, float(-diffs.min(initial=0.0)))
-    gap2 = 0.0
+        diffs = np.matmul(mu[..., a, None, :], z1[..., a, :, None] - np.swapaxes(z1, -1, -2))
+        gap1 = np.maximum(gap1, -diffs[..., 0, :].min(axis=-1, initial=0.0))
+    gap2 = np.zeros(z2.shape[:-2])
     for b in range(n):
-        diffs = (z2[:, b][:, None] - z2).T @ mu[:, b]
-        gap2 = max(gap2, float(-diffs.min(initial=0.0)))
+        diffs = np.matmul(np.swapaxes(z2[..., :, b, None] - z2, -1, -2), mu[..., :, b, None])
+        gap2 = np.maximum(gap2, -diffs[..., 0].min(axis=-1, initial=0.0))
     return gap1, gap2
 
 
-def _incentive_gaps(structure: Structure, kind: str, solution: EquilibriumSolution,
-                    values: np.ndarray, z: dict) -> float:
-    """Largest incentive violation over all nodes, sidestepping the full system."""
-    worst = 0.0
-    for node in structure.nodes:
-        if structure.is_leaf(node):
-            continue
-        worst = max(worst, *one_shot_gaps(kind, solution.profiles[node.id], z[(node.id, 0)],
-                                          z[(node.id, 1)], values[node.id]))
-    return worst
+def _gap_table(structure: Structure, ev: _Evaluation) -> np.ndarray:
+    """Both agents' one-shot gaps at every nonleaf node, shape
+    (*batch, n_nonleaf, 2); nonleaf ids are 0..n_nonleaf-1."""
+    compiled = structure._compiled()
+    table = np.zeros(ev.values.shape[:-2] + (compiled.bounds[structure.horizon], 2))
+    for group in (g for groups in compiled.groups for g in groups):
+        z = ev.games[group.index]
+        gap1, gap2 = _gaps(ev.kind, z[0], z[1], ev.strategies[group.index],
+                           ev.values[..., group.ids, :])
+        table[..., group.ids, 0] = gap1
+        table[..., group.ids, 1] = gap2
+    return table
+
+
+def _incentive_gaps(structure: Structure, z: _Evaluation):
+    """Largest incentive violation over all nodes of an evaluation (one per
+    batch entry), sidestepping the full system."""
+    return _gap_table(structure, z).max(axis=(-2, -1), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,60 +497,87 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
     must be all nonleaf nodes.  A point is feasible when its largest
     incentive gap is at most ``tol`` (default 0.5 / resolution), and it
     replaces the best so far (at first ``base``, if given) only when it
-    raises the root welfare.
+    raises the root welfare.  Points are taken in lexicographic order of the
+    per-node grids and scored in blocks, one batch axis of the evaluation
+    pass; each point gets the bits it would get alone.
     """
     if resolution < 1:
         raise ModelError("grid resolution must be at least 1")
     tol = 0.5 / resolution if tol is None else tol
-    per_node_grids = []
+    grids = []  # per node: the stacked strategy data of each of its grid points
     total_points = 1
     for node in nodes:
         m1, m2 = (len(node.menus[0]), len(node.menus[1]))
         if kind == "ne":
-            g1 = [np.array(c, dtype=float) / resolution for c in _compositions(resolution, m1)]
-            g2 = [np.array(c, dtype=float) / resolution for c in _compositions(resolution, m2)]
-            grid = [(a, b) for a in g1 for b in g2]
+            g1 = np.array(list(_compositions(resolution, m1)), dtype=float) / resolution
+            g2 = np.array(list(_compositions(resolution, m2)), dtype=float) / resolution
+            grid = (np.repeat(g1, len(g2), axis=0), np.tile(g2, (len(g1), 1)))
         else:
-            grid = [np.array(c, dtype=float).reshape(m1, m2) / resolution
-                    for c in _compositions(resolution, m1 * m2)]
-        per_node_grids.append(grid)
-        total_points *= len(grid)
+            cells = np.array(list(_compositions(resolution, m1 * m2)), dtype=float)
+            grid = (cells.reshape(-1, m1, m2) / resolution,)
+        grids.append(grid)
+        total_points *= len(grid[0])
         if total_points > max_points:
             raise ResourceLimitError(
                 f"grid enumeration needs {total_points} points (> {max_points})",
                 stats={"nodes": len(nodes), "resolution": resolution},
             )
+    ids = {node.id for node in nodes}
+    _require(structure, ids if base is None else ids | base.profiles.keys())
+
+    compiled = structure._compiled()
+    sizes = [len(grid[0]) for grid in grids]
+    strides = [math.prod(sizes[q + 1:]) for q in range(len(nodes))]
+    rows: dict = {}  # group index -> (position in nodes, row in group)
+    for q, node in enumerate(nodes):
+        group, row = compiled.locate(node.id)
+        rows.setdefault(group.index, []).append((q, row))
+    base_data = None if base is None else _stacked(kind, base.profiles)
+    joints = sum(math.prod(g.prob.shape[:-1]) for groups in compiled.groups for g in groups)
+    per_point = 2 * len(structure.nodes) + 4 * joints
+    block = max(1, _GRID_BLOCK // max(per_point, 1))
 
     best = base
     best_sw = None if base is None else float(base.values[0].sum())
-    checked = 0
+    best_point = best_values = None
     feasible = 0
-    for combo in itertools.product(*per_node_grids):
-        checked += 1
-        if base is None:
-            cand = EquilibriumSolution(kind, np.zeros((len(structure.nodes), 2)), {}, "grid")
-        else:
-            cand = base.copy()
-        for node, point in zip(nodes, combo):
-            if kind == "ne":
-                cand.profiles[node.id] = StageSolution("ne", point[0], point[1], None, np.zeros(2))
+    for lo in range(0, total_points, block):
+        points = np.arange(lo, min(lo + block, total_points))
+        picks = [(points // stride) % size for stride, size in zip(strides, sizes)]
+
+        def strategies(group, _n=len(points), _picks=picks):
+            if base is None:  # every row is a grid node
+                first = grids[rows[group.index][0][0]]
+                out = tuple(np.empty((_n, len(group.ids)) + c.shape[1:]) for c in first)
             else:
-                cand.profiles[node.id] = StageSolution("ce", None, None, point, np.zeros(2))
-        values, z = evaluate_values(structure, rewards, cand)
-        if _incentive_gaps(structure, kind, cand, values, z) > tol:
-            continue
-        feasible += 1
-        sw = float(values[0].sum())
-        if best_sw is None or sw > best_sw + 1e-12:
-            best_sw = sw
-            cand.values = values
-            for node in nodes:
-                prof = cand.profiles[node.id]
-                cand.profiles[node.id] = StageSolution(
-                    prof.kind, prof.mu1, prof.mu2, prof.mu_joint, values[node.id].copy()
-                )
-            best = cand
-    return GridResult(best, best_sw, checked, feasible, tol)
+                out = tuple(np.broadcast_to(s, (_n,) + s.shape).copy() for s in base_data(group))
+            for q, row in rows.get(group.index, ()):
+                for s, choices in zip(out, grids[q]):
+                    s[:, row] = choices[_picks[q]]
+            return out
+
+        ev = _evaluate(structure, rewards, kind, strategies, batch=(len(points),))
+        welfare = ev.values[:, 0].sum(axis=-1)
+        for p in np.flatnonzero(~(_incentive_gaps(structure, ev) > tol)):
+            feasible += 1
+            sw = float(welfare[p])
+            if best_sw is None or sw > best_sw + 1e-12:
+                best_sw, best_point, best_values = sw, lo + int(p), ev.values[p].copy()
+
+    if best_point is not None:
+        if base is None:
+            best = EquilibriumSolution(kind, best_values, {}, "grid")
+        else:
+            best = base.copy()
+            best.values = best_values
+        for q, node in enumerate(nodes):
+            point = [choices[(best_point // strides[q]) % sizes[q]].copy() for choices in grids[q]]
+            payoffs = best_values[node.id].copy()
+            if kind == "ne":
+                best.profiles[node.id] = StageSolution("ne", point[0], point[1], None, payoffs)
+            else:
+                best.profiles[node.id] = StageSolution("ce", None, None, point[0], payoffs)
+    return GridResult(best, best_sw, total_points, feasible, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +633,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     free = _free_part(structure, frozen)
     current = init.copy()
     values, z = evaluate_values(structure, rewards, current)
-    base_gap = _incentive_gaps(structure, kind, current, values, z)
+    base_gap = _incentive_gaps(structure, z)
     if base_gap > 1e-6:
         raise ModelError(f"initial solution is infeasible (gap {base_gap:.3g})")
     current.values = values
@@ -543,7 +649,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
                 if cand is None:
                     continue
                 new_vals, new_z = evaluate_values(structure, rewards, cand)
-                if _incentive_gaps(structure, kind, cand, new_vals, new_z) > max(base_gap, 1e-8):
+                if _incentive_gaps(structure, new_z) > max(base_gap, 1e-8):
                     continue
                 new_sw = float(new_vals[0].sum())
                 if new_sw >= sw - 1e-12:
@@ -558,7 +664,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
 
 
 def _block_lp_step(structure: Structure, kind: str, free: set, current: EquilibriumSolution,
-                   values: np.ndarray, z: dict, nid: int, agent):
+                   values: np.ndarray, z: _Evaluation, nid: int, agent):
     """One exact LP over the chosen block, given ``current``'s values and Z
     matrices; returns a candidate or ``None``."""
     node = structure.nodes[nid]
@@ -733,7 +839,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     rng = np.random.default_rng(0)
 
     current = init.copy()
-    values, z = evaluate_values(structure, rewards, current)
+    values, _ = evaluate_values(structure, rewards, current)
     current.values = values
     sw = float(values[0].sum())
 
@@ -744,7 +850,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
             node = structure.nodes[nid]
             z1, z2 = stage_matrices(structure, rewards, node, current.values)
             try:
-                candidates = _stage_candidates(BimatrixGame(z1, z2), kind)
+                candidates = cache.stage_candidates(BimatrixGame(z1, z2), kind, _stage_candidates)
             except (SolverError, ResourceLimitError):
                 continue
             cur_joint = current.profiles[nid].joint_distribution()

@@ -67,6 +67,13 @@ class Structure:
         self.horizon = horizon
         self.nodes = nodes
         self.build_time = build_time
+        self._compiled_form = None
+
+    def _compiled(self) -> "Compiled":
+        """The structure's compiled form, built on first use and then kept."""
+        if self._compiled_form is None:
+            self._compiled_form = Compiled(self)
+        return self._compiled_form
 
     @property
     def root(self) -> Node:
@@ -88,10 +95,13 @@ class Structure:
         return out
 
     def stage_nodes(self, stage: int) -> list[Node]:
-        return [n for n in self.nodes if n.stage == stage]
+        if not 0 <= stage <= self.horizon:
+            return []
+        bounds = self._compiled().bounds
+        return self.nodes[bounds[stage]:bounds[stage + 1]]
 
     def nonleaf_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if not self.is_leaf(n)]
+        return list(range(self._compiled().bounds[self.horizon]))
 
     def n_transitions(self) -> int:
         return sum(len(pairs) for n in self.nodes for pairs in n.children.values())
@@ -128,6 +138,110 @@ class GameTree(Structure):
 
 class RegionGraph(Structure):
     mode = "region"
+
+
+@dataclass(frozen=True, eq=False)
+class StageGroup:
+    """The nonleaf nodes of one stage that share a menu shape, in id order.
+
+    ``succ[r, a, b, j]`` and ``prob[r, a, b, j]`` are the j-th outcome of
+    joint action (a, b) at node ``ids[r]``.  A joint with fewer outcomes is
+    padded with successor 0 and probability 0; ``live[j]`` is ``True`` when
+    every joint has a j-th outcome and otherwise the mask of those that do.
+    """
+
+    index: int
+    ids: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
+    live: tuple
+
+
+class Compiled:
+    """The arrays every bottom-up pass over one structure reads.
+
+    Node ids are contiguous per stage because the unfolding is breadth
+    first: stage ``s`` holds ids ``bounds[s]:bounds[s + 1]``, so the nonleaf
+    ids are ``range(bounds[horizon])`` and the leaves come last.  The stage
+    groups are built by the first pass that needs them.  A reward
+    structure's immediate rewards (action plus state reward per joint) and
+    leaf values are read from its callbacks once, on first use, and kept
+    while the structure lives: the callbacks must be pure.
+    """
+
+    def __init__(self, structure: Structure):
+        self._nodes = structure.nodes
+        self._horizon = structure.horizon
+        stages = np.fromiter((n.stage for n in self._nodes), dtype=np.intp,
+                             count=len(self._nodes))
+        if np.any(stages[1:] < stages[:-1]):
+            raise ModelError("node ids must be contiguous per stage")
+        self.bounds = np.searchsorted(stages, np.arange(self._horizon + 2)).tolist()
+        self._groups = None
+        self._slots = None
+        self._rewards = {}
+
+    @property
+    def groups(self) -> list[list[StageGroup]]:
+        """Stage groups of each decision stage, ``groups[stage]``."""
+        if self._groups is None:
+            self._build_groups()
+        return self._groups
+
+    def locate(self, node_id: int) -> tuple[StageGroup, int]:
+        """The stage group of a nonleaf node and its row in it."""
+        if self._slots is None:
+            self._build_groups()
+        if not 0 <= node_id < len(self._slots):
+            raise KeyError(node_id)
+        return self._slots[node_id]
+
+    def _build_groups(self) -> None:
+        nodes = self._nodes
+        self._groups, self._slots = [], [None] * self.bounds[self._horizon]
+        index = 0
+        for stage in range(self._horizon):
+            by_shape: dict = {}
+            for nid in range(self.bounds[stage], self.bounds[stage + 1]):
+                by_shape.setdefault(tuple(map(len, nodes[nid].menus)), []).append(nid)
+            groups = []
+            for shape, ids in by_shape.items():
+                outcomes = [nodes[nid].children[joint] for nid in ids for joint in nodes[nid].joints]
+                count = np.fromiter(map(len, outcomes), dtype=np.intp, count=len(outcomes))
+                k = int(count.max(initial=0))
+                pad = ((0.0, 0),) * k
+                flat = np.array([pair for pairs in outcomes for pair in pairs + pad[len(pairs):]],
+                                dtype=float).reshape((len(ids),) + shape + (k, 2))
+                count = count.reshape((len(ids),) + shape)
+                live = tuple(True if j < count.min(initial=k) else count > j for j in range(k))
+                group = StageGroup(index, np.array(ids, dtype=np.intp),
+                                   flat[..., 1].astype(np.intp), flat[..., 0].copy(), live)
+                for row, nid in enumerate(ids):
+                    self._slots[nid] = (group, row)
+                groups.append(group)
+                index += 1
+            self._groups.append(groups)
+
+    def rewards(self, reward: RewardStructure) -> tuple[np.ndarray, list]:
+        """Leaf values of ``reward`` (in leaf id order) and its immediate
+        rewards per stage group (indexed by ``StageGroup.index``)."""
+        entry = self._rewards.get(id(reward))
+        if entry is None:
+            nodes = self._nodes
+            leaves = np.array([reward.state_reward(nodes[nid].state)
+                               for nid in range(self.bounds[self._horizon], len(nodes))], dtype=float)
+            immediate = []
+            for group in (g for groups in self.groups for g in groups):
+                state = np.array([reward.state_reward(nodes[nid].state) for nid in group.ids],
+                                 dtype=float)
+                action = np.array([reward.action_reward(nodes[nid].state, joint)
+                                   for nid in group.ids for joint in nodes[nid].joints], dtype=float)
+                shape = group.prob.shape[:-1]
+                immediate.append(action.reshape(shape)
+                                 + state.reshape((-1,) + (1,) * (len(shape) - 1)))
+            # the reward is kept with its arrays so that its id is not reused
+            entry = self._rewards[id(reward)] = (reward, leaves, immediate)
+        return entry[1], entry[2]
 
 
 def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merge: bool):

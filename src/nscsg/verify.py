@@ -5,7 +5,8 @@ agent can improve at any history, measured either against a best-response
 dynamic program (independent mixtures) or against all one-shot action swaps
 (joint recommendations).  They recompute every value from the strategy data
 rather than trusting the values stored in a solution.  Both read the stage
-games through the one bottom-up pass :func:`nscsg.gbi.induce`.
+games through the one bottom-up pass of :mod:`nscsg.gbi`, one stage group at
+a time.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .gbi import EquilibriumSolution, induce
-from .speprog import evaluate_values, one_shot_gaps
+from .gbi import EquilibriumSolution, induce_groups
+from .speprog import _deviation_values, _gap_table, _stacked, evaluate_values
 from .unfold import Path, Structure, path_value
 
 
@@ -25,11 +26,12 @@ def _best_responses(structure: Structure, rewards, solution: EquilibriumSolution
     if solution.kind != "ne":
         raise ModelError("best responses are defined against independent mixtures")
 
-    def step(node, z1, z2):
-        prof = solution.profiles[node.id]
-        return (z1 @ prof.mu2).max(), (prof.mu1 @ z2).max()
+    strategies = _stacked("ne", solution.profiles)
 
-    return induce(structure, rewards, step, solution.profiles)
+    def step(group, z):
+        return np.stack(_deviation_values(z[0], z[1], *strategies(group)), axis=-1)
+
+    return induce_groups(structure, rewards, step, solution.profiles)
 
 
 def best_response_value(structure: Structure, rewards, solution: EquilibriumSolution,
@@ -72,10 +74,8 @@ def check_spne(structure: Structure, rewards, solution: EquilibriumSolution,
     """Every history must leave no agent a profitable unilateral deviation."""
     values, _ = evaluate_values(structure, rewards, solution)
     br = _best_responses(structure, rewards, solution)
-    gaps = {}
-    for agent in range(2):
-        for nid in structure.nonleaf_ids():
-            gaps[(nid, agent)] = float(br[nid, agent] - values[nid, agent])
+    diff = (br - values)[:len(structure.nonleaf_ids())].T.tolist()
+    gaps = {(nid, agent): d for agent in range(2) for nid, d in enumerate(diff[agent])}
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)
 
@@ -89,13 +89,11 @@ def check_spce(structure: Structure, rewards, solution: EquilibriumSolution,
     """
     if solution.kind != "ce":
         raise ModelError("check_spce expects a joint-recommendation solution")
-    values, z = evaluate_values(structure, rewards, solution)
+    _, z = evaluate_values(structure, rewards, solution)
+    table = _gap_table(structure, z).tolist()
     gaps = {}
-    for node in structure.nodes:
-        if structure.is_leaf(node):
-            continue
-        gaps[(node.id, 0)], gaps[(node.id, 1)] = one_shot_gaps(
-            "ce", solution.profiles[node.id], z[(node.id, 0)], z[(node.id, 1)], values[node.id])
+    for nid, (gap1, gap2) in enumerate(table):
+        gaps[(nid, 0)], gaps[(nid, 1)] = gap1, gap2
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)
 

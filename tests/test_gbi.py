@@ -4,7 +4,9 @@ import pytest
 from conftest import profile_value_by_hand, random_model
 
 from nscsg.benchmarks import build
+from nscsg.errors import ModelError
 from nscsg.gbi import (
+    induce,
     run_gbi,
     run_minimax,
     social_welfare,
@@ -16,7 +18,7 @@ from nscsg.model import RewardStructure
 from nscsg.nfg import BimatrixGame, zero_sum_value
 from nscsg.speprog import evaluate_values
 from nscsg.unfold import unfold_regions, unfold_tree
-from nscsg.verify import check_spce, check_spne
+from nscsg.verify import best_response_value, check_spce, check_spne
 
 
 @pytest.fixture(scope="module")
@@ -43,24 +45,38 @@ def counting_rewards(rewards):
     return tuple(wrap(i, r) for i, r in enumerate(rewards)), counts
 
 
-class TestOneKernel:
-    """Every solver and checker reads payoffs through one stage-game kernel:
-    one pass calls each agent's state reward once per node and its action
-    reward once per (nonleaf node, joint action)."""
+PASSES = {
+    "run_gbi": lambda structure, rewards, sol: run_gbi(structure, rewards, "ne"),
+    "evaluate_values": lambda structure, rewards, sol: evaluate_values(structure, rewards, sol),
+    "check_spne": lambda structure, rewards, sol: check_spne(structure, rewards, sol),
+}
 
-    @pytest.mark.parametrize("caller, passes", [
-        (lambda tree, rewards, sol: run_gbi(tree, rewards, "ne"), 1),
-        (lambda tree, rewards, sol: evaluate_values(tree, rewards, sol), 1),
-        (lambda tree, rewards, sol: check_spne(tree, rewards, sol), 2),
-    ], ids=["run_gbi", "evaluate_values", "check_spne"])
-    def test_reward_calls_per_pass(self, counterexample_tree, caller, passes):
-        bm, tree = counterexample_tree
+
+class TestOneKernel:
+    """Every solver and checker reads payoffs through one compiled form per
+    structure: each agent's state reward is called once per node and its
+    action reward once per (nonleaf node, joint action), for a structure
+    and reward structure, however many passes follow."""
+
+    @pytest.mark.parametrize("first", list(PASSES))
+    def test_reward_calls_per_pass(self, first):
+        bm = build("counterexample", {"phi": -10})
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
         sol = run_gbi(tree, bm.rewards, "ne")
-        rewards, counts = counting_rewards(bm.rewards)
-        caller(tree, rewards, sol)
         joints = sum(len(tree.nodes[nid].joints) for nid in tree.nonleaf_ids())
-        assert counts == {"state": [passes * len(tree.nodes)] * 2,
-                          "action": [passes * joints] * 2}
+        once = {"state": [len(tree.nodes)] * 2, "action": [joints] * 2}
+        rewards, counts = counting_rewards(bm.rewards)
+        # check_spne makes two passes (values and best responses)
+        for name in [first] + [name for name in PASSES if name != first]:
+            PASSES[name](tree, rewards, sol)
+            assert counts == once, name
+        # a fresh reward tuple, or a fresh structure, compiles again
+        fresh, fresh_counts = counting_rewards(bm.rewards)
+        PASSES[first](tree, fresh, sol)
+        assert fresh_counts == once
+        again = unfold_tree(bm.model, bm.initial, bm.horizon)
+        PASSES[first](again, rewards, sol)
+        assert counts == {key: [2 * c for c in calls] for key, calls in once.items()}
 
     def test_minimax_reads_only_agent_one(self, counterexample_tree):
         # the zero-sum baseline builds agent 1's stage games only
@@ -69,6 +85,100 @@ class TestOneKernel:
         run_minimax(tree, rewards)
         joints = sum(len(tree.nodes[nid].joints) for nid in tree.nonleaf_ids())
         assert counts == {"state": [len(tree.nodes), 0], "action": [joints, 0]}
+
+
+def reference_stage_matrices(rewards, node, values):
+    """The per-joint loop the compiled kernel replaced, kept as the oracle."""
+    m1, m2 = node.menus
+    z = np.zeros((2, len(m1), len(m2)))
+    state_rewards = [r.state_reward(node.state) for r in rewards]
+    for a, lab1 in enumerate(m1):
+        for b, lab2 in enumerate(m2):
+            joint = (lab1, lab2)
+            pairs = node.children[joint]
+            for i, r in enumerate(rewards):
+                acc = r.action_reward(node.state, joint) + state_rewards[i]
+                for p, cid in pairs:
+                    acc += p * values[cid, i]
+                z[i, a, b] = acc
+    return z[0], z[1]
+
+
+def reference_induce(structure, rewards, step):
+    """The node-by-node bottom-up pass over the reference kernel."""
+    values = np.zeros((len(structure.nodes), 2))
+    for stage in range(structure.horizon, -1, -1):
+        for node in [n for n in structure.nodes if n.stage == stage]:
+            if structure.is_leaf(node):
+                values[node.id] = [r.state_reward(node.state) for r in rewards]
+            else:
+                values[node.id] = step(node, *reference_stage_matrices(rewards, node, values))
+    return values
+
+
+def oracle_structures():
+    bm = build("counterexample", {"phi": -10})
+    yield "counterexample", bm.rewards, unfold_tree(bm.model, bm.initial, bm.horizon)
+    yield "counterexample-h0", bm.rewards, unfold_tree(bm.model, bm.initial, 0)
+    bm = build("parking", {"horizon": 4})
+    yield "parking-k4", bm.rewards, unfold_regions(bm.model, bm.initial, bm.horizon)
+    for seed in (5000, 5003, 5058):
+        bm = random_model(seed)
+        yield f"random-{seed}", bm.rewards, unfold_tree(bm.model, bm.initial, bm.horizon)
+    # -0.0 payoffs: padding past a joint's last outcome must not turn them into 0.0
+    bm = random_model(5058)
+    negative_zero = (RewardStructure(lambda s, a: -0.0, lambda s: -0.0),) * 2
+    yield "negative-zero", negative_zero, unfold_tree(bm.model, bm.initial, bm.horizon)
+
+
+class TestCompiledKernel:
+    """The compiled stage games are bit-identical to the per-joint loop."""
+
+    def test_matches_per_joint_loop(self):
+        shapes, outcomes = set(), set()
+        for name, rewards, structure in oracle_structures():
+            rng = np.random.default_rng(len(structure.nodes))
+            mixes = {n.id: rng.dirichlet(np.ones(len(n.joints))).reshape(tuple(map(len, n.menus)))
+                     for n in structure.nodes if not structure.is_leaf(n)}
+
+            def step(node, z1, z2):
+                return (mixes[node.id] * z1).sum(), (mixes[node.id] * z2).sum()
+
+            games: dict = {}
+            expected = reference_induce(structure, rewards, step)
+            got = induce(structure, rewards, step, games=games)
+            assert got.tobytes() == expected.tobytes(), name
+            tables = [expected, rng.normal(size=expected.shape),
+                      np.full(expected.shape, -0.0)]
+            for nid in structure.nonleaf_ids():
+                node = structure.nodes[nid]
+                shapes.add(tuple(map(len, node.menus)))
+                outcomes.update(len(pairs) for pairs in node.children.values())
+                for values in tables:
+                    ref = reference_stage_matrices(rewards, node, values)
+                    z = stage_matrices(structure, rewards, node, values)
+                    assert [m.tobytes() for m in z] == [m.tobytes() for m in ref], (name, nid)
+                assert [games[(nid, i)].tobytes() for i in range(2)] == \
+                    [m.tobytes() for m in reference_stage_matrices(rewards, node, expected)]
+        assert (1, 1) in shapes and len(shapes) > 5
+        assert {1, 2} <= outcomes
+
+    def test_missing_strategy_data_names_first_node_bottom_up(self, counterexample_tree):
+        # stage 1 has shapes 1x1, 1x1, 2x2, 1x1: node 4 shares node 1's stage
+        # group, yet node 3 comes first in (-stage, id) order
+        bm, tree = counterexample_tree
+        assert [tuple(map(len, n.menus)) for n in tree.stage_nodes(1)] == \
+            [(1, 1), (1, 1), (2, 2), (1, 1)]
+        sol = run_gbi(tree, bm.rewards, "ne")
+        for nid in (0, 3, 4):
+            del sol.profiles[nid]
+        passes = (evaluate_values, check_spne,
+                  lambda *args: best_response_value(*args, 0),
+                  lambda structure, rewards, s: induce(structure, rewards, lambda *_: (0.0, 0.0),
+                                                       profiles=s.profiles))
+        for run in passes:
+            with pytest.raises(ModelError, match="strategy data missing at history 3$"):
+                run(tree, bm.rewards, sol)
 
 
 class TestRunGbi:
