@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ModelError
 from .model import RewardStructure
-from .nfg import BimatrixGame, StageSolution, any_equilibrium, zero_sum_value
+from .nfg import (BimatrixGame, StageSolution, _ce_from_lp, any_equilibrium, enumerate_ne,
+                  zero_sum_value)
 from .unfold import Node, StageGroup, Structure
 
 
@@ -82,18 +83,15 @@ def _require(structure: Structure, profiles: Optional[dict]) -> None:
                 raise ModelError(f"strategy data missing at history {nid}")
 
 
-def induce(structure: Structure, rewards, step, profiles: Optional[dict] = None,
-           games: Optional[dict] = None) -> np.ndarray:
+def induce(structure: Structure, rewards, step, games: Optional[dict] = None) -> np.ndarray:
     """The one bottom-up pass, one node at a time: values of shape
     (n_nodes, len(rewards)), stage by stage.
 
     A leaf's value is its state rewards; every other node's value is
     ``step(node, *matrices)`` on its stage matrices, called in id order
-    within each stage.  With ``profiles`` (strategy data by node id), a
-    nonleaf node without an entry is an error; ``games`` receives the stage
-    matrices as ``games[(node id, reward index)]``.
+    within each stage.  ``games`` receives the stage matrices as
+    ``games[(node id, reward index)]``.
     """
-    _require(structure, profiles)
     compiled = structure._compiled()
     values = _leaf_values(structure, rewards)
     for stage in range(structure.horizon - 1, -1, -1):
@@ -114,8 +112,10 @@ def induce_groups(structure: Structure, rewards, step, profiles: Optional[dict] 
     (*batch, n_nodes, len(rewards)).
 
     ``step(group, z)`` gets the group's :func:`stage_games` and returns its
-    values, shape (*batch, n, len(rewards)).  ``profiles`` is checked as in
-    :func:`induce`; ``batch`` adds leading axes, e.g. one per grid point.
+    values, shape (*batch, n, len(rewards)).  With ``profiles`` (strategy
+    data by node id), a nonleaf node without an entry is an error, the first
+    in (-stage, id) order named; ``batch`` adds leading axes, e.g. one per
+    grid point.
     """
     _require(structure, profiles)
     values = _leaf_values(structure, rewards, batch)
@@ -138,6 +138,23 @@ class EquilibriumSolution:
         return EquilibriumSolution(self.kind, self.values.copy(), dict(self.profiles), self.policy)
 
 
+def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
+    """Alternative equilibria of one stage game: every Nash equilibrium, or
+    the distinct correlated equilibria of five linear objectives."""
+    if kind == "ne":
+        return [StageSolution("ne", p.mu1, p.mu2, None, p.payoffs) for p in enumerate_ne(game)]
+    outs = []
+    seen = set()
+    for objective in ((game.p1 + game.p2).ravel(), -game.p1.ravel(), -game.p2.ravel(),
+                      game.p1.ravel(), game.p2.ravel()):
+        ce = _ce_from_lp(game, objective)
+        key = tuple(np.round(ce.mu.ravel(), 9))
+        if key not in seen:
+            seen.add(key)
+            outs.append(StageSolution("ce", None, None, ce.mu, ce.payoffs))
+    return outs
+
+
 class StageGameCache:
     """Memoises stage-game solutions keyed by rounded payoff matrices, and
     the candidate equilibria of a stage game keyed by its exact payoffs."""
@@ -150,8 +167,8 @@ class StageGameCache:
         self.candidate_hits = 0
         self.candidate_misses = 0
 
-    def stage_candidates(self, game: BimatrixGame, kind: str, enumerate_candidates) -> list:
-        """``enumerate_candidates(game, kind)``, computed on the first request.
+    def stage_candidates(self, game: BimatrixGame, kind: str) -> list[StageSolution]:
+        """:func:`_stage_candidates` of the game, computed on the first request.
 
         The key holds the exact payoff bytes, so a hit returns what
         recomputing would; a call that raises is not stored.
@@ -162,7 +179,7 @@ class StageGameCache:
             self.candidate_hits += 1
             return hit
         self.candidate_misses += 1
-        out = self._candidates[key] = enumerate_candidates(game, kind)
+        out = self._candidates[key] = _stage_candidates(game, kind)
         return out
 
     def solve(self, game: BimatrixGame, kind: str, policy: str, rng) -> StageSolution:

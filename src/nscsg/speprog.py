@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .errors import ModelError, ResourceLimitError, SolverError
 from .gbi import (EquilibriumSolution, StageGameCache, _require, induce, induce_groups,
                   stage_matrices)
 from .lp import LinearProgram, lp_solve
-from .nfg import BimatrixGame, StageSolution, _ce_constraints, _ce_from_lp, enumerate_ne
+from .nfg import BimatrixGame, StageSolution, _ce_constraints
 from .unfold import StageGroup, Structure
 
 GRID_CAP = 5_000_000
@@ -266,7 +265,7 @@ def dump_system(system: ConstraintSystem, path) -> None:
 # evaluation and feasibility
 
 
-class _Evaluation(Mapping):
+class _Evaluation:
     """Stage matrices of one evaluation pass as ``z[(node id, agent)]``, read
     from the stage groups' arrays.  Also holds the values, shape
     (*batch, n_nodes, 2), and each group's matrices and stacked strategy
@@ -284,12 +283,6 @@ class _Evaluation(Mapping):
         nid, agent = key
         group, row = self.structure._compiled().locate(nid)
         return self.games[group.index][agent][..., row, :, :]
-
-    def __iter__(self):
-        return ((nid, agent) for nid in self.structure.nonleaf_ids() for agent in range(2))
-
-    def __len__(self):
-        return 2 * len(self.structure.nonleaf_ids())
 
 
 def _stacked(kind: str, profiles: dict):
@@ -429,9 +422,9 @@ def _gaps(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: n
 
 def _gap_table(structure: Structure, ev: _Evaluation) -> np.ndarray:
     """Both agents' one-shot gaps at every nonleaf node, shape
-    (*batch, n_nonleaf, 2); nonleaf ids are 0..n_nonleaf-1."""
+    (*batch, n_nonleaf, 2), rows in :meth:`Structure.nonleaf_ids` order."""
     compiled = structure._compiled()
-    table = np.zeros(ev.values.shape[:-2] + (compiled.bounds[structure.horizon], 2))
+    table = np.zeros(ev.values.shape[:-2] + (len(structure.nonleaf_ids()), 2))
     for group in (g for groups in compiled.groups for g in groups):
         z = ev.games[group.index]
         gap1, gap2 = _gaps(ev.kind, z[0], z[1], ev.strategies[group.index],
@@ -809,21 +802,6 @@ def _block_lp_step(structure: Structure, kind: str, free: set, current: Equilibr
 # equilibrium re-seeding (re-induction above a changed node)
 
 
-def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
-    if kind == "ne":
-        return [StageSolution("ne", p.mu1, p.mu2, None, p.payoffs) for p in enumerate_ne(game)]
-    outs = []
-    seen = set()
-    for objective in ((game.p1 + game.p2).ravel(), -game.p1.ravel(), -game.p2.ravel(),
-                      game.p1.ravel(), game.p2.ravel()):
-        ce = _ce_from_lp(game, objective)
-        key = tuple(np.round(ce.mu.ravel(), 9))
-        if key not in seen:
-            seen.add(key)
-            outs.append(StageSolution("ce", None, None, ce.mu, ce.payoffs))
-    return outs
-
-
 def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
                       init: EquilibriumSolution, rounds: int = 8,
                       cache: Optional[StageGameCache] = None) -> EquilibriumSolution:
@@ -850,7 +828,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
             node = structure.nodes[nid]
             z1, z2 = stage_matrices(structure, rewards, node, current.values)
             try:
-                candidates = cache.stage_candidates(BimatrixGame(z1, z2), kind, _stage_candidates)
+                candidates = cache.stage_candidates(BimatrixGame(z1, z2), kind)
             except (SolverError, ResourceLimitError):
                 continue
             cur_joint = current.profiles[nid].joint_distribution()

@@ -74,8 +74,9 @@ def check_spne(structure: Structure, rewards, solution: EquilibriumSolution,
     """Every history must leave no agent a profitable unilateral deviation."""
     values, _ = evaluate_values(structure, rewards, solution)
     br = _best_responses(structure, rewards, solution)
-    diff = (br - values)[:len(structure.nonleaf_ids())].T.tolist()
-    gaps = {(nid, agent): d for agent in range(2) for nid, d in enumerate(diff[agent])}
+    ids = structure.nonleaf_ids()
+    diff = (br - values)[ids].T.tolist()
+    gaps = {(nid, agent): d for agent in range(2) for nid, d in zip(ids, diff[agent])}
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)
 
@@ -92,7 +93,7 @@ def check_spce(structure: Structure, rewards, solution: EquilibriumSolution,
     _, z = evaluate_values(structure, rewards, solution)
     table = _gap_table(structure, z).tolist()
     gaps = {}
-    for nid, (gap1, gap2) in enumerate(table):
+    for nid, (gap1, gap2) in zip(structure.nonleaf_ids(), table):
         gaps[(nid, 0)], gaps[(nid, 1)] = gap1, gap2
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)

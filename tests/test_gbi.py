@@ -6,6 +6,8 @@ from conftest import profile_value_by_hand, random_model
 from nscsg.benchmarks import build
 from nscsg.errors import ModelError
 from nscsg.gbi import (
+    StageGameCache,
+    _stage_candidates,
     induce,
     run_gbi,
     run_minimax,
@@ -172,13 +174,43 @@ class TestCompiledKernel:
         sol = run_gbi(tree, bm.rewards, "ne")
         for nid in (0, 3, 4):
             del sol.profiles[nid]
-        passes = (evaluate_values, check_spne,
-                  lambda *args: best_response_value(*args, 0),
-                  lambda structure, rewards, s: induce(structure, rewards, lambda *_: (0.0, 0.0),
-                                                       profiles=s.profiles))
+        passes = (evaluate_values, check_spne, lambda *args: best_response_value(*args, 0))
         for run in passes:
             with pytest.raises(ModelError, match="strategy data missing at history 3$"):
                 run(tree, bm.rewards, sol)
+
+
+def solution_bytes(sols):
+    return [(s.kind, *(None if a is None else a.tobytes()
+                       for a in (s.mu1, s.mu2, s.mu_joint, s.payoffs))) for s in sols]
+
+
+class TestStageCandidateMemo:
+    def test_hit_returns_fresh_candidates_per_kind(self):
+        rng = np.random.default_rng(3)
+        game = BimatrixGame(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+        same = BimatrixGame(game.p1.copy(), game.p2.copy())
+        cache = StageGameCache()
+        first = {kind: cache.stage_candidates(game, kind) for kind in ("ne", "ce")}
+        assert (cache.candidate_hits, cache.candidate_misses) == (0, 2)
+        for kind in ("ne", "ce"):
+            again = cache.stage_candidates(same, kind)
+            assert again is first[kind]
+            assert solution_bytes(again) == solution_bytes(_stage_candidates(game, kind))
+            assert {s.kind for s in again} == {kind}
+        assert (cache.candidate_hits, cache.candidate_misses) == (2, 2)
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_key_is_exact_payoff_bytes(self):
+        p1 = np.array([[0.0, 1.0], [2.0, 0.0]])
+        p2 = np.array([[1.0, 0.0], [0.0, 2.0]])
+        cache = StageGameCache()
+        cache.stage_candidates(BimatrixGame(p1, p2), "ne")
+        negzero = p1.copy()
+        negzero[0, 0] = -0.0
+        got = cache.stage_candidates(BimatrixGame(negzero, p2), "ne")
+        assert (cache.candidate_hits, cache.candidate_misses) == (0, 2)
+        assert solution_bytes(got) == solution_bytes(_stage_candidates(BimatrixGame(negzero, p2), "ne"))
 
 
 class TestRunGbi:
