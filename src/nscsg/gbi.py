@@ -182,7 +182,9 @@ class StageGameCache:
         out = self._candidates[key] = _stage_candidates(game, kind)
         return out
 
-    def solve(self, game: BimatrixGame, kind: str, policy: str, rng) -> StageSolution:
+    def solve(self, game: BimatrixGame, kind: str, policy: str, rng=None) -> StageSolution:
+        """A solution of ``game`` under ``policy``, memoised except for
+        "seeded-random", the one policy that draws from ``rng``."""
         if policy == "seeded-random":
             return any_equilibrium(game, kind, policy, rng)
         key = (kind, policy, game.p1.shape, np.round(game.p1, 12).tobytes(), np.round(game.p2, 12).tobytes())

@@ -3,7 +3,7 @@
 The equilibrium conditions over a whole unfolded structure form a sparse
 polynomial system in the strategy variables mu, the value variables V and the
 post-action variables Z.  This module builds those systems, evaluates and
-checks assignments with one per-node incentive gap, and provides the three
+checks assignments with one incentive-slack kernel, and provides the three
 inner solvers of FSI: an exact grid search for desk-scale instances (the
 whole structure or one free part), feasibility-preserving block coordinate
 ascent with exact LP sub-steps, and an equilibrium re-seeding search that
@@ -25,15 +25,17 @@ import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
 from .gbi import (EquilibriumSolution, StageGameCache, _require, induce, induce_groups,
-                  stage_matrices)
+                  stage_games, stage_matrices)
 from .lp import LinearProgram, lp_solve
-from .nfg import BimatrixGame, StageSolution, _ce_constraints
+from .nfg import BimatrixGame, StageSolution
 from .unfold import StageGroup, Structure
 
 GRID_CAP = 5_000_000
 #: Floats of values and stage matrices held per block of grid points scored
 #: together (about 0.5 MB): one batch axis amortises the pass's Python work.
 _GRID_BLOCK = 1 << 16
+#: Welfare gain below which a coordinate-ascent round counts as no progress.
+_ASCENT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +300,27 @@ def _stacked(kind: str, profiles: dict):
     return strategies
 
 
+def _values(kind: str, z: np.ndarray, s: tuple) -> np.ndarray:
+    """Values, shape (*batch, n, 2), of nodes with stage matrices ``z`` and
+    stacked strategy data ``s``: each the sum over its own (m1, m2) block of
+    joint probability times payoff, so batching changes no bit."""
+    joint = s[0] if kind == "ce" else s[0][..., :, None] * s[1][..., None, :]
+    flat = z.shape[1:-2] + (-1,)
+    return np.stack([(joint * zi).reshape(flat).sum(axis=-1) for zi in z], axis=-1)
+
+
 def _evaluate(structure: Structure, rewards, kind: str, strategies, profiles=None,
               batch: tuple = ()) -> _Evaluation:
     """Values and stage matrices determined bottom-up by stacked strategy
     data ``strategies(group)`` (see :func:`_stacked`; leading batch axes
-    allowed).  Each node's value is the sum over its own (m1, m2) block of
-    joint probability times payoff, so batching changes no bit."""
+    allowed)."""
     games: dict = {}
     stacks: dict = {}
 
     def step(group, z):
         stacks[group.index] = s = strategies(group)
         games[group.index] = z
-        joint = s[0] if kind == "ce" else s[0][..., :, None] * s[1][..., None, :]
-        flat = z.shape[1:-2] + (-1,)
-        return np.stack([(joint * zi).reshape(flat).sum(axis=-1) for zi in z], axis=-1)
+        return _values(kind, z, s)
 
     values = induce_groups(structure, rewards, step, profiles, batch)
     return _Evaluation(structure, kind, values, games, stacks)
@@ -385,39 +393,40 @@ def check_feasibility(system: ConstraintSystem, assignment: dict, tol: float) ->
     return FeasibilityReport(max_eq <= tol and max_ge <= tol, max_eq, max_ge, worst)
 
 
-def _deviation_values(z1: np.ndarray, z2: np.ndarray, mu1: np.ndarray, mu2: np.ndarray):
-    """Best pure-deviation payoffs of agent 1 against ``mu2`` and of agent 2
-    against ``mu1``; leading axes are batch axes."""
-    return (np.matmul(z1, mu2[..., None])[..., 0].max(axis=-1),
-            np.matmul(mu1[..., None, :], z2)[..., 0, :].max(axis=-1))
+def _slacks(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: np.ndarray):
+    """Incentive slacks of agent 1 and of agent 2 at each of a stack of
+    nodes, one per deviation: obeying's payoff less the deviation's, so none
+    is negative at an equilibrium.  "ne": a pure action against the other
+    agent's mixture, less the node value ``value`` (shape (..., 2)); shapes
+    (..., m1) and (..., m2).  "ce": a swap of a recommended action for
+    another (Kwiatkowska et al., TACAS 2022), weighted by the
+    recommendation's probability; shapes (..., m1 * m1) and (..., m2 * m2),
+    row-major over (recommended, played), the diagonal exactly 0.
+    ``strategies`` as in :func:`_stacked`; leading axes are batch axes."""
+    if kind == "ne":
+        mu1, mu2 = strategies
+        return (value[..., 0, None] - np.matmul(z1, mu2[..., None])[..., 0],
+                value[..., 1, None] - np.matmul(mu1[..., None, :], z2)[..., 0, :])
+    mu, = strategies
+    m, n = mu.shape[-2:]
+    # obeying recommendation a less playing each alternative row, then column
+    s1 = [np.matmul(mu[..., a, None, :], z1[..., a, :, None] - np.swapaxes(z1, -1, -2))[..., 0, :]
+          for a in range(m)]
+    s2 = [np.matmul(np.swapaxes(z2[..., :, b, None] - z2, -1, -2), mu[..., :, b, None])[..., 0]
+          for b in range(n)]
+    return np.concatenate(s1, axis=-1), np.concatenate(s2, axis=-1)
 
 
 def _gaps(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: np.ndarray):
     """Largest one-shot gain of agent 1 and of agent 2 at each of a stack of
-    nodes; ``strategies`` as in :func:`_stacked`, ``value`` of shape
-    (..., 2), and leading axes are batch axes.
-
-    For independent mixtures ("ne") this is the best pure deviation against
-    the other agent's mixture less the node value ``value``.  For joint
-    recommendations ("ce") it is the best swap of a recommended action for
-    another one (Kwiatkowska et al., TACAS 2022), never negative; ``value``
-    is not read.
-    """
+    nodes: the most negative of their :func:`_slacks`, negated.  For "ne"
+    this is the best pure deviation less the node value; for "ce" the best
+    swap, never negative, since the diagonal slacks are 0."""
+    s1, s2 = _slacks(kind, z1, z2, strategies, value)
+    # signed zeros as checker reports print them: +0.0 at an "ne" tie, -0.0 in "ce"
     if kind == "ne":
-        best1, best2 = _deviation_values(z1, z2, *strategies)
-        return best1 - value[..., 0], best2 - value[..., 1]
-    mu, = strategies
-    m, n = mu.shape[-2:]
-    gap1 = np.zeros(z1.shape[:-2])
-    for a in range(m):
-        # value of swapping recommendation a for each alternative row
-        diffs = np.matmul(mu[..., a, None, :], z1[..., a, :, None] - np.swapaxes(z1, -1, -2))
-        gap1 = np.maximum(gap1, -diffs[..., 0, :].min(axis=-1, initial=0.0))
-    gap2 = np.zeros(z2.shape[:-2])
-    for b in range(n):
-        diffs = np.matmul(np.swapaxes(z2[..., :, b, None] - z2, -1, -2), mu[..., :, b, None])
-        gap2 = np.maximum(gap2, -diffs[..., 0].min(axis=-1, initial=0.0))
-    return gap1, gap2
+        return 0.0 - s1.min(axis=-1), 0.0 - s2.min(axis=-1)
+    return -s1.min(axis=-1), -s2.min(axis=-1)
 
 
 def _gap_table(structure: Structure, ev: _Evaluation) -> np.ndarray:
@@ -612,8 +621,7 @@ def _free_ancestors(structure: Structure, free: set, target: int) -> list:
 
 
 def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: set,
-                            init: EquilibriumSolution, rounds: int = 5,
-                            tol: float = 1e-9) -> EquilibriumSolution:
+                            init: EquilibriumSolution, rounds: int = 5) -> EquilibriumSolution:
     """Improve ``init`` by re-solving one strategy block at a time.
 
     A block is one node's joint distribution (correlated) or one agent's
@@ -636,9 +644,8 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     for _ in range(max(rounds, 0)):
         improved = False
         for nid in order:
-            blocks = [(nid, None)] if kind == "ce" else [(nid, 0), (nid, 1)]
-            for _, agent in blocks:
-                cand = _block_lp_step(structure, kind, free, current, values, z, nid, agent)
+            for agent in [None] if kind == "ce" else [0, 1]:
+                cand = _block_lp_step(structure, rewards, kind, free, current, nid, agent)
                 if cand is None:
                     continue
                 new_vals, new_z = evaluate_values(structure, rewards, cand)
@@ -647,134 +654,53 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
                 new_sw = float(new_vals[0].sum())
                 if new_sw >= sw - 1e-12:
                     cand.values = new_vals
-                    current, values, z = cand, new_vals, new_z
-                    if new_sw > sw + tol:
-                        improved = True
+                    current = cand
+                    improved |= new_sw > sw + _ASCENT_TOL
                     sw = max(sw, new_sw)
         if not improved:
             break
     return current
 
 
-def _block_lp_step(structure: Structure, kind: str, free: set, current: EquilibriumSolution,
-                   values: np.ndarray, z: _Evaluation, nid: int, agent):
-    """One exact LP over the chosen block, given ``current``'s values and Z
-    matrices; returns a candidate or ``None``."""
-    node = structure.nodes[nid]
-    m1, m2 = node.menus
-    z1, z2 = z[(nid, 0)], z[(nid, 1)]
-
-    # gradient of this node's value vector in the block coordinates
+def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
+                   current: EquilibriumSolution, nid: int, agent):
+    """One exact LP over the chosen block of ``current``, whose values must be
+    its evaluated ones; returns a candidate or ``None``.  The values and
+    incentive slacks of ``nid`` and its free ancestors are affine in the
+    block, so on its simplex each is the block-weighted mix of its values at
+    the vertices.  One bottom-up walk over those nodes, with the vertices as
+    a batch axis, gives the LP: the slacks at the vertices are its rows and
+    the root welfare at the vertices its objective."""
+    compiled = structure._compiled()
+    prof = current.profiles[nid]
+    m1, m2 = map(len, structure.nodes[nid].menus)
+    k = m1 * m2 if kind == "ce" else (m1, m2)[agent]
+    eye = np.eye(k)[:, None]  # the vertices, one per batch entry
     if kind == "ce":
-        k = len(m1) * len(m2)
-        grad_here = np.stack([z1.ravel(), z2.ravel()])  # (2, k)
-    elif agent == 0:
-        k = len(m1)
-        grad_here = np.stack([z1 @ current.profiles[nid].mu2, z2 @ current.profiles[nid].mu2])
+        vertices = (eye.reshape(k, 1, m1, m2),)
     else:
-        k = len(m2)
-        grad_here = np.stack([current.profiles[nid].mu1 @ z1, current.profiles[nid].mu1 @ z2])
+        vertices = (eye, prof.mu2) if agent == 0 else (prof.mu1, eye)
 
-    # propagate gradients upward through the free ancestors: a node's Z
-    # entries move with its children's values, its value with its Z entries
-    anc = _free_ancestors(structure, free, nid)
-    grads = {nid: grad_here}  # node id -> (2, k) gradient of its value vector
-    zgrads = {}  # node id -> (|A1|, |A2|, 2, k) gradients of its Z entries
-    for qid in anc:
-        qm1, qm2 = structure.nodes[qid].menus
-        zg = np.zeros((len(qm1), len(qm2), 2, k))
-        for a, la in enumerate(qm1):
-            for b, lb in enumerate(qm2):
-                for p, cid in structure.nodes[qid].children[(la, lb)]:
-                    gc = grads.get(cid)
-                    if gc is not None:
-                        zg[a, b] += p * gc
-        zgrads[qid] = zg
-        grads[qid] = np.tensordot(current.profiles[qid].joint_distribution(), zg, axes=2)
-    if 0 not in grads:
-        return None  # block cannot influence the root
-
-    objective = grads[0].sum(axis=0)
-
-    rows_ub: list = []
-    rhs_ub: list = []
-
-    def add_ge(linear: np.ndarray, const: float):
-        # linear @ b + const >= 0  ->  -linear @ b <= const
-        rows_ub.append(-linear)
-        rhs_ub.append(const)
-
-    # own-node incentives
-    if kind == "ce":  # the stage game's swap rows, A_ub mu <= 0
-        a_ub, b_ub = _ce_constraints(BimatrixGame(z1, z2))
-        if a_ub is not None:
-            rows_ub.extend(a_ub)
-            rhs_ub.extend(b_ub)
-    elif agent == 0:
-        for a in range(len(m1)):  # agent 1 cannot gain by any pure row
-            add_ge(grad_here[0], -grad_here[0][a])
-        for b in range(len(m2)):  # agent 2 cannot gain by any pure column
-            add_ge(grad_here[1] - z2[:, b], 0.0)
-    else:
-        for b in range(len(m2)):
-            add_ge(grad_here[1], -grad_here[1][b])
-        for a in range(len(m1)):
-            add_ge(grad_here[0] - z1[a], 0.0)
-
-    # incentives at every free ancestor whose Z entries move with the block
-    for qid in anc:
-        qm1, qm2 = structure.nodes[qid].menus
-        zq1, zq2 = z[(qid, 0)], z[(qid, 1)]
-        zgrad = zgrads[qid]
-        prof = current.profiles[qid]
-        if kind == "ce":
-            mu = prof.mu_joint
-            for a in range(len(qm1)):
-                for alt in range(len(qm1)):
-                    if alt == a:
-                        continue
-                    lin = np.zeros(k)
-                    const = 0.0
-                    for b in range(len(qm2)):
-                        const += mu[a, b] * (zq1[a, b] - zq1[alt, b])
-                        lin += mu[a, b] * (zgrad[a, b][0] - zgrad[alt, b][0])
-                    add_ge(lin, const)
-            for b in range(len(qm2)):
-                for alt in range(len(qm2)):
-                    if alt == b:
-                        continue
-                    lin = np.zeros(k)
-                    const = 0.0
-                    for a in range(len(qm1)):
-                        const += mu[a, b] * (zq2[a, b] - zq2[a, alt])
-                        lin += mu[a, b] * (zgrad[a, b][1] - zgrad[a, alt][1])
-                    add_ge(lin, const)
+    values = np.broadcast_to(current.values, (k,) + current.values.shape).copy()
+    slacks = []
+    for qid in [nid] + _free_ancestors(structure, free, nid):
+        group, row = compiled.locate(qid)
+        z = stage_games(structure, rewards, group, values, slice(row, row + 1))
+        if qid == nid:
+            strategies = vertices
         else:
-            mu1q, mu2q = prof.mu1, prof.mu2
-            vgrad = grads[qid]
-            vq = values[qid]
-            for a in range(len(qm1)):
-                lin = vgrad[0].copy()
-                const = vq[0]
-                for b in range(len(qm2)):
-                    lin -= mu2q[b] * zgrad[a, b][0]
-                    const -= mu2q[b] * zq1[a, b]
-                add_ge(lin, const)
-            for b in range(len(qm2)):
-                lin = vgrad[1].copy()
-                const = vq[1]
-                for a in range(len(qm1)):
-                    lin -= mu1q[a] * zgrad[a, b][1]
-                    const -= mu1q[a] * zq2[a, b]
-                add_ge(lin, const)
+            q = current.profiles[qid]
+            strategies = (q.mu_joint,) if kind == "ce" else (q.mu1, q.mu2)
+        value = _values(kind, z, strategies)
+        values[:, qid] = value[:, 0]
+        for s, m in zip(_slacks(kind, z[0], z[1], strategies, value), z.shape[-2:]):
+            if kind == "ce":  # a swap for the recommended action itself is no constraint
+                s = s[..., ~np.eye(m, dtype=bool).ravel()]
+            slacks.append(s[:, 0])
 
-    lp = LinearProgram(
-        c=objective,
-        a_ub=np.asarray(rows_ub) if rows_ub else None,
-        b_ub=np.asarray(rhs_ub) if rhs_ub else None,
-        a_eq=np.ones((1, k)),
-        b_eq=np.array([1.0]),
-    )
+    a_ub = -np.concatenate(slacks, axis=-1).T
+    lp = LinearProgram(c=values[:, 0].sum(axis=-1), a_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                       a_eq=np.ones((1, k)), b_eq=np.array([1.0]))
     try:
         res = lp_solve(lp)
     except SolverError:
@@ -782,19 +708,14 @@ def _block_lp_step(structure: Structure, kind: str, free: set, current: Equilibr
     if res.status != "optimal":
         return None
 
-    cand = current.copy()
-    prof = current.profiles[nid]
+    b = np.clip(res.x, 0.0, None)
+    b /= b.sum()
     if kind == "ce":
-        mu = np.clip(res.x.reshape(len(m1), len(m2)), 0.0, None)
-        mu /= mu.sum()
-        cand.profiles[nid] = StageSolution("ce", None, None, mu, prof.payoffs.copy())
+        data = (None, None, b.reshape(m1, m2))
     else:
-        b = np.clip(res.x, 0.0, None)
-        b /= b.sum()
-        if agent == 0:
-            cand.profiles[nid] = StageSolution("ne", b, prof.mu2.copy(), None, prof.payoffs.copy())
-        else:
-            cand.profiles[nid] = StageSolution("ne", prof.mu1.copy(), b, None, prof.payoffs.copy())
+        data = (b, prof.mu2.copy(), None) if agent == 0 else (prof.mu1.copy(), b, None)
+    cand = current.copy()
+    cand.profiles[nid] = StageSolution(kind, *data, prof.payoffs.copy())
     return cand
 
 
@@ -814,7 +735,6 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     """
     free = _free_part(structure, frozen)
     cache = cache or StageGameCache()
-    rng = np.random.default_rng(0)
 
     current = init.copy()
     values, _ = evaluate_values(structure, rewards, current)
@@ -836,7 +756,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
                 if np.abs(candidate.joint_distribution() - cur_joint).max() < 1e-9:
                     continue
                 trial = _apply_and_reinduce(structure, rewards, kind, free, current,
-                                            nid, candidate, cache, rng)
+                                            nid, candidate, cache)
                 trial_sw = float(trial.values[0].sum())
                 if trial_sw > sw + 1e-9 and (best is None or trial_sw > best[0] + 1e-12):
                     best = (trial_sw, trial)
@@ -848,7 +768,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
 
 def _apply_and_reinduce(structure: Structure, rewards, kind: str, free: set,
                         current: EquilibriumSolution, nid: int,
-                        candidate: StageSolution, cache: StageGameCache, rng):
+                        candidate: StageSolution, cache: StageGameCache):
     """Set ``candidate`` at ``nid`` and re-select equilibria bottom-up above it."""
     trial = current.copy()
     trial.values = current.values.copy()
@@ -857,7 +777,7 @@ def _apply_and_reinduce(structure: Structure, rewards, kind: str, free: set,
     for qid in _free_ancestors(structure, free, nid):
         qnode = structure.nodes[qid]
         z1, z2 = stage_matrices(structure, rewards, qnode, trial.values)
-        sol = cache.solve(BimatrixGame(z1, z2), kind, "sw-optimal", rng)
+        sol = cache.solve(BimatrixGame(z1, z2), kind, "sw-optimal")
         trial.profiles[qid] = sol
         trial.values[qid] = sol.payoffs
     return trial

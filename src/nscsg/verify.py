@@ -17,8 +17,15 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, induce_groups
-from .speprog import _deviation_values, _gap_table, _stacked, evaluate_values
+from .speprog import _gap_table, _stacked, evaluate_values
 from .unfold import Path, Structure, path_value
+
+
+def _deviation_values(z1: np.ndarray, z2: np.ndarray, mu1: np.ndarray, mu2: np.ndarray):
+    """Best pure-deviation payoffs of agent 1 against ``mu2`` and of agent 2
+    against ``mu1``; leading axes are batch axes."""
+    return (np.matmul(z1, mu2[..., None])[..., 0].max(axis=-1),
+            np.matmul(mu1[..., None, :], z2)[..., 0, :].max(axis=-1))
 
 
 def _best_responses(structure: Structure, rewards, solution: EquilibriumSolution) -> np.ndarray:

@@ -295,7 +295,7 @@ class TestCoordinateAscent:
         out = coordinate_ascent_solve(tree, bm.rewards, "ce", frozen, init, rounds=4)
         assert float(out.values[0].sum()) >= social_welfare(init) - 1e-9
 
-    @pytest.mark.parametrize("kind, passes", [("ne", 9), ("ce", 5)])
+    @pytest.mark.parametrize("kind, passes", [("ne", 11), ("ce", 6)])
     def test_one_evaluation_per_candidate(self, counterexample, monkeypatch, kind, passes):
         # the initial evaluation plus one per candidate; a block step reuses
         # the values already held for the current solution
@@ -320,6 +320,34 @@ class TestCoordinateAscent:
         monkeypatch.setattr(speprog, "_block_lp_step", step)
         coordinate_ascent_solve(tree, bm.rewards, kind, set(), init, rounds=2)
         assert counts["evaluate"] == 1 + counts["candidates"] == passes
+
+    @pytest.mark.parametrize("seed", [None, 5003, 5005, 5015])
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    def test_block_lps_from_an_equilibrium_yield_candidates(self, counterexample, monkeypatch,
+                                                            kind, seed):
+        # the current point is an equilibrium, so it satisfies every row of
+        # its block LP and every LP has a solution (seed None: the
+        # counterexample)
+        import nscsg.speprog as speprog
+
+        if seed is None:
+            bm, tree = counterexample
+        else:
+            bm = random_model(seed)
+            tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        steps = []
+        block_step = speprog._block_lp_step
+
+        def step(*args):
+            steps.append(block_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(speprog, "_block_lp_step", step)
+        coordinate_ascent_solve(tree, bm.rewards, kind, set(), run_gbi(tree, bm.rewards, kind),
+                                rounds=2)
+        assert steps and all(cand is not None for cand in steps)
+        if seed is None:
+            assert len(steps) == (10 if kind == "ne" else 5)
 
     def test_infeasible_init_rejected(self, counterexample):
         bm, tree = counterexample

@@ -1,0 +1,117 @@
+"""Property tests of the incentive-slack kernel and the LPs that read it."""
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from conftest import random_model, random_profiles  # noqa: E402
+
+import nscsg.speprog as speprog  # noqa: E402
+from nscsg.errors import SolverError  # noqa: E402
+from nscsg.nfg import BimatrixGame, StageSolution, _ce_from_lp  # noqa: E402
+from nscsg.unfold import unfold_tree  # noqa: E402
+from nscsg.verify import _deviation_values  # noqa: E402
+
+PAYOFF = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def bimatrix(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return tuple(draw(arrays(float, (m, n), elements=PAYOFF)) for _ in range(2))
+
+
+def simplex(draw, size):
+    weights = draw(arrays(float, size, elements=st.floats(0.0, 1.0)))
+    weights[0] += 1e-3  # never all zero
+    return weights / weights.sum()
+
+
+@given(bimatrix(), st.data())
+def test_ne_gaps_are_best_deviation_less_value(game, data):
+    z1, z2 = game
+    mu1, mu2 = simplex(data.draw, len(z1)), simplex(data.draw, z1.shape[1])
+    value = data.draw(arrays(float, 2, elements=PAYOFF))
+    gap1, gap2 = speprog._gaps("ne", z1, z2, (mu1, mu2), value)
+    best1, best2 = _deviation_values(z1, z2, mu1, mu2)
+    assert gap1 == best1 - value[0] and gap2 == best2 - value[1]
+
+
+@st.composite
+def ce_program(draw):
+    z1, z2 = draw(bimatrix())
+    return z1, z2, draw(arrays(float, z1.size, elements=PAYOFF))
+
+
+# The dense simplex takes pivots just above its absolute pivot tolerance, so
+# on some games the CE LP reports "infeasible" or returns a point that breaks
+# a swap constraint; the examples are two such games.
+@pytest.mark.xfail(raises=(AssertionError, SolverError), strict=True,
+                   reason="lp_solve pivots on near-zero entries of the CE LP")
+@example((np.array([[0.0, 31.5], [1.192092896e-7, 1.192092896e-7]]),
+          np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.0, -1.0, -1.0, -1.0])))
+@example((np.array([[-6.2, -5.9, -13.2], [17.1, 9.9, 10.5], [-6.3, -2.3, 17.1]]),
+          np.array([[8.7, -4.3, 18.0], [8.0, 8.8, 12.7], [3.0, -1.6, 3.9]]),
+          np.array([-1.2, -1.0, -1.1, 0.1, -0.7, -0.5, 0.0, 0.3, 0.2])))
+@given(ce_program())
+@settings(report_multiple_bugs=False)
+def test_ce_lp_solutions_keep_every_swap_slack(program):
+    z1, z2, objective = program
+    ce = _ce_from_lp(BimatrixGame(z1, z2), objective)
+    for slack in speprog._slacks("ce", z1, z2, (ce.mu,), None):
+        assert slack.min() >= -1e-9
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["ne", "ce"]), st.data())
+def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
+    bm = random_model(seed, max_horizon=2)
+    tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+    if not tree.nonleaf_ids():
+        return
+    current = random_profiles(tree, kind, np.random.default_rng(seed))
+    current.values = speprog.evaluate_values(tree, bm.rewards, current)[0]
+    free = set(tree.nonleaf_ids())
+    nid = data.draw(st.sampled_from(sorted(free)))
+    agent = None if kind == "ce" else data.draw(st.sampled_from([0, 1]))
+
+    def with_block(b):
+        out = current.copy()
+        prof = out.profiles[nid]
+        if kind == "ce":
+            out.profiles[nid] = StageSolution("ce", None, None, b.reshape(prof.mu_joint.shape),
+                                              prof.payoffs)
+        else:
+            mu1, mu2 = (b, prof.mu2) if agent == 0 else (prof.mu1, b)
+            out.profiles[nid] = StageSolution("ne", mu1, mu2, None, prof.payoffs)
+        return out
+
+    def evaluated(solution):
+        """Root welfare and the LP's rows of slacks, recomputed in a full
+        pass: ``nid``'s, then its ancestors' bottom-up, each agent 1's then
+        agent 2's, without the swaps of an action for itself."""
+        values, z = speprog.evaluate_values(tree, bm.rewards, solution)
+        rows = []
+        for qid in [nid] + speprog._free_ancestors(tree, free, nid):
+            prof = solution.profiles[qid]
+            strategies = (prof.mu_joint,) if kind == "ce" else (prof.mu1, prof.mu2)
+            slacks = speprog._slacks(kind, z[(qid, 0)], z[(qid, 1)], strategies, values[qid])
+            for s, m in zip(slacks, map(len, tree.nodes[qid].menus)):
+                rows.append(s[~np.eye(m, dtype=bool).ravel()] if kind == "ce" else s)
+        return values[0].sum(), np.concatenate(rows)
+
+    prof = current.profiles[nid]
+    b_cur = prof.mu_joint.ravel() if kind == "ce" else (prof.mu1, prof.mu2)[agent]
+    with mock.patch.object(speprog, "lp_solve", side_effect=speprog.lp_solve) as solve:
+        speprog._block_lp_step(tree, bm.rewards, kind, free, current, nid, agent)
+    lp = solve.call_args.args[0]
+    assert not lp.b_ub.any()
+    for b in [b_cur] + list(np.eye(lp.c.size)):
+        welfare, slacks = evaluated(with_block(b))
+        assert lp.c @ b == pytest.approx(welfare, abs=1e-12)
+        assert np.allclose(-lp.a_ub @ b, slacks, rtol=0.0, atol=1e-12)
