@@ -62,8 +62,6 @@ class ParkingParams:
     reward_structure: int = 1  # 1: plain time minimising, 2: adds the bonus
     rule_table: dict | None = None  # cell -> banned directions; None = packaged table
     horizon: int = 8
-    collision_absorbing: bool = False  # crashed vehicles stop moving
-    block_occupied: bool = False  # moves into the other vehicle's cell are unavailable
 
     def __post_init__(self):
         for cell in self.slots + self.starts + (self.bonus_cell,):
@@ -140,26 +138,9 @@ def build_parking(params: ParkingParams = ParkingParams()) -> BuiltModel:
     def make_availability(agent):
         def availability(loc, per):
             own = (int(round(per[2 * agent])), int(round(per[2 * agent + 1])))
-            other = (int(round(per[2 * (1 - agent)])), int(round(per[2 * (1 - agent) + 1])))
             if own in slots:
                 return ()  # parked vehicles stay put
-            if params.collision_absorbing and own == other:
-                return ()
-            menu = moves_v1(own) if agent == 0 else moves_v2(own)
-            if params.block_occupied:
-                kept = []
-                for lab in menu:
-                    cell = own
-                    blocked = False
-                    for d in lab:
-                        cell = leg_ok(cell, d)
-                        if cell == other:
-                            blocked = True
-                            break
-                    if not blocked:
-                        kept.append(lab)
-                menu = tuple(kept)
-            return menu
+            return moves_v1(own) if agent == 0 else moves_v2(own)
         return availability
 
     def pair_value(pair):

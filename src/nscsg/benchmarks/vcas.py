@@ -103,14 +103,15 @@ def trust_update(trust: int, compliant: bool, eps: float) -> tuple[tuple[int, fl
     return ((moved, 1.0 - eps), (stay, eps))
 
 
-def vcas_dynamics(env: np.ndarray, acc_own: float, acc_int: float, dt: float = 1.0) -> np.ndarray:
-    """Closed-form second-order update of (h, hdot_own, hdot_int, t)."""
+def vcas_dynamics(env: np.ndarray, acc_own: float, acc_int: float) -> np.ndarray:
+    """Closed-form second-order update of (h, hdot_own, hdot_int, t) over
+    one second."""
     h, vo, vi, t = env
     return np.array([
-        h - dt * (vo - vi) - 0.5 * dt * dt * (acc_own - acc_int),
-        vo + acc_own * dt,
-        vi + acc_int * dt,
-        t - dt,
+        h - (vo - vi) - 0.5 * (acc_own - acc_int),
+        vo + acc_own,
+        vi + acc_int,
+        t - 1.0,
     ])
 
 

@@ -137,11 +137,9 @@ def cmd_plotdata(args, fmt) -> int:
         bundle_eq = benchmarks.build("vcas", params)
         structure = _unfold(bundle_eq, bundle_eq.horizon, spec.get("mode", "tree"))
         eq = run_gbi(structure, bundle_eq.rewards, spec.get("type", "ne"), seed=args.seed)
-        params_zs = dict(params)
-        params_zs["zero_sum"] = True
-        bundle_zs = benchmarks.build("vcas", params_zs)
-        structure_zs = _unfold(bundle_zs, bundle_zs.horizon, spec.get("mode", "tree"))
-        zs = run_minimax(structure_zs, bundle_zs.rewards)
+        # the zero-sum twin differs only in its rewards, so it shares the unfolding
+        bundle_zs = benchmarks.build("vcas", {**params, "zero_sum": True})
+        zs = run_minimax(structure, bundle_zs.rewards)
         k = spec.get("instant_k", params.get("instant_k", bundle_eq.horizon))
         altitude_rows.append((spec.get("label", f"t{bundle_eq.horizon}"), k,
                               float(eq.values[0, 0]), float(zs.values[0, 0])))

@@ -1,10 +1,11 @@
 """Frozen subgame improvement.
 
-Starting from a backward-induction equilibrium, each iteration samples a
-late-stage history, freezes every strategy and value variable off the
-histories leading to it, and re-optimises the remaining free part with a
-feasibility-preserving solver.  The root social welfare never decreases and
-the solution stays subgame perfect after every iteration.
+Starting from the social-welfare optimal backward-induction equilibrium,
+each iteration samples a late-stage history, freezes every strategy and
+value variable off the histories leading to it, and re-optimises the
+remaining free part with a feasibility-preserving solver.  The root social
+welfare never decreases and the solution stays subgame perfect after every
+iteration.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ class FsiConfig:
     solver: str = "reinduce"
     solver_rounds: int = 4
     grid_resolution: int = 4
-    init_policy: str = "sw-optimal"
 
     def __post_init__(self):
         if self.m_max < 0:
@@ -128,8 +128,7 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     """
     rng = np.random.default_rng(cfg.seed)
     cache = cache or StageGameCache()
-    current = run_gbi(structure, rewards, kind, policy=cfg.init_policy,
-                      seed=cfg.seed, cache=cache)
+    current = run_gbi(structure, rewards, kind, "sw-optimal", cache=cache)
     sw = float(current.values[0].sum())
     trace = [FsiTraceRow(0, sw, -1, "init")]
     if structure.horizon == 0:

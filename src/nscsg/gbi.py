@@ -296,11 +296,15 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
     """Rebuild a solution against a freshly unfolded ``structure``.
 
     The node ids must match the deterministic unfolding that produced the
-    file; mismatched menus raise :class:`ModelError`.
+    file; mismatched menus, and a path that cannot be read or parsed, raise
+    :class:`ModelError`.
     """
     if isinstance(doc, str):
-        with open(doc) as fh:
-            doc = json.load(fh)
+        try:
+            with open(doc) as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ModelError(f"cannot read solution file {doc}: {exc}") from exc
     kind = doc["kind"]
     n = len(structure.nodes)
     if len(doc["nodes"]) != n:

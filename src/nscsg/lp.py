@@ -4,10 +4,9 @@ Problems are stated over nonnegative variables as
 
     maximize c @ x   subject to   A_ub @ x <= b_ub,  A_eq @ x = b_eq,  x >= 0
 
-with optional per-variable upper bounds folded in as extra rows.  Pivoting is
-Dantzig's rule with a lowest-index tie break, falling back to Bland's rule
-after a stretch of degenerate pivots so cycling cannot occur.  Everything is
-deterministic for a fixed input.
+Pivoting is Dantzig's rule with a lowest-index tie break, falling back to
+Bland's rule after a stretch of degenerate pivots so cycling cannot occur.
+Everything is deterministic for a fixed input.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ class LinearProgram:
     b_ub: Optional[np.ndarray] = None
     a_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None  # optional elementwise upper bounds
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -43,7 +41,7 @@ class LinearProgram:
             if m is not None:
                 m = np.asarray(m, dtype=float).reshape(-1, n)
                 setattr(self, name, m)
-        for name in ("b_ub", "b_eq", "upper"):
+        for name in ("b_ub", "b_eq"):
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, np.asarray(v, dtype=float).ravel())
@@ -54,7 +52,6 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
-    max_residual: float = 0.0
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -115,14 +112,6 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             rows.append(a)
             rhs.append(b)
             kinds.append("ub")
-    if lp.upper is not None:
-        for j, u in enumerate(lp.upper):
-            if np.isfinite(u):
-                e = np.zeros(n)
-                e[j] = 1.0
-                rows.append(e)
-                rhs.append(u)
-                kinds.append("ub")
     if lp.a_eq is not None and lp.a_eq.size:
         for a, b in zip(lp.a_eq, lp.b_eq):
             rows.append(a)
@@ -228,4 +217,4 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     resid = max(resid, float(np.max(-x, initial=0.0)))
     if resid > 1e-7:
         raise SolverError(f"simplex returned an infeasible point (residual {resid:.3g})")
-    return LpResult(status, x, obj, resid)
+    return LpResult(status, x, obj)

@@ -174,23 +174,23 @@ class GlobalState:
         )
 
 
-def _round_component(v: float, precision: int) -> float:
-    r = round(float(v), precision)
+def _round_component(v: float) -> float:
+    r = round(float(v), KEY_DIGITS)
     return 0.0 if r == 0.0 else r  # normalise -0.0
 
 
-def vector_key(v: np.ndarray, precision: int = KEY_DIGITS) -> tuple[float, ...]:
-    return tuple(_round_component(x, precision) for x in np.asarray(v, dtype=float).ravel())
+def vector_key(v: np.ndarray) -> tuple[float, ...]:
+    return tuple(_round_component(x) for x in np.asarray(v, dtype=float).ravel())
 
 
-def canonical_key(state: GlobalState, precision: int = KEY_DIGITS):
+def canonical_key(state: GlobalState):
     """Opaque hashable key; equal iff all components agree after rounding.
 
     Stable across runs: built purely from rounded component values.
     """
     return (
-        tuple((vector_key(a.loc, precision), vector_key(a.per, precision)) for a in state.agent_states),
-        vector_key(state.env, precision),
+        tuple((vector_key(a.loc), vector_key(a.per)) for a in state.agent_states),
+        vector_key(state.env),
     )
 
 
@@ -228,7 +228,7 @@ def _key_rows(blocks) -> list[bytes]:
     with np.errstate(invalid="ignore"):  # inf - inf
         near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6 + 1e-15 * scaled
     for i, j in zip(*np.nonzero(near_half)):
-        rounded[i, j] = _round_component(values[i, j], KEY_DIGITS)
+        rounded[i, j] = _round_component(values[i, j])
     widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))
     rows = np.hstack([widths, rounded])
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()

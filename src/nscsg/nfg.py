@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ResourceLimitError, SolverError
 from .lp import LinearProgram, lp_solve
 
-LINALG_TOL = 1e-9
 EQ_TOL = 1e-7
 BASIS_CAP = 500_000
 
@@ -124,7 +123,7 @@ def _polytope_vertices(col_payoff: np.ndarray, feas_tol: float):
     return list(out.values())
 
 
-def enumerate_ne(game: BimatrixGame, tol: float = EQ_TOL) -> list[NashPoint]:
+def enumerate_ne(game: BimatrixGame) -> list[NashPoint]:
     """All extreme Nash equilibria of ``game``.
 
     Ordered by increasing total support size, then lexicographically on the
@@ -135,8 +134,8 @@ def enumerate_ne(game: BimatrixGame, tol: float = EQ_TOL) -> list[NashPoint]:
         raise ResourceLimitError(f"support enumeration over a {m}x{n} game exceeds the basis cap")
     a = _normalise(game.p1)
     b = _normalise(game.p2)
-    verts_x = _polytope_vertices(b, tol)
-    verts_y = _polytope_vertices(a.T, tol)
+    verts_x = _polytope_vertices(b, EQ_TOL)
+    verts_y = _polytope_vertices(a.T, EQ_TOL)
 
     full = (1 << (m + n)) - 1
     found = {}
@@ -155,7 +154,7 @@ def enumerate_ne(game: BimatrixGame, tol: float = EQ_TOL) -> list[NashPoint]:
             # final check on the normalised payoffs: no profitable pure deviation
             r1 = a @ y
             r2 = x @ b
-            if x @ r1 < r1.max() - tol or r2 @ y < r2.max() - tol:
+            if x @ r1 < r1.max() - EQ_TOL or r2 @ y < r2.max() - EQ_TOL:
                 continue
             key = tuple(np.round(x, 9)) + tuple(np.round(y, 9))
             if key not in found:
@@ -175,13 +174,13 @@ def enumerate_ne(game: BimatrixGame, tol: float = EQ_TOL) -> list[NashPoint]:
     return sorted(found.values(), key=sort_key)
 
 
-def swne(game: BimatrixGame, tol: float = EQ_TOL) -> NashPoint:
+def swne(game: BimatrixGame) -> NashPoint:
     """The enumerated equilibrium with maximal payoff sum.
 
     Ties break on the largest agent-1 payoff, then lexicographically on the
     probability vectors.
     """
-    points = enumerate_ne(game, tol)
+    points = enumerate_ne(game)
     if not points:
         raise SolverError("no equilibrium found; the enumeration tolerance is too tight")
     return max(
@@ -261,7 +260,7 @@ def swce(game: BimatrixGame) -> CorrelatedPoint:
 # zero-sum
 
 
-def zero_sum_value(game: BimatrixGame | np.ndarray, tol: float = EQ_TOL):
+def zero_sum_value(game: BimatrixGame | np.ndarray):
     """Maximin solution of a zero-sum game given agent 1's payoffs.
 
     Returns ``(x, y, value)``: agent 1 guarantees at least ``value`` with
@@ -311,7 +310,7 @@ class StageSolution:
 
 
 def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
-                    rng: Optional[np.random.Generator] = None, tol: float = EQ_TOL) -> StageSolution:
+                    rng: Optional[np.random.Generator] = None) -> StageSolution:
     """One equilibrium of ``game`` chosen by ``policy``.
 
     Policies: "sw-optimal" (maximal payoff sum), "first-found" (first in the
@@ -326,9 +325,9 @@ def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
 
     if kind == "ne":
         if policy == "sw-optimal":
-            pt = swne(game, tol)
+            pt = swne(game)
         else:
-            points = enumerate_ne(game, tol)
+            points = enumerate_ne(game)
             if not points:
                 raise SolverError("no equilibrium found")
             pt = points[0] if policy == "first-found" else points[int(rng.integers(len(points)))]

@@ -93,8 +93,6 @@ class ConstraintSystem:
     kind: str  # "ne" | "ce"
     constraints: list
     variables: set
-    n_nonleaf: int
-    action_counts: dict  # node -> (|A1|, |A2|)
 
     def by_origin(self) -> dict:
         out: dict = {}
@@ -140,13 +138,11 @@ def build_ne_system(structure: Structure, rewards) -> ConstraintSystem:
         raise ModelError("constraint systems are built for two agents")
     constraints: list = []
     variables: set = set()
-    counts = {}
     consts = _z_constants(structure, rewards)
     for node in structure.nodes:
         if structure.is_leaf(node):
             continue
         m1, m2 = node.menus
-        counts[node.id] = (len(m1), len(m2))
         _z_definitions(structure, node, consts, constraints, variables)
         mu1 = {a: VarId("muN", node.id, 0, a) for a in m1}
         mu2 = {b: VarId("muN", node.id, 1, b) for b in m2}
@@ -177,7 +173,7 @@ def build_ne_system(structure: Structure, rewards) -> ConstraintSystem:
             constraints.append(Constraint(tuple(terms), "eq", "simplex", node.id))
             for mv in mu.values():
                 constraints.append(Constraint(((1.0, (mv,)),), "ge", "nonneg", node.id))
-    return ConstraintSystem("ne", constraints, variables, len(counts), counts)
+    return ConstraintSystem("ne", constraints, variables)
 
 
 def build_ce_system(structure: Structure, rewards) -> ConstraintSystem:
@@ -190,13 +186,11 @@ def build_ce_system(structure: Structure, rewards) -> ConstraintSystem:
         raise ModelError("constraint systems are built for two agents")
     constraints: list = []
     variables: set = set()
-    counts = {}
     consts = _z_constants(structure, rewards)
     for node in structure.nodes:
         if structure.is_leaf(node):
             continue
         m1, m2 = node.menus
-        counts[node.id] = (len(m1), len(m2))
         _z_definitions(structure, node, consts, constraints, variables)
         mu = {j: VarId("muC", node.id, joint=j) for j in node.joints}
         variables.update(mu.values())
@@ -229,7 +223,7 @@ def build_ce_system(structure: Structure, rewards) -> ConstraintSystem:
         constraints.append(Constraint(tuple(terms), "eq", "simplex", node.id))
         for mv in mu.values():
             constraints.append(Constraint(((1.0, (mv,)),), "ge", "nonneg", node.id))
-    return ConstraintSystem("ce", constraints, variables, len(counts), counts)
+    return ConstraintSystem("ce", constraints, variables)
 
 
 @dataclass(frozen=True)
@@ -421,12 +415,10 @@ def _gaps(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: n
     """Largest one-shot gain of agent 1 and of agent 2 at each of a stack of
     nodes: the most negative of their :func:`_slacks`, negated.  For "ne"
     this is the best pure deviation less the node value; for "ce" the best
-    swap, never negative, since the diagonal slacks are 0."""
+    swap, never negative, since the diagonal slacks are 0.  Subtracting
+    from +0.0 reports a zero gap as +0.0, never -0.0."""
     s1, s2 = _slacks(kind, z1, z2, strategies, value)
-    # signed zeros as checker reports print them: +0.0 at an "ne" tie, -0.0 in "ce"
-    if kind == "ne":
-        return 0.0 - s1.min(axis=-1), 0.0 - s2.min(axis=-1)
-    return -s1.min(axis=-1), -s2.min(axis=-1)
+    return 0.0 - s1.min(axis=-1), 0.0 - s2.min(axis=-1)
 
 
 def _gap_table(structure: Structure, ev: _Evaluation) -> np.ndarray:
@@ -478,7 +470,7 @@ class GridResult:
 
 
 def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
-                     tol: Optional[float] = None, max_points: int = GRID_CAP) -> GridResult:
+                     tol: Optional[float] = None) -> GridResult:
     """Enumerate all strategy data on the 1/resolution grid and keep the
     feasible assignment with the best root social welfare.
 
@@ -487,7 +479,7 @@ def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
     which is lexicographic in the per-node grids.
     """
     nonleaf = [structure.nodes[i] for i in sorted(structure.nonleaf_ids())]
-    return _grid_search(structure, rewards, kind, nonleaf, resolution, None, tol, max_points)
+    return _grid_search(structure, rewards, kind, nonleaf, resolution, None, tol, GRID_CAP)
 
 
 def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resolution: int,

@@ -1,9 +1,9 @@
 """Finite unfolding of a game from an initial state over a fixed horizon.
 
-Two structures are produced: a :class:`GameTree` whose nodes are histories
-(parent links instead of explicit sequences), and a :class:`RegionGraph`
-where all histories sharing the same (state, stage) pair are merged.  Both
-expose the same node interface, so the solvers operate on either.
+Two structures are produced: a :class:`GameTree` whose nodes are histories,
+and a :class:`RegionGraph` where all histories sharing the same (state,
+stage) pair are merged.  Both expose the same node interface, so the solvers
+operate on either.
 """
 from __future__ import annotations
 
@@ -49,8 +49,6 @@ class Node:
     stage: int
     state: GlobalState
     decision: GlobalState
-    parent: int | None = None
-    in_action: tuple[str, ...] | None = None
     menus: tuple[tuple[str, ...], ...] = ()
     joints: tuple[tuple[str, ...], ...] = ()
     children: dict = field(default_factory=dict)
@@ -253,9 +251,8 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     are refreshed in one batch.  With ``merge`` off every successor becomes
     a new node right after its step, perceived when expanded, and leaves
     keep their delivered percepts.  With it on, all successors of a slice
-    get their decision states and merge keys in one batch each; equal
-    (key, stage) pairs share one node whose ``parent``/``in_action`` name
-    the first history that created it.  Node ids follow the frontier, joint
+    get their decision states and merge keys in one batch each, and equal
+    (key, stage) pairs share one node.  Node ids follow the frontier, joint
     and successor order in both modes.
     """
     if horizon < 0:
@@ -269,11 +266,11 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
         nxt = []
         ids_by_key = {}
 
-        def link(parent, joint, succ, decision, key=None):
+        def link(parent, succ, decision, key=None):
             cid = ids_by_key.get(key) if merge else None
             if cid is None:
                 cid = len(nodes)
-                child = Node(cid, stage + 1, succ, decision, parent=parent.id, in_action=joint)
+                child = Node(cid, stage + 1, succ, decision)
                 nodes.append(child)
                 parent_sets.append(set())
                 nxt.append(child)
@@ -305,7 +302,7 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                         steps.append((node, joint, outcomes))
                     else:
                         node.children[joint] = tuple(
-                            (prob, link(node, joint, succ, succ)) for succ, prob in outcomes)
+                            (prob, link(node, succ, succ)) for succ, prob in outcomes)
             if not merge:
                 continue
             decisions = decision_states(model, [s for _, _, outs in steps for s, _ in outs])
@@ -314,7 +311,7 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             for node, joint, outcomes in steps:
                 pairs = []
                 for succ, prob in outcomes:
-                    pairs.append((prob, link(node, joint, succ, decisions[k], keys[k])))
+                    pairs.append((prob, link(node, succ, decisions[k], keys[k])))
                     k += 1
                 node.children[joint] = tuple(pairs)
         frontier = nxt

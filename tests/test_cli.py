@@ -161,6 +161,30 @@ class TestVerify:
                                "--solution", str(out_dir / "solution.json"), capsys=capsys)
         assert code == 0 and out.startswith("pass,")
 
+    def test_correlated_solution_reports_positive_zero(self, tmp_path, capsys):
+        out_dir = tmp_path / "sol"
+        run_cli("solve", "--model", "counterexample", "--type", "ce",
+                "--out", str(out_dir), capsys=capsys)
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli("verify", "--model", "counterexample",
+                               "--solution", str(out_dir / "solution.json"),
+                               "--out", str(report), capsys=capsys)
+        assert (code, out) == (0, "pass,0")
+        # json writes -0.0 as "-0.0"; parse floats as text to see the sign
+        doc = json.loads(report.read_text(), parse_float=str)
+        assert doc["max_gap"] == "0.0"
+        assert doc["gaps"] and "-0.0" not in {g["gap"] for g in doc["gaps"]}
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "unparsable"])
+    def test_unreadable_solution_file_is_a_model_error(self, tmp_path, capsys, content):
+        path = tmp_path / "solution.json"
+        if content is not None:
+            path.write_text(content)
+        code, _, err = run_cli("verify", "--model", "counterexample",
+                               "--solution", str(path), capsys=capsys)
+        assert code == 2
+        assert err.startswith("model error:") and str(path) in err
+
 
 class TestPlotdata:
     def test_empty_spec_header_only(self, tmp_path, capsys):

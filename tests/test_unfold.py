@@ -18,6 +18,7 @@ from nscsg.model import (
     RewardStructure,
     as_vector,
     canonical_key,
+    step,
 )
 from nscsg.unfold import Path, path_value, stats, unfold_regions, unfold_tree
 
@@ -79,11 +80,22 @@ class TestUnfoldTree:
             interior = sum(1 for n in tree.nodes if not tree.is_leaf(n))
             assert interior == (b**horizon - 1) // (b - 1)
 
-    def test_node_cap_raises_with_stats(self):
+    def test_node_cap_raises_with_stats(self, monkeypatch):
+        # the tree cap fires at the step that creates the first node over it,
+        # before the rest of the slice is stepped: the random-game generator
+        # of the benchmark rejects oversized draws through this early exit
         model, initial, _ = full_branching_model()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr("nscsg.unfold.step", counted)
         with pytest.raises(ResourceLimitError) as err:
             unfold_tree(model, initial, 3, max_nodes=50)
-        assert err.value.stats["nodes"] > 50
+        assert err.value.stats == {"nodes": 51, "stage": 2}
+        assert len(calls) == 13
 
     def test_deterministic_ids(self, counterexample):
         bm, tree = counterexample
