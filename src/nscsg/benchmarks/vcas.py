@@ -103,16 +103,36 @@ def trust_update(trust: int, compliant: bool, eps: float) -> tuple[tuple[int, fl
     return ((moved, 1.0 - eps), (stay, eps))
 
 
-def vcas_dynamics(env: np.ndarray, acc_own: float, acc_int: float) -> np.ndarray:
+def trust_update_batch(trust: np.ndarray, compliant: np.ndarray, eps: float):
+    """:func:`trust_update` of every (trust, compliant) pair of the two
+    length-R arrays: the (R, K) next levels and their probabilities, in the
+    same order, with K = 1 when ``eps`` is 0 or 1 and K = 2 otherwise.  A
+    pair with a single outcome pads the second with probability 0."""
+    if not 0.0 <= eps <= 1.0:
+        raise ModelError("eps must lie in [0, 1]")
+    trust = np.asarray(trust, dtype=int)
+    bad = (trust < 1) | (trust > 4)
+    if bad.any():
+        raise ModelError(f"trust level {int(trust[bad][0])} outside 1..4")
+    moved = np.where(compliant, np.minimum(trust + 1, 4), np.maximum(trust - 1, 1))
+    if eps in (0.0, 1.0):
+        return (moved if eps == 0.0 else trust)[:, None], np.ones((len(trust), 1))
+    branches = moved != trust
+    probs = np.stack([np.where(branches, 1.0 - eps, 1.0), np.where(branches, eps, 0.0)], axis=1)
+    return np.stack([moved, trust], axis=1), probs
+
+
+def vcas_dynamics(env: np.ndarray, acc_own, acc_int) -> np.ndarray:
     """Closed-form second-order update of (h, hdot_own, hdot_int, t) over
-    one second."""
-    h, vo, vi, t = env
-    return np.array([
+    one second; ``env`` may also be an (R, 4) array with length-R
+    accelerations."""
+    h, vo, vi, t = np.moveaxis(np.asarray(env, dtype=float), -1, 0)
+    return np.stack([
         h - (vo - vi) - 0.5 * (acc_own - acc_int),
         vo + acc_own,
         vi + acc_int,
         t - 1.0,
-    ])
+    ], axis=-1)
 
 
 def stub_networks(seed: int = 0) -> tuple[FeedForwardNet, ...]:
@@ -197,7 +217,7 @@ def _make_agent(name: str, idx: int, nets, eps: float) -> AgentSpec:
         ads = np.rint([s.agent_states[_idx].per[0] for s in states]).astype(int)
         inputs = net_input(np.array([s.env for s in states]))
         out = np.empty(len(states), dtype=int)
-        for ad in np.unique(ads).tolist():
+        for ad in sorted(set(ads.tolist())):  # np.unique would import numpy.ma on first use
             rows = np.flatnonzero(ads == ad)
             scores = nn_forward(nets[ad - 1], inputs[rows])
             out[rows] = np.argmax(scores, axis=1)
@@ -216,6 +236,11 @@ def _make_agent(name: str, idx: int, nets, eps: float) -> AgentSpec:
             for tr, p in trust_update(int(round(loc[0])), compliant, eps)
         )
 
+    def batch_local_transition(locs, pers, joints, _idx=idx):
+        compliant = np.array([float(joint[_idx]) != 0.0 for joint in joints], dtype=bool)
+        levels, probs = trust_update_batch(np.rint(locs[:, 0]), compliant, eps)
+        return levels[..., None].astype(float), probs
+
     return AgentSpec(
         name=name,
         local_states=local_states,
@@ -225,6 +250,7 @@ def _make_agent(name: str, idx: int, nets, eps: float) -> AgentSpec:
         observation=observation,
         local_transition=local_transition,
         batch_observation=batch_observation,
+        batch_local_transition=batch_local_transition,
     )
 
 
@@ -320,7 +346,14 @@ def build_vcas(params: VcasParams = VcasParams()) -> BuiltModel:
         acc_int = float(actions[1].value[0]) if actions[1].value is not None else 0.0
         return vcas_dynamics(env, acc_own, acc_int)
 
-    model = NsCsg(name="vcas", agents=agents, env_step=env_step, env_dim=4)
+    accel = {_label(a): a for a in _ALL_ACCELS}  # the menus never fall back to idle
+
+    def batch_env_step(envs, joints):
+        acc = np.array([(accel[own], accel[intruder]) for own, intruder in joints]).reshape(-1, 2)
+        return vcas_dynamics(envs, acc[:, 0], acc[:, 1])
+
+    model = NsCsg(name="vcas", agents=agents, env_step=env_step, env_dim=4,
+                  batch_env_step=batch_env_step)
 
     initial = GlobalState(
         tuple(

@@ -39,13 +39,17 @@ def _formatter(precision: int):
     return lambda x: format(float(x), spec)
 
 
+def _json_arg(blob: str):
+    """A JSON argument given inline or as the path of a file holding it."""
+    try:
+        is_file = Path(blob).exists()
+    except OSError:  # e.g. longer than a file name may be: inline JSON
+        is_file = False
+    return json.loads(Path(blob).read_text() if is_file else blob)
+
+
 def _load(model_ref: str, params_blob):
-    params = {}
-    if params_blob:
-        if Path(params_blob).exists():
-            params = json.loads(Path(params_blob).read_text())
-        else:
-            params = json.loads(params_blob)
+    params = _json_arg(params_blob) if params_blob else {}
     if model_ref in _BUILTINS:
         return benchmarks.build(model_ref, params)
     bundle = load_model_json(model_ref)
@@ -127,7 +131,7 @@ def cmd_verify(args, fmt) -> int:
 
 
 def cmd_plotdata(args, fmt) -> int:
-    runs = json.loads(Path(args.runs).read_text()) if Path(args.runs).exists() else json.loads(args.runs)
+    runs = _json_arg(args.runs)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
 

@@ -296,8 +296,8 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
     """Rebuild a solution against a freshly unfolded ``structure``.
 
     The node ids must match the deterministic unfolding that produced the
-    file; mismatched menus, and a path that cannot be read or parsed, raise
-    :class:`ModelError`.
+    file; mismatched menus, missing fields, and a path that cannot be read
+    or parsed, raise :class:`ModelError`.
     """
     if isinstance(doc, str):
         try:
@@ -305,23 +305,45 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ModelError(f"cannot read solution file {doc}: {exc}") from exc
-    kind = doc["kind"]
+    kind, entries = _field(doc, "kind", "solution"), _field(doc, "nodes", "solution")
+    if kind not in ("ne", "ce"):
+        raise ModelError(f"solution kind {kind!r} is neither 'ne' nor 'ce'")
     n = len(structure.nodes)
-    if len(doc["nodes"]) != n:
-        raise ModelError(f"solution has {len(doc['nodes'])} nodes, structure has {n}")
+    if not isinstance(entries, list):
+        raise ModelError(f"solution field 'nodes' holds {type(entries).__name__}, not a list")
+    if len(entries) != n:
+        raise ModelError(f"solution has {len(entries)} nodes, structure has {n}")
     values = np.zeros((n, 2))
     profiles: dict[int, StageSolution] = {}
-    for entry in doc["nodes"]:
-        node = structure.nodes[entry["id"]]
-        values[node.id] = entry["value"]
-        if structure.is_leaf(node):
-            continue
-        m1, m2 = node.menus
-        if kind == "ne":
-            mu1 = np.array([entry["mu1"][lab] for lab in m1])
-            mu2 = np.array([entry["mu2"][lab] for lab in m2])
-            profiles[node.id] = StageSolution("ne", mu1, mu2, None, values[node.id].copy())
-        else:
-            mu = np.array([[entry["mu"][f"{la}|{lb}"] for lb in m2] for la in m1])
-            profiles[node.id] = StageSolution("ce", None, None, mu, values[node.id].copy())
+    for entry in entries:
+        nid = _field(entry, "id", "solution node")
+        if not isinstance(nid, int) or not 0 <= nid < n:
+            raise ModelError(f"solution node id {nid!r} outside 0..{n - 1}")
+        node = structure.nodes[nid]
+        where = f"solution node {nid}"
+        try:
+            values[nid] = _field(entry, "value", where)
+            if structure.is_leaf(node):
+                continue
+            m1, m2 = node.menus
+            if kind == "ne":
+                mu1, mu2 = _field(entry, "mu1", where), _field(entry, "mu2", where)
+                mu1 = np.array([_field(mu1, lab, f"{where} mu1") for lab in m1], dtype=float)
+                mu2 = np.array([_field(mu2, lab, f"{where} mu2") for lab in m2], dtype=float)
+                profiles[nid] = StageSolution("ne", mu1, mu2, None, values[nid].copy())
+            else:
+                mu = _field(entry, "mu", where)
+                mu = np.array([[_field(mu, f"{la}|{lb}", f"{where} mu") for lb in m2] for la in m1],
+                              dtype=float)
+                profiles[nid] = StageSolution("ce", None, None, mu, values[nid].copy())
+        except (TypeError, ValueError) as exc:  # numbers that are not numbers, or the wrong count
+            raise ModelError(f"{where}: {exc}") from None
     return EquilibriumSolution(kind, values, profiles, doc.get("policy", "unknown"))
+
+
+def _field(doc, name: str, where: str):
+    """``doc[name]``, or a :class:`ModelError` naming the missing field."""
+    try:
+        return doc[name]
+    except (KeyError, TypeError, IndexError):
+        raise ModelError(f"{where} lacks field {name!r}") from None

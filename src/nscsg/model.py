@@ -201,7 +201,7 @@ def canonical_keys(states: Sequence[GlobalState]) -> list[bytes]:
     Two keys are equal iff the states have the same component sizes and
     agree in every component after rounding to ``KEY_DIGITS`` decimals as
     :func:`canonical_key` rounds, so both give the same merge classes; keys
-    compare only with keys from this function.
+    compare only with keys from this function and :func:`key_rows`.
     """
     if not states:
         return []
@@ -210,13 +210,15 @@ def canonical_keys(states: Sequence[GlobalState]) -> list[bytes]:
     try:
         blocks = [np.stack(col) for col in zip(*fields)]
     except ValueError:  # component sizes differ between states: one row each
-        return [_key_rows([np.atleast_2d(np.ravel(v)) for v in f])[0] for f in fields]
-    return _key_rows(blocks)
+        return [key_rows([np.atleast_2d(np.ravel(v)) for v in f])[0] for f in fields]
+    return key_rows(blocks)
 
 
-def _key_rows(blocks) -> list[bytes]:
-    """One key per row of the (k, d_f) ``blocks``: their widths, then the
-    rounded values (-0.0 normalised), as bytes."""
+def key_rows(blocks) -> list[bytes]:
+    """:func:`canonical_keys` of the k states given as their stacked
+    components: the (k, d_f) ``blocks`` are every agent's local states, then
+    every agent's percepts, then the environments.  A key holds the blocks'
+    widths, then the rounded values (-0.0 normalised), as bytes."""
     k = blocks[0].shape[0]
     values = np.hstack(blocks)
     rounded = np.round(values, KEY_DIGITS) + 0.0
@@ -230,8 +232,18 @@ def _key_rows(blocks) -> list[bytes]:
     for i, j in zip(*np.nonzero(near_half)):
         rounded[i, j] = _round_component(values[i, j])
     widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))
-    rows = np.hstack([widths, rounded])
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    return row_bytes(np.hstack([widths, rounded]))
+
+
+def row_bytes(rows: np.ndarray) -> list[bytes]:
+    """The exact bytes of each row of the 2-d float array ``rows``."""
+    return _void_rows(rows).tolist()
+
+
+def _void_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of the 2-d float array ``rows`` as one opaque scalar each."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 @dataclass(frozen=True)
@@ -246,7 +258,11 @@ class AgentSpec:
     action labels.  The optional ``batch_observation(states)`` returns, for
     a sequence of global states, the index into ``percepts`` of each state's
     ``observation``; :func:`refresh_batch` uses it to observe many states at
-    once.
+    once.  The optional ``batch_local_transition(locs, pers, joints)`` is
+    ``local_transition`` of the rows of the (R, d_loc) and (R, d_per) arrays
+    under the R joints: it returns the (R, K, d_loc) outcome local states and
+    their (R, K) probabilities, a row with fewer than K outcomes padded with
+    probability 0; :func:`step_batch` uses it to step many rows at once.
     """
 
     name: str
@@ -257,6 +273,8 @@ class AgentSpec:
     observation: Callable[[GlobalState], np.ndarray]
     local_transition: Callable[[np.ndarray, np.ndarray, tuple[str, ...]], tuple]
     batch_observation: Callable[[Sequence[GlobalState]], Sequence[int]] | None = None
+    batch_local_transition: Callable[[np.ndarray, np.ndarray, Sequence[tuple[str, ...]]],
+                                     tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         labels = tuple(a.label for a in self.actions)
@@ -268,6 +286,7 @@ class AgentSpec:
             raise ModelError(f"agent {self.name}: local states and percepts must be nonempty")
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_by_label", {a.label: a for a in self.actions})
+        object.__setattr__(self, "_order", {lab: k for k, lab in enumerate(labels)})
         object.__setattr__(
             self, "_percept_keys", frozenset(vector_key(p) for p in self.percepts)
         )
@@ -308,6 +327,10 @@ class NsCsg:
     the percept stored in the state instead of the refreshed one; the default
     refreshes percepts first, so the action menu can depend on the newest
     observation.
+
+    The optional ``batch_env_step(envs, joints)`` is ``env_step`` of every
+    row of the (R, env_dim) array ``envs`` under the R joints, given as label
+    tuples; it returns the (R, env_dim) next environments.
     """
 
     name: str
@@ -315,6 +338,7 @@ class NsCsg:
     env_step: Callable[[np.ndarray, tuple[Action, ...]], np.ndarray]
     env_dim: int
     availability_on_old_percept: bool = False
+    batch_env_step: Callable[[np.ndarray, Sequence[tuple[str, ...]]], np.ndarray] | None = None
 
     @property
     def n_agents(self) -> int:
@@ -362,16 +386,23 @@ def _observe_batch(spec: AgentSpec, states: list[GlobalState]) -> list[np.ndarra
     return [percepts[k] for k in idx.tolist()]
 
 
-def refresh_batch(model: NsCsg, states: Sequence[GlobalState]) -> list[GlobalState]:
-    """:func:`refresh_percepts` of every state in ``states``, with one
-    ``batch_observation`` call per agent that has one; the other agents are
-    observed state by state."""
+def observe_batch(model: NsCsg, states: Sequence[GlobalState]) -> list[list[np.ndarray]]:
+    """Every agent's refreshed percept of every state, as one list per agent,
+    with one ``batch_observation`` call per agent that has one; the other
+    agents are observed state by state.  The states are taken to be valid."""
     states = list(states)
     if not states:
-        return []
+        return [[] for _ in model.agents]
+    return [_observe_batch(spec, states) for spec in model.agents]
+
+
+def refresh_batch(model: NsCsg, states: Sequence[GlobalState]) -> list[GlobalState]:
+    """:func:`refresh_percepts` of every state in ``states``, observed by
+    :func:`observe_batch`."""
+    states = list(states)
     for s in states:
         model.check_state(s)
-    columns = [_observe_batch(spec, states) for spec in model.agents]
+    columns = observe_batch(model, states)
     return [s.with_percepts(pers) for s, pers in zip(states, zip(*columns))]
 
 
@@ -389,8 +420,7 @@ def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str,
     if bad:
         raise ModelError(f"agent {spec.name}: availability returned unknown labels {bad}")
     # preserve declaration order of the agent's action list
-    order = {lab: k for k, lab in enumerate(spec.labels)}
-    return tuple(sorted(avail, key=order.__getitem__))
+    return tuple(sorted(avail, key=spec._order.__getitem__))
 
 
 def decision_states(model: NsCsg, states: Sequence[GlobalState],
@@ -448,38 +478,152 @@ def step(model: NsCsg, refreshed: GlobalState, joint: tuple[str, ...]):
     env2 = as_vector(model.env_step(refreshed.env, actions))
     if env2.shape[0] != model.env_dim:
         raise ModelError("environment transition changed dimension")
-
-    # the outcomes of one joint share env and percepts, so they differ only in
-    # the local states of agents with more than one outcome: those key the merge
-    per_agent = []
+    dists = []
     for i, spec in enumerate(model.agents):
         st = refreshed.agent_states[i]
         dist = tuple(spec.local_transition(st.loc, st.per, joint))
         total = sum(p for _, p in dist)
         if abs(total - 1.0) > PROB_TOL or any(p <= 0 for _, p in dist):
             raise ModelError(f"agent {spec.name}: local transition is not a distribution (mass {total})")
-        branches = len(dist) > 1
-        per_agent.append([(as_vector(loc), float(p), vector_key(loc) if branches else None)
-                          for loc, p in dist])
+        dists.append([(as_vector(loc), float(p)) for loc, p in dist])
+    pers = [a.per for a in refreshed.agent_states]
+    out = []
+    for combo, prob in _combine(dists):
+        out.append((GlobalState(tuple([AgentState(e[0], per) for e, per in zip(combo, pers)]), env2), prob))
+    return tuple(out)
 
+
+def _combine(dists) -> list[tuple[tuple, float]]:
+    """The outcomes of one joint action, given each agent's local-state
+    distribution ``dists[i]`` as (loc, probability, ...) entries.
+
+    The product over agents, in agent order; outcomes equal after rounding
+    are merged into the first.  Returns (entry of each agent, probability)
+    pairs and raises :class:`ModelError` unless the mass is one.
+    """
+    # the outcomes of one joint share env and percepts, so they differ only in
+    # the local states of agents with more than one outcome: those key the merge
+    keyed = [[(e, vector_key(e[0])) for e in dist] if len(dist) > 1 else [(e, None) for e in dist]
+             for dist in dists]
     merged: dict = {}
-    for combo in itertools.product(*per_agent):
+    for combo in itertools.product(*keyed):
         prob = 1.0
-        agent_states = []
-        for i, (loc, p, _) in enumerate(combo):
-            prob *= p
-            agent_states.append(AgentState(loc, refreshed.agent_states[i].per))
-        key = tuple(k for _, _, k in combo)
+        for e, _ in combo:
+            prob *= e[1]
+        key = tuple([k for _, k in combo])
         if key in merged:
-            s0, p0 = merged[key]
-            merged[key] = (s0, p0 + prob)
+            entries, p0 = merged[key]
+            merged[key] = (entries, p0 + prob)
         else:
-            merged[key] = (GlobalState(tuple(agent_states), env2), prob)
-    out = tuple(merged.values())
+            merged[key] = (tuple([e for e, _ in combo]), prob)
+    out = list(merged.values())
     total = sum(p for _, p in out)
     if abs(total - 1.0) > 1e-9:
         raise ModelError(f"successor mass {total} != 1")
     return out
+
+
+def step_batch(model: NsCsg, locs: Sequence[np.ndarray], pers: Sequence[np.ndarray],
+               envs: np.ndarray, joints: Sequence[tuple[str, ...]]):
+    """:func:`step` of R rows at once.
+
+    Row r is the refreshed state whose agent i has local state ``locs[i][r]``
+    and percept ``pers[i][r]`` and whose environment is ``envs[r]``, under
+    the available joint ``joints[r]``.  The environment and each agent move
+    through the model's batch hooks where it has them, else row by row.
+    Rows with the same outcome distribution of every agent are combined
+    once.  Returns ``(rows, succ_locs, succ_envs, probs)``: successor m
+    comes from row ``rows[m]``, its agent i has local state
+    ``succ_locs[i][m]`` and the percept of its row, its environment is
+    ``succ_envs[m]`` and its probability ``probs[m]``.  The successors of a
+    row are consecutive and in the order of :func:`step`.
+    """
+    n_rows = len(joints)
+    env2 = _env_batch(model, envs, joints)
+    outcomes = [_local_batch(spec, locs[i], pers[i], joints) for i, spec in enumerate(model.agents)]
+    # rows with bytewise equal outcome locations and probabilities combine alike
+    pattern = np.hstack([a.reshape(n_rows, -1) for outcome in outcomes for a in outcome])
+    first, inverse = _distinct(_void_rows(pattern))
+    combos = []
+    for r in first.tolist():
+        dists = [[(out[r, k], float(probs[r, k]), k) for k in np.flatnonzero(probs[r]).tolist()]
+                 for out, probs in outcomes]
+        combos.append([(tuple(e[2] for e in entries), prob) for entries, prob in _combine(dists)])
+    width = max(map(len, combos), default=0)
+    index = np.zeros((len(combos), width, model.n_agents), dtype=np.intp)
+    prob = np.zeros((len(combos), width))
+    for u, combo in enumerate(combos):
+        index[u, :len(combo)] = [ks for ks, _ in combo]
+        prob[u, :len(combo)] = [p for _, p in combo]
+    count = np.array([len(c) for c in combos], dtype=np.intp)[inverse]
+    rows = np.repeat(np.arange(n_rows), count)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    kind = inverse[rows]
+    succ_locs = [out[rows, index[kind, rank, i]] for i, (out, _) in enumerate(outcomes)]
+    return rows, succ_locs, env2[rows], prob[kind, rank]
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct entry of the 1-d ``values``, and the
+    position of each entry's value in that list; ``np.unique`` without its
+    import of ``numpy.ma`` on first use (30 ms, most of a small set-up)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def _env_batch(model: NsCsg, envs: np.ndarray, joints) -> np.ndarray:
+    """The (R, env_dim) next environments of the rows of ``envs``."""
+    if model.batch_env_step is None:
+        out = [as_vector(model.env_step(env, tuple(spec.action(lab) for spec, lab in zip(model.agents, joint))))
+               for env, joint in zip(envs, joints)]
+        if any(v.shape != (model.env_dim,) for v in out):
+            raise ModelError("environment transition changed dimension")
+        return np.array(out).reshape(len(joints), model.env_dim)
+    out = np.asarray(model.batch_env_step(envs, joints), dtype=float)
+    if out.shape != (len(joints), model.env_dim):
+        raise ModelError(f"environment transition changed dimension: batched output of shape "
+                         f"{out.shape} for {len(joints)} rows")
+    return out
+
+
+def _local_batch(spec: AgentSpec, locs: np.ndarray, pers: np.ndarray, joints):
+    """Agent ``spec``'s (R, K, d_loc) outcome local states of the rows and
+    their (R, K) probabilities, 0 where a row has fewer than K outcomes."""
+    n_rows, dim = locs.shape
+    if spec.batch_local_transition is None:
+        dists = [tuple(spec.local_transition(loc, per, joint)) for loc, per, joint in zip(locs, pers, joints)]
+        width = max(map(len, dists), default=0)
+        out = np.zeros((n_rows, width, dim))
+        probs = np.zeros((n_rows, width))
+        live = np.zeros((n_rows, width), dtype=bool)
+        for r, dist in enumerate(dists):
+            for k, (loc, p) in enumerate(dist):
+                loc = as_vector(loc)
+                if loc.shape != (dim,):
+                    raise ModelError(f"agent {spec.name}: local transition changed the local state "
+                                     f"dimension from {dim} to {loc.shape[0]}")
+                out[r, k], probs[r, k], live[r, k] = loc, p, True
+    else:
+        out, probs = spec.batch_local_transition(locs, pers, joints)
+        out, probs = np.asarray(out, dtype=float), np.asarray(probs, dtype=float)
+        if out.ndim != 3 or out.shape[0] != n_rows or out.shape[2] != dim or probs.shape != out.shape[:2]:
+            raise ModelError(f"agent {spec.name}: batched local transition must give ({n_rows}, K, {dim}) "
+                             f"local states and ({n_rows}, K) probabilities, got {out.shape} and "
+                             f"{probs.shape}")
+        live = probs != 0
+    total = np.zeros(n_rows)
+    for k in range(probs.shape[1]):  # the order in which step sums a distribution
+        total += probs[:, k]
+    bad = (np.abs(total - 1.0) > PROB_TOL) | (live & (probs <= 0)).any(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ModelError(f"agent {spec.name}: local transition is not a distribution (mass {total[r]})")
+    return out, probs
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,20 @@ import numpy as np
 
 from .errors import ModelError, ResourceLimitError
 from .model import (
+    AgentState,
     GlobalState,
     NsCsg,
     RewardStructure,
     action_menus,
-    canonical_keys,
+    as_vector,
     decision_state,
     decision_states,
+    key_rows,
+    observe_batch,
     refresh_batch,
+    row_bytes,
     step,
+    step_batch,
 )
 
 DEFAULT_NODE_CAP = 5_000_000
@@ -248,42 +253,36 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     Each state is perceived once: its refreshed percepts serve its decision
     state, menus, joint actions and every successor.  Each stage's frontier
     is taken in slices of ``_SLICE`` nodes, and the slice's unexpanded nodes
-    are refreshed in one batch.  With ``merge`` off every successor becomes
-    a new node right after its step, perceived when expanded, and leaves
-    keep their delivered percepts.  With it on, all successors of a slice
-    get their decision states and merge keys in one batch each, and equal
-    (key, stage) pairs share one node.  Node ids follow the frontier, joint
-    and successor order in both modes.
+    are refreshed in one batch.  With ``merge`` off every joint is stepped
+    on its own and each successor becomes a new node right after its step,
+    perceived when expanded; leaves keep their delivered percepts.  With it
+    on, a slice is stepped, perceived and keyed as one batch
+    (:func:`_expand_slice`) and equal (key, stage) pairs share one node.
+    Node ids follow the frontier, joint and successor order in both modes,
+    and nodes with equal menus share their menu and joint tuples.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
     model.check_state(state)
-    nodes = [Node(0, 0, state, decision_state(model, state))]
-    parent_sets = [set()]
+    decision = decision_state(model, state)
+    shared = _SharedAgentStates() if merge else None
+    if merge:
+        shared.add(state.agent_states)
+        if decision is not state:
+            decision = GlobalState(shared.add(decision.agent_states), decision.env)
+    nodes = [Node(0, 0, state, decision)]
+    links = ([], [])  # (child id, parent id) of every transition
+    menu_joints = {}
     frontier = nodes[:]
     for stage in range(horizon):
         nxt = []
         ids_by_key = {}
 
-        def link(parent, succ, decision, key=None):
-            cid = ids_by_key.get(key) if merge else None
-            if cid is None:
-                cid = len(nodes)
-                child = Node(cid, stage + 1, succ, decision)
-                nodes.append(child)
-                parent_sets.append(set())
-                nxt.append(child)
-                if merge:
-                    ids_by_key[key] = cid
-                if len(nodes) > max_nodes:
-                    what = "region graph" if merge else "tree"
-                    raise ResourceLimitError(
-                        f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
-                        stats={"nodes": len(nodes), "stage": stage + 1},
-                    )
-            parent_sets[cid].add(parent.id)
-            return cid
+        def cap_error(count):  # the first node over the cap would be node number ``count``
+            what = "region graph" if merge else "tree"
+            return ResourceLimitError(f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
+                                      stats={"nodes": count, "stage": stage + 1})
 
         for lo in range(0, len(frontier), _SLICE):
             chunk = frontier[lo:lo + _SLICE]
@@ -291,35 +290,170 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             fresh = iter(refresh_batch(model, [n.state for n in chunk if n.decision is n.state]))
             refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
             decided = decision_states(model, [n.state for n in chunk], refreshed)
-            steps = []  # region mode: (node, joint, outcomes) in id order
             for node, ref, decision in zip(chunk, refreshed, decided):
                 node.decision = decision
-                node.menus = action_menus(model, node.decision)
-                node.joints = tuple(itertools.product(*node.menus))
+                menus = action_menus(model, node.decision)
+                if menus not in menu_joints:
+                    menu_joints[menus] = (menus, tuple(itertools.product(*menus)))
+                node.menus, node.joints = menu_joints[menus]
+                if merge:
+                    continue
                 for joint in node.joints:
-                    outcomes = step(model, ref, joint)
-                    if merge:
-                        steps.append((node, joint, outcomes))
-                    else:
-                        node.children[joint] = tuple(
-                            (prob, link(node, succ, succ)) for succ, prob in outcomes)
-            if not merge:
-                continue
-            decisions = decision_states(model, [s for _, _, outs in steps for s, _ in outs])
-            keys = canonical_keys(decisions)
-            k = 0
-            for node, joint, outcomes in steps:
-                pairs = []
-                for succ, prob in outcomes:
-                    pairs.append((prob, link(node, succ, decisions[k], keys[k])))
-                    k += 1
-                node.children[joint] = tuple(pairs)
+                    pairs = []
+                    for succ, prob in step(model, ref, joint):
+                        if len(nodes) >= max_nodes:
+                            raise cap_error(len(nodes) + 1)
+                        child = Node(len(nodes), stage + 1, succ, succ)
+                        nodes.append(child)
+                        nxt.append(child)
+                        links[0].append(child.id)
+                        links[1].append(node.id)
+                        pairs.append((prob, child.id))
+                    node.children[joint] = tuple(pairs)
+            if merge:
+                created = _expand_slice(model, chunk, refreshed, shared, ids_by_key, len(nodes), stage + 1,
+                                        links)
+                if len(nodes) + len(created) > max_nodes:
+                    raise cap_error(max(len(nodes), max_nodes) + 1)
+                nodes.extend(created)
+                nxt.extend(created)
         frontier = nxt
-    for node, parents in zip(nodes, parent_sets):
-        node.parents = tuple(sorted(parents))
+    _set_parents(nodes, *links)
     build_time = time.perf_counter() - t0
     cls = RegionGraph if merge else GameTree
     return cls(model, horizon, nodes, build_time)
+
+
+def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
+                  shared: "_SharedAgentStates", ids_by_key: dict, next_id: int, stage: int,
+                  links) -> list[Node]:
+    """Step every joint of the slice ``chunk`` (with refreshed states
+    ``refreshed``) in one :func:`step_batch`, perceive the delivered
+    successors in one batch, key them with :func:`key_rows` and link them.
+    A node, with its decision state, is built only for a key not yet in
+    ``ids_by_key``; returns these new nodes of ``stage``, whose ids count up
+    from ``next_id``."""
+    counts = [len(node.joints) for node in chunk]
+    joints = [joint for node in chunk for joint in node.joints]
+
+    def rows(vectors):  # one row per joint of the slice
+        return np.repeat(_stack(vectors), counts, axis=0)
+
+    n = model.n_agents
+    locs = [rows([s.agent_states[i].loc for s in refreshed]) for i in range(n)]
+    pers = [rows([s.agent_states[i].per for s in refreshed]) for i in range(n)]
+    src, succ_locs, envs, probs = step_batch(model, locs, pers, rows([s.env for s in refreshed]), joints)
+    held = [per[src] for per in pers]  # a successor carries the percepts of its parent's step
+    envs.flags.writeable = False
+    held_tuples = shared.tuples(succ_locs, held)
+    if model.availability_on_old_percept:
+        seen = held
+    else:
+        delivered = [GlobalState(t, env) for t, env in zip(held_tuples, envs)]
+        seen = [_stack(column) for column in observe_batch(model, delivered)]
+        del delivered  # freed before the states that live on are built, which then pack densely
+    new, cids = [], []
+    for m, key in enumerate(key_rows(succ_locs + seen + [envs])):
+        cid = ids_by_key.get(key)
+        if cid is None:
+            cid = ids_by_key[key] = next_id + len(new)
+            new.append(m)
+        cids.append(cid)
+    # the states that live on get their own compact environment array, and a
+    # node's two states one view of their row
+    at = np.array(new, dtype=np.intp)
+    kept = envs[at]
+    kept.flags.writeable = False
+    kept_rows = list(kept)
+    states = [GlobalState(held_tuples[m], env) for m, env in zip(new, kept_rows)]
+    if model.availability_on_old_percept:
+        decisions = states
+    else:
+        tuples = shared.tuples([loc[at] for loc in succ_locs], [per[at] for per in seen])
+        decisions = [GlobalState(t, env) for t, env in zip(tuples, kept_rows)]
+    created = [Node(next_id + k, stage, state, decision)
+               for k, (state, decision) in enumerate(zip(states, decisions))]
+    probs = probs.tolist()
+    bounds = np.searchsorted(src, np.arange(len(joints) + 1)).tolist()
+    r = 0
+    for node in chunk:
+        for joint in node.joints:
+            lo, hi = bounds[r], bounds[r + 1]
+            node.children[joint] = tuple(zip(probs[lo:hi], cids[lo:hi]))
+            r += 1
+    links[0].extend(cids)
+    links[1].extend(np.repeat([node.id for node in chunk], counts)[src].tolist())
+    return created
+
+
+def _stack(vectors) -> np.ndarray:
+    try:
+        out = np.array(vectors, dtype=float)
+    except ValueError:
+        out = None
+    if out is None or out.ndim != 2:
+        raise ModelError("a region graph needs every agent's local states and percepts, and the "
+                         "environments, to keep one size each")
+    return out
+
+
+def _set_parents(nodes: list[Node], child_ids: list[int], parent_ids: list[int]) -> None:
+    """Set each node's sorted distinct parent ids from the transition list."""
+    n = len(nodes)
+    pairs = np.sort(np.asarray(child_ids, dtype=np.int64) * n + np.asarray(parent_ids, dtype=np.int64))
+    distinct = np.ones(len(pairs), dtype=bool)
+    distinct[1:] = pairs[1:] != pairs[:-1]
+    child, parent = np.divmod(pairs[distinct], n)
+    bounds = np.searchsorted(child, np.arange(n + 1)).tolist()
+    parent = parent.tolist()
+    for node, lo, hi in zip(nodes, bounds, bounds[1:]):
+        node.parents = tuple(parent[lo:hi])
+
+
+class _SharedAgentStates:
+    """The agent states of one unfolding, stored once each.
+
+    There is one tuple of agent states per exact bytes of every agent's
+    (loc, per), and one :class:`AgentState` per agent and exact (loc, per)
+    bytes; exact bytes rather than merge keys, so no stored value moves.
+    """
+
+    def __init__(self):
+        self._tuples: dict = {}  # component widths -> row bytes -> tuple
+        self._agents: dict = {}  # (agent, loc bytes, per bytes) -> AgentState
+
+    def tuples(self, locs: list[np.ndarray], pers: list[np.ndarray]) -> list[tuple]:
+        """The shared tuple of each row m: agent i at ``locs[i][m]``, ``pers[i][m]``."""
+        blocks = locs + pers
+        table = self._tuples.setdefault(tuple(b.shape[1] for b in blocks), {})
+        out = []
+        for m, key in enumerate(row_bytes(np.hstack(blocks))):
+            agents = table.get(key)
+            if agents is None:
+                agents = table[key] = tuple(self._agent(i, as_vector(loc[m].copy()), as_vector(per[m].copy()))
+                                            for i, (loc, per) in enumerate(zip(locs, pers)))
+            out.append(agents)
+        return out
+
+    def add(self, agent_states: tuple[AgentState, ...]) -> tuple[AgentState, ...]:
+        """The shared tuple equal to ``agent_states``; ``agent_states`` itself
+        becomes it when there is none yet and every component is a 1-d float
+        vector, as the stepped ones are."""
+        vectors = [v for a in agent_states for v in (a.loc, a.per)]
+        if not all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == float for v in vectors):
+            return agent_states
+        blocks = [a.loc[None] for a in agent_states] + [a.per[None] for a in agent_states]
+        table = self._tuples.setdefault(tuple(b.shape[1] for b in blocks), {})
+        key = row_bytes(np.hstack(blocks))[0]
+        if key not in table:
+            table[key] = tuple(self._agent(i, a.loc, a.per, a) for i, a in enumerate(agent_states))
+        return table[key]
+
+    def _agent(self, i: int, loc: np.ndarray, per: np.ndarray, agent: AgentState | None = None) -> AgentState:
+        key = (i, loc.tobytes(), per.tobytes())
+        if key not in self._agents:
+            self._agents[key] = AgentState(loc, per) if agent is None else agent
+        return self._agents[key]
 
 
 def unfold_tree(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int = DEFAULT_NODE_CAP) -> GameTree:

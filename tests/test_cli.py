@@ -186,6 +186,65 @@ class TestVerify:
         assert err.startswith("model error:") and str(path) in err
 
 
+    @pytest.mark.parametrize("doc, field", [
+        ({}, "'kind'"),
+        ({"kind": "ne"}, "'nodes'"),
+        ({"kind": "ne", "nodes": 12}, "'nodes' holds int"),
+    ], ids=["empty", "no-nodes", "nodes-not-a-list"])
+    def test_incomplete_solution_file_is_a_model_error(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli("verify", "--model", "counterexample",
+                               "--solution", str(path), capsys=capsys)
+        assert code == 2
+        assert err.startswith("model error:") and field in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mu1", None, "solution node 0 lacks field 'mu1'"),
+        ("value", "x", "solution node 0: could not convert string to float: 'x'"),
+        ("id", 99, "solution node id 99 outside 0..11"),
+    ], ids=["no-strategy", "value-not-a-number", "id-outside"])
+    def test_malformed_solution_entry_is_a_model_error(self, tmp_path, capsys, field, value, message):
+        out_dir = tmp_path / "o"
+        run_cli("solve", "--model", "counterexample", "--out", str(out_dir), capsys=capsys)
+        doc = json.loads((out_dir / "solution.json").read_text())
+        if value is None:
+            del doc["nodes"][0][field]
+        else:
+            doc["nodes"][0][field] = value
+        (out_dir / "solution.json").write_text(json.dumps(doc))
+        code, _, err = run_cli("verify", "--model", "counterexample",
+                               "--solution", str(out_dir / "solution.json"), capsys=capsys)
+        assert code == 2
+        assert err == f"model error: {message}"
+
+
+class TestLongInlineJson:
+    # an inline blob longer than a file name may be is parsed, not probed as a path
+    def test_long_runs_spec(self, tmp_path, capsys):
+        runs = json.dumps({
+            "altitude": [{"label": f"altitude-run-{k}", "params": {"t0": 1, "h0": 50.0 + k}}
+                         for k in range(5)],
+            "sw_trace": [],
+        })
+        assert len(runs) >= 300
+        code, _, _ = run_cli("plotdata", "--runs", runs, "--out", str(tmp_path / "csv"),
+                             capsys=capsys)
+        assert code == 0
+        assert len((tmp_path / "csv" / "altitude.csv").read_text().strip().splitlines()) == 6
+
+    def test_long_params_blob(self, capsys):
+        params = json.dumps({"t0": 2, "h0": 50.0, "hdot_own0": -5.0, "hdot_int0": 5.0,
+                             "trust0": [4, 4], "advisory0": [1, 1], "eps_own": 0.0,
+                             "eps_int": 0.0, "reward": "instant-altitude", "zero_sum": False,
+                             "safety_limit": 200.0, "nets": "stub", "stub_seed": 0}, indent=2)
+        assert len(params) > 255
+        code, out, _ = run_cli("unfold", "--model", "vcas", "--params", params,
+                               "--mode", "region", capsys=capsys)
+        assert code == 0
+        assert out.split(",")[:2] == ["90", "90"]
+
+
 class TestPlotdata:
     def test_empty_spec_header_only(self, tmp_path, capsys):
         code, out, _ = run_cli("plotdata", "--runs", "{}",

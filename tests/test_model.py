@@ -24,6 +24,8 @@ from nscsg.model import (
     refresh_batch,
     refresh_percepts,
     save_net_json,
+    step,
+    step_batch,
     successors,
 )
 from nscsg.unfold import unfold_regions, unfold_tree
@@ -139,6 +141,114 @@ class TestBatchedObservation:
         model = dataclasses.replace(bm.model, agents=agents)
         with pytest.raises(ModelError, match=message):
             refresh_batch(model, [bm.initial, bm.initial])
+
+
+def _vcas_rows(structure):
+    """Every (refreshed state, joint) of ``structure``'s nonleaf nodes."""
+    return [(structure.nodes[nid].decision, joint)
+            for nid in structure.nonleaf_ids() for joint in structure.nodes[nid].joints]
+
+
+def _stacked(rows):
+    """The hook inputs of ``rows``: locs and pers per agent, envs, joints."""
+    states = [s for s, _ in rows]
+    n = len(states[0].agent_states)
+    return ([np.array([s.agent_states[i].loc for s in states]) for i in range(n)],
+            [np.array([s.agent_states[i].per for s in states]) for i in range(n)],
+            np.array([s.env for s in states]), [joint for _, joint in rows])
+
+
+class TestBatchHooks:
+    @pytest.mark.parametrize("eps", [0.0, 0.2], ids=["eps0", "eps0.2"])
+    def test_vcas_hooks_match_callbacks(self, eps):
+        # bit for bit on every (state, joint) of the region graph
+        bm = build("vcas", {"t0": 3, "eps_own": eps, "eps_int": eps})
+        model = bm.model
+        rows = _vcas_rows(unfold_regions(model, bm.initial, bm.horizon))
+        locs, pers, envs, joints = _stacked(rows)
+        expect = np.array([
+            as_vector(model.env_step(s.env, tuple(a.action(lab) for a, lab in zip(model.agents, joint))))
+            for s, joint in rows])
+        assert model.batch_env_step(envs, joints).tobytes() == expect.tobytes()
+        for i, spec in enumerate(model.agents):
+            out, probs = spec.batch_local_transition(locs[i], pers[i], joints)
+            assert out.shape == (len(rows), 1 if eps == 0.0 else 2, 1)
+            for r, (state, joint) in enumerate(rows):
+                a = state.agent_states[i]
+                want = [(as_vector(loc).tobytes(), float(p))
+                        for loc, p in spec.local_transition(a.loc, a.per, joint)]
+                got = [(out[r, k].tobytes(), float(probs[r, k])) for k in np.flatnonzero(probs[r])]
+                assert got == want
+            if eps:  # both one- and two-outcome rows occur
+                assert 0 < np.count_nonzero(probs[:, 1]) < len(rows)
+
+    @pytest.mark.parametrize("env_hook, local_hook, message", [
+        (lambda envs, joints: envs[:, :3], None, "environment transition changed dimension"),
+        (None, lambda locs, pers, joints: (locs[:, None, :], np.ones((len(locs), 2))),
+         r"batched local transition must give \(\d+, K, 1\)"),
+        (None, lambda locs, pers, joints: (np.stack([locs, locs], 1), np.full((len(locs), 2), 0.4)),
+         r"not a distribution \(mass 0.8"),
+        (None, lambda locs, pers, joints: (np.stack([locs, locs], 1), np.tile([1.5, -0.5], (len(locs), 1))),
+         r"not a distribution \(mass 1.0\)"),
+    ], ids=["env-shape", "local-shape", "mass", "negative"])
+    def test_bad_hook_outputs_rejected(self, env_hook, local_hook, message):
+        bm = build("vcas", {"t0": 2})
+        model = bm.model
+        if env_hook is not None:
+            model = dataclasses.replace(model, batch_env_step=env_hook)
+        if local_hook is not None:
+            model = dataclasses.replace(model, agents=(
+                dataclasses.replace(model.agents[0], batch_local_transition=local_hook),
+                model.agents[1]))
+        ref = refresh_percepts(model, bm.initial)
+        rows = [(ref, joint) for joint in joint_actions(model, bm.initial)]
+        with pytest.raises(ModelError, match=message):
+            step_batch(model, *_stacked(rows))
+        with pytest.raises(ModelError, match=message):
+            unfold_regions(model, bm.initial, bm.horizon)
+
+    def test_zero_probability_callback_rejected_like_step(self):
+        # without a hook a zero is a stated outcome, not padding
+        bm = build("vcas", {"t0": 2})
+        spec = dataclasses.replace(bm.model.agents[0], batch_local_transition=None,
+                                   local_transition=lambda loc, per, joint: ((loc, 1.0), (loc, 0.0)))
+        model = dataclasses.replace(bm.model, agents=(spec, bm.model.agents[1]))
+        ref = refresh_percepts(model, bm.initial)
+        joint = joint_actions(model, bm.initial)[0]
+        with pytest.raises(ModelError, match=r"not a distribution \(mass 1.0\)"):
+            step(model, ref, joint)
+        with pytest.raises(ModelError, match=r"not a distribution \(mass 1.0\)"):
+            step_batch(model, *_stacked([(ref, joint)]))
+
+    def test_equal_outcomes_merge_like_step(self):
+        # two outcomes equal after rounding are one successor, in step and in a batch
+        bm = build("vcas", {"t0": 2})
+        spec = dataclasses.replace(
+            bm.model.agents[0], batch_local_transition=None,
+            local_transition=lambda loc, per, joint: ((loc, 0.25), (loc + 1e-12, 0.5), (loc + 1.0, 0.25)))
+        model = dataclasses.replace(bm.model, agents=(spec, bm.model.agents[1]))
+        ref = refresh_percepts(model, bm.initial)
+        rows = [(ref, joint) for joint in joint_actions(model, bm.initial)]
+        src, succ_locs, _, probs = step_batch(model, *_stacked(rows))
+        for r, (state, joint) in enumerate(rows):
+            dist = step(model, state, joint)
+            assert [p for _, p in dist] == [0.75, 0.25]
+            assert probs[src == r].tolist() == [0.75, 0.25]
+            assert [s.agent_states[0].loc.tobytes() for s, _ in dist] == [
+                loc.tobytes() for loc in succ_locs[0][src == r]]
+
+    def test_rows_follow_step(self):
+        # one row per joint, successors in step's order with step's probabilities
+        bm = build("vcas", {"t0": 2, "eps_own": 0.3, "eps_int": 0.2, "trust0": (2, 3)})
+        ref = refresh_percepts(bm.model, bm.initial)
+        rows = [(ref, joint) for joint in joint_actions(bm.model, bm.initial)]
+        src, succ_locs, succ_envs, probs = step_batch(bm.model, *_stacked(rows))
+        expect = [(r, succ) for r, (state, joint) in enumerate(rows) for succ in step(bm.model, state, joint)]
+        assert src.tolist() == [r for r, _ in expect]
+        assert probs.tolist() == [p for _, (_, p) in expect]
+        for m, (_, (succ, _)) in enumerate(expect):
+            assert [succ_locs[i][m].tobytes() for i in range(2)] == [a.loc.tobytes() for a in succ.agent_states]
+            assert succ_envs[m].tobytes() == succ.env.tobytes()
 
 
 class TestSuccessors:

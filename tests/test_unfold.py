@@ -282,6 +282,45 @@ class TestPinnedOutputs:
         assert hashlib.sha256(json.dumps(structure.to_json()).encode()).hexdigest() == digest
 
 
+def _without_hooks(model):
+    return dataclasses.replace(model, batch_env_step=None, agents=tuple(
+        dataclasses.replace(spec, batch_local_transition=None) for spec in model.agents))
+
+
+def _state_bytes(state):
+    return ([(a.loc.tobytes(), a.per.tobytes()) for a in state.agent_states], state.env.tobytes())
+
+
+class TestBatchedSlices:
+    @pytest.mark.parametrize("params, old_percept", [
+        ({"t0": 3}, False),
+        ({"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, False),
+        ({"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, True),
+    ], ids=["eps0", "eps0.2", "eps0.2-old-percept"])
+    def test_graph_without_hooks_identical(self, params, old_percept):
+        # the per-row callbacks give the same graph, node for node and bit for bit
+        bm = build("vcas", params)
+        model = _old_percept(bm) if old_percept else bm.model
+        hooked = unfold_regions(model, bm.initial, bm.horizon)
+        plain = unfold_regions(_without_hooks(model), bm.initial, bm.horizon)
+        assert len(hooked.nodes) == len(plain.nodes)
+        for a, b in zip(hooked.nodes, plain.nodes):
+            assert (a.id, a.stage, a.menus, a.joints, a.children, a.parents) == (
+                b.id, b.stage, b.menus, b.joints, b.children, b.parents)
+            assert _state_bytes(a.state) == _state_bytes(b.state)
+            assert _state_bytes(a.decision) == _state_bytes(b.decision)
+
+    def test_agent_states_shared(self):
+        # one AgentState per (agent, loc bytes, per bytes), one tuple per agents' bytes
+        bm = build("vcas", {"t0": 4})
+        graph = unfold_regions(bm.model, bm.initial, bm.horizon)
+        states = [s for n in graph.nodes for s in (n.state, n.decision)]
+        objects = {id(a) for s in states for a in s.agent_states}
+        triples = {(i, a.loc.tobytes(), a.per.tobytes()) for s in states for i, a in enumerate(s.agent_states)}
+        assert len(objects) <= len(triples)
+        assert len({id(s.agent_states) for s in states}) <= len({str(_state_bytes(s)[0]) for s in states})
+
+
 class TestPerceiveOnce:
     # each state's percepts are computed once: at expansion (tree, and region
     # graphs deciding on the stored percept) or, for a region merge key, once
