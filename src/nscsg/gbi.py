@@ -10,9 +10,15 @@ The stage games are read from the structure's compiled form
 (:class:`nscsg.unfold.Compiled`): each reward callback runs once per node or
 (node, joint) for a structure and reward structure.  :func:`stage_games`
 builds the matrices of one stage group in one array step and
-:func:`stage_matrices` those of one node; :func:`induce` (one step per
-node) and :func:`induce_groups` (one step per stage group) are the one
+:func:`stage_matrices` those of one node.  :func:`induce_stages` (one step
+per stage) and its per-group form :func:`induce_groups` are the one
 bottom-up pass, so every solver and checker differs only in its step.
+
+:func:`run_gbi` solves each stage group as a whole: it rounds the group's
+stage games once, keys every row from the rounded bytes (the key of
+:meth:`StageGameCache.solve`, so both share one store), and passes the
+group's distinct missed games to the stacked solver
+:func:`nscsg.nfg.any_equilibria` in one call.
 """
 from __future__ import annotations
 
@@ -24,8 +30,8 @@ import numpy as np
 
 from .errors import ModelError
 from .model import RewardStructure
-from .nfg import (BimatrixGame, StageSolution, _ce_from_lp, any_equilibrium, enumerate_ne,
-                  zero_sum_value)
+from .nfg import (BimatrixGame, StageSolution, _ce_from_lp, any_equilibria, any_equilibrium,
+                  enumerate_ne, zero_sum_value)
 from .unfold import Node, StageGroup, Structure
 
 
@@ -83,46 +89,33 @@ def _require(structure: Structure, profiles: Optional[dict]) -> None:
                 raise ModelError(f"strategy data missing at history {nid}")
 
 
-def induce(structure: Structure, rewards, step, games: Optional[dict] = None) -> np.ndarray:
-    """The one bottom-up pass, one node at a time: values of shape
-    (n_nodes, len(rewards)), stage by stage.
+def induce_stages(structure: Structure, rewards, step, profiles: Optional[dict] = None,
+                  batch: tuple = ()) -> np.ndarray:
+    """The one bottom-up pass, one stage at a time: values of shape
+    (*batch, n_nodes, len(rewards)).
 
-    A leaf's value is its state rewards; every other node's value is
-    ``step(node, *matrices)`` on its stage matrices, called in id order
-    within each stage.  ``games`` receives the stage matrices as
-    ``games[(node id, reward index)]``.
+    ``step(groups, zs)`` gets the stage's groups and each group's
+    :func:`stage_games`, and returns each group's values, shape
+    (*batch, n, len(rewards)).  With ``profiles`` (strategy data by node
+    id), a nonleaf node without an entry is an error, the first in
+    (-stage, id) order named; ``batch`` adds leading axes, e.g. one per grid
+    point.
     """
-    compiled = structure._compiled()
-    values = _leaf_values(structure, rewards)
-    for stage in range(structure.horizon - 1, -1, -1):
-        zs = {g.index: stage_games(structure, rewards, g, values) for g in compiled.groups[stage]}
-        for nid in range(compiled.bounds[stage], compiled.bounds[stage + 1]):
-            group, row = compiled.locate(nid)
-            z = zs[group.index][:, row]
-            if games is not None:
-                for i, zi in enumerate(z):
-                    games[(nid, i)] = zi
-            values[nid] = step(structure.nodes[nid], *z)
+    _require(structure, profiles)
+    values = _leaf_values(structure, rewards, batch)
+    for groups in reversed(structure._compiled().groups):
+        zs = [stage_games(structure, rewards, g, values) for g in groups]
+        for g, v in zip(groups, step(groups, zs)):
+            values[..., g.ids, :] = v
     return values
 
 
 def induce_groups(structure: Structure, rewards, step, profiles: Optional[dict] = None,
                   batch: tuple = ()) -> np.ndarray:
-    """The one bottom-up pass, one stage group at a time: values of shape
-    (*batch, n_nodes, len(rewards)).
-
-    ``step(group, z)`` gets the group's :func:`stage_games` and returns its
-    values, shape (*batch, n, len(rewards)).  With ``profiles`` (strategy
-    data by node id), a nonleaf node without an entry is an error, the first
-    in (-stage, id) order named; ``batch`` adds leading axes, e.g. one per
-    grid point.
-    """
-    _require(structure, profiles)
-    values = _leaf_values(structure, rewards, batch)
-    for groups in reversed(structure._compiled().groups):
-        for g in groups:
-            values[..., g.ids, :] = step(g, stage_games(structure, rewards, g, values))
-    return values
+    """:func:`induce_stages` with ``step(group, z)`` called on each stage
+    group in turn, returning the group's values."""
+    return induce_stages(structure, rewards, lambda groups, zs: map(step, groups, zs),
+                         profiles, batch)
 
 
 @dataclass
@@ -153,6 +146,12 @@ def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
             seen.add(key)
             outs.append(StageSolution("ce", None, None, ce.mu, ce.payoffs))
     return outs
+
+
+def _key(kind: str, policy: str, p1: np.ndarray, p2: np.ndarray) -> tuple:
+    """The solution-store key of a stage game from its payoffs rounded to
+    12 decimals."""
+    return (kind, policy, p1.shape, p1.tobytes(), p2.tobytes())
 
 
 class StageGameCache:
@@ -187,7 +186,7 @@ class StageGameCache:
         "seeded-random", the one policy that draws from ``rng``."""
         if policy == "seeded-random":
             return any_equilibrium(game, kind, policy, rng)
-        key = (kind, policy, game.p1.shape, np.round(game.p1, 12).tobytes(), np.round(game.p2, 12).tobytes())
+        key = _key(kind, policy, np.round(game.p1, 12), np.round(game.p2, 12))
         hit = self._store.get(key)
         if hit is not None:
             self.hits += 1
@@ -196,6 +195,31 @@ class StageGameCache:
         sol = any_equilibrium(game, kind, policy)
         self._store[key] = sol
         return sol
+
+    def solve_stack(self, z: np.ndarray, kind: str, policy: str) -> list[StageSolution]:
+        """:meth:`solve` of each game of the stack ``z`` (shape (2, n, m1,
+        m2)) in row order, under "sw-optimal" or "first-found": the same
+        keys, store, hits and misses, with the distinct missed games solved
+        in one :func:`any_equilibria` call."""
+        rounded = np.round(z, 12)
+        sols = []
+        missed: dict = {}  # key -> first row
+        waiting = []  # (row, key) of rows not stored yet; a hit keeps no key, to bound memory
+        for row, (p1, p2) in enumerate(zip(rounded[0], rounded[1])):
+            key = _key(kind, policy, p1, p2)
+            sol = self._store.get(key)
+            if sol is None:
+                missed.setdefault(key, row)
+                waiting.append((row, key))
+            sols.append(sol)
+        self.misses += len(missed)
+        self.hits += len(sols) - len(missed)
+        if missed:
+            rows = list(missed.values())
+            self._store.update(zip(missed, any_equilibria(z[0, rows], z[1, rows], kind, policy)))
+            for row, key in waiting:
+                sols[row] = self._store[key]
+        return sols
 
 
 def run_gbi(
@@ -209,7 +233,9 @@ def run_gbi(
     """Bottom-up equilibrium synthesis; subgame perfect by construction.
 
     ``policy`` selects the equilibrium solved at each node ("sw-optimal",
-    "first-found" or "seeded-random").
+    "first-found" or "seeded-random").  Each stage group is solved as one
+    stack (:meth:`StageGameCache.solve_stack`); "seeded-random" draws from
+    its generator node by node, in id order within each stage.
     """
     if len(rewards) != 2:
         raise ModelError("backward induction is implemented for two agents")
@@ -217,11 +243,20 @@ def run_gbi(
     cache = cache or StageGameCache()
     profiles: dict[int, StageSolution] = {}
 
-    def step(node, z1, z2):
-        sol = profiles[node.id] = cache.solve(BimatrixGame(z1, z2), kind, policy, rng)
-        return sol.payoffs
+    def step(groups, zs):
+        if policy == "seeded-random":
+            sols = [[None] * len(g.ids) for g in groups]
+            for _, k, row in sorted((nid, k, row) for k, g in enumerate(groups)
+                                    for row, nid in enumerate(g.ids.tolist())):
+                z = zs[k][:, row]
+                sols[k][row] = cache.solve(BimatrixGame(z[0], z[1]), kind, policy, rng)
+        else:
+            sols = [cache.solve_stack(z, kind, policy) for z in zs]
+        for g, group_sols in zip(groups, sols):
+            profiles.update(zip(g.ids.tolist(), group_sols))
+        return [np.array([sol.payoffs for sol in group_sols]) for group_sols in sols]
 
-    values = induce(structure, rewards, step)
+    values = induce_stages(structure, rewards, step)
     return EquilibriumSolution(kind, values, profiles, policy)
 
 
@@ -239,12 +274,15 @@ def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> M
     """
     profiles: dict[int, StageSolution] = {}
 
-    def step(node, z1):
-        x, y, v = zero_sum_value(z1)
-        profiles[node.id] = StageSolution("ne", x, y, None, np.array([v, -v]))
-        return v
+    def step(group, z):
+        values = np.empty((len(group.ids), 1))
+        for row, nid in enumerate(group.ids.tolist()):
+            x, y, v = zero_sum_value(z[0, row])
+            profiles[nid] = StageSolution("ne", x, y, None, np.array([v, -v]))
+            values[row] = v
+        return values
 
-    values = induce(structure, rewards[:1], step)
+    values = induce_groups(structure, rewards[:1], step)
     return MinimaxSolution(np.hstack((values, -values)), profiles)
 
 

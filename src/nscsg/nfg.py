@@ -8,8 +8,18 @@ pair corresponds to a basis of one of the two best-response polytopes
     Q = {(y, u) : y >= 0, sum y = 1, (P1 y)_i <= u}
 
 and the extreme equilibria are exactly the completely labelled pairs of
-polytope vertices.  Singular bases are skipped, so degenerate games yield
-the vertex and isolated representatives of their equilibrium components.
+polytope vertices (Avis, Rosenberg, Savani & von Stengel, Economic Theory
+2010).  Singular bases are skipped, so degenerate games yield the vertex and
+isolated representatives of their equilibrium components.
+
+The enumeration runs over a stack of games of one shape at once
+(:func:`enumerate_ne_stack`): one ``det`` and one ``solve`` over every basis
+of every game, feasibility, vertex dedupe, labels, the complete-labelling
+test and the pure-deviation check as array steps, in chunks of at most
+``_STACK_BASES`` bases.  :func:`enumerate_ne` and :func:`swne` are its
+one-game calls, and :func:`any_equilibria` solves a stack of distinct stage
+games under a deterministic policy, as backward induction does for each
+stage group's cache misses.
 """
 from __future__ import annotations
 
@@ -25,6 +35,10 @@ from .lp import LinearProgram, lp_solve
 
 EQ_TOL = 1e-7
 BASIS_CAP = 500_000
+#: Basis systems one chunk of a stacked enumeration holds (0.5 MB of them
+#: for 3x3 games, 102 games): its memory stays bounded whatever the stack's
+#: size, and its peak stays within what the pass already holds.
+_STACK_BASES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -61,66 +75,146 @@ class NashPoint:
 
 
 def _normalise(p: np.ndarray) -> np.ndarray:
-    lo, hi = p.min(), p.max()
-    if hi - lo < 1e-300:
-        return np.zeros_like(p)
-    return (p - lo) / (hi - lo)
+    """Each game of the stack ``p`` (G, m, n) mapped onto [0, 1]; a constant
+    game onto zeros."""
+    lo = p.min(axis=(1, 2), keepdims=True)
+    span = p.max(axis=(1, 2), keepdims=True) - lo
+    flat = span < 1e-300
+    return np.where(flat, 0.0, (p - lo) / np.where(flat, 1.0, span))
 
 
-def _polytope_vertices(col_payoff: np.ndarray, feas_tol: float):
-    """Vertices of {(x, v): x >= 0, sum x = 1, (col_payoff^T x)_j <= v}.
+def _first_rows(rows) -> list[int]:
+    """Ascending indices of the first of each set of equal ``rows`` (lists of
+    floats), compared as tuples, so -0.0 equals 0.0."""
+    first: dict = {}
+    for k, key in enumerate(map(tuple, rows)):
+        first.setdefault(key, k)
+    return list(first.values())
 
-    ``col_payoff`` has shape (m, n); returns a list of (x, labels) where
-    labels is a bitmask over m + n constraints: bit i for x_i = 0, bit m + j
-    for a binding column incentive.
+
+def _polytope_vertices(col_payoffs: np.ndarray, feas_tol: float):
+    """Vertices of {(x, v): x >= 0, sum x = 1, (C^T x)_j <= v} for each game
+    C of the stack ``col_payoffs`` (G, m, n).
+
+    Returns ``(owner, x, labels)``: each vertex's game (ascending), its x of
+    shape (V, m) and its labels, a boolean (V, m + n) array: column i for
+    x_i = 0, column m + j for a binding column incentive.  A game's vertices
+    follow its basis order; of vertices with equal rounded (x, v) the first
+    is kept.  Every basis of every game is one row of one ``det`` and one
+    ``solve``.
     """
-    m, n = col_payoff.shape
-    templates = np.zeros((m + n, m + 1))
-    templates[:m, :m] = np.eye(m)
-    templates[m:, :m] = col_payoff.T
-    templates[m:, m] = -1.0
+    g, m, n = col_payoffs.shape
+    templates = np.zeros((g, m + n + 1, m + 1))
+    diag = np.arange(m)
+    templates[:, diag, diag] = 1.0
+    templates[:, m:m + n, :m] = col_payoffs.transpose(0, 2, 1)
+    templates[:, m:m + n, m] = -1.0
+    templates[:, m + n, :m] = 1.0
+    # a basis system: the template rows of one combination, then sum x = 1
+    rows = np.array([c + (m + n,) for c in itertools.combinations(range(m + n), m)], dtype=np.intp)
+    systems = templates[:, rows].reshape(-1, m + 1, m + 1)
+    owner = np.repeat(np.arange(g), len(rows))
 
-    combos = np.array(list(itertools.combinations(range(m + n), m)), dtype=int)
-    systems = np.empty((combos.shape[0], m + 1, m + 1))
-    systems[:, :m, :] = templates[combos]
-    systems[:, m, :m] = 1.0
-    systems[:, m, m] = 0.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-
-    dets = np.linalg.det(systems)
-    ok = np.abs(dets) > 1e-12
-    if not ok.any():
-        return []
-    kept = systems[ok]
-    rhs_b = np.broadcast_to(rhs.reshape(1, m + 1, 1), (kept.shape[0], m + 1, 1)).copy()
-    sols = np.linalg.solve(kept, rhs_b)[:, :, 0]
-    residuals = np.abs(np.einsum("bij,bj->bi", kept, sols) - rhs).max(axis=1)
+    ok = np.abs(np.linalg.det(systems)) > 1e-12
+    kept, owner = systems[ok], owner[ok]
+    rhs = np.zeros((len(kept), m + 1, 1))
+    rhs[:, m] = 1.0
+    sols = np.linalg.solve(kept, rhs)[..., 0]
+    residuals = np.abs(np.einsum("bij,bj->bi", kept, sols) - rhs[..., 0]).max(axis=1)
     xs, vs = sols[:, :m], sols[:, m]
-    gaps = xs @ col_payoff - vs[:, None]
-    feas = (
-        (residuals <= 1e-6)
-        & np.isfinite(sols).all(axis=1)
-        & (xs >= -feas_tol).all(axis=1)
-        & (gaps <= feas_tol).all(axis=1)
+    gaps = np.einsum("bi,bij->bj", xs, col_payoffs[owner]) - vs[:, None]
+    feas = ((residuals <= 1e-6) & np.isfinite(sols).all(axis=1)
+            & (xs >= -feas_tol).all(axis=1) & (gaps <= feas_tol).all(axis=1))
+
+    # the key rounds x as np.round does and v as round() does
+    owner, xs, gaps = owner[feas], xs[feas], gaps[feas]
+    keys = np.concatenate((owner[:, None], np.round(xs, 9)), axis=1).tolist()
+    first = _first_rows([key + [round(v, 9)] for key, v in zip(keys, vs[feas].tolist())])
+    owner, xs, gaps = owner[first], xs[first], gaps[first]
+    x = np.clip(xs, 0.0, None)
+    x /= x.sum(axis=1, keepdims=True)
+    return owner, x, np.concatenate((x <= feas_tol, gaps >= -feas_tol), axis=1)
+
+
+def _places(owner: np.ndarray, g: int):
+    """Each vertex's index among its game's vertices, the first vertex of
+    each of the ``g`` games, and the largest count."""
+    counts = np.bincount(owner, minlength=g)
+    starts = np.cumsum(counts) - counts
+    return np.arange(len(owner)) - starts[owner], starts, int(counts.max(initial=0))
+
+
+def _support_order(pt: NashPoint):
+    s1 = pt.mu1 > 1e-9
+    s2 = pt.mu2 > 1e-9
+    return (
+        int(s1.sum() + s2.sum()),
+        tuple(np.nonzero(s1)[0]) + tuple(np.nonzero(s2)[0]),
+        tuple(np.round(pt.mu1, 9)),
+        tuple(np.round(pt.mu2, 9)),
     )
 
-    out = {}
-    for x, v, gap in zip(xs[feas], vs[feas], gaps[feas]):
-        key = tuple(np.round(x, 9)) + (round(float(v), 9),)
-        if key in out:
-            continue
-        x = np.clip(x, 0.0, None)
-        x = x / x.sum()
-        labels = 0
-        for i in range(m):
-            if x[i] <= feas_tol:
-                labels |= 1 << i
-        for j in range(n):
-            if gap[j] >= -feas_tol:
-                labels |= 1 << (m + j)
-        out[key] = (x, labels)
-    return list(out.values())
+
+def _enumerate_chunk(p1: np.ndarray, p2: np.ndarray) -> list[list[NashPoint]]:
+    """:func:`enumerate_ne_stack` of one chunk of the stack."""
+    g, m, n = p1.shape
+    a = _normalise(p1)
+    b = _normalise(p2)
+    ox, xs, lx = _polytope_vertices(b, EQ_TOL)
+    oy, ys, ly = _polytope_vertices(a.transpose(0, 2, 1), EQ_TOL)
+    ly = np.concatenate((ly[:, n:], ly[:, :n]), axis=1)  # y's labels over (n + m) to x's (m + n)
+
+    # complete labelling of every (x, y) pair of a game, as (G, Cx, Cy); a
+    # padding row has no label, and no vertex has every label of its own
+    # side (some x_i and y_j are positive), so no pair with padding passes
+    ix, start_x, cx = _places(ox, g)
+    iy, start_y, cy = _places(oy, g)
+    pad_x = np.zeros((g, cx, m + n), dtype=bool)
+    pad_x[ox, ix] = lx
+    pad_y = np.zeros((g, cy, m + n), dtype=bool)
+    pad_y[oy, iy] = ly
+    complete = (pad_x[:, :, None] | pad_y[:, None]).all(axis=-1)
+    game, i, j = np.nonzero(complete)
+    x, y = xs[start_x[game] + i], ys[start_y[game] + j]
+
+    # final check on the normalised payoffs: no profitable pure deviation
+    r1 = np.einsum("kij,kj->ki", a[game], y)
+    r2 = np.einsum("ki,kij->kj", x, b[game])
+    ok = (((x * r1).sum(axis=1) >= r1.max(axis=1) - EQ_TOL)
+          & ((r2 * y).sum(axis=1) >= r2.max(axis=1) - EQ_TOL))
+    game, x, y = game[ok], x[ok], y[ok]
+    first = _first_rows(np.concatenate((game[:, None], np.round(x, 9), np.round(y, 9)),
+                                       axis=1).tolist())
+
+    found = [[] for _ in range(g)]
+    for k in first:
+        gk, xk, yk = int(game[k]), x[k].copy(), y[k].copy()
+        payoffs = np.array([xk @ p1[gk] @ yk, xk @ p2[gk] @ yk])
+        found[gk].append(NashPoint(xk, yk, payoffs))
+    return [sorted(points, key=_support_order) for points in found]
+
+
+def enumerate_ne_stack(p1, p2) -> list[list[NashPoint]]:
+    """:func:`enumerate_ne` of each game (p1[k], p2[k]) of a stack of games
+    of one shape, (G, m, n) each, enumerated together.
+
+    The stack is split into chunks of at most ``_STACK_BASES`` basis systems
+    (one game per chunk if a game has more); a game over ``BASIS_CAP`` raises
+    before anything is built.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape != p2.shape or p1.ndim != 3:
+        raise ValueError(f"payoff stacks differ or are not (G, m, n): {p1.shape} vs {p2.shape}")
+    g, m, n = p1.shape
+    bases = comb(m + n, m) + comb(m + n, n)
+    if bases > BASIS_CAP:
+        raise ResourceLimitError(f"support enumeration over a {m}x{n} game exceeds the basis cap")
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        raise ValueError("payoffs must be finite")
+    per = max(1, _STACK_BASES // bases)
+    return [points for start in range(0, g, per)
+            for points in _enumerate_chunk(p1[start:start + per], p2[start:start + per])]
 
 
 def enumerate_ne(game: BimatrixGame) -> list[NashPoint]:
@@ -129,58 +223,12 @@ def enumerate_ne(game: BimatrixGame) -> list[NashPoint]:
     Ordered by increasing total support size, then lexicographically on the
     probability vectors; this order defines "first-found".
     """
-    m, n = game.shape
-    if comb(m + n, m) + comb(m + n, n) > BASIS_CAP:
-        raise ResourceLimitError(f"support enumeration over a {m}x{n} game exceeds the basis cap")
-    a = _normalise(game.p1)
-    b = _normalise(game.p2)
-    verts_x = _polytope_vertices(b, EQ_TOL)
-    verts_y = _polytope_vertices(a.T, EQ_TOL)
-
-    full = (1 << (m + n)) - 1
-    found = {}
-    for x, lx in verts_x:
-        for y, ly_raw in verts_y:
-            # y's labels come back over (n + m); remap to the shared space
-            ly = 0
-            for j in range(n):
-                if ly_raw & (1 << j):
-                    ly |= 1 << (m + j)
-            for i in range(m):
-                if ly_raw & (1 << (n + i)):
-                    ly |= 1 << i
-            if (lx | ly) != full:
-                continue
-            # final check on the normalised payoffs: no profitable pure deviation
-            r1 = a @ y
-            r2 = x @ b
-            if x @ r1 < r1.max() - EQ_TOL or r2 @ y < r2.max() - EQ_TOL:
-                continue
-            key = tuple(np.round(x, 9)) + tuple(np.round(y, 9))
-            if key not in found:
-                payoffs = np.array([x @ game.p1 @ y, x @ game.p2 @ y])
-                found[key] = NashPoint(x, y, payoffs)
-
-    def sort_key(pt: NashPoint):
-        s1 = pt.mu1 > 1e-9
-        s2 = pt.mu2 > 1e-9
-        return (
-            int(s1.sum() + s2.sum()),
-            tuple(np.nonzero(s1)[0]) + tuple(np.nonzero(s2)[0]),
-            tuple(np.round(pt.mu1, 9)),
-            tuple(np.round(pt.mu2, 9)),
-        )
-
-    return sorted(found.values(), key=sort_key)
+    return enumerate_ne_stack(game.p1[None], game.p2[None])[0]
 
 
-def swne(game: BimatrixGame) -> NashPoint:
-    """The enumerated equilibrium with maximal payoff sum.
-
-    Ties break on the largest agent-1 payoff, then lexicographically on the
-    probability vectors.
-    """
-    points = enumerate_ne(game)
+def _max_welfare(points: list[NashPoint]) -> NashPoint:
+    """The point with maximal payoff sum; ties break on the largest agent-1
+    payoff, then lexicographically on the probability vectors."""
     if not points:
         raise SolverError("no equilibrium found; the enumeration tolerance is too tight")
     return max(
@@ -192,6 +240,15 @@ def swne(game: BimatrixGame) -> NashPoint:
             tuple(-np.round(p.mu2, 12)),
         ),
     )
+
+
+def swne(game: BimatrixGame) -> NashPoint:
+    """The enumerated equilibrium with maximal payoff sum.
+
+    Ties break on the largest agent-1 payoff, then lexicographically on the
+    probability vectors.
+    """
+    return _max_welfare(enumerate_ne(game))
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +366,7 @@ class StageSolution:
         return np.outer(self.mu1, self.mu2)
 
 
-def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
-                    rng: Optional[np.random.Generator] = None) -> StageSolution:
-    """One equilibrium of ``game`` chosen by ``policy``.
-
-    Policies: "sw-optimal" (maximal payoff sum), "first-found" (first in the
-    enumeration order), "seeded-random" (reproducible draw from ``rng``).
-    """
+def _check_policy(kind: str, policy: str, rng) -> None:
     if kind not in ("ne", "ce"):
         raise ValueError(f"unknown equilibrium kind {kind!r}")
     if policy not in ("sw-optimal", "first-found", "seeded-random"):
@@ -323,15 +374,27 @@ def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
     if policy == "seeded-random" and rng is None:
         raise ValueError("seeded-random policy needs an rng")
 
+
+def _select_ne(points: list[NashPoint], policy: str, rng=None) -> StageSolution:
+    if policy == "sw-optimal":
+        pt = _max_welfare(points)
+    elif not points:
+        raise SolverError("no equilibrium found")
+    else:
+        pt = points[0] if policy == "first-found" else points[int(rng.integers(len(points)))]
+    return StageSolution("ne", pt.mu1, pt.mu2, None, pt.payoffs)
+
+
+def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
+                    rng: Optional[np.random.Generator] = None) -> StageSolution:
+    """One equilibrium of ``game`` chosen by ``policy``.
+
+    Policies: "sw-optimal" (maximal payoff sum), "first-found" (first in the
+    enumeration order), "seeded-random" (reproducible draw from ``rng``).
+    """
+    _check_policy(kind, policy, rng)
     if kind == "ne":
-        if policy == "sw-optimal":
-            pt = swne(game)
-        else:
-            points = enumerate_ne(game)
-            if not points:
-                raise SolverError("no equilibrium found")
-            pt = points[0] if policy == "first-found" else points[int(rng.integers(len(points)))]
-        return StageSolution("ne", pt.mu1, pt.mu2, None, pt.payoffs)
+        return _select_ne(enumerate_ne(game), policy, rng)
 
     if policy == "sw-optimal":
         ce = swce(game)
@@ -340,3 +403,17 @@ def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
     else:
         ce = _ce_from_lp(game, rng.uniform(0.0, 1.0, size=game.p1.size))
     return StageSolution("ce", None, None, ce.mu, ce.payoffs)
+
+
+def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
+                   policy: str = "sw-optimal") -> list[StageSolution]:
+    """:func:`any_equilibrium` of each game (p1[k], p2[k]) of a stack of
+    games of one shape, under "sw-optimal" or "first-found".
+
+    Nash equilibria of the whole stack are enumerated together; correlated
+    equilibria take one linear program per game.
+    """
+    _check_policy(kind, policy, None)
+    if kind == "ne":
+        return [_select_ne(points, policy) for points in enumerate_ne_stack(p1, p2)]
+    return [any_equilibrium(BimatrixGame(a, b), kind, policy) for a, b in zip(p1, p2)]

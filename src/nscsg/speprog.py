@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
-from .gbi import (EquilibriumSolution, StageGameCache, _require, induce, induce_groups,
-                  stage_games, stage_matrices)
+from .gbi import (EquilibriumSolution, StageGameCache, _require, induce_groups, stage_games,
+                  stage_matrices)
 from .lp import LinearProgram, lp_solve
 from .nfg import BimatrixGame, StageSolution
 from .unfold import StageGroup, Structure
@@ -105,7 +105,14 @@ def _z_constants(structure: Structure, rewards) -> dict:
     """Stage matrices with every nonleaf value zero: immediate rewards plus
     expected leaf rewards, keyed (node id, agent)."""
     consts: dict = {}
-    induce(structure, rewards, lambda *_: (0.0, 0.0), games=consts)
+
+    def step(group, z):
+        for row, nid in enumerate(group.ids.tolist()):
+            for i, zi in enumerate(z[:, row]):
+                consts[(nid, i)] = zi
+        return np.zeros((len(group.ids), len(rewards)))
+
+    induce_groups(structure, rewards, step)
     return consts
 
 

@@ -227,12 +227,18 @@ class Compiled:
 
     def rewards(self, reward: RewardStructure) -> tuple[np.ndarray, list]:
         """Leaf values of ``reward`` (in leaf id order) and its immediate
-        rewards per stage group (indexed by ``StageGroup.index``)."""
+        rewards per stage group (indexed by ``StageGroup.index``).
+
+        A state or action reward that is not finite raises
+        :class:`ModelError` naming the first history, by id, that has one.
+        """
         entry = self._rewards.get(id(reward))
         if entry is None:
             nodes = self._nodes
+            first_leaf = self.bounds[self._horizon]
             leaves = np.array([reward.state_reward(nodes[nid].state)
-                               for nid in range(self.bounds[self._horizon], len(nodes))], dtype=float)
+                               for nid in range(first_leaf, len(nodes))], dtype=float)
+            bad = (np.flatnonzero(~np.isfinite(leaves))[:1] + first_leaf).tolist()
             immediate = []
             for group in (g for groups in self.groups for g in groups):
                 state = np.array([reward.state_reward(nodes[nid].state) for nid in group.ids],
@@ -240,8 +246,12 @@ class Compiled:
                 action = np.array([reward.action_reward(nodes[nid].state, joint)
                                    for nid in group.ids for joint in nodes[nid].joints], dtype=float)
                 shape = group.prob.shape[:-1]
+                finite = np.isfinite(state) & np.isfinite(action.reshape(len(state), -1)).all(axis=1)
+                bad.extend(group.ids[~finite][:1].tolist())
                 immediate.append(action.reshape(shape)
                                  + state.reshape((-1,) + (1,) * (len(shape) - 1)))
+            if bad:
+                raise ModelError(f"history {min(bad)} has a state or action reward that is not finite")
             # the reward is kept with its arrays so that its id is not reused
             entry = self._rewards[id(reward)] = (reward, leaves, immediate)
         return entry[1], entry[2]

@@ -219,6 +219,37 @@ class TestVerify:
         assert err == f"model error: {message}"
 
 
+class TestNonFiniteRewards:
+    """A reward that is not finite is a model error (exit 2), found where the
+    stage games read the reward callbacks, for solving and checking alike."""
+
+    MESSAGE = "model error: history 0 has a state or action reward that is not finite"
+
+    def coin_file(self, tmp_path, default):
+        doc = coin_model_doc()
+        doc["rewards"][0]["default"] = default
+        path = tmp_path / f"coin-{default}.json"
+        path.write_text(json.dumps(doc))  # written as the JSON literal Infinity or NaN
+        return str(path)
+
+    @pytest.mark.parametrize("default", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+    def test_solve(self, tmp_path, capsys, default):
+        code, out, err = run_cli("solve", "--model", self.coin_file(tmp_path, default),
+                                 "--params", '{"horizon": 2}', capsys=capsys)
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("default", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+    def test_verify(self, tmp_path, capsys, default):
+        out_dir = tmp_path / "sol"
+        code, _, _ = run_cli("solve", "--model", self.coin_file(tmp_path, -1.0),
+                             "--params", '{"horizon": 2}', "--out", str(out_dir), capsys=capsys)
+        assert code == 0
+        code, out, err = run_cli("verify", "--model", self.coin_file(tmp_path, default),
+                                 "--params", '{"horizon": 2}',
+                                 "--solution", str(out_dir / "solution.json"), capsys=capsys)
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+
 class TestLongInlineJson:
     # an inline blob longer than a file name may be is parsed, not probed as a path
     def test_long_runs_spec(self, tmp_path, capsys):

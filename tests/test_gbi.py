@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from nscsg.errors import ModelError
 from nscsg.gbi import (
     StageGameCache,
     _stage_candidates,
-    induce,
+    induce_groups,
     run_gbi,
     run_minimax,
     social_welfare,
@@ -18,6 +20,7 @@ from nscsg.gbi import (
 )
 from nscsg.model import RewardStructure
 from nscsg.nfg import BimatrixGame, zero_sum_value
+from nscsg.nfg import _polytope_vertices as polytope_vertices
 from nscsg.speprog import evaluate_values
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import best_response_value, check_spce, check_spne
@@ -89,6 +92,39 @@ class TestOneKernel:
         assert counts == {"state": [len(tree.nodes), 0], "action": [joints, 0]}
 
 
+    def test_non_finite_reward_names_first_history(self, counterexample_tree):
+        # every pass reads rewards through the compiled form, which names the
+        # lowest id whose state reward, or one of whose action rewards, is
+        # not finite; leaves have no action rewards
+        bm, tree = counterexample_tree
+        base = bm.rewards[0]
+
+        def poisoned(kind, envs):
+            def state_reward(state):
+                return np.inf if kind == "state" and state.env[0] in envs else base.state_reward(state)
+
+            def action_reward(state, joint):
+                if kind == "action" and state.env[0] in envs:
+                    return np.nan
+                return base.action_reward(state, joint)
+
+            return RewardStructure(action_reward, state_reward), bm.rewards[1]
+
+        named = set()
+        all_envs = sorted({float(n.state.env[0]) for n in tree.nodes})
+        for kind in ("state", "action"):
+            for envs in itertools.combinations(all_envs, 2):
+                holders = [n.id for n in tree.nodes if n.state.env[0] in envs
+                           and (kind == "state" or not tree.is_leaf(n))]
+                if not holders:
+                    run_gbi(tree, poisoned(kind, envs), "ne")
+                    continue
+                with pytest.raises(ModelError, match=f"^history {min(holders)} has a state or action"):
+                    run_gbi(tree, poisoned(kind, envs), "ne")
+                named.add(min(holders))
+        assert 0 in named and len(named) > 3
+
+
 def reference_stage_matrices(rewards, node, values):
     """The per-joint loop the compiled kernel replaced, kept as the oracle."""
     m1, m2 = node.menus
@@ -147,8 +183,17 @@ class TestCompiledKernel:
                 return (mixes[node.id] * z1).sum(), (mixes[node.id] * z2).sum()
 
             games: dict = {}
+
+            def group_step(group, z):
+                out = []
+                for row, nid in enumerate(group.ids.tolist()):
+                    for i in range(2):
+                        games[(nid, i)] = z[i, row]
+                    out.append(step(structure.nodes[nid], *z[:, row]))
+                return out
+
             expected = reference_induce(structure, rewards, step)
-            got = induce(structure, rewards, step, games=games)
+            got = induce_groups(structure, rewards, group_step)
             assert got.tobytes() == expected.tobytes(), name
             tables = [expected, rng.normal(size=expected.shape),
                       np.full(expected.shape, -0.0)]
@@ -178,6 +223,77 @@ class TestCompiledKernel:
         for run in passes:
             with pytest.raises(ModelError, match="strategy data missing at history 3$"):
                 run(tree, bm.rewards, sol)
+
+
+def reference_gbi(structure, rewards, kind, policy, seed=None):
+    """Backward induction node by node in id order over the reference kernel,
+    each node through :meth:`StageGameCache.solve`: values, profiles and the
+    cache."""
+    rng = np.random.default_rng(seed)
+    cache = StageGameCache()
+    profiles = {}
+
+    def step(node, z1, z2):
+        sol = profiles[node.id] = cache.solve(BimatrixGame(z1, z2), kind, policy, rng)
+        return sol.payoffs
+
+    return reference_induce(structure, rewards, step), profiles, cache
+
+
+@pytest.fixture(scope="module")
+def vcas_t3():
+    bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
+    return bm, unfold_regions(bm.model, bm.initial, bm.horizon)
+
+
+class TestGroupStep:
+    """run_gbi solves each stage group as one stack and gives what a per-node
+    pass gives: values, profile bytes and cache counts."""
+
+    @pytest.mark.parametrize("policy", ["sw-optimal", "first-found", "seeded-random"])
+    def test_matches_per_node_reference(self, policy, vcas_t3):
+        bm, graph = vcas_t3
+        cases = list(oracle_structures()) + [("vcas-t3-eps0.2", bm.rewards, graph)]
+        for name, rewards, structure in cases:
+            for kind in ("ne", "ce"):
+                values, profiles, ref_cache = reference_gbi(structure, rewards, kind, policy, seed=7)
+                cache = StageGameCache()
+                sol = run_gbi(structure, rewards, kind, policy, seed=7, cache=cache)
+                assert sol.values.tobytes() == values.tobytes(), (name, kind)
+                assert sorted(sol.profiles) == sorted(profiles), (name, kind)
+                assert solution_bytes(sol.profiles[nid] for nid in sorted(profiles)) == \
+                    solution_bytes(profiles[nid] for nid in sorted(profiles)), (name, kind)
+                assert (cache.hits, cache.misses) == (ref_cache.hits, ref_cache.misses), (name, kind)
+
+    def test_a_second_pass_hits_every_game(self, vcas_t3):
+        # the group step and StageGameCache.solve share one store and key
+        bm, graph = vcas_t3
+        cache = StageGameCache()
+        first = run_gbi(graph, bm.rewards, "ne", cache=cache)
+        counts = (cache.hits, cache.misses)
+        again = run_gbi(graph, bm.rewards, "ne", cache=cache)
+        assert (cache.hits, cache.misses) == (counts[0] + len(first.profiles), counts[1])
+        assert again.values.tobytes() == first.values.tobytes()
+        node = graph.nodes[0]
+        z1, z2 = stage_matrices(graph, bm.rewards, node, first.values)
+        assert cache.solve(BimatrixGame(z1, z2), "ne", "sw-optimal") is again.profiles[0]
+
+    def test_one_stacked_enumeration_per_group(self, vcas_t3, monkeypatch):
+        # each agent's polytope is enumerated once per stage group, not once
+        # per missed game: a fall-back to per-node solving fails here
+        bm, graph = vcas_t3
+        calls = []
+
+        def counted(col_payoffs, feas_tol):
+            calls.append(len(col_payoffs))
+            return polytope_vertices(col_payoffs, feas_tol)
+
+        monkeypatch.setattr("nscsg.nfg._polytope_vertices", counted)
+        cache = StageGameCache()
+        run_gbi(graph, bm.rewards, "ne", cache=cache)
+        groups = sum(len(g) for g in graph._compiled().groups)
+        assert 0 < len(calls) <= 2 * groups < cache.misses
+        assert sum(calls) == 2 * cache.misses
 
 
 def solution_bytes(sols):

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import nscsg.nfg as nfg
+from nscsg.errors import ResourceLimitError
 from nscsg.nfg import (
     BimatrixGame,
+    any_equilibria,
     any_equilibrium,
     enumerate_ne,
+    enumerate_ne_stack,
     swce,
     swne,
     zero_sum_value,
@@ -13,6 +19,10 @@ from nscsg.nfg import (
 NODE4 = BimatrixGame([[0.0, 0.0], [0.0, 5.0]], [[8.0, 0.0], [0.0, 2.0]])
 PENNIES = BimatrixGame([[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]])
 DILEMMA = BimatrixGame([[3.0, 0.0], [4.0, 1.0]], [[3.0, 4.0], [0.0, 1.0]])
+
+
+def solution_bytes(sol):
+    return [None if a is None else a.tobytes() for a in (sol.mu1, sol.mu2, sol.mu_joint, sol.payoffs)]
 
 
 def payoff_set(points):
@@ -67,6 +77,38 @@ class TestEnumerateNe:
         base = payoff_set(enumerate_ne(g))
         permuted = payoff_set(enumerate_ne(gp))
         assert base == pytest.approx(permuted, abs=1e-7)
+
+
+class TestStackedEnumeration:
+    def test_basis_cap_raises_before_allocating(self, monkeypatch):
+        # a 12x12 game has 2 * C(24, 12) bases, over the cap; the broadcast
+        # stack of 10,000 of them holds the floats of one
+        def unreachable(*args):
+            raise AssertionError("vertices enumerated over the basis cap")
+
+        monkeypatch.setattr(nfg, "_polytope_vertices", unreachable)
+        stack = np.broadcast_to(np.zeros((12, 12)), (10_000, 12, 12))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="12x12 game exceeds the basis cap"):
+                enumerate_ne_stack(stack, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        with pytest.raises(ResourceLimitError):
+            enumerate_ne(BimatrixGame(stack[0], stack[0]))
+
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    @pytest.mark.parametrize("policy", ["sw-optimal", "first-found"])
+    def test_any_equilibria_is_any_equilibrium_per_game(self, kind, policy):
+        rng = np.random.default_rng(17)
+        p1, p2 = rng.integers(-2, 3, size=(2, 30, 3, 2)).astype(float)
+        got = any_equilibria(p1, p2, kind, policy)
+        one = [any_equilibrium(BimatrixGame(a, b), kind, policy) for a, b in zip(p1, p2)]
+        assert list(map(solution_bytes, got)) == list(map(solution_bytes, one))
+        with pytest.raises(ValueError, match="needs an rng"):
+            any_equilibria(p1, p2, kind, "seeded-random")
 
 
 class TestSwne:
