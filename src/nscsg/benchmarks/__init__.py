@@ -2,7 +2,7 @@
 and a two-aircraft collision avoidance scenario."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import ModelError
 from ..model import GlobalState, NsCsg, RewardStructure
@@ -20,18 +20,18 @@ class BuiltModel:
 
 
 def build(name: str, params: dict | None = None) -> BuiltModel:
-    """Construct a named benchmark from a parameter mapping."""
-    params = dict(params or {})
+    """Construct a named benchmark from a parameter mapping; an unknown name
+    or parameter raises :class:`ModelError`."""
     if name == "counterexample":
-        from .counterexample import CounterexampleParams, build_counterexample
-
-        return build_counterexample(CounterexampleParams(**params))
-    if name == "parking":
-        from .parking import ParkingParams, build_parking
-
-        return build_parking(ParkingParams(**params))
-    if name == "vcas":
-        from .vcas import VcasParams, build_vcas
-
-        return build_vcas(VcasParams(**params))
-    raise ModelError(f"unknown benchmark {name!r}")
+        from .counterexample import CounterexampleParams as Params, build_counterexample as make
+    elif name == "parking":
+        from .parking import ParkingParams as Params, build_parking as make
+    elif name == "vcas":
+        from .vcas import VcasParams as Params, build_vcas as make
+    else:
+        raise ModelError(f"unknown benchmark {name!r}")
+    params = dict(params or {})
+    unknown = sorted(set(params) - {f.name for f in fields(Params)})
+    if unknown:
+        raise ModelError(f"unknown {name} parameter {unknown[0]!r}")
+    return make(Params(**params))

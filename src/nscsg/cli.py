@@ -45,7 +45,10 @@ def _json_arg(blob: str):
         is_file = Path(blob).exists()
     except OSError:  # e.g. longer than a file name may be: inline JSON
         is_file = False
-    return json.loads(Path(blob).read_text() if is_file else blob)
+    try:
+        return json.loads(Path(blob).read_text() if is_file else blob)
+    except (OSError, ValueError) as exc:  # unreadable file, or malformed JSON
+        raise ModelError(f"cannot read JSON argument: {exc}") from None
 
 
 def _load(model_ref: str, params_blob):

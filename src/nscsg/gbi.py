@@ -14,11 +14,12 @@ builds the matrices of one stage group in one array step and
 per stage) and its per-group form :func:`induce_groups` are the one
 bottom-up pass, so every solver and checker differs only in its step.
 
-:func:`run_gbi` solves each stage group as a whole: it rounds the group's
-stage games once, keys every row from the rounded bytes (the key of
-:meth:`StageGameCache.solve`, so both share one store), and passes the
-group's distinct missed games to the stacked solver
-:func:`nscsg.nfg.any_equilibria` in one call.
+:func:`run_gbi` solves each stage group as one stack
+(:meth:`StageGameCache.solve_stack`, whose one-row form is
+:meth:`StageGameCache.solve`): it rounds the group's stage games once, keys
+every row from the rounded bytes, and passes the distinct missed games to
+:func:`nscsg.nfg.any_equilibria` in one call.  FSI's re-induction scores a
+node's candidate equilibria as one such stack per free ancestor.
 """
 from __future__ import annotations
 
@@ -148,12 +149,6 @@ def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
     return outs
 
 
-def _key(kind: str, policy: str, p1: np.ndarray, p2: np.ndarray) -> tuple:
-    """The solution-store key of a stage game from its payoffs rounded to
-    12 decimals."""
-    return (kind, policy, p1.shape, p1.tobytes(), p2.tobytes())
-
-
 class StageGameCache:
     """Memoises stage-game solutions keyed by rounded payoff matrices, and
     the candidate equilibria of a stage game keyed by its exact payoffs."""
@@ -182,31 +177,25 @@ class StageGameCache:
         return out
 
     def solve(self, game: BimatrixGame, kind: str, policy: str, rng=None) -> StageSolution:
-        """A solution of ``game`` under ``policy``, memoised except for
-        "seeded-random", the one policy that draws from ``rng``."""
+        """A solution of ``game`` under ``policy``: the one-row
+        :meth:`solve_stack`, except for "seeded-random", the one policy that
+        draws from ``rng``, which is not memoised."""
         if policy == "seeded-random":
             return any_equilibrium(game, kind, policy, rng)
-        key = _key(kind, policy, np.round(game.p1, 12), np.round(game.p2, 12))
-        hit = self._store.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self.misses += 1
-        sol = any_equilibrium(game, kind, policy)
-        self._store[key] = sol
-        return sol
+        return self.solve_stack(np.stack((game.p1, game.p2))[:, None], kind, policy)[0]
 
     def solve_stack(self, z: np.ndarray, kind: str, policy: str) -> list[StageSolution]:
-        """:meth:`solve` of each game of the stack ``z`` (shape (2, n, m1,
-        m2)) in row order, under "sw-optimal" or "first-found": the same
-        keys, store, hits and misses, with the distinct missed games solved
-        in one :func:`any_equilibria` call."""
+        """A solution of each game of the stack ``z`` (shape (2, n, m1, m2))
+        in row order, under "sw-optimal" or "first-found", memoised by the
+        game's payoffs rounded to 12 decimals.  Each distinct key not yet
+        stored is one miss and every other row a hit; the missed games are
+        solved in one :func:`any_equilibria` call."""
         rounded = np.round(z, 12)
         sols = []
         missed: dict = {}  # key -> first row
         waiting = []  # (row, key) of rows not stored yet; a hit keeps no key, to bound memory
         for row, (p1, p2) in enumerate(zip(rounded[0], rounded[1])):
-            key = _key(kind, policy, p1, p2)
+            key = (kind, policy, p1.shape, p1.tobytes(), p2.tobytes())
             sol = self._store.get(key)
             if sol is None:
                 missed.setdefault(key, row)

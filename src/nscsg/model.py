@@ -688,15 +688,23 @@ def load_model_json(source):
     """Load a tabular model file, or dispatch to a named built-in dynamics.
 
     Returns a :class:`nscsg.benchmarks.BuiltModel` either way; a tabular
-    file's horizon is its ``"horizon"`` entry (default 1).
+    file's horizon is its ``"horizon"`` entry (default 1).  A file that cannot
+    be read or parsed, or lacks a field, raises :class:`ModelError`.
     """
-    from . import benchmarks
-
-    if isinstance(source, dict):
-        doc = source
-    else:
+    where = "model" if isinstance(source, dict) else f"model file {source}"
+    try:
+        if isinstance(source, dict):
+            return _tabular_bundle(source)
         with open(source) as fh:
-            doc = json.load(fh)
+            return _tabular_bundle(json.load(fh))
+    except (OSError, ValueError) as exc:  # e.g. a missing file or malformed JSON
+        raise ModelError(f"cannot read {where}: {exc}") from None
+    except KeyError as exc:
+        raise ModelError(f"{where} lacks field {exc.args[0]!r}") from None
+
+
+def _tabular_bundle(doc: dict):
+    from . import benchmarks
 
     env_doc = doc.get("environment", {})
     if "builtin" in env_doc:

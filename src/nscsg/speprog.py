@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
-from .gbi import (EquilibriumSolution, StageGameCache, _require, induce_groups, stage_games,
-                  stage_matrices)
+from .gbi import EquilibriumSolution, StageGameCache, _require, induce_groups, stage_games
 from .lp import LinearProgram, lp_solve
 from .nfg import BimatrixGame, StageSolution
 from .unfold import StageGroup, Structure
@@ -730,10 +729,13 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
 
     Every candidate state is subgame perfect by construction (each node holds
     an equilibrium of its own stage game), so feasibility is maintained; a
-    move is kept only when it strictly improves the root social welfare.
+    move is kept only when it strictly improves the root social welfare.  A
+    node's candidates are scored together, each free ancestor's games solved
+    as one stack (:meth:`StageGameCache.solve_stack`).
     """
     free = _free_part(structure, frozen)
     cache = cache or StageGameCache()
+    compiled = structure._compiled()
 
     current = init.copy()
     values, _ = evaluate_values(structure, rewards, current)
@@ -741,42 +743,38 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     sw = float(values[0].sum())
 
     order = _bottom_up(structure, free)
+    ancestors = {nid: _free_ancestors(structure, free, nid) for nid in order}
     for _ in range(max(rounds, 0)):
         best = None
         for nid in order:
-            node = structure.nodes[nid]
-            z1, z2 = stage_matrices(structure, rewards, node, current.values)
+            group, row = compiled.locate(nid)
+            z = stage_games(structure, rewards, group, current.values, slice(row, row + 1))[:, 0]
             try:
-                candidates = cache.stage_candidates(BimatrixGame(z1, z2), kind)
+                candidates = cache.stage_candidates(BimatrixGame(z[0], z[1]), kind)
             except (SolverError, ResourceLimitError):
                 continue
             cur_joint = current.profiles[nid].joint_distribution()
-            for candidate in candidates:
-                if np.abs(candidate.joint_distribution() - cur_joint).max() < 1e-9:
-                    continue
-                trial = _apply_and_reinduce(structure, rewards, kind, free, current,
-                                            nid, candidate, cache)
-                trial_sw = float(trial.values[0].sum())
+            candidates = [c for c in candidates
+                          if not np.abs(c.joint_distribution() - cur_joint).max() < 1e-9]
+            if not candidates:
+                continue
+            trials = np.repeat(current.values[None], len(candidates), axis=0)
+            trials[:, nid] = [c.payoffs for c in candidates]
+            solved = []
+            for qid in ancestors[nid]:
+                group, row = compiled.locate(qid)
+                z = stage_games(structure, rewards, group, trials, slice(row, row + 1))[:, :, 0]
+                solved.append(cache.solve_stack(z, kind, "sw-optimal"))
+                trials[:, qid] = [sol.payoffs for sol in solved[-1]]
+            for k, candidate in enumerate(candidates):
+                trial_sw = float(trials[k, 0].sum())
                 if trial_sw > sw + 1e-9 and (best is None or trial_sw > best[0] + 1e-12):
+                    trial = current.copy()
+                    trial.values = trials[k]
+                    trial.profiles[nid] = candidate
+                    trial.profiles.update(zip(ancestors[nid], (sols[k] for sols in solved)))
                     best = (trial_sw, trial)
         if best is None:
             break
         sw, current = best
     return current
-
-
-def _apply_and_reinduce(structure: Structure, rewards, kind: str, free: set,
-                        current: EquilibriumSolution, nid: int,
-                        candidate: StageSolution, cache: StageGameCache):
-    """Set ``candidate`` at ``nid`` and re-select equilibria bottom-up above it."""
-    trial = current.copy()
-    trial.values = current.values.copy()
-    trial.profiles[nid] = candidate
-    trial.values[nid] = candidate.payoffs
-    for qid in _free_ancestors(structure, free, nid):
-        qnode = structure.nodes[qid]
-        z1, z2 = stage_matrices(structure, rewards, qnode, trial.values)
-        sol = cache.solve(BimatrixGame(z1, z2), kind, "sw-optimal")
-        trial.profiles[qid] = sol
-        trial.values[qid] = sol.payoffs
-    return trial

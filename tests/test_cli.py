@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +218,32 @@ class TestVerify:
                                "--solution", str(out_dir / "solution.json"), capsys=capsys)
         assert code == 2
         assert err == f"model error: {message}"
+
+
+class TestModelInputErrors:
+    """A bad ``--model`` or ``--params`` input is a model error (exit 2) that
+    names what is wrong, not a traceback."""
+
+    @pytest.mark.parametrize("content, params, message", [
+        (None, None, "cannot read model file"),
+        ("{bad", None, "cannot read model file"),
+        ('{"agents": []}', None, "lacks field 'dim'"),
+        ("parking", '{"horizon": ', "cannot read JSON argument"),
+        ("parking", '{"nosuch": 1}', "unknown parking parameter 'nosuch'"),
+    ], ids=["missing-file", "malformed-file", "missing-field", "malformed-params",
+            "unknown-param"])
+    def test_solve(self, tmp_path, capsys, content, params, message):
+        model = str(tmp_path / "model.json")
+        if content == "parking":
+            model = content
+        elif content is not None:
+            Path(model).write_text(content)
+        extra = ("--params", params) if params is not None else ()
+        code, out, err = run_cli("solve", "--model", model, *extra, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("model error:") and message in err
+        if content is None or content.startswith("{"):
+            assert model in err
 
 
 class TestNonFiniteRewards:

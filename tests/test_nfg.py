@@ -69,6 +69,16 @@ class TestEnumerateNe:
             g = BimatrixGame(rng.normal(size=(m, n)), rng.normal(size=(m, n)))
             assert enumerate_ne(g)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_odd_number_on_gaussian_games(self, m):
+        # Shapley (1974): a nondegenerate bimatrix game has an odd number of
+        # equilibria, and Gaussian payoffs are nondegenerate almost surely
+        rng = np.random.default_rng(100 + m)
+        for n in range(1, 5):
+            for _ in range(50):
+                g = BimatrixGame(rng.normal(size=(m, n)), rng.normal(size=(m, n)))
+                assert len(enumerate_ne(g)) % 2 == 1, (g.p1, g.p2)
+
     def test_action_permutation_keeps_payoffs(self):
         rng = np.random.default_rng(3)
         g = BimatrixGame(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_model, random_profiles
+from test_gbi import solution_bytes
 
 from nscsg.benchmarks import build
-from nscsg.errors import ModelError
-from nscsg.gbi import EquilibriumSolution, run_gbi, social_welfare
+from nscsg.errors import ModelError, ResourceLimitError, SolverError
+from nscsg.fsi import freeze_partition
+from nscsg.gbi import EquilibriumSolution, StageGameCache, run_gbi, social_welfare, stage_matrices
 from nscsg.nfg import BimatrixGame, StageSolution, swce, swne
 from nscsg.speprog import (
+    _bottom_up,
+    _free_ancestors,
+    _free_part,
     assignment_from_solution,
     build_ce_system,
     build_ne_system,
@@ -19,7 +24,7 @@ from nscsg.speprog import (
     reinduction_solve,
     solve_exact_grid,
 )
-from nscsg.unfold import unfold_tree
+from nscsg.unfold import unfold_regions, unfold_tree
 
 
 def one_stage_tree(p1, p2):
@@ -356,7 +361,77 @@ class TestCoordinateAscent:
             coordinate_ascent_solve(tree, bm.rewards, "ne", set(), bad)
 
 
+def reference_reinduction(structure, rewards, kind, frozen, init, rounds, cache):
+    """Re-induction one candidate at a time: each trial re-solves its free
+    ancestors node by node through :meth:`StageGameCache.solve`."""
+    free = _free_part(structure, frozen)
+    current = init.copy()
+    current.values = evaluate_values(structure, rewards, current)[0]
+    sw = float(current.values[0].sum())
+    for _ in range(rounds):
+        best = None
+        for nid in _bottom_up(structure, free):
+            z1, z2 = stage_matrices(structure, rewards, structure.nodes[nid], current.values)
+            try:
+                candidates = cache.stage_candidates(BimatrixGame(z1, z2), kind)
+            except (SolverError, ResourceLimitError):
+                continue
+            cur_joint = current.profiles[nid].joint_distribution()
+            for candidate in candidates:
+                if np.abs(candidate.joint_distribution() - cur_joint).max() < 1e-9:
+                    continue
+                trial = current.copy()
+                trial.profiles[nid] = candidate
+                trial.values[nid] = candidate.payoffs
+                for qid in _free_ancestors(structure, free, nid):
+                    z1, z2 = stage_matrices(structure, rewards, structure.nodes[qid], trial.values)
+                    sol = trial.profiles[qid] = cache.solve(BimatrixGame(z1, z2), kind, "sw-optimal")
+                    trial.values[qid] = sol.payoffs
+                trial_sw = float(trial.values[0].sum())
+                if trial_sw > sw + 1e-9 and (best is None or trial_sw > best[0] + 1e-12):
+                    best = (trial_sw, trial)
+        if best is None:
+            break
+        sw, current = best
+    return current
+
+
+def reinduction_structures():
+    bm = build("parking", {"horizon": 8, "reward_structure": 2})
+    yield "parking-k8", bm.rewards, unfold_regions(bm.model, bm.initial, 8)
+    bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
+    yield "vcas-t3-eps0.2", bm.rewards, unfold_regions(bm.model, bm.initial, bm.horizon)
+    bm = build("counterexample", {"phi": -10})
+    yield "counterexample", bm.rewards, unfold_tree(bm.model, bm.initial, bm.horizon)
+    for seed in (17, 31, 41, 57):  # draws with alternative equilibria below the root
+        bm = random_model(seed)
+        yield f"random-{seed}", bm.rewards, unfold_tree(bm.model, bm.initial, bm.horizon)
+
+
 class TestReinduction:
+    def test_matches_per_candidate_reference(self):
+        """Scoring a node's candidates as one stack gives what one walk per
+        candidate gives: values, profile bytes and all four cache counts,
+        over a run of free parts as FSI draws them."""
+        for name, rewards, structure in reinduction_structures():
+            last_stage = structure.stage_nodes(structure.horizon - 1)
+            picks = np.random.default_rng(0).integers(len(last_stage), size=3)
+            for kind in ("ne", "ce"):
+                caches = StageGameCache(), StageGameCache()
+                ref, out = (run_gbi(structure, rewards, kind, cache=c) for c in caches)
+                for pick in picks:
+                    _, frozen = freeze_partition(structure, last_stage[pick].id)
+                    ref = reference_reinduction(structure, rewards, kind, frozen, ref, 4, caches[0])
+                    out = reinduction_solve(structure, rewards, kind, frozen, out, 4, caches[1])
+                    where = (name, kind, int(pick))
+                    assert out.values.tobytes() == ref.values.tobytes(), where
+                    assert sorted(out.profiles) == sorted(ref.profiles), where
+                    assert solution_bytes(out.profiles[nid] for nid in sorted(ref.profiles)) == \
+                        solution_bytes(ref.profiles[nid] for nid in sorted(ref.profiles)), where
+                    ref_counts, counts = ((c.hits, c.misses, c.candidate_hits, c.candidate_misses)
+                                          for c in caches)
+                    assert counts == ref_counts, where
+
     def test_counterexample_reaches_global_optimum(self, counterexample):
         bm, tree = counterexample
         for kind in ("ne", "ce"):
