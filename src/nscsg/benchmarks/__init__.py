@@ -21,7 +21,8 @@ class BuiltModel:
 
 def build(name: str, params: dict | None = None) -> BuiltModel:
     """Construct a named benchmark from a parameter mapping; an unknown name
-    or parameter raises :class:`ModelError`."""
+    or parameter, or parameters that are not a mapping, raise
+    :class:`ModelError`."""
     if name == "counterexample":
         from .counterexample import CounterexampleParams as Params, build_counterexample as make
     elif name == "parking":
@@ -30,6 +31,8 @@ def build(name: str, params: dict | None = None) -> BuiltModel:
         from .vcas import VcasParams as Params, build_vcas as make
     else:
         raise ModelError(f"unknown benchmark {name!r}")
+    if params is not None and not isinstance(params, dict):
+        raise ModelError(f"{name} parameters must be a JSON object, not {type(params).__name__}")
     params = dict(params or {})
     unknown = sorted(set(params) - {f.name for f in fields(Params)})
     if unknown:

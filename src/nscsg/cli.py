@@ -55,6 +55,8 @@ def _load(model_ref: str, params_blob):
     params = _json_arg(params_blob) if params_blob else {}
     if model_ref in _BUILTINS:
         return benchmarks.build(model_ref, params)
+    if not isinstance(params, dict):
+        raise ModelError(f"--params holds {type(params).__name__}, not a JSON object")
     bundle = load_model_json(model_ref)
     if "horizon" in params:
         bundle = replace(bundle, horizon=int(params["horizon"]))

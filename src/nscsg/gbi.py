@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ModelError
 from .model import RewardStructure
-from .nfg import (BimatrixGame, StageSolution, _ce_from_lp, any_equilibria, any_equilibrium,
-                  enumerate_ne, zero_sum_value)
+from .nfg import (BimatrixGame, StageSolution, _ce_stack, any_equilibria, any_equilibrium,
+                  enumerate_ne, zero_sum_values)
 from .unfold import Node, StageGroup, Structure
 
 
@@ -134,14 +134,16 @@ class EquilibriumSolution:
 
 def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
     """Alternative equilibria of one stage game: every Nash equilibrium, or
-    the distinct correlated equilibria of five linear objectives."""
+    the distinct correlated equilibria of five linear objectives, whose LPs
+    are solved as one stack."""
     if kind == "ne":
         return [StageSolution("ne", p.mu1, p.mu2, None, p.payoffs) for p in enumerate_ne(game)]
+    p1, p2 = game.p1.ravel(), game.p2.ravel()
+    objectives = np.stack((p1 + p2, -p1, -p2, p1, p2))
     outs = []
     seen = set()
-    for objective in ((game.p1 + game.p2).ravel(), -game.p1.ravel(), -game.p2.ravel(),
-                      game.p1.ravel(), game.p2.ravel()):
-        ce = _ce_from_lp(game, objective)
+    for ce in _ce_stack(*(np.broadcast_to(p, (5,) + game.shape) for p in (game.p1, game.p2)),
+                        objectives):
         key = tuple(np.round(ce.mu.ravel(), 9))
         if key not in seen:
             seen.add(key)
@@ -259,17 +261,17 @@ def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> M
     """Zero-sum baseline: agent 1 maximises its reward, agent 2 minimises it.
 
     Only agent 1's reward structure is consulted: the pass builds agent 1's
-    stage matrices alone, and agent 2's value is the negation.
+    stage matrices alone, and agent 2's value is the negation.  A stage
+    group's maximin LPs are solved as two stacks
+    (:func:`nscsg.nfg.zero_sum_values`).
     """
     profiles: dict[int, StageSolution] = {}
 
     def step(group, z):
-        values = np.empty((len(group.ids), 1))
+        x, y, v = zero_sum_values(z[0])
         for row, nid in enumerate(group.ids.tolist()):
-            x, y, v = zero_sum_value(z[0, row])
-            profiles[nid] = StageSolution("ne", x, y, None, np.array([v, -v]))
-            values[row] = v
-        return values
+            profiles[nid] = StageSolution("ne", x[row], y[row], None, np.array([v[row], -v[row]]))
+        return v[:, None]
 
     values = induce_groups(structure, rewards[:1], step)
     return MinimaxSolution(np.hstack((values, -values)), profiles)

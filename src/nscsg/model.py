@@ -689,18 +689,25 @@ def load_model_json(source):
 
     Returns a :class:`nscsg.benchmarks.BuiltModel` either way; a tabular
     file's horizon is its ``"horizon"`` entry (default 1).  A file that cannot
-    be read or parsed, or lacks a field, raises :class:`ModelError`.
+    be read or parsed, that is not a JSON object, or that lacks a field or
+    holds one of the wrong JSON type raises :class:`ModelError`.
     """
     where = "model" if isinstance(source, dict) else f"model file {source}"
     try:
         if isinstance(source, dict):
-            return _tabular_bundle(source)
-        with open(source) as fh:
-            return _tabular_bundle(json.load(fh))
+            doc = source
+        else:
+            with open(source) as fh:
+                doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ModelError(f"{where} holds {type(doc).__name__}, not a JSON object")
+        return _tabular_bundle(doc)
     except (OSError, ValueError) as exc:  # e.g. a missing file or malformed JSON
         raise ModelError(f"cannot read {where}: {exc}") from None
     except KeyError as exc:
         raise ModelError(f"{where} lacks field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:  # e.g. a number where a list or object belongs
+        raise ModelError(f"{where} holds a field of the wrong type: {exc}") from None
 
 
 def _tabular_bundle(doc: dict):

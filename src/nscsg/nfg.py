@@ -20,6 +20,12 @@ test and the pure-deviation check as array steps, in chunks of at most
 one-game calls, and :func:`any_equilibria` solves a stack of distinct stage
 games under a deterministic policy, as backward induction does for each
 stage group's cache misses.
+
+Correlated equilibria and zero-sum values are linear programs: the games of
+a stack build their constraint rows as arrays and have their LPs solved as
+one stack (:func:`nscsg.lp.lp_solve_stack`); :func:`swce` and
+:func:`zero_sum_value` are one-game calls of :func:`_ce_stack` and
+:func:`zero_sum_values`.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimitError, SolverError
-from .lp import LinearProgram, lp_solve
+from .lp import lp_solve_stack
 
 EQ_TOL = 1e-7
 BASIS_CAP = 500_000
@@ -265,47 +271,46 @@ class CorrelatedPoint:
         return float(self.payoffs.sum())
 
 
-def _ce_constraints(game: BimatrixGame):
-    """Swap-incentive rows as A_ub mu <= 0 over the flattened joint simplex."""
-    m, n = game.shape
-    rows = []
-    for ai in range(m):
-        for alt in range(m):
-            if alt == ai:
-                continue
-            row = np.zeros((m, n))
-            row[ai, :] = game.p1[alt, :] - game.p1[ai, :]
-            rows.append(row.ravel())
-    for aj in range(n):
-        for alt in range(n):
-            if alt == aj:
-                continue
-            row = np.zeros((m, n))
-            row[:, aj] = game.p2[:, alt] - game.p2[:, aj]
-            rows.append(row.ravel())
-    a_ub = np.asarray(rows) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-    return a_ub, b_ub
+def _ce_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Swap-incentive rows, A_ub mu <= 0 over the flattened joint simplex, of
+    each game of the stacks ``p1``, ``p2`` (G, m, n): shape
+    (G, m(m-1) + n(n-1), m n).  Agent 1's swaps come first, each action in
+    turn against every other, then agent 2's."""
+    g, m, n = p1.shape
+    a1, alt1 = np.nonzero(~np.eye(m, dtype=bool))
+    a2, alt2 = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.zeros((g, len(a1) + len(a2), m, n))
+    rows[:, np.arange(len(a1)), a1] = p1[:, alt1] - p1[:, a1]
+    rows[:, len(a1) + np.arange(len(a2)), :, a2] = (p2[:, :, alt2] - p2[:, :, a2]).transpose(2, 0, 1)
+    return rows.reshape(g, -1, m * n)
+
+
+def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[CorrelatedPoint]:
+    """The correlated equilibrium maximising ``objectives[k]`` (G, m n) of
+    each game (p1[k], p2[k]) of a stack, the games' LPs solved as one stack.
+
+    The lowest game whose LP fails raises, as a loop over the games would.
+    """
+    g, m, n = p1.shape
+    rows = _ce_rows(p1, p2)
+    res = lp_solve_stack(objectives, rows, np.zeros(rows.shape[:2]), np.ones((g, 1, m * n)),
+                         np.ones((g, 1)))
+    points = []
+    for k, (a, b) in enumerate(zip(p1, p2)):
+        if res.status[k] != "optimal":
+            res.result(k)  # raises an "error" row's SolverError
+            # every Nash equilibrium is feasible, so this cannot legitimately happen
+            raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
+        mu = np.clip(res.x[k].reshape(m, n), 0.0, None)
+        mu /= mu.sum()
+        points.append(CorrelatedPoint(mu, np.array([float((mu * a).sum()), float((mu * b).sum())])))
+    return points
 
 
 def _ce_from_lp(game: BimatrixGame, objective: np.ndarray) -> CorrelatedPoint:
-    m, n = game.shape
-    a_ub, b_ub = _ce_constraints(game)
-    lp = LinearProgram(
-        c=objective,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=np.ones((1, m * n)),
-        b_eq=np.array([1.0]),
-    )
-    res = lp_solve(lp)
-    if res.status != "optimal":
-        # every Nash equilibrium is feasible, so this cannot legitimately happen
-        raise SolverError(f"correlated-equilibrium LP reported {res.status}")
-    mu = np.clip(res.x.reshape(m, n), 0.0, None)
-    mu /= mu.sum()
-    payoffs = np.array([float((mu * game.p1).sum()), float((mu * game.p2).sum())])
-    return CorrelatedPoint(mu, payoffs)
+    """The correlated equilibrium of ``game`` maximising ``objective``: the
+    one-game :func:`_ce_stack`."""
+    return _ce_stack(game.p1[None], game.p2[None], np.asarray(objective, dtype=float)[None])[0]
 
 
 def swce(game: BimatrixGame) -> CorrelatedPoint:
@@ -317,11 +322,37 @@ def swce(game: BimatrixGame) -> CorrelatedPoint:
 # zero-sum
 
 
+def zero_sum_values(p: np.ndarray):
+    """:func:`zero_sum_value` of each game of the stack ``p`` (G, m, n) of
+    agent 1's payoffs.
+
+    The maximin LPs of the games are solved as two stacks, agent 1's and
+    agent 2's; the lowest game whose LPs fail raises, as a loop over the
+    games would.  Returns ``(x, y, values)`` of shapes (G, m), (G, n), (G,).
+    """
+    p = np.asarray(p, dtype=float)
+    g, m, n = p.shape
+    shift = p.min(axis=(1, 2)) - 1.0
+    M = p - shift[:, None, None]  # strictly positive
+
+    res_x = lp_solve_stack(np.full((g, m), -1.0), -M.transpose(0, 2, 1), np.full((g, n), -1.0))
+    res_y = lp_solve_stack(np.ones((g, n)), M, np.ones((g, m)))
+    for k in range(g):
+        rx, ry = res_x.result(k), res_y.result(k)
+        if rx.status != "optimal" or ry.status != "optimal":
+            raise SolverError("zero-sum LP failed")
+        if -rx.objective <= 0 or ry.objective <= 0:
+            raise SolverError("zero-sum LP returned a degenerate scale")
+    su, sw = -np.array(res_x.objective), np.array(res_y.objective)
+    return res_x.x / su[:, None], res_y.x / sw[:, None], 1.0 / su + shift
+
+
 def zero_sum_value(game: BimatrixGame | np.ndarray):
     """Maximin solution of a zero-sum game given agent 1's payoffs.
 
     Returns ``(x, y, value)``: agent 1 guarantees at least ``value`` with
-    ``x`` and agent 2 caps agent 1 at ``value`` with ``y``.
+    ``x`` and agent 2 caps agent 1 at ``value`` with ``y``.  The one-game
+    :func:`zero_sum_values`.
     """
     if isinstance(game, BimatrixGame):
         if np.abs(game.p1 + game.p2).max() > 1e-9:
@@ -329,21 +360,8 @@ def zero_sum_value(game: BimatrixGame | np.ndarray):
         p = game.p1
     else:
         p = np.asarray(game, dtype=float)
-    m, n = p.shape
-    shift = p.min() - 1.0
-    M = p - shift  # strictly positive
-
-    res_x = lp_solve(LinearProgram(c=-np.ones(m), a_ub=-M.T, b_ub=-np.ones(n)))
-    res_y = lp_solve(LinearProgram(c=np.ones(n), a_ub=M, b_ub=np.ones(m)))
-    if res_x.status != "optimal" or res_y.status != "optimal":
-        raise SolverError("zero-sum LP failed")
-    su, sw = -res_x.objective, res_y.objective
-    if su <= 0 or sw <= 0:
-        raise SolverError("zero-sum LP returned a degenerate scale")
-    x = res_x.x / su
-    y = res_y.x / sw
-    value = 1.0 / su + shift
-    return x, y, float(value)
+    x, y, value = zero_sum_values(p[None])
+    return x[0], y[0], float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +428,17 @@ def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
     """:func:`any_equilibrium` of each game (p1[k], p2[k]) of a stack of
     games of one shape, under "sw-optimal" or "first-found".
 
-    Nash equilibria of the whole stack are enumerated together; correlated
-    equilibria take one linear program per game.
+    Nash equilibria of the whole stack are enumerated together, and the
+    games' correlated-equilibrium LPs are solved as one stack.
     """
     _check_policy(kind, policy, None)
     if kind == "ne":
         return [_select_ne(points, policy) for points in enumerate_ne_stack(p1, p2)]
-    return [any_equilibrium(BimatrixGame(a, b), kind, policy) for a, b in zip(p1, p2)]
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        raise ValueError("payoffs must be finite")
+    g, m, n = p1.shape
+    objectives = (p1 + p2).reshape(g, m * n) if policy == "sw-optimal" else np.zeros((g, m * n))
+    return [StageSolution("ce", None, None, ce.mu, ce.payoffs)
+            for ce in _ce_stack(p1, p2, objectives)]

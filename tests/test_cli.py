@@ -230,8 +230,13 @@ class TestModelInputErrors:
         ('{"agents": []}', None, "lacks field 'dim'"),
         ("parking", '{"horizon": ', "cannot read JSON argument"),
         ("parking", '{"nosuch": 1}', "unknown parking parameter 'nosuch'"),
+        ("[1]", None, "holds list, not a JSON object"),
+        ('{"agents": 5, "environment": {"dim": 1}}', None, "holds a field of the wrong type"),
+        ("parking", "[1]", "parking parameters must be a JSON object, not list"),
+        ('{"agents": []}', "5", "--params holds int, not a JSON object"),
     ], ids=["missing-file", "malformed-file", "missing-field", "malformed-params",
-            "unknown-param"])
+            "unknown-param", "file-not-object", "field-wrong-type", "params-not-object",
+            "file-params-not-object"])
     def test_solve(self, tmp_path, capsys, content, params, message):
         model = str(tmp_path / "model.json")
         if content == "parking":
@@ -242,7 +247,7 @@ class TestModelInputErrors:
         code, out, err = run_cli("solve", "--model", model, *extra, capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith("model error:") and message in err
-        if content is None or content.startswith("{"):
+        if content is None or content.startswith(("{", "[")) and params is None:
             assert model in err
 
 

@@ -19,7 +19,7 @@ from nscsg.gbi import (
     stage_matrices,
 )
 from nscsg.model import RewardStructure
-from nscsg.nfg import BimatrixGame, zero_sum_value
+from nscsg.nfg import BimatrixGame, StageSolution, zero_sum_value
 from nscsg.nfg import _polytope_vertices as polytope_vertices
 from nscsg.speprog import evaluate_values
 from nscsg.unfold import unfold_regions, unfold_tree
@@ -429,6 +429,27 @@ class TestSocialWelfare:
 
 
 class TestMinimax:
+    def test_stacks_equal_a_per_node_loop(self):
+        # run_minimax solves a stage group's maximin LPs as two stacks; a pass
+        # with one zero_sum_value call per node gives the same bytes
+        for name, rewards, structure in oracle_structures():
+            profiles = {}
+
+            def step(group, z):
+                values = np.empty((len(group.ids), 1))
+                for row, nid in enumerate(group.ids.tolist()):
+                    x, y, v = zero_sum_value(z[0, row])
+                    profiles[nid] = StageSolution("ne", x, y, None, np.array([v, -v]))
+                    values[row] = v
+                return values
+
+            values = induce_groups(structure, rewards[:1], step)
+            mm = run_minimax(structure, rewards)
+            assert mm.values.tobytes() == np.hstack((values, -values)).tobytes(), name
+            assert sorted(mm.profiles) == sorted(profiles), name
+            assert solution_bytes(mm.profiles[nid] for nid in sorted(profiles)) == \
+                solution_bytes(profiles[nid] for nid in sorted(profiles)), name
+
     def test_single_stage_equals_matrix_value(self):
         rng = np.random.default_rng(3)
         p1 = rng.normal(size=(3, 3))

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_lp import failing_game
+
 import nscsg.nfg as nfg
-from nscsg.errors import ResourceLimitError
+from nscsg.errors import ResourceLimitError, SolverError
 from nscsg.nfg import (
     BimatrixGame,
     any_equilibria,
@@ -119,6 +121,17 @@ class TestStackedEnumeration:
         assert list(map(solution_bytes, got)) == list(map(solution_bytes, one))
         with pytest.raises(ValueError, match="needs an rng"):
             any_equilibria(p1, p2, kind, "seeded-random")
+        if kind == "ce":
+            # a stack holding games whose CE LP fails raises what the loop
+            # raised: the error of the lowest failing game, 1093's "infeasible
+            # point" under sw-optimal and 2640's "reported infeasible" under both
+            p1, p2 = np.stack([failing_game(s) for s in (4, 5, 1093, 10, 2640)], axis=1)
+            with pytest.raises(SolverError) as loop:
+                [any_equilibrium(BimatrixGame(a, b), kind, policy) for a, b in zip(p1, p2)]
+            with pytest.raises(SolverError) as stacked:
+                any_equilibria(p1, p2, kind, policy)
+            assert str(stacked.value) == str(loop.value)
+            assert ("infeasible point" in str(loop.value)) == (policy == "sw-optimal")
 
 
 class TestSwne:
