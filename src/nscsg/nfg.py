@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimitError, SolverError
-from .lp import lp_solve_stack
+from . import lp
 
 EQ_TOL = 1e-7
 BASIS_CAP = 500_000
@@ -287,23 +287,29 @@ def _ce_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 
 def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[CorrelatedPoint]:
     """The correlated equilibrium maximising ``objectives[k]`` (G, m n) of
-    each game (p1[k], p2[k]) of a stack, the games' LPs solved as one stack.
+    each game (p1[k], p2[k]) of a stack, the games' LPs solved as LP stacks.
 
-    The lowest game whose LP fails raises, as a loop over the games would.
+    The swap rows are built for at most ``lp._STACK_ENTRIES`` entries of
+    them at a time, so memory stays bounded whatever the stack's size.  The
+    lowest game whose LP fails raises, as a loop over the games would.
     """
     g, m, n = p1.shape
-    rows = _ce_rows(p1, p2)
-    res = lp_solve_stack(objectives, rows, np.zeros(rows.shape[:2]), np.ones((g, 1, m * n)),
-                         np.ones((g, 1)))
+    per = max(1, lp._STACK_ENTRIES // ((m * (m - 1) + n * (n - 1) + 1) * m * n))
     points = []
-    for k, (a, b) in enumerate(zip(p1, p2)):
-        if res.status[k] != "optimal":
-            res.result(k)  # raises an "error" row's SolverError
-            # every Nash equilibrium is feasible, so this cannot legitimately happen
-            raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
-        mu = np.clip(res.x[k].reshape(m, n), 0.0, None)
-        mu /= mu.sum()
-        points.append(CorrelatedPoint(mu, np.array([float((mu * a).sum()), float((mu * b).sum())])))
+    for start in range(0, g, per):
+        part = slice(start, start + per)
+        rows = _ce_rows(p1[part], p2[part])
+        size = len(rows)
+        res = lp.lp_solve_stack(objectives[part], rows, np.zeros(rows.shape[:2]),
+                                np.ones((size, 1, m * n)), np.ones((size, 1)))
+        for k, (a, b) in enumerate(zip(p1[part], p2[part])):
+            if res.status[k] != "optimal":
+                res.result(k)  # raises an "error" row's SolverError
+                # every Nash equilibrium is feasible, so this cannot legitimately happen
+                raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
+            mu = np.clip(res.x[k].reshape(m, n), 0.0, None)
+            mu /= mu.sum()
+            points.append(CorrelatedPoint(mu, np.array([float((mu * a).sum()), float((mu * b).sum())])))
     return points
 
 
@@ -335,8 +341,8 @@ def zero_sum_values(p: np.ndarray):
     shift = p.min(axis=(1, 2)) - 1.0
     M = p - shift[:, None, None]  # strictly positive
 
-    res_x = lp_solve_stack(np.full((g, m), -1.0), -M.transpose(0, 2, 1), np.full((g, n), -1.0))
-    res_y = lp_solve_stack(np.ones((g, n)), M, np.ones((g, m)))
+    res_x = lp.lp_solve_stack(np.full((g, m), -1.0), -M.transpose(0, 2, 1), np.full((g, n), -1.0))
+    res_y = lp.lp_solve_stack(np.ones((g, n)), M, np.ones((g, m)))
     for k in range(g):
         rx, ry = res_x.result(k), res_y.result(k)
         if rx.status != "optimal" or ry.status != "optimal":

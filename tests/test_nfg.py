@@ -5,6 +5,7 @@ import pytest
 
 from test_lp import failing_game
 
+import nscsg.lp as lp
 import nscsg.nfg as nfg
 from nscsg.errors import ResourceLimitError, SolverError
 from nscsg.nfg import (
@@ -113,12 +114,16 @@ class TestStackedEnumeration:
 
     @pytest.mark.parametrize("kind", ["ne", "ce"])
     @pytest.mark.parametrize("policy", ["sw-optimal", "first-found"])
-    def test_any_equilibria_is_any_equilibrium_per_game(self, kind, policy):
+    def test_any_equilibria_is_any_equilibrium_per_game(self, kind, policy, monkeypatch):
         rng = np.random.default_rng(17)
         p1, p2 = rng.integers(-2, 3, size=(2, 30, 3, 2)).astype(float)
         got = any_equilibria(p1, p2, kind, policy)
         one = [any_equilibrium(BimatrixGame(a, b), kind, policy) for a, b in zip(p1, p2)]
         assert list(map(solution_bytes, got)) == list(map(solution_bytes, one))
+        # CE stacks are split into chunks by LP size, down to one game a chunk
+        monkeypatch.setattr(lp, "_STACK_ENTRIES", 100)
+        assert list(map(solution_bytes, any_equilibria(p1, p2, kind, policy))) == \
+            list(map(solution_bytes, one))
         with pytest.raises(ValueError, match="needs an rng"):
             any_equilibria(p1, p2, kind, "seeded-random")
         if kind == "ce":
