@@ -23,7 +23,7 @@ stage group's cache misses.
 
 Correlated equilibria and zero-sum values are linear programs: the games of
 a stack build their constraint rows as arrays and have their LPs solved as
-one stack (:func:`nscsg.lp.lp_solve_stack`); :func:`swce` and
+LP stacks (:func:`nscsg.lp.lp_solve_stack`); :func:`swce` and
 :func:`zero_sum_value` are one-game calls of :func:`_ce_stack` and
 :func:`zero_sum_values`.
 """
