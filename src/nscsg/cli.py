@@ -27,7 +27,7 @@ from .fsi import FsiConfig, run_fsi, write_trace_csv
 from .gbi import run_gbi, run_minimax, solution_from_json, solution_to_json
 from .model import load_model_json
 from .speprog import solve_exact_grid
-from .unfold import stats, unfold_regions, unfold_tree
+from .unfold import DEFAULT_NODE_CAP, stats, unfold_regions, unfold_tree
 from .verify import check_spce, check_spne
 
 _BUILTINS = ("counterexample", "parking", "vcas")
@@ -51,29 +51,39 @@ def _json_arg(blob: str):
         raise ModelError(f"cannot read JSON argument: {exc}") from None
 
 
+def _object(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object, else a :class:`ModelError` naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ModelError(f"{what} holds {type(doc).__name__}, not a JSON object")
+    return doc
+
+
 def _load(model_ref: str, params_blob):
     params = _json_arg(params_blob) if params_blob else {}
     if model_ref in _BUILTINS:
         return benchmarks.build(model_ref, params)
-    if not isinstance(params, dict):
-        raise ModelError(f"--params holds {type(params).__name__}, not a JSON object")
+    _object(params, "--params")
     bundle = load_model_json(model_ref)
     if "horizon" in params:
         bundle = replace(bundle, horizon=int(params["horizon"]))
     return bundle
 
 
-def _unfold(bundle, horizon, mode, max_nodes=None):
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    if mode == "region":
-        return unfold_regions(bundle.model, bundle.initial, horizon, **kwargs)
-    return unfold_tree(bundle.model, bundle.initial, horizon, **kwargs)
+def _unfold(bundle, horizon=None, mode="tree", max_nodes=DEFAULT_NODE_CAP):
+    """Unfold ``bundle`` up to ``horizon``, by default the model's own."""
+    horizon = bundle.horizon if horizon is None else horizon
+    unfold = unfold_regions if mode == "region" else unfold_tree
+    return unfold(bundle.model, bundle.initial, horizon, max_nodes)
+
+
+def _load_structure(args):
+    """The model that ``args`` names and its unfolding."""
+    bundle = _load(args.model, args.params)
+    return bundle, _unfold(bundle, args.horizon, args.mode, args.max_nodes)
 
 
 def cmd_unfold(args, fmt) -> int:
-    bundle = _load(args.model, args.params)
-    horizon = bundle.horizon if args.horizon is None else args.horizon
-    structure = _unfold(bundle, horizon, args.mode, args.max_nodes)
+    _, structure = _load_structure(args)
     st = stats(structure)
     print(f"{st['nodes']},{st['transitions']},{fmt(st['build_time'])}")
     if args.out:
@@ -82,9 +92,7 @@ def cmd_unfold(args, fmt) -> int:
 
 
 def cmd_solve(args, fmt) -> int:
-    bundle = _load(args.model, args.params)
-    horizon = bundle.horizon if args.horizon is None else args.horizon
-    structure = _unfold(bundle, horizon, args.mode, args.max_nodes)
+    bundle, structure = _load_structure(args)
     t0 = time.perf_counter()
     trace = None
     if args.algo == "gbi":
@@ -123,9 +131,7 @@ def cmd_solve(args, fmt) -> int:
 
 
 def cmd_verify(args, fmt) -> int:
-    bundle = _load(args.model, args.params)
-    horizon = bundle.horizon if args.horizon is None else args.horizon
-    structure = _unfold(bundle, horizon, args.mode, args.max_nodes)
+    bundle, structure = _load_structure(args)
     solution = solution_from_json(structure, args.solution)
     check = check_spne if solution.kind == "ne" else check_spce
     report = check(structure, bundle.rewards, solution, tol=args.tol)
@@ -136,15 +142,19 @@ def cmd_verify(args, fmt) -> int:
 
 
 def cmd_plotdata(args, fmt) -> int:
-    runs = _json_arg(args.runs)
+    runs = _object(_json_arg(args.runs), "--runs")
+    for key in ("altitude", "sw_trace"):
+        specs = runs.get(key, [])
+        if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
+            raise ModelError(f"--runs field {key!r} must be a list of JSON objects")
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
 
     altitude_rows = []
     for spec in runs.get("altitude", []):
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
         bundle_eq = benchmarks.build("vcas", params)
-        structure = _unfold(bundle_eq, bundle_eq.horizon, spec.get("mode", "tree"))
+        structure = _unfold(bundle_eq, mode=spec.get("mode", "tree"))
         eq = run_gbi(structure, bundle_eq.rewards, spec.get("type", "ne"), seed=args.seed)
         # the zero-sum twin differs only in its rewards, so it shares the unfolding
         bundle_zs = benchmarks.build("vcas", {**params, "zero_sum": True})
@@ -160,8 +170,7 @@ def cmd_plotdata(args, fmt) -> int:
 
     for spec in runs.get("sw_trace", []):
         bundle = _load(spec["model"], json.dumps(spec.get("params", {})))
-        horizon = spec.get("horizon", bundle.horizon)
-        structure = _unfold(bundle, horizon, spec.get("mode", "region"))
+        structure = _unfold(bundle, spec.get("horizon"), spec.get("mode", "region"))
         cfg = FsiConfig(m_max=spec.get("m_max", 10), seed=args.seed,
                         solver=spec.get("solver", "reinduce"))
         _, trace = run_fsi(structure, bundle.rewards, spec.get("type", "ne"), cfg)
@@ -174,14 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nscsg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_default="tree"):
+    def common(p):
         p.add_argument("--model", required=True, help="builtin name or model JSON file")
         p.add_argument("--params", default=None, help="JSON parameter blob or file")
         p.add_argument("-K", "--horizon", type=int, default=None)
-        p.add_argument("--mode", choices=["tree", "region"], default=mode_default)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mode", choices=["tree", "region"], default="tree")
         p.add_argument("--precision", type=int, default=9)
-        p.add_argument("--max-nodes", type=int, default=None)
+        p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("unfold", help="build a game tree or region graph")
@@ -190,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="synthesise an equilibrium")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algo", choices=["gbi", "fsi", "exact", "minimax"], default="gbi")
     p.add_argument("--type", choices=["ne", "ce"], default="ne")
     p.add_argument("--policy", default="sw-optimal",

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, StageGameCache, run_gbi
-from .speprog import (_free_part, _grid_search, _incentive_gaps, coordinate_ascent_solve,
-                      evaluate_values, reinduction_solve)
+from .speprog import (_closure, _free_part, _grid_search, _incentive_gaps,
+                      coordinate_ascent_solve, evaluate_values, reinduction_solve)
 from .unfold import Node, Structure
 
 
@@ -87,18 +87,8 @@ def freeze_partition(structure: Structure, node_id: int) -> tuple[set, set]:
     """
     if node_id < 0 or node_id >= len(structure.nodes):
         raise ModelError(f"unknown history {node_id}")
-    free = set()
-    frontier = {node_id}
-    while frontier:
-        nxt = set()
-        for nid in frontier:
-            if nid in free:
-                continue
-            free.add(nid)
-            nxt.update(structure.nodes[nid].parents)
-        frontier = nxt
     nonleaf = set(structure.nonleaf_ids())
-    free &= nonleaf
+    free = _closure(structure, node_id) & nonleaf
     return free, nonleaf - free
 
 

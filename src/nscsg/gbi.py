@@ -33,7 +33,7 @@ from .errors import ModelError
 from .model import RewardStructure
 from .nfg import (BimatrixGame, StageSolution, _ce_stack, any_equilibria, any_equilibrium,
                   enumerate_ne, zero_sum_values)
-from .unfold import Node, StageGroup, Structure
+from .unfold import Node, StageGroup, Structure, node_json, write_json
 
 
 def stage_games(structure: Structure, rewards, group: StageGroup, values: np.ndarray,
@@ -291,15 +291,7 @@ def social_welfare(solution, node: int = 0) -> float:
 def solution_to_json(structure: Structure, solution: EquilibriumSolution, path=None):
     nodes = []
     for node in structure.nodes:
-        entry = {
-            "id": node.id,
-            "stage": node.stage,
-            "env": node.state.env.tolist(),
-            "agents": [
-                {"loc": a.loc.tolist(), "per": a.per.tolist()} for a in node.state.agent_states
-            ],
-            "value": solution.values[node.id].tolist(),
-        }
+        entry = {**node_json(node), "value": solution.values[node.id].tolist()}
         prof = solution.profiles.get(node.id)
         if prof is not None:
             m1, m2 = node.menus
@@ -313,12 +305,8 @@ def solution_to_json(structure: Structure, solution: EquilibriumSolution, path=N
                     for b, lb in enumerate(m2)
                 }
         nodes.append(entry)
-    doc = {"kind": solution.kind, "policy": solution.policy, "mode": structure.mode,
-           "horizon": structure.horizon, "nodes": nodes}
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-    return doc
+    return write_json({"kind": solution.kind, "policy": solution.policy, "mode": structure.mode,
+                       "horizon": structure.horizon, "nodes": nodes}, path)
 
 
 def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:

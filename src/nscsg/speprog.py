@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -587,10 +587,8 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
 def _free_part(structure: Structure, frozen: set) -> set:
     """Nonleaf nodes outside ``frozen``; each must have only free parents."""
     free = set(structure.nonleaf_ids()) - set(frozen)
-    for nid in free:
-        for pid in structure.nodes[nid].parents:
-            if pid not in free:
-                raise ModelError("free set must contain every parent of a free history")
+    if any(pid not in free for nid in free for pid in structure.nodes[nid].parents):
+        raise ModelError("free set must contain every parent of a free history")
     return free
 
 
@@ -599,19 +597,19 @@ def _bottom_up(structure: Structure, ids) -> list:
     return sorted(ids, key=lambda nid: (-structure.nodes[nid].stage, nid))
 
 
-def _free_ancestors(structure: Structure, free: set, target: int) -> list:
-    """Free nodes strictly above ``target`` ordered by decreasing stage."""
-    anc = set()
-    frontier = {target}
+def _closure(structure: Structure, node_id: int) -> set:
+    """``node_id`` and every node on a history that reaches it."""
+    closure, frontier = set(), {node_id}
     while frontier:
-        nxt = set()
-        for nid in frontier:
-            for pid in structure.nodes[nid].parents:
-                if pid in free and pid not in anc:
-                    anc.add(pid)
-                    nxt.add(pid)
-        frontier = nxt
-    return _bottom_up(structure, anc)
+        closure |= frontier
+        frontier = {pid for nid in frontier for pid in structure.nodes[nid].parents} - closure
+    return closure
+
+
+def _free_ancestors(structure: Structure, target: int) -> list:
+    """Nodes strictly above ``target`` ordered by decreasing stage: all free
+    when ``target`` is, as a free part holds every parent of its nodes."""
+    return _bottom_up(structure, _closure(structure, target) - {target})
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +636,13 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     current.values = values
 
     order = _bottom_up(structure, free)
+    ancestors = {nid: _free_ancestors(structure, nid) for nid in order}
     sw = float(values[0].sum())
     for _ in range(max(rounds, 0)):
         improved = False
         for nid in order:
             for agent in [None] if kind == "ce" else [0, 1]:
-                cand = _block_lp_step(structure, rewards, kind, free, current, nid, agent)
+                cand = _block_lp_step(structure, rewards, kind, ancestors[nid], current, nid, agent)
                 if cand is None:
                     continue
                 new_vals, new_z = evaluate_values(structure, rewards, cand)
@@ -652,6 +651,8 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
                 new_sw = float(new_vals[0].sum())
                 if new_sw >= sw - 1e-12:
                     cand.values = new_vals
+                    for qid in [nid] + ancestors[nid]:  # the nodes whose values moved
+                        cand.profiles[qid] = replace(cand.profiles[qid], payoffs=new_vals[qid].copy())
                     current = cand
                     improved |= new_sw > sw + _ASCENT_TOL
                     sw = max(sw, new_sw)
@@ -660,15 +661,16 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     return current
 
 
-def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
+def _block_lp_step(structure: Structure, rewards, kind: str, ancestors: list,
                    current: EquilibriumSolution, nid: int, agent):
     """One exact LP over the chosen block of ``current``, whose values must be
-    its evaluated ones; returns a candidate or ``None``.  The values and
-    incentive slacks of ``nid`` and its free ancestors are affine in the
-    block, so on its simplex each is the block-weighted mix of its values at
-    the vertices.  One bottom-up walk over those nodes, with the vertices as
-    a batch axis, gives the LP: the slacks at the vertices are its rows and
-    the root welfare at the vertices its objective."""
+    its evaluated ones; returns a candidate, still with the old payoffs, or
+    ``None``.  The values and incentive slacks of ``nid`` and its
+    ``ancestors`` are affine in the block, so on its simplex each is the
+    block-weighted mix of its values at the vertices.  One bottom-up walk
+    over those nodes, with the vertices as a batch axis, gives the LP: the
+    slacks at the vertices are its rows and the root welfare at the vertices
+    its objective."""
     compiled = structure._compiled()
     prof = current.profiles[nid]
     m1, m2 = map(len, structure.nodes[nid].menus)
@@ -681,7 +683,7 @@ def _block_lp_step(structure: Structure, rewards, kind: str, free: set,
 
     values = np.broadcast_to(current.values, (k,) + current.values.shape).copy()
     slacks = []
-    for qid in [nid] + _free_ancestors(structure, free, nid):
+    for qid in [nid] + ancestors:
         group, row = compiled.locate(qid)
         z = stage_games(structure, rewards, group, values, slice(row, row + 1))
         if qid == nid:
@@ -743,7 +745,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     sw = float(values[0].sum())
 
     order = _bottom_up(structure, free)
-    ancestors = {nid: _free_ancestors(structure, free, nid) for nid in order}
+    ancestors = {nid: _free_ancestors(structure, nid) for nid in order}
     for _ in range(max(rounds, 0)):
         best = None
         for nid in order:

@@ -110,29 +110,26 @@ class Structure:
         return sum(len(pairs) for n in self.nodes for pairs in n.children.values())
 
     def to_json(self, path=None):
-        doc = {
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "stage": n.stage,
-                    "env": n.state.env.tolist(),
-                    "agents": [
-                        {"loc": a.loc.tolist(), "per": a.per.tolist()} for a in n.state.agent_states
-                    ],
-                    "edges": [
-                        {"action": list(joint), "to": [[p, c] for p, c in pairs]}
-                        for joint, pairs in n.children.items()
-                    ],
-                }
-                for n in self.nodes
-            ],
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-        return doc
+        nodes = [{**node_json(n), "edges": [{"action": list(joint), "to": [[p, c] for p, c in pairs]}
+                                            for joint, pairs in n.children.items()]}
+                 for n in self.nodes]
+        return write_json({"mode": self.mode, "horizon": self.horizon, "nodes": nodes}, path)
+
+
+def node_json(node: Node) -> dict:
+    """The id, stage and state of ``node``: the head of its entry in every
+    JSON document that lists nodes."""
+    state = node.state
+    return {"id": node.id, "stage": node.stage, "env": state.env.tolist(),
+            "agents": [{"loc": a.loc.tolist(), "per": a.per.tolist()} for a in state.agent_states]}
+
+
+def write_json(doc, path=None):
+    """Write ``doc`` to ``path`` unless it is ``None``; return ``doc``."""
+    if path is not None:
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    return doc
 
 
 class GameTree(Structure):

@@ -10,7 +10,6 @@ a time.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import ModelError
 from .gbi import EquilibriumSolution, induce_groups
 from .speprog import _gap_table, _stacked, evaluate_values
-from .unfold import Path, Structure, path_value
+from .unfold import Path, Structure, path_value, write_json
 
 
 def _deviation_values(z1: np.ndarray, z2: np.ndarray, mu1: np.ndarray, mu2: np.ndarray):
@@ -61,19 +60,10 @@ class CheckReport:
         return max(self.gaps, key=self.gaps.get)
 
     def to_json(self, path=None):
-        doc = {
-            "passed": bool(self.passed),
-            "max_gap": float(self.max_gap),
-            "tolerance": self.tolerance,
-            "gaps": [
-                {"node": nid, "agent": agent, "gap": float(g)}
-                for (nid, agent), g in sorted(self.gaps.items())
-            ],
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-        return doc
+        gaps = [{"node": nid, "agent": agent, "gap": float(g)}
+                for (nid, agent), g in sorted(self.gaps.items())]
+        return write_json({"passed": bool(self.passed), "max_gap": float(self.max_gap),
+                           "tolerance": self.tolerance, "gaps": gaps}, path)
 
 
 def check_spne(structure: Structure, rewards, solution: EquilibriumSolution,
@@ -120,18 +110,14 @@ class SimulationResult:
     zero_action_fractions: tuple
 
     def to_json(self, path=None):
-        doc = {
+        return write_json({
             "stages": len(self.joint_actions),
             "env_trace": [s.env.tolist() for s in self.path.states],
             "actions": [list(j) for j in self.joint_actions],
             "totals": self.totals.tolist(),
             "zero_action_counts": list(self.zero_action_counts),
             "zero_action_fractions": list(self.zero_action_fractions),
-        }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-        return doc
+        }, path)
 
 
 def simulate(structure: Structure, solution: EquilibriumSolution, rewards,

@@ -66,6 +66,15 @@ class TestUnfold:
             main(["unfold", "--model", "counterexample", "--threads", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["unfold", "verify"])
+    def test_seed_flag_is_rejected(self, tmp_path, capsys, command):
+        # only solve and plotdata draw random numbers
+        extra = ("--solution", str(tmp_path / "solution.json")) if command == "verify" else ()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "counterexample", *extra, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_resource_error_exit_code(self, capsys):
         code, _, err = run_cli("unfold", "--model", "counterexample",
                                "--max-nodes", "3", capsys=capsys)
@@ -309,6 +318,17 @@ class TestLongInlineJson:
 
 
 class TestPlotdata:
+    @pytest.mark.parametrize("runs, message", [
+        ("[1]", "--runs holds list, not a JSON object"),
+        ('{"altitude": [{"params": [1]}]}', "vcas parameters must be a JSON object, not list"),
+        ('{"sw_trace": [1]}', "--runs field 'sw_trace' must be a list of JSON objects"),
+        ('{"altitude": 5}', "--runs field 'altitude' must be a list of JSON objects"),
+    ], ids=["runs-list", "params-list", "trace-entry-int", "altitude-int"])
+    def test_wrong_json_type_is_a_model_error(self, tmp_path, capsys, runs, message):
+        code, out, err = run_cli("plotdata", "--runs", runs, "--out", str(tmp_path / "csv"),
+                                 capsys=capsys)
+        assert (code, out, err) == (2, "", f"model error: {message}")
+
     def test_empty_spec_header_only(self, tmp_path, capsys):
         code, out, _ = run_cli("plotdata", "--runs", "{}",
                                "--out", str(tmp_path / "csv"), capsys=capsys)

@@ -15,7 +15,7 @@ from nscsg.fsi import (
     write_trace_csv,
 )
 from nscsg.gbi import run_gbi, social_welfare
-from nscsg.speprog import solve_exact_grid
+from nscsg.speprog import _free_ancestors, solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import check_spce, check_spne
 
@@ -95,6 +95,22 @@ class TestRunFsi:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,social_welfare,selected_history,status"
         assert len(lines) == len(trace) + 1
+
+    @pytest.mark.parametrize("solver", ["reinduce", "coordinate-ascent", "grid"])
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    def test_payoffs_are_the_values(self, counterexample, kind, solver):
+        # a stage solution's payoffs are its node's value, whichever inner
+        # solver last changed the node or one below it
+        runs = [(counterexample, FsiConfig(m_max=5, seed=1, solver=solver, grid_resolution=5))]
+        for seed in (5032, 5058):
+            bm = random_model(seed)
+            runs.append(((bm, unfold_tree(bm.model, bm.initial, bm.horizon)),
+                         FsiConfig(m_max=3, seed=seed, policy="max-sw", epsilon=0.2,
+                                   solver=solver, grid_resolution=2)))
+        for (bm, tree), cfg in runs:
+            sol, _ = run_fsi(tree, bm.rewards, kind, cfg)
+            for nid in tree.nonleaf_ids():
+                assert np.abs(sol.profiles[nid].payoffs - sol.values[nid]).max() <= 1e-9, (cfg, nid)
 
     @pytest.mark.parametrize("solver", ["reinduce", "coordinate-ascent", "grid"])
     def test_region_graphs_keep_invariants_under_every_solver(self, solver):
@@ -216,7 +232,53 @@ class TestMaxSwSelection:
             assert chi2 <= CHI2_99[min(k - 1, 6)]
 
 
+def walked_closure(structure, node_id):
+    """The backward closure of ``node_id`` as a breadth-first walk through
+    every node's parents."""
+    closure = set()
+    frontier = {node_id}
+    while frontier:
+        nxt = set()
+        for nid in frontier:
+            if nid in closure:
+                continue
+            closure.add(nid)
+            nxt.update(structure.nodes[nid].parents)
+        frontier = nxt
+    return closure
+
+
+def walked_free_ancestors(structure, free, target):
+    """The free nodes strictly above ``target`` as a breadth-first walk
+    through free parents only."""
+    anc = set()
+    frontier = {target}
+    while frontier:
+        nxt = set()
+        for nid in frontier:
+            for pid in structure.nodes[nid].parents:
+                if pid in free and pid not in anc:
+                    anc.add(pid)
+                    nxt.add(pid)
+        frontier = nxt
+    return sorted(anc, key=lambda nid: (-structure.nodes[nid].stage, nid))
+
+
 class TestFreezePartition:
+    @pytest.mark.parametrize("name, params", [
+        ("parking", {"horizon": 8, "reward_structure": 2}),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}),
+    ], ids=["parking-k8", "vcas-t3-eps0.2"])
+    def test_closure_is_the_breadth_first_walk(self, name, params):
+        bm = build(name, params)
+        rg = unfold_regions(bm.model, bm.initial, bm.horizon)
+        nonleaf = set(rg.nonleaf_ids())
+        for nid in sorted(nonleaf):
+            free, frozen = freeze_partition(rg, nid)
+            assert free == walked_closure(rg, nid) & nonleaf
+            assert frozen == nonleaf - free
+            assert _free_ancestors(rg, nid) == walked_free_ancestors(rg, free, nid)
+
     def test_root_only(self, counterexample):
         bm, tree = counterexample
         free, frozen = freeze_partition(tree, 0)

@@ -383,7 +383,7 @@ def reference_reinduction(structure, rewards, kind, frozen, init, rounds, cache)
                 trial = current.copy()
                 trial.profiles[nid] = candidate
                 trial.values[nid] = candidate.payoffs
-                for qid in _free_ancestors(structure, free, nid):
+                for qid in _free_ancestors(structure, nid):
                     z1, z2 = stage_matrices(structure, rewards, structure.nodes[qid], trial.values)
                     sol = trial.profiles[qid] = cache.solve(BimatrixGame(z1, z2), kind, "sw-optimal")
                     trial.values[qid] = sol.payoffs

@@ -97,7 +97,7 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
         agent 2's, without the swaps of an action for itself."""
         values, z = speprog.evaluate_values(tree, bm.rewards, solution)
         rows = []
-        for qid in [nid] + speprog._free_ancestors(tree, free, nid):
+        for qid in [nid] + speprog._free_ancestors(tree, nid):
             prof = solution.profiles[qid]
             strategies = (prof.mu_joint,) if kind == "ce" else (prof.mu1, prof.mu2)
             slacks = speprog._slacks(kind, z[(qid, 0)], z[(qid, 1)], strategies, values[qid])
@@ -108,7 +108,8 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
     prof = current.profiles[nid]
     b_cur = prof.mu_joint.ravel() if kind == "ce" else (prof.mu1, prof.mu2)[agent]
     with mock.patch.object(speprog, "lp_solve", side_effect=speprog.lp_solve) as solve:
-        speprog._block_lp_step(tree, bm.rewards, kind, free, current, nid, agent)
+        speprog._block_lp_step(tree, bm.rewards, kind, speprog._free_ancestors(tree, nid), current,
+                               nid, agent)
     lp = solve.call_args.args[0]
     assert not lp.b_ub.any()
     for b in [b_cur] + list(np.eye(lp.c.size)):
