@@ -58,6 +58,14 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool), else a
+    :class:`ModelError` naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def _load(model_ref: str, params_blob):
     params = _json_arg(params_blob) if params_blob else {}
     if model_ref in _BUILTINS:
@@ -65,7 +73,7 @@ def _load(model_ref: str, params_blob):
     _object(params, "--params")
     bundle = load_model_json(model_ref)
     if "horizon" in params:
-        bundle = replace(bundle, horizon=int(params["horizon"]))
+        bundle = replace(bundle, horizon=_integer(params["horizon"], "--params horizon"))
     return bundle
 
 
@@ -141,12 +149,33 @@ def cmd_verify(args, fmt) -> int:
     return 0 if report.passed else 4
 
 
+def _check_spec(key: str, spec: dict) -> None:
+    """Raise a :class:`ModelError` for the first field of a ``--runs`` entry
+    under ``key`` that holds a value of the wrong kind."""
+    where = f"--runs {key} entry"
+    if key == "sw_trace":
+        if "model" not in spec:
+            raise ModelError(f"{where} lacks field 'model'")
+        model = spec["model"]
+        if not isinstance(model, str):
+            raise ModelError(f"{where} field 'model' must be a string, not {json.dumps(model)}")
+        for name in ("horizon", "m_max"):
+            if name in spec:
+                _integer(spec[name], f"{where} field {name!r}")
+    for name, choices in (("type", ("ne", "ce")), ("mode", ("tree", "region"))):
+        if name in spec and spec[name] not in choices:
+            raise ModelError(f"{where} field {name!r} must be one of {', '.join(choices)}, "
+                             f"not {json.dumps(spec[name])}")
+
+
 def cmd_plotdata(args, fmt) -> int:
     runs = _object(_json_arg(args.runs), "--runs")
     for key in ("altitude", "sw_trace"):
         specs = runs.get(key, [])
         if not isinstance(specs, list) or not all(isinstance(spec, dict) for spec in specs):
             raise ModelError(f"--runs field {key!r} must be a list of JSON objects")
+        for spec in specs:
+            _check_spec(key, spec)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
 

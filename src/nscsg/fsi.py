@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, StageGameCache, run_gbi
-from .speprog import (_closure, _free_part, _grid_search, _incentive_gaps,
-                      coordinate_ascent_solve, evaluate_values, reinduction_solve)
+from .speprog import (_closure, _free_part, _grid_search, coordinate_ascent_solve,
+                      evaluate_values, reinduction_solve)
 from .unfold import Node, Structure
 
 
@@ -166,8 +166,8 @@ def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: s
     themselves can replace it.  Falls back to the incumbent otherwise.
     """
     free = _free_part(structure, frozen)
-    _, z = evaluate_values(structure, rewards, current)
-    tol = max(_incentive_gaps(structure, z), 1e-9)
+    _, gaps = evaluate_values(structure, rewards, current)
+    tol = max(gaps.max(initial=0.0), 1e-9)
     nodes = [structure.nodes[nid] for nid in sorted(free)]
     return _grid_search(structure, rewards, kind, nodes, cfg.grid_resolution, current, tol,
                         max_points=2_000_000).solution

@@ -137,17 +137,17 @@ def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
     the distinct correlated equilibria of five linear objectives, whose LPs
     are solved as one stack."""
     if kind == "ne":
-        return [StageSolution("ne", p.mu1, p.mu2, None, p.payoffs) for p in enumerate_ne(game)]
+        return enumerate_ne(game)
     p1, p2 = game.p1.ravel(), game.p2.ravel()
     objectives = np.stack((p1 + p2, -p1, -p2, p1, p2))
     outs = []
     seen = set()
     for ce in _ce_stack(*(np.broadcast_to(p, (5,) + game.shape) for p in (game.p1, game.p2)),
                         objectives):
-        key = tuple(np.round(ce.mu.ravel(), 9))
+        key = tuple(np.round(ce.mu_joint.ravel(), 9))
         if key not in seen:
             seen.add(key)
-            outs.append(StageSolution("ce", None, None, ce.mu, ce.payoffs))
+            outs.append(ce)
     return outs
 
 

@@ -26,6 +26,8 @@ a stack build their constraint rows as arrays and have their LPs solved as
 LP stacks (:func:`nscsg.lp.lp_solve_stack`); :func:`swce` and
 :func:`zero_sum_value` are one-game calls of :func:`_ce_stack` and
 :func:`zero_sum_values`.
+
+Every Nash and correlated-equilibrium solver returns :class:`StageSolution`.
 """
 from __future__ import annotations
 
@@ -70,14 +72,25 @@ class BimatrixGame:
 
 
 @dataclass(frozen=True)
-class NashPoint:
-    mu1: np.ndarray
-    mu2: np.ndarray
+class StageSolution:
+    """Equilibrium of one stage game, either kind: independent mixtures
+    ``mu1``, ``mu2`` ("ne") or a joint distribution ``mu_joint`` of shape
+    (m, n), row-major over joint actions ("ce")."""
+
+    kind: str  # "ne" | "ce"
+    mu1: Optional[np.ndarray]
+    mu2: Optional[np.ndarray]
+    mu_joint: Optional[np.ndarray]
     payoffs: np.ndarray  # length 2
 
     @property
     def social_welfare(self) -> float:
         return float(self.payoffs.sum())
+
+    def joint_distribution(self) -> np.ndarray:
+        if self.kind == "ce":
+            return self.mu_joint
+        return np.outer(self.mu1, self.mu2)
 
 
 def _normalise(p: np.ndarray) -> np.ndarray:
@@ -150,7 +163,7 @@ def _places(owner: np.ndarray, g: int):
     return np.arange(len(owner)) - starts[owner], starts, int(counts.max(initial=0))
 
 
-def _support_order(pt: NashPoint):
+def _support_order(pt: StageSolution):
     s1 = pt.mu1 > 1e-9
     s2 = pt.mu2 > 1e-9
     return (
@@ -161,7 +174,7 @@ def _support_order(pt: NashPoint):
     )
 
 
-def _enumerate_chunk(p1: np.ndarray, p2: np.ndarray) -> list[list[NashPoint]]:
+def _enumerate_chunk(p1: np.ndarray, p2: np.ndarray) -> list[list[StageSolution]]:
     """:func:`enumerate_ne_stack` of one chunk of the stack."""
     g, m, n = p1.shape
     a = _normalise(p1)
@@ -196,11 +209,11 @@ def _enumerate_chunk(p1: np.ndarray, p2: np.ndarray) -> list[list[NashPoint]]:
     for k in first:
         gk, xk, yk = int(game[k]), x[k].copy(), y[k].copy()
         payoffs = np.array([xk @ p1[gk] @ yk, xk @ p2[gk] @ yk])
-        found[gk].append(NashPoint(xk, yk, payoffs))
+        found[gk].append(StageSolution("ne", xk, yk, None, payoffs))
     return [sorted(points, key=_support_order) for points in found]
 
 
-def enumerate_ne_stack(p1, p2) -> list[list[NashPoint]]:
+def enumerate_ne_stack(p1, p2) -> list[list[StageSolution]]:
     """:func:`enumerate_ne` of each game (p1[k], p2[k]) of a stack of games
     of one shape, (G, m, n) each, enumerated together.
 
@@ -223,7 +236,7 @@ def enumerate_ne_stack(p1, p2) -> list[list[NashPoint]]:
             for points in _enumerate_chunk(p1[start:start + per], p2[start:start + per])]
 
 
-def enumerate_ne(game: BimatrixGame) -> list[NashPoint]:
+def enumerate_ne(game: BimatrixGame) -> list[StageSolution]:
     """All extreme Nash equilibria of ``game``.
 
     Ordered by increasing total support size, then lexicographically on the
@@ -232,7 +245,7 @@ def enumerate_ne(game: BimatrixGame) -> list[NashPoint]:
     return enumerate_ne_stack(game.p1[None], game.p2[None])[0]
 
 
-def _max_welfare(points: list[NashPoint]) -> NashPoint:
+def _max_welfare(points: list[StageSolution]) -> StageSolution:
     """The point with maximal payoff sum; ties break on the largest agent-1
     payoff, then lexicographically on the probability vectors."""
     if not points:
@@ -248,7 +261,7 @@ def _max_welfare(points: list[NashPoint]) -> NashPoint:
     )
 
 
-def swne(game: BimatrixGame) -> NashPoint:
+def swne(game: BimatrixGame) -> StageSolution:
     """The enumerated equilibrium with maximal payoff sum.
 
     Ties break on the largest agent-1 payoff, then lexicographically on the
@@ -259,16 +272,6 @@ def swne(game: BimatrixGame) -> NashPoint:
 
 # ---------------------------------------------------------------------------
 # correlated equilibria
-
-
-@dataclass(frozen=True)
-class CorrelatedPoint:
-    mu: np.ndarray  # shape (m, n), row-major over joint actions
-    payoffs: np.ndarray
-
-    @property
-    def social_welfare(self) -> float:
-        return float(self.payoffs.sum())
 
 
 def _ce_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -285,7 +288,7 @@ def _ce_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return rows.reshape(g, -1, m * n)
 
 
-def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[CorrelatedPoint]:
+def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[StageSolution]:
     """The correlated equilibrium maximising ``objectives[k]`` (G, m n) of
     each game (p1[k], p2[k]) of a stack, the games' LPs solved as LP stacks.
 
@@ -309,17 +312,18 @@ def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[Co
                 raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
             mu = np.clip(res.x[k].reshape(m, n), 0.0, None)
             mu /= mu.sum()
-            points.append(CorrelatedPoint(mu, np.array([float((mu * a).sum()), float((mu * b).sum())])))
+            payoffs = np.array([float((mu * a).sum()), float((mu * b).sum())])
+            points.append(StageSolution("ce", None, None, mu, payoffs))
     return points
 
 
-def _ce_from_lp(game: BimatrixGame, objective: np.ndarray) -> CorrelatedPoint:
+def _ce_from_lp(game: BimatrixGame, objective: np.ndarray) -> StageSolution:
     """The correlated equilibrium of ``game`` maximising ``objective``: the
     one-game :func:`_ce_stack`."""
     return _ce_stack(game.p1[None], game.p2[None], np.asarray(objective, dtype=float)[None])[0]
 
 
-def swce(game: BimatrixGame) -> CorrelatedPoint:
+def swce(game: BimatrixGame) -> StageSolution:
     """Social-welfare optimal correlated equilibrium via one linear program."""
     return _ce_from_lp(game, (game.p1 + game.p2).ravel())
 
@@ -371,23 +375,7 @@ def zero_sum_value(game: BimatrixGame | np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# policy wrapper
-
-
-@dataclass(frozen=True)
-class StageSolution:
-    """Equilibrium of one induced stage game, either kind."""
-
-    kind: str  # "ne" | "ce"
-    mu1: Optional[np.ndarray]
-    mu2: Optional[np.ndarray]
-    mu_joint: Optional[np.ndarray]
-    payoffs: np.ndarray
-
-    def joint_distribution(self) -> np.ndarray:
-        if self.kind == "ce":
-            return self.mu_joint
-        return np.outer(self.mu1, self.mu2)
+# selection policies
 
 
 def _check_policy(kind: str, policy: str, rng) -> None:
@@ -399,14 +387,12 @@ def _check_policy(kind: str, policy: str, rng) -> None:
         raise ValueError("seeded-random policy needs an rng")
 
 
-def _select_ne(points: list[NashPoint], policy: str, rng=None) -> StageSolution:
+def _select_ne(points: list[StageSolution], policy: str, rng=None) -> StageSolution:
     if policy == "sw-optimal":
-        pt = _max_welfare(points)
-    elif not points:
+        return _max_welfare(points)
+    if not points:
         raise SolverError("no equilibrium found")
-    else:
-        pt = points[0] if policy == "first-found" else points[int(rng.integers(len(points)))]
-    return StageSolution("ne", pt.mu1, pt.mu2, None, pt.payoffs)
+    return points[0] if policy == "first-found" else points[int(rng.integers(len(points)))]
 
 
 def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
@@ -421,12 +407,10 @@ def any_equilibrium(game: BimatrixGame, kind: str, policy: str = "sw-optimal",
         return _select_ne(enumerate_ne(game), policy, rng)
 
     if policy == "sw-optimal":
-        ce = swce(game)
-    elif policy == "first-found":
-        ce = _ce_from_lp(game, np.zeros(game.p1.size))
-    else:
-        ce = _ce_from_lp(game, rng.uniform(0.0, 1.0, size=game.p1.size))
-    return StageSolution("ce", None, None, ce.mu, ce.payoffs)
+        return swce(game)
+    if policy == "first-found":
+        return _ce_from_lp(game, np.zeros(game.p1.size))
+    return _ce_from_lp(game, rng.uniform(0.0, 1.0, size=game.p1.size))
 
 
 def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
@@ -446,5 +430,4 @@ def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
         raise ValueError("payoffs must be finite")
     g, m, n = p1.shape
     objectives = (p1 + p2).reshape(g, m * n) if policy == "sw-optimal" else np.zeros((g, m * n))
-    return [StageSolution("ce", None, None, ce.mu, ce.payoffs)
-            for ce in _ce_stack(p1, p2, objectives)]
+    return _ce_stack(p1, p2, objectives)

@@ -267,26 +267,6 @@ def dump_system(system: ConstraintSystem, path) -> None:
 # evaluation and feasibility
 
 
-class _Evaluation:
-    """Stage matrices of one evaluation pass as ``z[(node id, agent)]``, read
-    from the stage groups' arrays.  Also holds the values, shape
-    (*batch, n_nodes, 2), and each group's matrices and stacked strategy
-    data, keyed by group index."""
-
-    def __init__(self, structure: Structure, kind: str, values: np.ndarray, games: dict,
-                 strategies: dict):
-        self.structure = structure
-        self.kind = kind
-        self.values = values
-        self.games = games
-        self.strategies = strategies
-
-    def __getitem__(self, key):
-        nid, agent = key
-        group, row = self.structure._compiled().locate(nid)
-        return self.games[group.index][agent][..., row, :, :]
-
-
 def _stacked(kind: str, profiles: dict):
     """Strategy data of a stage group's nodes, stacked: (mu1, mu2) with
     shapes (n, m1) and (n, m2) for "ne", (mu,) with shape (n, m1, m2) for
@@ -310,37 +290,46 @@ def _values(kind: str, z: np.ndarray, s: tuple) -> np.ndarray:
 
 
 def _evaluate(structure: Structure, rewards, kind: str, strategies, profiles=None,
-              batch: tuple = ()) -> _Evaluation:
-    """Values and stage matrices determined bottom-up by stacked strategy
-    data ``strategies(group)`` (see :func:`_stacked`; leading batch axes
-    allowed)."""
-    games: dict = {}
-    stacks: dict = {}
+              batch: tuple = ()):
+    """Values determined bottom-up by stacked strategy data
+    ``strategies(group)`` (see :func:`_stacked`; leading batch axes allowed),
+    and the incentive gaps they leave.
+
+    Returns ``(values, gaps)`` of shapes (*batch, n_nodes, 2) and
+    (*batch, n_nonleaf, 2): ``gaps`` holds both agents' one-shot gaps
+    (:func:`_gaps`) at every nonleaf node, rows in
+    :meth:`Structure.nonleaf_ids` order.
+    """
+    gaps = np.zeros(batch + (structure._compiled().bounds[structure.horizon], 2))
 
     def step(group, z):
-        stacks[group.index] = s = strategies(group)
-        games[group.index] = z
-        return _values(kind, z, s)
+        s = strategies(group)
+        value = _values(kind, z, s)
+        gaps[..., group.ids, 0], gaps[..., group.ids, 1] = _gaps(kind, z[0], z[1], s, value)
+        return value
 
-    values = induce_groups(structure, rewards, step, profiles, batch)
-    return _Evaluation(structure, kind, values, games, stacks)
+    return induce_groups(structure, rewards, step, profiles, batch), gaps
 
 
 def evaluate_values(structure: Structure, rewards, solution: EquilibriumSolution):
-    """Values and Z entries determined bottom-up by the strategy data.
+    """Values and incentive gaps determined bottom-up by the strategy data.
 
-    Returns ``(values, z)`` where ``values`` has shape (n_nodes, 2) and
-    ``z[(node, agent)]`` is the payoff matrix over the node's menus (a
-    read-only mapping over the stage groups' arrays).
+    Returns ``(values, gaps)`` of shapes (n_nodes, 2) and (n_nonleaf, 2):
+    ``gaps[nid, agent]`` is the agent's largest one-shot gain at nonleaf node
+    ``nid`` (see :func:`_evaluate`).
     """
-    ev = _evaluate(structure, rewards, solution.kind,
-                   _stacked(solution.kind, solution.profiles), solution.profiles)
-    return ev.values, ev
+    return _evaluate(structure, rewards, solution.kind,
+                     _stacked(solution.kind, solution.profiles), solution.profiles)
 
 
 def assignment_from_solution(structure: Structure, rewards, solution: EquilibriumSolution) -> dict:
     """Total assignment of mu, V and Z induced by ``solution``."""
-    values, z = evaluate_values(structure, rewards, solution)
+    values, _ = evaluate_values(structure, rewards, solution)
+    z: dict = {}  # node id -> its stage matrices, shape (2, m1, m2)
+    for groups in structure._compiled().groups:
+        for group in groups:
+            games = stage_games(structure, rewards, group, values)
+            z.update(zip(group.ids.tolist(), games.swapaxes(0, 1)))
     asg: dict = {}
     for node in structure.nodes:
         if structure.is_leaf(node):
@@ -360,7 +349,7 @@ def assignment_from_solution(structure: Structure, rewards, solution: Equilibriu
             asg[VarId("V", node.id, i)] = float(values[node.id, i])
             for a, la in enumerate(m1):
                 for b, lb in enumerate(m2):
-                    asg[VarId("Z", node.id, i, joint=(la, lb))] = float(z[(node.id, i)][a, b])
+                    asg[VarId("Z", node.id, i, joint=(la, lb))] = float(z[node.id][i, a, b])
     return asg
 
 
@@ -425,26 +414,6 @@ def _gaps(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: n
     from +0.0 reports a zero gap as +0.0, never -0.0."""
     s1, s2 = _slacks(kind, z1, z2, strategies, value)
     return 0.0 - s1.min(axis=-1), 0.0 - s2.min(axis=-1)
-
-
-def _gap_table(structure: Structure, ev: _Evaluation) -> np.ndarray:
-    """Both agents' one-shot gaps at every nonleaf node, shape
-    (*batch, n_nonleaf, 2), rows in :meth:`Structure.nonleaf_ids` order."""
-    compiled = structure._compiled()
-    table = np.zeros(ev.values.shape[:-2] + (len(structure.nonleaf_ids()), 2))
-    for group in (g for groups in compiled.groups for g in groups):
-        z = ev.games[group.index]
-        gap1, gap2 = _gaps(ev.kind, z[0], z[1], ev.strategies[group.index],
-                           ev.values[..., group.ids, :])
-        table[..., group.ids, 0] = gap1
-        table[..., group.ids, 1] = gap2
-    return table
-
-
-def _incentive_gaps(structure: Structure, z: _Evaluation):
-    """Largest incentive violation over all nodes of an evaluation (one per
-    batch entry), sidestepping the full system."""
-    return _gap_table(structure, z).max(axis=(-2, -1), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +525,13 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
                     s[:, row] = choices[_picks[q]]
             return out
 
-        ev = _evaluate(structure, rewards, kind, strategies, batch=(len(points),))
-        welfare = ev.values[:, 0].sum(axis=-1)
-        for p in np.flatnonzero(~(_incentive_gaps(structure, ev) > tol)):
+        values, gaps = _evaluate(structure, rewards, kind, strategies, batch=(len(points),))
+        welfare = values[:, 0].sum(axis=-1)
+        for p in np.flatnonzero(~(gaps.max(axis=(-2, -1), initial=0.0) > tol)):
             feasible += 1
             sw = float(welfare[p])
             if best_sw is None or sw > best_sw + 1e-12:
-                best_sw, best_point, best_values = sw, lo + int(p), ev.values[p].copy()
+                best_sw, best_point, best_values = sw, lo + int(p), values[p].copy()
 
     if best_point is not None:
         if base is None:
@@ -629,8 +598,8 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     """
     free = _free_part(structure, frozen)
     current = init.copy()
-    values, z = evaluate_values(structure, rewards, current)
-    base_gap = _incentive_gaps(structure, z)
+    values, gaps = evaluate_values(structure, rewards, current)
+    base_gap = gaps.max(initial=0.0)
     if base_gap > 1e-6:
         raise ModelError(f"initial solution is infeasible (gap {base_gap:.3g})")
     current.values = values
@@ -645,8 +614,8 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
                 cand = _block_lp_step(structure, rewards, kind, ancestors[nid], current, nid, agent)
                 if cand is None:
                     continue
-                new_vals, new_z = evaluate_values(structure, rewards, cand)
-                if _incentive_gaps(structure, new_z) > max(base_gap, 1e-8):
+                new_vals, new_gaps = evaluate_values(structure, rewards, cand)
+                if new_gaps.max(initial=0.0) > max(base_gap, 1e-8):
                     continue
                 new_sw = float(new_vals[0].sum())
                 if new_sw >= sw - 1e-12:

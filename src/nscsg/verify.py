@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, induce_groups
-from .speprog import _gap_table, _stacked, evaluate_values
+from .speprog import _stacked, evaluate_values
 from .unfold import Path, Structure, path_value, write_json
 
 
@@ -87,11 +87,8 @@ def check_spce(structure: Structure, rewards, solution: EquilibriumSolution,
     """
     if solution.kind != "ce":
         raise ModelError("check_spce expects a joint-recommendation solution")
-    _, z = evaluate_values(structure, rewards, solution)
-    table = _gap_table(structure, z).tolist()
-    gaps = {}
-    for nid, (gap1, gap2) in zip(structure.nonleaf_ids(), table):
-        gaps[(nid, 0)], gaps[(nid, 1)] = gap1, gap2
+    table = evaluate_values(structure, rewards, solution)[1].tolist()  # rows are node ids
+    gaps = {(nid, agent): gap for nid, row in enumerate(table) for agent, gap in enumerate(row)}
     max_gap = max(gaps.values(), default=0.0)
     return CheckReport(max_gap <= tol, max_gap, gaps, tol)
 

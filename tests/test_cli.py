@@ -10,6 +10,9 @@ from conftest import coin_model_doc
 from nscsg.cli import main
 
 
+COIN = json.dumps(coin_model_doc())
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -243,9 +246,14 @@ class TestModelInputErrors:
         ('{"agents": 5, "environment": {"dim": 1}}', None, "holds a field of the wrong type"),
         ("parking", "[1]", "parking parameters must be a JSON object, not list"),
         ('{"agents": []}', "5", "--params holds int, not a JSON object"),
+        (COIN, '{"horizon": "abc"}', '--params horizon must be an integer, not "abc"'),
+        (COIN, '{"horizon": null}', "--params horizon must be an integer, not null"),
+        (COIN, '{"horizon": 1.7}', "--params horizon must be an integer, not 1.7"),
+        (COIN, '{"horizon": true}', "--params horizon must be an integer, not true"),
     ], ids=["missing-file", "malformed-file", "missing-field", "malformed-params",
             "unknown-param", "file-not-object", "field-wrong-type", "params-not-object",
-            "file-params-not-object"])
+            "file-params-not-object", "horizon-string", "horizon-null", "horizon-float",
+            "horizon-bool"])
     def test_solve(self, tmp_path, capsys, content, params, message):
         model = str(tmp_path / "model.json")
         if content == "parking":
@@ -328,6 +336,35 @@ class TestPlotdata:
         code, out, err = run_cli("plotdata", "--runs", runs, "--out", str(tmp_path / "csv"),
                                  capsys=capsys)
         assert (code, out, err) == (2, "", f"model error: {message}")
+
+    @pytest.mark.parametrize("runs, message", [
+        ({"sw_trace": [{}]}, "--runs sw_trace entry lacks field 'model'"),
+        ({"sw_trace": [{"model": 5}]},
+         "--runs sw_trace entry field 'model' must be a string, not 5"),
+        ({"sw_trace": [{"model": "counterexample", "horizon": 1.5}]},
+         "--runs sw_trace entry field 'horizon' must be an integer, not 1.5"),
+        ({"sw_trace": [{"model": "counterexample", "horizon": True}]},
+         "--runs sw_trace entry field 'horizon' must be an integer, not true"),
+        ({"sw_trace": [{"model": "counterexample", "m_max": "3"}]},
+         "--runs sw_trace entry field 'm_max' must be an integer, not \"3\""),
+        ({"sw_trace": [{"model": "counterexample", "type": "nash"}]},
+         "--runs sw_trace entry field 'type' must be one of ne, ce, not \"nash\""),
+        ({"sw_trace": [{"model": "counterexample", "mode": "graph"}]},
+         "--runs sw_trace entry field 'mode' must be one of tree, region, not \"graph\""),
+        ({"altitude": [{"type": None}]},
+         "--runs altitude entry field 'type' must be one of ne, ce, not null"),
+        ({"altitude": [{"mode": 1}]},
+         "--runs altitude entry field 'mode' must be one of tree, region, not 1"),
+        ({"altitude": [{"params": {"t0": 1}}], "sw_trace": [{"model": "counterexample"}, {}]},
+         "--runs sw_trace entry lacks field 'model'"),
+    ], ids=["model-missing", "model-int", "horizon-float", "horizon-bool", "m_max-string",
+            "trace-type", "trace-mode", "altitude-type", "altitude-mode", "checked-before-work"])
+    def test_bad_spec_field_is_a_model_error(self, tmp_path, capsys, runs, message):
+        out_dir = tmp_path / "csv"
+        code, out, err = run_cli("plotdata", "--runs", json.dumps(runs), "--out", str(out_dir),
+                                 capsys=capsys)
+        assert (code, out, err) == (2, "", f"model error: {message}")
+        assert not out_dir.exists()  # checked before any run or output
 
     def test_empty_spec_header_only(self, tmp_path, capsys):
         code, out, _ = run_cli("plotdata", "--runs", "{}",

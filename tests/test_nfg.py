@@ -10,6 +10,7 @@ import nscsg.nfg as nfg
 from nscsg.errors import ResourceLimitError, SolverError
 from nscsg.nfg import (
     BimatrixGame,
+    StageSolution,
     any_equilibria,
     any_equilibrium,
     enumerate_ne,
@@ -157,13 +158,13 @@ class TestSwne:
 class TestSwce:
     def test_dilemma_point_mass(self):
         ce = swce(DILEMMA)
-        assert ce.mu[1, 1] == pytest.approx(1.0, abs=1e-9)
+        assert ce.mu_joint[1, 1] == pytest.approx(1.0, abs=1e-9)
         assert ce.social_welfare == pytest.approx(2.0, abs=1e-9)
 
     def test_one_by_one(self):
         g = BimatrixGame([[3.0]], [[4.0]])
         ce = swce(g)
-        assert ce.mu[0, 0] == pytest.approx(1.0)
+        assert ce.mu_joint[0, 0] == pytest.approx(1.0)
         assert ce.social_welfare == pytest.approx(7.0)
 
     def test_dominates_nash_welfare(self):
@@ -178,7 +179,7 @@ class TestSwce:
         for _ in range(20):
             m, n = rng.integers(2, 4, size=2)
             g = BimatrixGame(rng.normal(size=(m, n)), rng.normal(size=(m, n)))
-            mu = swce(g).mu
+            mu = swce(g).mu_joint
             for a in range(m):
                 for alt in range(m):
                     assert mu[a, :] @ (g.p1[a, :] - g.p1[alt, :]) >= -1e-9
@@ -235,3 +236,38 @@ class TestAnyEquilibrium:
     def test_ce_first_found_feasible(self):
         sol = any_equilibrium(DILEMMA, "ce", "first-found")
         assert sol.mu_joint.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOneResultType:
+    """Every stage solver answers with a :class:`StageSolution` of the
+    requested kind: mixtures for "ne", a joint distribution for "ce"."""
+
+    @staticmethod
+    def check(sol, kind, shape):
+        assert type(sol) is StageSolution and sol.kind == kind
+        if kind == "ne":
+            assert sol.mu_joint is None
+            assert (sol.mu1.shape, sol.mu2.shape) == ((shape[0],), (shape[1],))
+        else:
+            assert sol.mu1 is None and sol.mu2 is None and sol.mu_joint.shape == shape
+        assert sol.payoffs.shape == (2,)
+        assert sol.social_welfare == float(sol.payoffs.sum())
+
+    def test_every_solver(self):
+        rng = np.random.default_rng(3)
+        p1, p2 = rng.normal(size=(2, 4, 2, 3))
+        for game in (NODE4, PENNIES, DILEMMA, BimatrixGame(p1[0], p2[0])):
+            for sol in enumerate_ne(game):
+                self.check(sol, "ne", game.shape)
+            self.check(swne(game), "ne", game.shape)
+            self.check(swce(game), "ce", game.shape)
+            for kind in ("ne", "ce"):
+                for policy in ("sw-optimal", "first-found", "seeded-random"):
+                    self.check(any_equilibrium(game, kind, policy, np.random.default_rng(0)),
+                               kind, game.shape)
+        for kind in ("ne", "ce"):
+            for policy in ("sw-optimal", "first-found"):
+                sols = any_equilibria(p1, p2, kind, policy)
+                assert len(sols) == len(p1)
+                for sol in sols:
+                    self.check(sol, kind, (2, 3))

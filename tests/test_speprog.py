@@ -7,10 +7,16 @@ from test_gbi import solution_bytes
 from nscsg.benchmarks import build
 from nscsg.errors import ModelError, ResourceLimitError, SolverError
 from nscsg.fsi import freeze_partition
-from nscsg.gbi import EquilibriumSolution, StageGameCache, run_gbi, social_welfare, stage_matrices
+from nscsg.gbi import (EquilibriumSolution, StageGameCache, induce_groups, run_gbi, social_welfare,
+                       stage_matrices)
 from nscsg.nfg import BimatrixGame, StageSolution, swce, swne
 from nscsg.speprog import (
+    VarId,
     _bottom_up,
+    _evaluate,
+    _gaps,
+    _stacked,
+    _values,
     _free_ancestors,
     _free_part,
     assignment_from_solution,
@@ -191,6 +197,104 @@ class TestEvaluateValues:
         for i in range(2):
             se = totals[:, i].std() / np.sqrt(n_samples)
             assert abs(totals[:, i].mean() - values[0, i]) <= 3.0 * se + 1e-9
+
+
+def two_walk_gaps(structure, rewards, kind, strategies, batch=()):
+    """Values and gap table as two walks: the evaluation pass keeps every
+    stage group's games, then :func:`_gaps` runs once per group."""
+    games, stacks = {}, {}
+
+    def step(group, z):
+        stacks[group.index] = s = strategies(group)
+        games[group.index] = z
+        return _values(kind, z, s)
+
+    values = induce_groups(structure, rewards, step, batch=batch)
+    table = np.zeros(batch + (len(structure.nonleaf_ids()), 2))
+    for groups in structure._compiled().groups:
+        for group in groups:
+            z = games[group.index]
+            gap1, gap2 = _gaps(kind, z[0], z[1], stacks[group.index], values[..., group.ids, :])
+            table[..., group.ids, 0] = gap1
+            table[..., group.ids, 1] = gap2
+    return values, table
+
+
+def gap_structures():
+    bm = build("parking", {"horizon": 8, "reward_structure": 2})
+    yield "parking-k8", bm.rewards, unfold_regions(bm.model, bm.initial, 8)
+    bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
+    yield "vcas-t3-eps0.2", bm.rewards, unfold_regions(bm.model, bm.initial, bm.horizon)
+    bm = build("counterexample", {"phi": -10})
+    yield "counterexample", bm.rewards, unfold_tree(bm.model, bm.initial, bm.horizon)
+    for seed in (5032, 5058):
+        bm = random_model(seed)
+        yield f"random-{seed}", bm.rewards, unfold_tree(bm.model, bm.initial, bm.horizon)
+
+
+def reference_assignment(structure, rewards, solution):
+    """:func:`assignment_from_solution` node by node, each node's Z entries
+    from its own :func:`stage_matrices` call."""
+    values = evaluate_values(structure, rewards, solution)[0]
+    asg = {}
+    for nid in structure.nonleaf_ids():
+        node = structure.nodes[nid]
+        m1, m2 = node.menus
+        prof = solution.profiles[nid]
+        if solution.kind == "ne":
+            asg.update({VarId("muN", nid, 0, lab): float(p) for lab, p in zip(m1, prof.mu1)})
+            asg.update({VarId("muN", nid, 1, lab): float(p) for lab, p in zip(m2, prof.mu2)})
+        else:
+            asg.update({VarId("muC", nid, joint=(la, lb)): float(prof.mu_joint[a, b])
+                        for a, la in enumerate(m1) for b, lb in enumerate(m2)})
+        z = stage_matrices(structure, rewards, node, values)
+        for i in range(2):
+            asg[VarId("V", nid, i)] = float(values[nid, i])
+            asg.update({VarId("Z", nid, i, joint=(la, lb)): float(z[i][a, b])
+                        for a, la in enumerate(m1) for b, lb in enumerate(m2)})
+    return asg
+
+
+class TestOnePassGaps:
+    """The one evaluation pass gives the values and gap table bit for bit as
+    a second walk over the kept stage games does."""
+
+    def test_evaluate_values_matches_two_walks(self):
+        for name, rewards, structure in gap_structures():
+            for kind in ("ne", "ce"):
+                rng = np.random.default_rng(len(structure.nodes))
+                random = random_profiles(structure, kind, rng)
+                for sol in (run_gbi(structure, rewards, kind), random):
+                    values, gaps = evaluate_values(structure, rewards, sol)
+                    ref_values, ref_gaps = two_walk_gaps(structure, rewards, kind,
+                                                         _stacked(kind, sol.profiles))
+                    assert values.tobytes() == ref_values.tobytes(), (name, kind)
+                    assert gaps.shape == (len(structure.nonleaf_ids()), 2)
+                    assert gaps.tobytes() == ref_gaps.tobytes(), (name, kind)
+
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    def test_batched_evaluation_matches_two_walks(self, kind):
+        bm = random_model(5058)
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        rng = np.random.default_rng(11)
+        points = [_stacked(kind, random_profiles(tree, kind, rng).profiles) for _ in range(3)]
+
+        def strategies(group):
+            return tuple(np.stack(parts) for parts in zip(*(point(group) for point in points)))
+
+        values, gaps = _evaluate(tree, bm.rewards, kind, strategies, batch=(3,))
+        ref_values, ref_gaps = two_walk_gaps(tree, bm.rewards, kind, strategies, batch=(3,))
+        assert gaps.shape == (3, len(tree.nonleaf_ids()), 2) and gaps.max() > 0.0
+        assert values.tobytes() == ref_values.tobytes()
+        assert gaps.tobytes() == ref_gaps.tobytes()
+
+    def test_assignment_matches_per_node_reference(self):
+        for name, rewards, structure in gap_structures():
+            for kind in ("ne", "ce"):
+                sol = random_profiles(structure, kind, np.random.default_rng(5))
+                got = assignment_from_solution(structure, rewards, sol)
+                expected = reference_assignment(structure, rewards, sol)
+                assert list(got.items()) == list(expected.items()), (name, kind)
 
 
 class TestCheckFeasibility:

@@ -13,6 +13,7 @@ from conftest import random_model, random_profiles  # noqa: E402
 
 import nscsg.speprog as speprog  # noqa: E402
 from nscsg.errors import SolverError  # noqa: E402
+from nscsg.gbi import stage_matrices  # noqa: E402
 from nscsg.nfg import BimatrixGame, StageSolution, _ce_from_lp  # noqa: E402
 from nscsg.unfold import unfold_tree  # noqa: E402
 from nscsg.verify import _deviation_values  # noqa: E402
@@ -63,7 +64,7 @@ def ce_program(draw):
 def test_ce_lp_solutions_keep_every_swap_slack(program):
     z1, z2, objective = program
     ce = _ce_from_lp(BimatrixGame(z1, z2), objective)
-    for slack in speprog._slacks("ce", z1, z2, (ce.mu,), None):
+    for slack in speprog._slacks("ce", z1, z2, (ce.mu_joint,), None):
         assert slack.min() >= -1e-9
 
 
@@ -95,12 +96,13 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
         """Root welfare and the LP's rows of slacks, recomputed in a full
         pass: ``nid``'s, then its ancestors' bottom-up, each agent 1's then
         agent 2's, without the swaps of an action for itself."""
-        values, z = speprog.evaluate_values(tree, bm.rewards, solution)
+        values = speprog.evaluate_values(tree, bm.rewards, solution)[0]
         rows = []
         for qid in [nid] + speprog._free_ancestors(tree, nid):
             prof = solution.profiles[qid]
             strategies = (prof.mu_joint,) if kind == "ce" else (prof.mu1, prof.mu2)
-            slacks = speprog._slacks(kind, z[(qid, 0)], z[(qid, 1)], strategies, values[qid])
+            z1, z2 = stage_matrices(tree, bm.rewards, tree.nodes[qid], values)
+            slacks = speprog._slacks(kind, z1, z2, strategies, values[qid])
             for s, m in zip(slacks, map(len, tree.nodes[qid].menus)):
                 rows.append(s[~np.eye(m, dtype=bool).ravel()] if kind == "ce" else s)
         return values[0].sum(), np.concatenate(rows)
