@@ -2,10 +2,13 @@
 and a two-aircraft collision avoidance scenario."""
 from __future__ import annotations
 
+import json
+import numbers
+import os
 from dataclasses import dataclass, field, fields
 
 from ..errors import ModelError
-from ..model import GlobalState, NsCsg, RewardStructure
+from ..model import FeedForwardNet, GlobalState, NsCsg, RewardStructure
 
 
 @dataclass(frozen=True)
@@ -19,10 +22,31 @@ class BuiltModel:
     extras: dict = field(default_factory=dict)
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+#: What a parameter takes, by the type of its default: (description, test).
+_KINDS = {
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    int: ("an integer", _integer),
+    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list", lambda v: isinstance(v, (list, tuple))),
+}
+
+#: The parameters whose default does not tell what they take.
+_FIELD_KINDS = {
+    "instant_k": ("null or an integer", lambda v: v is None or _integer(v)),
+    "nets": ("a string or a list of networks", lambda v: isinstance(v, (str, os.PathLike)) or (
+        isinstance(v, (list, tuple)) and all(isinstance(net, FeedForwardNet) for net in v))),
+}
+
+
 def build(name: str, params: dict | None = None) -> BuiltModel:
     """Construct a named benchmark from a parameter mapping; an unknown name
-    or parameter, or parameters that are not a mapping, raise
-    :class:`ModelError`."""
+    or parameter, parameters that are not a mapping, a value of the wrong
+    kind, or a type or value error met while building raise :class:`ModelError`."""
     if name == "counterexample":
         from .counterexample import CounterexampleParams as Params, build_counterexample as make
     elif name == "parking":
@@ -37,4 +61,12 @@ def build(name: str, params: dict | None = None) -> BuiltModel:
     unknown = sorted(set(params) - {f.name for f in fields(Params)})
     if unknown:
         raise ModelError(f"unknown {name} parameter {unknown[0]!r}")
-    return make(Params(**params))
+    for f in fields(Params):
+        kind = _FIELD_KINDS.get(f.name) or _KINDS.get(type(f.default))
+        if f.name in params and kind is not None and not kind[1](params[f.name]):
+            shown = json.dumps(params[f.name], default=repr)
+            raise ModelError(f"{name} parameter {f.name!r} must be {kind[0]}, not {shown}")
+    try:
+        return make(Params(**params))
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"cannot build {name}: {exc}") from None

@@ -104,22 +104,26 @@ def load_net_json(source) -> FeedForwardNet:
 
     ``source`` may be a path, an open file or an already parsed dict.
     Matrices are row-major; the rectifier is implied on all but the last
-    layer.
+    layer.  A file that cannot be read or parsed, or that lacks a field or
+    holds one of the wrong type, raises :class:`ModelError` naming it.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    where = "network" if isinstance(source, dict) else f"network file {source}"
     try:
+        if isinstance(source, dict):
+            doc = source
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source) as fh:
+                doc = json.load(fh)
         layers = tuple(
             (np.asarray(layer["weights"], dtype=float), np.asarray(layer["bias"], dtype=float))
             for layer in doc["layers"]
         )
+    except (OSError, ValueError) as exc:  # e.g. a missing file, malformed JSON or ragged rows
+        raise ModelError(f"cannot read {where}: {exc}") from None
     except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed network file: {exc}") from exc
+        raise ModelError(f"malformed {where}: {exc}") from None
     return FeedForwardNet(layers)
 
 
@@ -323,11 +327,6 @@ class NsCsg:
     ``actions`` is the tuple of executed :class:`Action` objects (the idle
     action carries value ``None``).
 
-    When ``availability_on_old_percept`` is set, availability is evaluated on
-    the percept stored in the state instead of the refreshed one; the default
-    refreshes percepts first, so the action menu can depend on the newest
-    observation.
-
     The optional ``batch_env_step(envs, joints)`` is ``env_step`` of every
     row of the (R, env_dim) array ``envs`` under the R joints, given as label
     tuples; it returns the (R, env_dim) next environments.
@@ -337,7 +336,6 @@ class NsCsg:
     agents: tuple[AgentSpec, ...]
     env_step: Callable[[np.ndarray, tuple[Action, ...]], np.ndarray]
     env_dim: int
-    availability_on_old_percept: bool = False
     batch_env_step: Callable[[np.ndarray, Sequence[tuple[str, ...]]], np.ndarray] | None = None
 
     @property
@@ -423,34 +421,19 @@ def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str,
     return tuple(sorted(avail, key=spec._order.__getitem__))
 
 
-def decision_states(model: NsCsg, states: Sequence[GlobalState],
-                    refreshed: Sequence[GlobalState] | None = None) -> list[GlobalState]:
-    """The states availability reads at ``states``: each state with refreshed
-    percepts (``refreshed`` when the caller already has them, else refreshed
-    in one batch), or the states themselves when the model evaluates
-    availability on the stored percept."""
-    if model.availability_on_old_percept:
-        return list(states)
-    return refresh_batch(model, states) if refreshed is None else list(refreshed)
-
-
-def decision_state(model: NsCsg, state: GlobalState, refreshed: GlobalState | None = None) -> GlobalState:
-    """:func:`decision_states` of the one state ``state``."""
-    return decision_states(model, [state], None if refreshed is None else [refreshed])[0]
-
-
-def action_menus(model: NsCsg, decision: GlobalState) -> tuple[tuple[str, ...], ...]:
-    """Every agent's available labels at decision state ``decision``."""
-    return tuple(available_labels(model, decision, i) for i in range(model.n_agents))
+def action_menus(model: NsCsg, refreshed: GlobalState) -> tuple[tuple[str, ...], ...]:
+    """Every agent's available labels at ``refreshed``, a state whose
+    percepts are already refreshed."""
+    return tuple(available_labels(model, refreshed, i) for i in range(model.n_agents))
 
 
 def joint_actions(model: NsCsg, state: GlobalState) -> list[tuple[str, ...]]:
     """All joint actions at ``state`` in a deterministic order.
 
-    Percepts are refreshed first unless the model opts out; the product is
-    ordered by each agent's action declaration order.
+    Percepts are refreshed first; the product is ordered by each agent's
+    action declaration order.
     """
-    return list(itertools.product(*action_menus(model, decision_state(model, state))))
+    return list(itertools.product(*action_menus(model, refresh_batch(model, [state])[0])))
 
 
 def successors(model: NsCsg, state: GlobalState, joint: tuple[str, ...]):
@@ -461,7 +444,7 @@ def successors(model: NsCsg, state: GlobalState, joint: tuple[str, ...]):
     the percept refresh.
     """
     refreshed = refresh_percepts(model, state)
-    menus = action_menus(model, decision_state(model, state, refreshed))
+    menus = action_menus(model, refreshed)
     for i in range(model.n_agents):
         if joint[i] not in menus[i]:
             raise ModelError(
@@ -689,8 +672,9 @@ def load_model_json(source):
 
     Returns a :class:`nscsg.benchmarks.BuiltModel` either way; a tabular
     file's horizon is its ``"horizon"`` entry (default 1).  A file that cannot
-    be read or parsed, that is not a JSON object, or that lacks a field or
-    holds one of the wrong JSON type raises :class:`ModelError`.
+    be read or parsed, that is not a JSON object, that lacks a field or holds
+    one of the wrong JSON type, or that sets ``"availability_on_old_percept"``
+    (menus always read refreshed percepts) raises :class:`ModelError`.
     """
     where = "model" if isinstance(source, dict) else f"model file {source}"
     try:
@@ -701,6 +685,9 @@ def load_model_json(source):
                 doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ModelError(f"{where} holds {type(doc).__name__}, not a JSON object")
+        if doc.get("availability_on_old_percept"):
+            raise ModelError(f"{where} sets availability_on_old_percept, which is not supported: "
+                             "action menus read the refreshed percepts")
         return _tabular_bundle(doc)
     except (OSError, ValueError) as exc:  # e.g. a missing file or malformed JSON
         raise ModelError(f"cannot read {where}: {exc}") from None
@@ -730,13 +717,7 @@ def _tabular_bundle(doc: dict):
             raise ModelError(f"tabular environment transition missing for {key}")
         return _table[key]
 
-    model = NsCsg(
-        name=doc.get("name", "tabular"),
-        agents=agents,
-        env_step=env_step,
-        env_dim=env_dim,
-        availability_on_old_percept=bool(doc.get("availability_on_old_percept", False)),
-    )
+    model = NsCsg(name=doc.get("name", "tabular"), agents=agents, env_step=env_step, env_dim=env_dim)
 
     init_doc = doc["initial"]
     state = GlobalState(

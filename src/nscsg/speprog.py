@@ -441,7 +441,6 @@ class GridResult:
     social_welfare: Optional[float]
     checked: int
     feasible: int
-    tolerance: float
 
 
 def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
@@ -546,7 +545,7 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
                 best.profiles[node.id] = StageSolution("ne", point[0], point[1], None, payoffs)
             else:
                 best.profiles[node.id] = StageSolution("ce", None, None, point[0], payoffs)
-    return GridResult(best, best_sw, total_points, feasible, tol)
+    return GridResult(best, best_sw, total_points, feasible)
 
 
 # ---------------------------------------------------------------------------

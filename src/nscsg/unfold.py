@@ -22,8 +22,6 @@ from .model import (
     RewardStructure,
     action_menus,
     as_vector,
-    decision_state,
-    decision_states,
     key_rows,
     observe_batch,
     refresh_batch,
@@ -44,10 +42,10 @@ class Node:
     """One history (tree) or one merged (state, stage) class (region graph).
 
     ``state`` stores percepts as delivered by the previous step; ``decision``
-    is the state used for availability (percepts refreshed unless the model
-    opts out); until a tree node is expanded, and at tree leaves, it is the
-    delivered state.  ``children`` maps each joint action to the tuple of
-    (probability, child id) pairs.
+    is the state with refreshed percepts, which availability reads; until a
+    tree node is expanded, and at tree leaves, it is the delivered state.
+    ``children`` maps each joint action to the tuple of (probability, child
+    id) pairs.
     """
 
     id: int
@@ -271,13 +269,11 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
-    model.check_state(state)
-    decision = decision_state(model, state)
+    decision = refresh_batch(model, [state])[0]
     shared = _SharedAgentStates() if merge else None
     if merge:
         shared.add(state.agent_states)
-        if decision is not state:
-            decision = GlobalState(shared.add(decision.agent_states), decision.env)
+        decision = GlobalState(shared.add(decision.agent_states), decision.env)
     nodes = [Node(0, 0, state, decision)]
     links = ([], [])  # (child id, parent id) of every transition
     menu_joints = {}
@@ -296,9 +292,8 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             # a decision state that is not the delivered state was refreshed at creation
             fresh = iter(refresh_batch(model, [n.state for n in chunk if n.decision is n.state]))
             refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
-            decided = decision_states(model, [n.state for n in chunk], refreshed)
-            for node, ref, decision in zip(chunk, refreshed, decided):
-                node.decision = decision
+            for node, ref in zip(chunk, refreshed):
+                node.decision = ref
                 menus = action_menus(model, node.decision)
                 if menus not in menu_joints:
                     menu_joints[menus] = (menus, tuple(itertools.product(*menus)))
@@ -353,12 +348,9 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
     held = [per[src] for per in pers]  # a successor carries the percepts of its parent's step
     envs.flags.writeable = False
     held_tuples = shared.tuples(succ_locs, held)
-    if model.availability_on_old_percept:
-        seen = held
-    else:
-        delivered = [GlobalState(t, env) for t, env in zip(held_tuples, envs)]
-        seen = [_stack(column) for column in observe_batch(model, delivered)]
-        del delivered  # freed before the states that live on are built, which then pack densely
+    delivered = [GlobalState(t, env) for t, env in zip(held_tuples, envs)]
+    seen = [_stack(column) for column in observe_batch(model, delivered)]
+    del delivered  # freed before the states that live on are built, which then pack densely
     new, cids = [], []
     for m, key in enumerate(key_rows(succ_locs + seen + [envs])):
         cid = ids_by_key.get(key)
@@ -373,11 +365,8 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
     kept.flags.writeable = False
     kept_rows = list(kept)
     states = [GlobalState(held_tuples[m], env) for m, env in zip(new, kept_rows)]
-    if model.availability_on_old_percept:
-        decisions = states
-    else:
-        tuples = shared.tuples([loc[at] for loc in succ_locs], [per[at] for per in seen])
-        decisions = [GlobalState(t, env) for t, env in zip(tuples, kept_rows)]
+    tuples = shared.tuples([loc[at] for loc in succ_locs], [per[at] for per in seen])
+    decisions = [GlobalState(t, env) for t, env in zip(tuples, kept_rows)]
     created = [Node(next_id + k, stage, state, decision)
                for k, (state, decision) in enumerate(zip(states, decisions))]
     probs = probs.tolist()
@@ -475,9 +464,7 @@ def unfold_regions(model: NsCsg, state: GlobalState, horizon: int, max_nodes: in
     overwritten by the observation functions before anything can read it;
     two states with equal local states, refreshed percepts and environment
     have identical futures.  (This assumes reward functions do not read the
-    stale stored percepts, which holds for observation-driven models.)  With
-    availability on the old percept the stored percept stays relevant, so
-    merging keys on the raw state.
+    stale stored percepts, which holds for observation-driven models.)
     """
     return _unfold(model, state, horizon, max_nodes, merge=True)
 

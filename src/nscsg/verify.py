@@ -100,7 +100,6 @@ def check_spce(structure: Structure, rewards, solution: EquilibriumSolution,
 @dataclass(frozen=True)
 class SimulationResult:
     path: Path
-    node_ids: tuple
     joint_actions: tuple
     totals: np.ndarray
     zero_action_counts: tuple  # per agent
@@ -129,7 +128,6 @@ def simulate(structure: Structure, solution: EquilibriumSolution, rewards,
     node = structure.root
     states = [node.state]
     joints = []
-    node_ids = [node.id]
     zero_counts = [0, 0]
     while not structure.is_leaf(node):
         prof = solution.profiles.get(node.id)
@@ -154,11 +152,10 @@ def simulate(structure: Structure, solution: EquilibriumSolution, rewards,
         node = structure.nodes[pairs[pick][1]]
         states.append(node.state)
         joints.append(joint)
-        node_ids.append(node.id)
     path = Path(0, tuple(states), tuple(joints))
     totals = path_value(rewards, path)
     steps = max(len(joints), 1)
     return SimulationResult(
-        path, tuple(node_ids), tuple(joints), totals,
+        path, tuple(joints), totals,
         tuple(zero_counts), tuple(c / steps for c in zero_counts),
     )

@@ -257,3 +257,10 @@ class TestVcasRewards:
         agents = (AgentState(as_vector([4]), as_vector([1])),) * 2
         at_k1 = GlobalState(agents, as_vector([10.0, 0.0, 0.0, 2.0]))  # t = t0 - k
         assert r[0].state_reward(at_k1) == 10.0
+
+
+class TestParams:
+    def test_values_of_the_default_kind_accepted(self):
+        # an int where a float is due, numpy integers, tuples or lists, null instant_k
+        bm = build("vcas", {"t0": np.int64(1), "h0": 50, "trust0": [3, 4], "instant_k": None})
+        assert bm.horizon == 1 and bm.initial.env.tolist() == [50.0, -5.0, 5.0, 1.0]

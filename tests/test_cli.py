@@ -250,13 +250,32 @@ class TestModelInputErrors:
         (COIN, '{"horizon": null}', "--params horizon must be an integer, not null"),
         (COIN, '{"horizon": 1.7}', "--params horizon must be an integer, not 1.7"),
         (COIN, '{"horizon": true}', "--params horizon must be an integer, not true"),
+        ("parking", '{"horizon": "abc"}', "parking parameter 'horizon' must be an integer, not \"abc\""),
+        ("parking", '{"horizon": 1.5}', "parking parameter 'horizon' must be an integer, not 1.5"),
+        ("parking", '{"horizon": true}', "parking parameter 'horizon' must be an integer, not true"),
+        ("parking", '{"slots": 5}', "parking parameter 'slots' must be a list, not 5"),
+        ("vcas", '{"t0": "abc"}', "vcas parameter 't0' must be an integer, not \"abc\""),
+        ("vcas", '{"eps_own": "x"}', "vcas parameter 'eps_own' must be a number, not \"x\""),
+        ("vcas", '{"instant_k": "a"}', "vcas parameter 'instant_k' must be null or an integer, not \"a\""),
+        ("vcas", '{"nets": 5}', "vcas parameter 'nets' must be a string or a list of networks, not 5"),
+        ("vcas", '{"nets": [1,2,3,4,5,6,7,8,9]}',
+         "vcas parameter 'nets' must be a string or a list of networks, not [1, 2, 3"),
+        ("counterexample", '{"zero_sum": 1}', "counterexample parameter 'zero_sum' must be a bool, not 1"),
+        ("vcas", '{"reward": 2}', "vcas parameter 'reward' must be a string, not 2"),
+        ("vcas", '{"h0": true}', "vcas parameter 'h0' must be a number, not true"),
+        ("parking", '{"rule_table": 5}', "cannot build parking: "),
+        (json.dumps({**coin_model_doc(), "availability_on_old_percept": True}), None,
+         "sets availability_on_old_percept, which is not supported"),
     ], ids=["missing-file", "malformed-file", "missing-field", "malformed-params",
             "unknown-param", "file-not-object", "field-wrong-type", "params-not-object",
             "file-params-not-object", "horizon-string", "horizon-null", "horizon-float",
-            "horizon-bool"])
+            "horizon-bool", "parking-horizon-string", "parking-horizon-float",
+            "parking-horizon-bool", "parking-slots-int", "vcas-t0-string", "vcas-eps-string",
+            "vcas-instant-k-string", "vcas-nets-int", "vcas-nets-numbers", "counterexample-bool-int",
+            "vcas-string-int", "vcas-number-bool", "parking-build-error", "old-percept-rule"])
     def test_solve(self, tmp_path, capsys, content, params, message):
         model = str(tmp_path / "model.json")
-        if content == "parking":
+        if content in ("counterexample", "parking", "vcas"):
             model = content
         elif content is not None:
             Path(model).write_text(content)
@@ -266,6 +285,15 @@ class TestModelInputErrors:
         assert err.startswith("model error:") and message in err
         if content is None or content.startswith(("{", "[")) and params is None:
             assert model in err
+
+    def test_malformed_network_file(self, tmp_path, capsys):
+        # nine advisory network files that hold truncated JSON
+        for k in range(1, 10):
+            (tmp_path / f"vcas_{k}.json").write_text('{"layers": [')
+        params = json.dumps({"nets": str(tmp_path), "t0": 1})
+        code, out, err = run_cli("unfold", "--model", "vcas", "--params", params, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"model error: cannot read network file {tmp_path / 'vcas_1.json'}: ")
 
 
 class TestNonFiniteRewards:

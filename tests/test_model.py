@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -402,6 +403,27 @@ class TestTabularLoader:
                                                   "params": {"phi": -3.0}}})
         assert bundle.extras["phi"] == -3.0
 
+    def test_old_percept_rule_rejected(self):
+        # menus always read refreshed percepts; a file asking for the stored one is an error
+        doc = coin_model_doc()
+        doc["availability_on_old_percept"] = True
+        with pytest.raises(ModelError, match="model sets availability_on_old_percept"):
+            load_model_json(doc)
+
+    @pytest.mark.parametrize("flag", [False, None], ids=["false", "absent"])
+    @pytest.mark.parametrize("unfold, digest", [
+        (unfold_tree, "bd226c8d11da26f923c05cc1cd3719fe12e2295b86c3e19b29440697721af1d8"),
+        (unfold_regions, "b4bc0710f51a47909c0e3dcbb4a0025bf50b686503856642fdd846ea5ece8c6e"),
+    ], ids=["tree", "region"])
+    def test_old_percept_false_or_absent_unfolds_as_before(self, flag, unfold, digest):
+        doc = coin_model_doc()
+        doc["horizon"] = 2
+        if flag is not None:
+            doc["availability_on_old_percept"] = flag
+        bundle = load_model_json(doc)
+        structure = unfold(bundle.model, bundle.initial, bundle.horizon)
+        assert hashlib.sha256(json.dumps(structure.to_json()).encode()).hexdigest() == digest
+
 
 class TestPerceptRefreshOrder:
     def test_availability_follows_new_advisory(self):
@@ -412,23 +434,3 @@ class TestPerceptRefreshOrder:
         bm = build("vcas", {"nets": [net] * 9, "t0": 2})  # stored advisory is 1
         menus = joint_actions(bm.model, bm.initial)
         assert ("-9.33", "-9.33") in menus  # advisory-2 accelerations
-
-    def test_availability_on_old_percept(self):
-        # with the flag the stored advisory 1 sets the menu, while successors
-        # still carry the refreshed advisory 2 and merging keys the raw state
-        bias = np.zeros(9)
-        bias[1] = 1.0
-        net = FeedForwardNet(((np.zeros((9, 4)), bias),))
-        bm = build("vcas", {"nets": [net] * 9, "t0": 2})
-        model = dataclasses.replace(bm.model, availability_on_old_percept=True)
-        advisory1 = ("-3", "0", "3")
-        assert joint_actions(model, bm.initial) == [(a, b) for a in advisory1 for b in advisory1]
-        for joint in joint_actions(model, bm.initial):
-            for state, _ in successors(model, bm.initial, joint):
-                assert [a.per.tolist() for a in state.agent_states] == [[2.0], [2.0]]
-        rg = unfold_regions(model, bm.initial, bm.horizon)
-        assert rg.root.menus == (advisory1, advisory1)
-        assert rg.root.decision.agent_states[0].per.tolist() == [1.0]
-        assert all(n.decision is n.state for n in rg.nodes)
-        keys = [(canonical_key(n.state), n.stage) for n in rg.nodes]
-        assert len(keys) == len(set(keys))

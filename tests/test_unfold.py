@@ -241,44 +241,34 @@ class TestInvariants:
         assert len(doc["nodes"]) == 12
 
 
-def _old_percept(bm):
-    return dataclasses.replace(bm.model, availability_on_old_percept=True)
-
-
 class TestPinnedOutputs:
     # sha256 of the exported JSON; node ids, states, joint actions and edge order all
     # enter the digest, so any change in the unfolding shows here
-    @pytest.mark.parametrize("name, params, unfold, old_percept, digest", [
-        ("counterexample", {"phi": -10}, unfold_tree, False,
+    @pytest.mark.parametrize("name, params, unfold, digest", [
+        ("counterexample", {"phi": -10}, unfold_tree,
          "643e801ce2b2542e32461025bc734e3d180fe72ef4b683aea8bce0c3f372bc21"),
-        ("counterexample", {"phi": -10}, unfold_regions, False,
+        ("counterexample", {"phi": -10}, unfold_regions,
          "0d75f60e160e8b96e64969af7c8ba607456dfa87549cb877c5c6f0ea03fa2a82"),
-        ("parking", {"horizon": 4}, unfold_tree, False,
+        ("parking", {"horizon": 4}, unfold_tree,
          "e1a472bef1e63511bba2955060eec16e980b409c21e6274836ac0d79b2470e28"),
-        ("parking", {"horizon": 4}, unfold_regions, False,
+        ("parking", {"horizon": 4}, unfold_regions,
          "0630d0a9dbb83aaedb4a4dc2ea9749afedc28b5d3d051810784a733482da69f6"),
-        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions, False,
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions,
          "fcf2cf983717241c44b2b201935979bf0fad24021e72d88d9539620a4f5db065"),
-        ("vcas", {"t0": 3}, unfold_tree, False,
+        ("vcas", {"t0": 3}, unfold_tree,
          "2d86d51f364c523f2982e8b4c704260b862753a7150f23b7c2827daad40d87e0"),
-        ("vcas", {"t0": 3}, unfold_regions, False,
+        ("vcas", {"t0": 3}, unfold_regions,
          "dd6589f0b67a8efd9e1a2d5b584759fbfa17c954eabc40ca7151f8f468cee7cf"),
-        ("vcas", {"t0": 3}, unfold_tree, True,
-         "d31dc38a9cc0703bebc5e328fb65ec34e90ba0c95ff17fe92d87d2066bbbdfb1"),
-        ("vcas", {"t0": 3}, unfold_regions, True,
-         "359cde2f08f9cf95d24192417525cc0de22d298b56f292cd6f10cc9d2293ea7f"),
-        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_tree, False,
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_tree,
          "efb924e4c81806be61b46e81180789af585aca541a6ad29eabed701f48e70524"),
-        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions, False,
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions,
          "3e3d49e001641e9b7d799d0a7faa4fedc159dd1071054fef9f0f1e5f2ba2a09a"),
     ], ids=["counterexample-tree", "counterexample-region", "parking-k4-tree",
             "parking-k4-region", "parking-k8-region", "vcas-t3-tree", "vcas-t3-region",
-            "vcas-t3-tree-old-percept", "vcas-t3-region-old-percept",
             "vcas-t3-eps0.2-tree", "vcas-t3-eps0.2-region"])
-    def test_structure_digest(self, name, params, unfold, old_percept, digest):
+    def test_structure_digest(self, name, params, unfold, digest):
         bm = build(name, params)
-        model = _old_percept(bm) if old_percept else bm.model
-        structure = unfold(model, bm.initial, bm.horizon)
+        structure = unfold(bm.model, bm.initial, bm.horizon)
         assert hashlib.sha256(json.dumps(structure.to_json()).encode()).hexdigest() == digest
 
 
@@ -292,17 +282,15 @@ def _state_bytes(state):
 
 
 class TestBatchedSlices:
-    @pytest.mark.parametrize("params, old_percept", [
-        ({"t0": 3}, False),
-        ({"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, False),
-        ({"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, True),
-    ], ids=["eps0", "eps0.2", "eps0.2-old-percept"])
-    def test_graph_without_hooks_identical(self, params, old_percept):
+    @pytest.mark.parametrize("params", [
+        {"t0": 3},
+        {"t0": 3, "eps_own": 0.2, "eps_int": 0.2},
+    ], ids=["eps0", "eps0.2"])
+    def test_graph_without_hooks_identical(self, params):
         # the per-row callbacks give the same graph, node for node and bit for bit
         bm = build("vcas", params)
-        model = _old_percept(bm) if old_percept else bm.model
-        hooked = unfold_regions(model, bm.initial, bm.horizon)
-        plain = unfold_regions(_without_hooks(model), bm.initial, bm.horizon)
+        hooked = unfold_regions(bm.model, bm.initial, bm.horizon)
+        plain = unfold_regions(_without_hooks(bm.model), bm.initial, bm.horizon)
         assert len(hooked.nodes) == len(plain.nodes)
         for a, b in zip(hooked.nodes, plain.nodes):
             assert (a.id, a.stage, a.menus, a.joints, a.children, a.parents) == (
@@ -322,19 +310,16 @@ class TestBatchedSlices:
 
 
 class TestPerceiveOnce:
-    # each state's percepts are computed once: at expansion (tree, and region
-    # graphs deciding on the stored percept) or, for a region merge key, once
-    # per created transition plus the root
-    @pytest.mark.parametrize("name, params, unfold, old_percept, expect", [
-        ("vcas", {"t0": 3}, unfold_tree, False, 91),
-        ("vcas", {"t0": 3}, unfold_regions, False, 811),
-        ("vcas", {"t0": 3}, unfold_regions, True, 91),
-        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions, False, 1625),
-    ], ids=["vcas-t3-tree", "vcas-t3-region", "vcas-t3-region-old-percept", "parking-k8-region"])
-    def test_observation_calls(self, name, params, unfold, old_percept, expect):
+    # each state's percepts are computed once: at expansion (tree) or, for a
+    # region merge key, once per created transition plus the root
+    @pytest.mark.parametrize("name, params, unfold, expect", [
+        ("vcas", {"t0": 3}, unfold_tree, 91),
+        ("vcas", {"t0": 3}, unfold_regions, 811),
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions, 1625),
+    ], ids=["vcas-t3-tree", "vcas-t3-region", "parking-k8-region"])
+    def test_observation_calls(self, name, params, unfold, expect):
         bm = build(name, params)
-        model = _old_percept(bm) if old_percept else bm.model
-        calls = [0] * model.n_agents
+        calls = [0] * bm.model.n_agents
 
         def counted(i, observe):
             def observation(state):
@@ -351,12 +336,12 @@ class TestPerceiveOnce:
                 return observe(states)
             return batch_observation
 
-        model = dataclasses.replace(model, agents=tuple(
+        model = dataclasses.replace(bm.model, agents=tuple(
             dataclasses.replace(spec, observation=counted(i, spec.observation),
                                 batch_observation=counted_batch(i, spec.batch_observation))
-            for i, spec in enumerate(model.agents)))
+            for i, spec in enumerate(bm.model.agents)))
         structure = unfold(model, bm.initial, bm.horizon)
-        if unfold is unfold_regions and not old_percept:
+        if unfold is unfold_regions:
             assert expect == 1 + structure.n_transitions()
         else:
             assert expect == len(structure.nonleaf_ids())
