@@ -43,6 +43,11 @@ _FIELD_KINDS = {
 }
 
 
+def _tuples(value):
+    """``value`` with every list, at any depth, turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
 def build(name: str, params: dict | None = None) -> BuiltModel:
     """Construct a named benchmark from a parameter mapping; an unknown name
     or parameter, parameters that are not a mapping, a value of the wrong
@@ -66,6 +71,8 @@ def build(name: str, params: dict | None = None) -> BuiltModel:
         if f.name in params and kind is not None and not kind[1](params[f.name]):
             shown = json.dumps(params[f.name], default=repr)
             raise ModelError(f"{name} parameter {f.name!r} must be {kind[0]}, not {shown}")
+        if f.name in params and isinstance(f.default, tuple):  # JSON gives lists, e.g. of cells
+            params[f.name] = _tuples(params[f.name])
     try:
         return make(Params(**params))
     except (TypeError, ValueError, AttributeError) as exc:

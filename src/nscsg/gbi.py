@@ -19,7 +19,9 @@ bottom-up pass, so every solver and checker differs only in its step.
 :meth:`StageGameCache.solve`): it rounds the group's stage games once, keys
 every row from the rounded bytes, and passes the distinct missed games to
 :func:`nscsg.nfg.any_equilibria` in one call.  FSI's re-induction scores a
-node's candidate equilibria as one such stack per free ancestor.
+round's trials as one such stack per stage group and block of trials, and
+reads the candidate equilibria of every free node of one menu shape as one
+:meth:`StageGameCache.stage_candidates_stack`.
 """
 from __future__ import annotations
 
@@ -29,10 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, ResourceLimitError, SolverError
 from .model import RewardStructure
 from .nfg import (BimatrixGame, StageSolution, _ce_stack, any_equilibria, any_equilibrium,
-                  enumerate_ne, zero_sum_values)
+                  enumerate_ne_stack, zero_sum_values)
 from .unfold import Node, StageGroup, Structure, node_json, write_json
 
 
@@ -132,23 +134,45 @@ class EquilibriumSolution:
         return EquilibriumSolution(self.kind, self.values.copy(), dict(self.profiles), self.policy)
 
 
+def _candidates_stack(p1: np.ndarray, p2: np.ndarray, kind: str) -> list[list[StageSolution]]:
+    """:func:`_stage_candidates` of each game (p1[k], p2[k]) of a stack of
+    games of one shape: their Nash equilibria enumerated together, or the
+    LPs of their five objectives each solved as one stack."""
+    if kind == "ne":
+        return enumerate_ne_stack(p1, p2)
+    g, m, n = p1.shape
+    objectives = np.stack((p1 + p2, -p1, -p2, p1, p2), axis=1).reshape(5 * g, m * n)
+    ces = _ce_stack(np.repeat(p1, 5, axis=0), np.repeat(p2, 5, axis=0), objectives)
+    outs = []
+    for k in range(g):
+        out, seen = [], set()
+        for ce in ces[5 * k:5 * k + 5]:
+            key = tuple(np.round(ce.mu_joint.ravel(), 9))
+            if key not in seen:
+                seen.add(key)
+                out.append(ce)
+        outs.append(out)
+    return outs
+
+
 def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
     """Alternative equilibria of one stage game: every Nash equilibrium, or
-    the distinct correlated equilibria of five linear objectives, whose LPs
-    are solved as one stack."""
-    if kind == "ne":
-        return enumerate_ne(game)
-    p1, p2 = game.p1.ravel(), game.p2.ravel()
-    objectives = np.stack((p1 + p2, -p1, -p2, p1, p2))
-    outs = []
-    seen = set()
-    for ce in _ce_stack(*(np.broadcast_to(p, (5,) + game.shape) for p in (game.p1, game.p2)),
-                        objectives):
-        key = tuple(np.round(ce.mu_joint.ravel(), 9))
-        if key not in seen:
-            seen.add(key)
-            outs.append(ce)
-    return outs
+    the distinct correlated equilibria of five linear objectives: welfare,
+    each agent's payoff negated, then each agent's payoff."""
+    return _candidates_stack(game.p1[None], game.p2[None], kind)[0]
+
+
+def _candidates_or_errors(z: np.ndarray, kind: str) -> list:
+    """:func:`_candidates_stack` of the games of ``z`` (2, n, m1, m2), with
+    the error in place of a game whose candidates raise
+    :class:`SolverError` or :class:`ResourceLimitError`: when the stack
+    raises, its games are solved again one at a time."""
+    try:
+        return _candidates_stack(z[0], z[1], kind)
+    except (SolverError, ResourceLimitError) as exc:
+        if z.shape[1] == 1:
+            return [exc]
+        return [_candidates_or_errors(z[:, row:row + 1], kind)[0] for row in range(z.shape[1])]
 
 
 class StageGameCache:
@@ -164,19 +188,41 @@ class StageGameCache:
         self.candidate_misses = 0
 
     def stage_candidates(self, game: BimatrixGame, kind: str) -> list[StageSolution]:
-        """:func:`_stage_candidates` of the game, computed on the first request.
+        """:func:`_stage_candidates` of the game, computed on the first
+        request: the one-row :meth:`stage_candidates_stack`, which raises
+        the game's error."""
+        out, = self.stage_candidates_stack(np.stack((game.p1, game.p2))[:, None], kind)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def stage_candidates_stack(self, z: np.ndarray, kind: str) -> list:
+        """:meth:`stage_candidates` of each game of the stack ``z`` (shape
+        (2, n, m1, m2)) in row order, counted as row-by-row calls count.
 
         The key holds the exact payoff bytes, so a hit returns what
-        recomputing would; a call that raises is not stored.
+        recomputing would.  The distinct games not yet stored are solved
+        together (:func:`_candidates_or_errors`); each is one miss and every
+        other row a hit, except that a game whose candidates raise
+        :class:`SolverError` or :class:`ResourceLimitError` is not stored: it
+        gets its error in place of a list, and each of its rows is a miss.
         """
-        key = (kind, game.p1.shape, game.p1.tobytes(), game.p2.tobytes())
-        hit = self._candidates.get(key)
-        if hit is not None:
-            self.candidate_hits += 1
-            return hit
-        self.candidate_misses += 1
-        out = self._candidates[key] = _stage_candidates(game, kind)
-        return out
+        keys = [(kind, p1.shape, p1.tobytes(), p2.tobytes()) for p1, p2 in zip(z[0], z[1])]
+        missed: dict = {}  # key -> first row
+        for row, key in enumerate(keys):
+            if key not in self._candidates:
+                missed.setdefault(key, row)
+        failed = {}
+        if missed:
+            for key, out in zip(missed, _candidates_or_errors(z[:, list(missed.values())], kind)):
+                if isinstance(out, Exception):
+                    failed[key] = out
+                else:
+                    self._candidates[key] = out
+        misses = len(missed) - len(failed) + sum(key in failed for key in keys)
+        self.candidate_misses += misses
+        self.candidate_hits += len(keys) - misses
+        return [failed[key] if key in failed else self._candidates[key] for key in keys]
 
     def solve(self, game: BimatrixGame, kind: str, policy: str, rng=None) -> StageSolution:
         """A solution of ``game`` under ``policy``: the one-row

@@ -26,13 +26,18 @@ import numpy as np
 from .errors import ModelError, ResourceLimitError, SolverError
 from .gbi import EquilibriumSolution, StageGameCache, _require, induce_groups, stage_games
 from .lp import LinearProgram, lp_solve
-from .nfg import BimatrixGame, StageSolution
+from .nfg import StageSolution
 from .unfold import StageGroup, Structure
 
 GRID_CAP = 5_000_000
-#: Floats of values and stage matrices held per block of grid points scored
-#: together (about 0.5 MB): one batch axis amortises the pass's Python work.
+#: Floats of values, gap tables and one stage's matrices held per block of
+#: grid points scored together (about 0.5 MB): one batch axis amortises the
+#: pass's Python work.
 _GRID_BLOCK = 1 << 16
+#: Floats of trial values held per block of re-induction trials scored
+#: together (1 MB): a parking K8 round, at most 114 trials of 770 floats,
+#: fits in one block.
+_TRIAL_BLOCK = 1 << 17
 #: Welfare gain below which a coordinate-ascent round counts as no progress.
 _ASCENT_TOL = 1e-9
 
@@ -311,6 +316,15 @@ def _evaluate(structure: Structure, rewards, kind: str, strategies, profiles=Non
     return induce_groups(structure, rewards, step, profiles, batch), gaps
 
 
+def _solution_values(structure: Structure, rewards, solution: EquilibriumSolution) -> np.ndarray:
+    """The values of :func:`evaluate_values`, shape (n_nodes, 2), from a pass
+    that builds no gap table."""
+    strategies = _stacked(solution.kind, solution.profiles)
+    return induce_groups(structure, rewards,
+                         lambda group, z: _values(solution.kind, z, strategies(group)),
+                         solution.profiles)
+
+
 def evaluate_values(structure: Structure, rewards, solution: EquilibriumSolution):
     """Values and incentive gaps determined bottom-up by the strategy data.
 
@@ -324,7 +338,7 @@ def evaluate_values(structure: Structure, rewards, solution: EquilibriumSolution
 
 def assignment_from_solution(structure: Structure, rewards, solution: EquilibriumSolution) -> dict:
     """Total assignment of mu, V and Z induced by ``solution``."""
-    values, _ = evaluate_values(structure, rewards, solution)
+    values = _solution_values(structure, rewards, solution)
     z: dict = {}  # node id -> its stage matrices, shape (2, m1, m2)
     for groups in structure._compiled().groups:
         for group in groups:
@@ -501,9 +515,16 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
         group, row = compiled.locate(node.id)
         rows.setdefault(group.index, []).append((q, row))
     base_data = None if base is None else _stacked(kind, base.profiles)
-    joints = sum(math.prod(g.prob.shape[:-1]) for groups in compiled.groups for g in groups)
-    per_point = 2 * len(structure.nodes) + 4 * joints
-    block = max(1, _GRID_BLOCK // max(per_point, 1))
+    # per point: the values (2 floats a node) and gap table (2 a nonleaf
+    # node) of this block and of the last, which is freed when this pass
+    # returns; the matrices of one stage (2 floats a joint) and as much
+    # again of strategy data and temporaries while one of its groups is
+    # stepped; and this block's and the last's grid index of each node
+    joints = max((sum(math.prod(g.prob.shape[:-1]) for g in groups) for groups in compiled.groups),
+                 default=0)
+    per_point = (4 * (len(structure.nodes) + compiled.bounds[structure.horizon]) + 4 * joints
+                 + 2 * len(nodes))
+    block = max(1, _GRID_BLOCK // per_point)
 
     best = base
     best_sw = None if base is None else float(base.values[0].sum())
@@ -699,52 +720,119 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
 
     Every candidate state is subgame perfect by construction (each node holds
     an equilibrium of its own stage game), so feasibility is maintained; a
-    move is kept only when it strictly improves the root social welfare.  A
-    node's candidates are scored together, each free ancestor's games solved
-    as one stack (:meth:`StageGameCache.solve_stack`).
+    move is kept only when it strictly improves the root social welfare.
+
+    Each round scores every free node's candidates against the same solution
+    and keeps the best trial, first in (node bottom-up, candidate) order
+    among equals, so the round is scored as stacks: the candidates of every
+    free node of one menu shape as one
+    :meth:`StageGameCache.stage_candidates_stack`, and the trials, one batch
+    axis, a stage group at a time, each group's free ancestors of the
+    trials' nodes solved as one :meth:`StageGameCache.solve_stack`.  Trials
+    are taken a whole node's candidates at a time in blocks of at most
+    ``_TRIAL_BLOCK`` value floats (at least one node per block).
     """
     free = _free_part(structure, frozen)
     cache = cache or StageGameCache()
     compiled = structure._compiled()
 
     current = init.copy()
-    values, _ = evaluate_values(structure, rewards, current)
-    current.values = values
-    sw = float(values[0].sum())
+    current.values = _solution_values(structure, rewards, current)
+    sw = float(current.values[0].sum())
 
     order = _bottom_up(structure, free)
     ancestors = {nid: _free_ancestors(structure, nid) for nid in order}
+    free_rows: dict = {}  # stage group index -> (group, rows of its free nodes)
+    for nid in sorted(free):
+        group, row = compiled.locate(nid)
+        free_rows.setdefault(group.index, (group, []))[1].append(row)
+    free_rows = [(group, np.array(rows)) for group, rows in free_rows.values()]
     for _ in range(max(rounds, 0)):
+        candidates = _round_candidates(structure, rewards, kind, current, free_rows, cache)
         best = None
-        for nid in order:
-            group, row = compiled.locate(nid)
-            z = stage_games(structure, rewards, group, current.values, slice(row, row + 1))[:, 0]
-            try:
-                candidates = cache.stage_candidates(BimatrixGame(z[0], z[1]), kind)
-            except (SolverError, ResourceLimitError):
-                continue
-            cur_joint = current.profiles[nid].joint_distribution()
-            candidates = [c for c in candidates
-                          if not np.abs(c.joint_distribution() - cur_joint).max() < 1e-9]
-            if not candidates:
-                continue
-            trials = np.repeat(current.values[None], len(candidates), axis=0)
-            trials[:, nid] = [c.payoffs for c in candidates]
-            solved = []
-            for qid in ancestors[nid]:
-                group, row = compiled.locate(qid)
-                z = stage_games(structure, rewards, group, trials, slice(row, row + 1))[:, :, 0]
-                solved.append(cache.solve_stack(z, kind, "sw-optimal"))
-                trials[:, qid] = [sol.payoffs for sol in solved[-1]]
-            for k, candidate in enumerate(candidates):
-                trial_sw = float(trials[k, 0].sum())
-                if trial_sw > sw + 1e-9 and (best is None or trial_sw > best[0] + 1e-12):
-                    trial = current.copy()
-                    trial.values = trials[k]
-                    trial.profiles[nid] = candidate
-                    trial.profiles.update(zip(ancestors[nid], (sols[k] for sols in solved)))
-                    best = (trial_sw, trial)
+        for trials in _trial_blocks(order, candidates, current.values.size):
+            best = _score_trials(structure, rewards, kind, current, sw, best, trials, ancestors, cache)
         if best is None:
             break
         sw, current = best
     return current
+
+
+def _round_candidates(structure: Structure, rewards, kind: str, current: EquilibriumSolution,
+                      free_rows, cache: StageGameCache) -> dict:
+    """Each free node's candidate equilibria that differ from its data in
+    ``current``, by node id: :meth:`StageGameCache.stage_candidates` of its
+    stage game under ``current.values``, the games of one menu shape solved
+    as one stack.  ``free_rows`` holds (stage group, array of the rows of
+    its free nodes) pairs; a node whose candidates raise, or are all
+    current, has no entry."""
+    stacks: dict = {}  # menu shape -> (node ids, stage games of each group)
+    for group, rows in free_rows:
+        z = stage_games(structure, rewards, group, current.values, rows)
+        ids, zs = stacks.setdefault(z.shape[-2:], ([], []))
+        ids += group.ids[rows].tolist()
+        zs.append(z)
+    out = {}
+    for ids, zs in stacks.values():
+        for nid, found in zip(ids, cache.stage_candidates_stack(np.concatenate(zs, axis=1), kind)):
+            if isinstance(found, Exception):
+                continue
+            cur_joint = current.profiles[nid].joint_distribution()
+            found = [c for c in found if not np.abs(c.joint_distribution() - cur_joint).max() < 1e-9]
+            if found:
+                out[nid] = found
+    return out
+
+
+def _trial_blocks(order: list, candidates: dict, floats: int):
+    """The (node, candidate) trials of the nodes in ``order`` that have
+    ``candidates``, in blocks of whole nodes' candidates whose value
+    tables (``floats`` each) stay within ``_TRIAL_BLOCK``, or of one node."""
+    block = []
+    for nid in (nid for nid in order if nid in candidates):
+        if block and (len(block) + len(candidates[nid])) * floats > _TRIAL_BLOCK:
+            yield block
+            block = []
+        block += [(nid, candidate) for candidate in candidates[nid]]
+    if block:
+        yield block
+
+
+def _score_trials(structure: Structure, rewards, kind: str, current: EquilibriumSolution,
+                  sw: float, best, trials: list, ancestors: dict, cache: StageGameCache):
+    """The best of ``best`` and the ``trials``, (node, candidate) pairs in
+    scoring order.  A trial's values are ``current.values`` with the
+    candidate's payoffs at its node and that node's free ``ancestors``
+    re-solved bottom-up under "sw-optimal": a stage group at a time, one
+    :func:`nscsg.gbi.stage_games` call over every trial and every row that is
+    some trial's ancestor, and one stack of the (trial, ancestor) pairs.
+    ``best`` is ``(welfare, solution)`` or ``None``; a trial replaces it when
+    its root welfare is above ``sw + 1e-9`` and above the best's by 1e-12."""
+    compiled = structure._compiled()
+    values = np.repeat(current.values[None], len(trials), axis=0)
+    above = np.zeros((len(trials), compiled.bounds[structure.horizon]), dtype=bool)
+    for k, (nid, candidate) in enumerate(trials):
+        values[k, nid] = candidate.payoffs
+        above[k, ancestors[nid]] = True
+    solved = []  # per stage group: the trial and the ancestor of each pair, and its solution
+    for group in (g for groups in reversed(compiled.groups) for g in groups):
+        pairs = above[:, group.ids]
+        cols = np.flatnonzero(pairs.any(axis=0))
+        if len(cols):
+            t, c = np.nonzero(pairs[:, cols])
+            sols = cache.solve_stack(stage_games(structure, rewards, group, values, cols)[:, t, c],
+                                     kind, "sw-optimal")
+            qids = group.ids[cols[c]]
+            values[t, qids] = [sol.payoffs for sol in sols]
+            solved.append((t, qids, sols))
+    welfare = values[:, 0].sum(axis=-1).tolist()
+    for k, (nid, candidate) in enumerate(trials):
+        if welfare[k] > sw + 1e-9 and (best is None or welfare[k] > best[0] + 1e-12):
+            trial = current.copy()
+            trial.values = values[k].copy()
+            trial.profiles[nid] = candidate
+            for t, qids, sols in solved:
+                for p in np.flatnonzero(t == k).tolist():
+                    trial.profiles[int(qids[p])] = sols[p]
+            best = (welfare[k], trial)
+    return best

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, induce_groups
-from .speprog import _stacked, evaluate_values
+from .speprog import _solution_values, _stacked, evaluate_values
 from .unfold import Path, Structure, path_value, write_json
 
 
@@ -69,7 +69,7 @@ class CheckReport:
 def check_spne(structure: Structure, rewards, solution: EquilibriumSolution,
                tol: float = 1e-6) -> CheckReport:
     """Every history must leave no agent a profitable unilateral deviation."""
-    values, _ = evaluate_values(structure, rewards, solution)
+    values = _solution_values(structure, rewards, solution)
     br = _best_responses(structure, rewards, solution)
     ids = structure.nonleaf_ids()
     diff = (br - values)[ids].T.tolist()

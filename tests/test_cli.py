@@ -7,7 +7,9 @@ import pytest
 
 from conftest import coin_model_doc
 
+from nscsg.benchmarks import build
 from nscsg.cli import main
+from nscsg.unfold import unfold_regions
 
 
 COIN = json.dumps(coin_model_doc())
@@ -40,6 +42,19 @@ class TestUnfold:
         # shipped lane table sits one state / 65 transitions off the
         # published 258/1080 (see the packaged rule-table notes)
         assert (nodes, trans) == ("257", "1015")
+
+    @pytest.mark.parametrize("cells", [{"starts": ((3, 1), (2, 2))}, {"starts": ((2, 2), (3, 1))},
+                                       {"slots": ((5, 1), (2, 4))},
+                                       {"slots": ((2, 4), (3, 4)), "bonus_cell": (1, 3)}])
+    def test_parking_cells_given_as_json_lists(self, capsys, cells):
+        # JSON has no tuples: a list of cells builds the model the tuples build
+        params = json.dumps({"horizon": 3, **cells})
+        code, out, err = run_cli("unfold", "--model", "parking", "--mode", "region",
+                                 "--params", params, capsys=capsys)
+        assert (code, err) == (0, "")
+        bm = build("parking", {"horizon": 3, **cells})
+        graph = unfold_regions(bm.model, bm.initial, bm.horizon)
+        assert out.split(",")[:2] == [str(len(graph.nodes)), str(graph.n_transitions())]
 
     def test_dump_written(self, tmp_path, capsys):
         out_path = tmp_path / "tree.json"

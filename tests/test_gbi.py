@@ -6,7 +6,7 @@ import pytest
 from conftest import profile_value_by_hand, random_model
 
 from nscsg.benchmarks import build
-from nscsg.errors import ModelError
+from nscsg.errors import ModelError, SolverError
 from nscsg.gbi import (
     StageGameCache,
     _stage_candidates,
@@ -19,7 +19,7 @@ from nscsg.gbi import (
     stage_matrices,
 )
 from nscsg.model import RewardStructure
-from nscsg.nfg import BimatrixGame, StageSolution, zero_sum_value
+from nscsg.nfg import BimatrixGame, StageSolution, _ce_from_lp, enumerate_ne, zero_sum_value
 from nscsg.nfg import _polytope_vertices as polytope_vertices
 from nscsg.speprog import evaluate_values
 from nscsg.unfold import unfold_regions, unfold_tree
@@ -327,6 +327,63 @@ class TestStageCandidateMemo:
         got = cache.stage_candidates(BimatrixGame(negzero, p2), "ne")
         assert (cache.candidate_hits, cache.candidate_misses) == (0, 2)
         assert solution_bytes(got) == solution_bytes(_stage_candidates(BimatrixGame(negzero, p2), "ne"))
+
+
+    def test_stack_counts_as_row_by_row_calls(self, monkeypatch):
+        # a repeated key is a hit; a game whose candidates raise is not
+        # stored, so each of its rows is a miss, in a stack as row by row
+        import nscsg.gbi as gbi
+
+        rng = np.random.default_rng(5)
+        games = [rng.normal(size=(2, 3, 2)) for _ in range(3)]  # the last one fails
+        order = [0, 1, 0, 2, 2, 0, 1]
+        z = np.stack([games[k] for k in order], axis=1)
+        solve = gbi._candidates_stack
+
+        def failing(p1, p2, kind):
+            if any(np.array_equal(p, games[2][0]) for p in p1):
+                raise SolverError("injected")
+            return solve(p1, p2, kind)
+
+        monkeypatch.setattr(gbi, "_candidates_stack", failing)
+        for kind in ("ne", "ce"):
+            stacked, rows = StageGameCache(), StageGameCache()
+            got = stacked.stage_candidates_stack(z, kind)
+            want = []
+            for k in order:
+                try:
+                    want.append(rows.stage_candidates(BimatrixGame(*games[k]), kind))
+                except SolverError as exc:
+                    want.append(exc)
+            counts = (stacked.candidate_hits, stacked.candidate_misses)
+            assert counts == (rows.candidate_hits, rows.candidate_misses) == (3, 4)
+            for found, expected in zip(got, want):
+                if isinstance(expected, SolverError):
+                    assert isinstance(found, SolverError)
+                else:
+                    assert solution_bytes(found) == solution_bytes(expected)
+            stacked.stage_candidates_stack(z, kind)
+            assert (stacked.candidate_hits, stacked.candidate_misses) == (3 + 5, 4 + 2)
+
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    def test_stack_is_per_game_candidates(self, kind):
+        # integer payoffs: degenerate games with several equilibria each
+        z = np.random.default_rng(11).integers(-3, 4, size=(2, 8, 3, 3)).astype(float)
+        got = StageGameCache().stage_candidates_stack(z, kind)
+        for k, found in enumerate(got):
+            game = BimatrixGame(z[0, k], z[1, k])
+            if kind == "ne":
+                want = enumerate_ne(game)
+            else:
+                p1, p2 = game.p1.ravel(), game.p2.ravel()
+                want, seen = [], set()
+                for objective in (p1 + p2, -p1, -p2, p1, p2):
+                    ce = _ce_from_lp(game, objective)
+                    if tuple(np.round(ce.mu_joint.ravel(), 9)) not in seen:
+                        seen.add(tuple(np.round(ce.mu_joint.ravel(), 9)))
+                        want.append(ce)
+            assert solution_bytes(found) == solution_bytes(want)
+        assert max(map(len, got)) > 1
 
 
 class TestRunGbi:

@@ -15,6 +15,7 @@ from nscsg.speprog import (
     _bottom_up,
     _evaluate,
     _gaps,
+    _solution_values,
     _stacked,
     _values,
     _free_ancestors,
@@ -272,6 +273,16 @@ class TestOnePassGaps:
                     assert gaps.shape == (len(structure.nonleaf_ids()), 2)
                     assert gaps.tobytes() == ref_gaps.tobytes(), (name, kind)
 
+    def test_values_only_pass_is_evaluate_values(self):
+        # the pass that check_spne, assignment_from_solution and re-induction
+        # read builds no gap table and changes no bit of the values
+        for name, rewards, structure in gap_structures():
+            for kind in ("ne", "ce"):
+                rng = np.random.default_rng(len(structure.nodes))
+                for sol in (run_gbi(structure, rewards, kind), random_profiles(structure, kind, rng)):
+                    values = _solution_values(structure, rewards, sol)
+                    assert values.tobytes() == evaluate_values(structure, rewards, sol)[0].tobytes()
+
     @pytest.mark.parametrize("kind", ["ne", "ce"])
     def test_batched_evaluation_matches_two_walks(self, kind):
         bm = random_model(5058)
@@ -340,6 +351,24 @@ class TestExactGrid:
         node4 = next(n for n in tree.nodes if n.stage == 1 and int(n.state.env[0]) == 4)
         prof4 = result.solution.profiles[node4.id]
         assert prof4.mu1[1] == 1.0 and prof4.mu2[1] == 1.0  # (D, R)
+
+    @pytest.mark.parametrize("kind, resolution", [("ne", 4), ("ce", 3)])
+    def test_block_size_changes_no_result(self, counterexample, monkeypatch, kind, resolution):
+        # one point per block, a few, and the default: each point is scored
+        # as it would be alone, so the counts and the chosen point agree
+        import nscsg.speprog as speprog
+
+        bm, tree = counterexample
+        results = []
+        for budget in (1, 2000, speprog._GRID_BLOCK):
+            monkeypatch.setattr(speprog, "_GRID_BLOCK", budget)
+            grid = solve_exact_grid(tree, bm.rewards, kind, resolution)
+            profiles = grid.solution.profiles
+            results.append((grid.checked, grid.feasible, grid.social_welfare,
+                            grid.solution.values.tobytes(),
+                            solution_bytes(profiles[nid] for nid in sorted(profiles))))
+        assert results[0] == results[1] == results[2]
+        assert results[0][1] > 0
 
     def test_single_stage_matches_selection(self):
         rng = np.random.default_rng(2)
@@ -535,6 +564,120 @@ class TestReinduction:
                     ref_counts, counts = ((c.hits, c.misses, c.candidate_hits, c.candidate_misses)
                                           for c in caches)
                     assert counts == ref_counts, where
+
+    @pytest.mark.parametrize("budget", [1, 4 * 770], ids=["one-node", "four-parking-trials"])
+    def test_trial_blocks_match_per_candidate_reference(self, monkeypatch, budget):
+        """Trial blocks of one node each (a budget below one trial's values)
+        and of a few nodes (four parking-k8 trials' values) give what one walk
+        per candidate gives."""
+        import nscsg.speprog as speprog
+
+        nodes_per_block, rounds = [], []
+        score, candidates = speprog._score_trials, speprog._round_candidates
+
+        def counted_score(structure, rewards, kind, current, sw, best, trials, *rest):
+            nodes_per_block.append(len({nid for nid, _ in trials}))
+            return score(structure, rewards, kind, current, sw, best, trials, *rest)
+
+        def counted_round(*args):
+            rounds.append(1)
+            return candidates(*args)
+
+        monkeypatch.setattr(speprog, "_TRIAL_BLOCK", budget)
+        monkeypatch.setattr(speprog, "_score_trials", counted_score)
+        monkeypatch.setattr(speprog, "_round_candidates", counted_round)
+        self.test_matches_per_candidate_reference()
+        assert len(nodes_per_block) > len(rounds)  # some rounds took several blocks
+        assert max(nodes_per_block) == 1 if budget == 1 else max(nodes_per_block) > 1
+
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    def test_failing_candidates_skip_only_their_node(self, monkeypatch, kind):
+        """A free node whose candidates raise is skipped, as the reference
+        skips it, while the other games of its stack keep their candidates."""
+        import nscsg.gbi as gbi
+
+        _, rewards, structure = next(reinduction_structures())
+        last_stage = structure.stage_nodes(structure.horizon - 1)
+        _, frozen = freeze_partition(structure, last_stage[0].id)
+        init = run_gbi(structure, rewards, kind)
+        by_shape: dict = {}
+        for nid in _bottom_up(structure, _free_part(structure, frozen)):
+            by_shape.setdefault(tuple(map(len, structure.nodes[nid].menus)), []).append(nid)
+        target = next(ids[0] for ids in by_shape.values() if len(ids) > 1)
+        bad = tuple(z.tobytes() for z in stage_matrices(structure, rewards, structure.nodes[target],
+                                                          init.values))
+        solve, raised = gbi._candidates_stack, []
+
+        def failing(p1, p2, kind):
+            if bad in {(a.tobytes(), b.tobytes()) for a, b in zip(p1, p2)}:
+                raised.append(len(p1))
+                raise SolverError("injected")
+            return solve(p1, p2, kind)
+
+        monkeypatch.setattr(gbi, "_candidates_stack", failing)
+        caches = StageGameCache(), StageGameCache()
+        ref = reference_reinduction(structure, rewards, kind, frozen, init, 4, caches[0])
+        n_ref = len(raised)
+        out = reinduction_solve(structure, rewards, kind, frozen, init, 4, caches[1])
+        assert max(raised[n_ref:]) > 1  # a stack of several games raised ...
+        assert raised.count(1) > n_ref  # ... and its games were solved again one at a time
+        assert out.values.tobytes() == ref.values.tobytes()
+        assert solution_bytes(out.profiles[nid] for nid in sorted(ref.profiles)) == \
+            solution_bytes(ref.profiles[nid] for nid in sorted(ref.profiles))
+        ref_counts, counts = ((c.hits, c.misses, c.candidate_hits, c.candidate_misses)
+                              for c in caches)
+        assert counts == ref_counts
+
+    def test_one_stack_per_stage_group_and_block(self, monkeypatch):
+        """In parking-k8's FSI runs a re-induction round makes one candidate
+        stack per menu shape, and a trial block one stage_games and one
+        solve_stack call per stage group that holds a free node: no call
+        per (node, ancestor)."""
+        import nscsg.fsi as fsi
+        import nscsg.speprog as speprog
+
+        _, rewards, structure = next(reinduction_structures())
+        compiled = structure._compiled()
+        counts = dict.fromkeys(("rounds", "blocks", "stage_games", "candidate_stacks",
+                                "solve_stacks", "pairs"), 0)
+        calls = []
+
+        def counted(key, fn, stack_rows=False):
+            def wrapper(*args):
+                counts[key] += 1
+                if stack_rows:  # (cache, z, ...): z holds one game per row
+                    counts["pairs"] += args[1].shape[1]
+                return fn(*args)
+            return wrapper
+
+        def reinduce(structure, rewards, kind, frozen, *rest, **options):
+            counts.update(dict.fromkeys(counts, 0))
+            out = solve(structure, rewards, kind, frozen, *rest, **options)
+            free = _free_part(structure, frozen)
+            calls.append((dict(counts), len({tuple(map(len, structure.nodes[nid].menus))
+                                             for nid in free}),
+                          len({compiled.locate(nid)[0].index for nid in free})))
+            return out
+
+        solve = speprog.reinduction_solve
+        monkeypatch.setattr(fsi, "reinduction_solve", reinduce)
+        monkeypatch.setattr(speprog, "_round_candidates",
+                            counted("rounds", speprog._round_candidates))
+        monkeypatch.setattr(speprog, "_score_trials", counted("blocks", speprog._score_trials))
+        monkeypatch.setattr(speprog, "stage_games", counted("stage_games", speprog.stage_games))
+        monkeypatch.setattr(StageGameCache, "stage_candidates_stack",
+                            counted("candidate_stacks", StageGameCache.stage_candidates_stack))
+        monkeypatch.setattr(StageGameCache, "solve_stack",
+                            counted("solve_stacks", StageGameCache.solve_stack, stack_rows=True))
+        for kind in ("ne", "ce"):
+            fsi.run_fsi(structure, rewards, kind, fsi.FsiConfig(m_max=4, seed=0, solver_rounds=3))
+        assert sum(c["blocks"] for c, _, _ in calls) > 0
+        for c, shapes, groups in calls:
+            assert c["blocks"] <= c["rounds"]  # a round is one block here
+            assert c["candidate_stacks"] <= c["rounds"] * shapes
+            assert c["solve_stacks"] <= c["blocks"] * groups
+            assert c["stage_games"] <= (c["rounds"] + c["blocks"]) * groups
+        assert sum(c["pairs"] for c, _, _ in calls) > 10 * sum(c["solve_stacks"] for c, _, _ in calls)
 
     def test_counterexample_reaches_global_optimum(self, counterexample):
         bm, tree = counterexample
