@@ -212,20 +212,20 @@ def _make_agent(name: str, idx: int, nets, eps: float) -> AgentSpec:
     def observation(state):
         return percepts[advisory_index(state)]
 
-    def batch_observation(states, _idx=idx):
-        # one matmul per layer for all states that store the same advisory
-        ads = np.rint([s.agent_states[_idx].per[0] for s in states]).astype(int)
-        inputs = net_input(np.array([s.env for s in states]))
-        out = np.empty(len(states), dtype=int)
+    def batch_observation(locs, pers, envs, _idx=idx):
+        # one network call for all states that store the same advisory
+        ads = np.rint(pers[_idx][:, 0]).astype(int)
+        inputs = net_input(envs)
+        out = np.empty(len(ads), dtype=int)
         for ad in sorted(set(ads.tolist())):  # np.unique would import numpy.ma on first use
             rows = np.flatnonzero(ads == ad)
             scores = nn_forward(nets[ad - 1], inputs[rows])
             out[rows] = np.argmax(scores, axis=1)
-            # gemm and gemv may round differently: decide near-ties state by state
+            # gemm and gemv may round differently: decide near-ties by advisory_index's gemv
             top2 = np.partition(scores, -2, axis=1)[:, -2:]
             near = top2[:, 1] - top2[:, 0] <= _NEAR_TIE * (1.0 + np.abs(top2[:, 1]))
             for r in rows[near].tolist():
-                out[r] = advisory_index(states[r])
+                out[r] = int(np.argmax(nn_forward(nets[ad - 1], inputs[r])))
         return out
 
     def local_transition(loc, per, joint, _idx=idx):
@@ -349,7 +349,10 @@ def build_vcas(params: VcasParams = VcasParams()) -> BuiltModel:
     accel = {_label(a): a for a in _ALL_ACCELS}  # the menus never fall back to idle
 
     def batch_env_step(envs, joints):
-        acc = np.array([(accel[own], accel[intruder]) for own, intruder in joints]).reshape(-1, 2)
+        kinds = {}  # each distinct joint's row in ``table``
+        at = np.array([kinds.setdefault(joint, len(kinds)) for joint in joints], dtype=np.intp)
+        table = np.array([(accel[own], accel[intruder]) for own, intruder in kinds]).reshape(-1, 2)
+        acc = table[at]
         return vcas_dynamics(envs, acc[:, 0], acc[:, 1])
 
     model = NsCsg(name="vcas", agents=agents, env_step=env_step, env_dim=4,

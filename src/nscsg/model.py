@@ -77,26 +77,49 @@ class FeedForwardNet:
         return self.layers[-1][0].shape[0]
 
 
+#: Distinct rows of a matrix input that run through the layers together:
+#: enough for one matmul per layer to pay off, few enough that a block's
+#: activations stay in cache between layers (Goto & van de Geijn, TOMS 2008).
+_BLOCK_ROWS = 2048
+
+
 def nn_forward(net: FeedForwardNet, x) -> np.ndarray:
     """Evaluate ``net`` on input ``x``, or on every row of a (k, d) matrix ``x``.
 
     Hidden activations are rectified (max with 0), the output layer is
-    linear.  A matrix input runs one ``X @ W.T + b`` per layer and returns
-    the (k, output) scores.  Raises :class:`ModelError` naming the offending
-    layer on a dimension mismatch.
+    linear.  A matrix input forwards each distinct row (by exact bytes) once,
+    in blocks of ``_BLOCK_ROWS`` rows with one ``X @ W.T + b`` per layer, and
+    returns the (k, output) scores of every row.  Raises :class:`ModelError`
+    naming the offending layer on a dimension mismatch.
     """
     v = np.asarray(x, dtype=float)
     batch = v.ndim == 2
     if not batch:
         v = v.ravel()
+    width = v.shape[-1]
+    for k, (w, _) in enumerate(net.layers):
+        if width != w.shape[1]:
+            raise ModelError(f"layer {k}: expected input dim {w.shape[1]}, got {width}")
+        width = w.shape[0]
     last = len(net.layers) - 1
-    for k, (w, b) in enumerate(net.layers):
-        if v.shape[-1] != w.shape[1]:
-            raise ModelError(f"layer {k}: expected input dim {w.shape[1]}, got {v.shape[-1]}")
-        v = v @ w.T + b if batch else w @ v + b
-        if k < last:
-            v = np.maximum(v, 0.0)
-    return v
+    if not batch:
+        for k, (w, b) in enumerate(net.layers):
+            v = w @ v + b
+            if k < last:
+                v = np.maximum(v, 0.0)
+        return v
+    first, inverse = _distinct(_void_rows(v))
+    distinct = v[first]
+    out = np.empty((len(first), width))
+    for lo in range(0, len(first), _BLOCK_ROWS):
+        h = distinct[lo:lo + _BLOCK_ROWS]
+        for k, (w, b) in enumerate(net.layers):
+            h = h @ w.T
+            h += b
+            if k < last:
+                np.maximum(h, 0.0, out=h)
+        out[lo:lo + _BLOCK_ROWS] = h
+    return out[inverse]
 
 
 def load_net_json(source) -> FeedForwardNet:
@@ -259,10 +282,12 @@ class AgentSpec:
     ``observation(state)`` maps the full global state to this agent's next
     percept.  ``local_transition(loc, per, joint)`` returns a tuple of
     ``(next_loc, probability)`` pairs; ``joint`` is the tuple of all agents'
-    action labels.  The optional ``batch_observation(states)`` returns, for
-    a sequence of global states, the index into ``percepts`` of each state's
-    ``observation``; :func:`refresh_batch` uses it to observe many states at
-    once.  The optional ``batch_local_transition(locs, pers, joints)`` is
+    action labels.  The optional ``batch_observation(locs, pers, envs)``
+    returns the index into ``percepts`` of the ``observation`` of each of R
+    global states, given as every agent's (R, d_loc) local states and
+    (R, d_per) percepts and the (R, env_dim) environments;
+    :func:`observe_rows` and :func:`refresh_batch` use it to observe many
+    states at once.  The optional ``batch_local_transition(locs, pers, joints)`` is
     ``local_transition`` of the rows of the (R, d_loc) and (R, d_per) arrays
     under the R joints: it returns the (R, K, d_loc) outcome local states and
     their (R, K) probabilities, a row with fewer than K outcomes padded with
@@ -276,7 +301,8 @@ class AgentSpec:
     availability: Callable[[np.ndarray, np.ndarray], tuple[str, ...]]
     observation: Callable[[GlobalState], np.ndarray]
     local_transition: Callable[[np.ndarray, np.ndarray, tuple[str, ...]], tuple]
-    batch_observation: Callable[[Sequence[GlobalState]], Sequence[int]] | None = None
+    batch_observation: Callable[[Sequence[np.ndarray], Sequence[np.ndarray], np.ndarray],
+                                Sequence[int]] | None = None
     batch_local_transition: Callable[[np.ndarray, np.ndarray, Sequence[tuple[str, ...]]],
                                      tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -370,38 +396,85 @@ def refresh_percepts(model: NsCsg, state: GlobalState) -> GlobalState:
     return state.with_percepts(observe_all(model, state))
 
 
-def _observe_batch(spec: AgentSpec, states: list[GlobalState]) -> list[np.ndarray]:
-    if spec.batch_observation is None:
-        return [_observe(spec, s) for s in states]
-    idx = np.asarray(spec.batch_observation(states))
-    if idx.shape != (len(states),) or idx.dtype.kind not in "iu":
+def stack_states(states: Sequence[GlobalState]) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """The k >= 1 states as arrays: every agent's (k, d_loc) local states,
+    every agent's (k, d_per) percepts and the (k, env_dim) environments."""
+    n = len(states[0].agent_states)
+    return ([_rows([s.agent_states[i].loc for s in states]) for i in range(n)],
+            [_rows([s.agent_states[i].per for s in states]) for i in range(n)],
+            _rows([s.env for s in states]))
+
+
+def _rows(vectors) -> np.ndarray:
+    """The vectors as the rows of one float array; they must share a size."""
+    try:
+        out = np.array(vectors, dtype=float)
+    except ValueError:
+        out = None
+    if out is None or out.ndim != 2:
+        raise ModelError("batched states need every agent's local states and percepts, and the "
+                         "environments, to keep one size each")
+    return out
+
+
+def _percept_indices(spec: AgentSpec, locs, pers, envs) -> np.ndarray:
+    """The index into ``spec.percepts`` of each row's observation, from the
+    agent's ``batch_observation`` hook."""
+    n_rows = len(envs)
+    idx = np.asarray(spec.batch_observation(locs, pers, envs))
+    if idx.shape != (n_rows,) or idx.dtype.kind not in "iu":
         raise ModelError(f"agent {spec.name}: batched observation must give one percept index per "
-                         f"state, got shape {idx.shape} of {idx.dtype} for {len(states)} states")
+                         f"state, got shape {idx.shape} of {idx.dtype} for {n_rows} states")
     if idx.min() < 0 or idx.max() >= len(spec.percepts):
         raise ModelError(f"agent {spec.name}: batched observation index outside the percept set "
                          f"0..{len(spec.percepts) - 1}")
-    percepts = [as_vector(p) for p in spec.percepts]
-    return [percepts[k] for k in idx.tolist()]
-
-
-def observe_batch(model: NsCsg, states: Sequence[GlobalState]) -> list[list[np.ndarray]]:
-    """Every agent's refreshed percept of every state, as one list per agent,
-    with one ``batch_observation`` call per agent that has one; the other
-    agents are observed state by state.  The states are taken to be valid."""
-    states = list(states)
-    if not states:
-        return [[] for _ in model.agents]
-    return [_observe_batch(spec, states) for spec in model.agents]
+    return idx
 
 
 def refresh_batch(model: NsCsg, states: Sequence[GlobalState]) -> list[GlobalState]:
-    """:func:`refresh_percepts` of every state in ``states``, observed by
-    :func:`observe_batch`."""
+    """:func:`refresh_percepts` of every state in ``states``.  The states are
+    stacked once for the agents with a ``batch_observation`` hook, one call
+    each; the other agents are observed state by state."""
     states = list(states)
     for s in states:
         model.check_state(s)
-    columns = observe_batch(model, states)
+    if not states:
+        return []
+    arrays = None
+    columns = []
+    for spec in model.agents:
+        if spec.batch_observation is None:
+            columns.append([_observe(spec, s) for s in states])
+            continue
+        if arrays is None:
+            arrays = stack_states(states)
+        percepts = [as_vector(p) for p in spec.percepts]
+        columns.append([percepts[k] for k in _percept_indices(spec, *arrays).tolist()])
     return [s.with_percepts(pers) for s, pers in zip(states, zip(*columns))]
+
+
+def observe_rows(model: NsCsg, locs: list[np.ndarray], pers: list[np.ndarray],
+                 envs: np.ndarray) -> list[np.ndarray]:
+    """Every agent's refreshed percept of the k >= 1 states given as arrays,
+    as one (k, d_per) array per agent: state r has agent i at local state
+    ``locs[i][r]`` and percept ``pers[i][r]`` and environment ``envs[r]``.
+    An agent's ``batch_observation`` hook reads the arrays; only for an
+    agent without one are the states built, on read-only rows, and
+    observed state by state."""
+    states = None
+    out = []
+    for spec in model.agents:
+        if spec.batch_observation is not None:
+            out.append(_rows(spec.percepts)[_percept_indices(spec, locs, pers, envs)])
+            continue
+        if states is None:
+            views = [a.view() for a in locs + pers + [envs]]
+            for view in views:
+                view.flags.writeable = False
+            n = len(locs)
+            states = [GlobalState(tuple(map(AgentState, row[:n], row[n:-1])), row[-1]) for row in zip(*views)]
+        out.append(_rows([_observe(spec, s) for s in states]))
+    return out
 
 
 def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str, ...]:

@@ -516,13 +516,14 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
         rows.setdefault(group.index, []).append((q, row))
     base_data = None if base is None else _stacked(kind, base.profiles)
     # per point: the values (2 floats a node) and gap table (2 a nonleaf
-    # node) of this block and of the last, which is freed when this pass
-    # returns; the matrices of one stage (2 floats a joint) and as much
-    # again of strategy data and temporaries while one of its groups is
-    # stepped; and this block's and the last's grid index of each node
+    # node) of this block, the last block's being freed before its pass;
+    # the matrices of one stage (2 floats a joint) and as much again of
+    # strategy data and temporaries while one of its groups is stepped; and
+    # the grid index of each node, of this block and, while it is drawn, of
+    # the last
     joints = max((sum(math.prod(g.prob.shape[:-1]) for g in groups) for groups in compiled.groups),
                  default=0)
-    per_point = (4 * (len(structure.nodes) + compiled.bounds[structure.horizon]) + 4 * joints
+    per_point = (2 * (len(structure.nodes) + compiled.bounds[structure.horizon]) + 4 * joints
                  + 2 * len(nodes))
     block = max(1, _GRID_BLOCK // per_point)
 
@@ -552,6 +553,7 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
             sw = float(welfare[p])
             if best_sw is None or sw > best_sw + 1e-12:
                 best_sw, best_point, best_values = sw, lo + int(p), values[p].copy()
+        del values, gaps, welfare  # freed before the next block's pass
 
     if best_point is not None:
         if base is None:

@@ -23,9 +23,10 @@ from .model import (
     action_menus,
     as_vector,
     key_rows,
-    observe_batch,
+    observe_rows,
     refresh_batch,
     row_bytes,
+    stack_states,
     step,
     step_batch,
 )
@@ -264,7 +265,9 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     on, a slice is stepped, perceived and keyed as one batch
     (:func:`_expand_slice`) and equal (key, stage) pairs share one node.
     Node ids follow the frontier, joint and successor order in both modes,
-    and nodes with equal menus share their menu and joint tuples.
+    and nodes with equal menus share their menu and joint tuples.  Menus
+    read only each agent's (loc, per), so a region graph reads them once per
+    shared decision tuple; a tree reads them per node.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
@@ -277,6 +280,16 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     nodes = [Node(0, 0, state, decision)]
     links = ([], [])  # (child id, parent id) of every transition
     menu_joints = {}
+    # region mode: the menus of each shared decision tuple, keyed by its id
+    # (the tuples live as long as ``shared``)
+    tuple_menus = {}
+
+    def menus_and_joints(refreshed):
+        menus = action_menus(model, refreshed)
+        if menus not in menu_joints:
+            menu_joints[menus] = (menus, tuple(itertools.product(*menus)))
+        return menu_joints[menus]
+
     frontier = nodes[:]
     for stage in range(horizon):
         nxt = []
@@ -294,12 +307,13 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
             for node, ref in zip(chunk, refreshed):
                 node.decision = ref
-                menus = action_menus(model, node.decision)
-                if menus not in menu_joints:
-                    menu_joints[menus] = (menus, tuple(itertools.product(*menus)))
-                node.menus, node.joints = menu_joints[menus]
                 if merge:
+                    key = id(ref.agent_states)
+                    if key not in tuple_menus:
+                        tuple_menus[key] = menus_and_joints(ref)
+                    node.menus, node.joints = tuple_menus[key]
                     continue
+                node.menus, node.joints = menus_and_joints(ref)
                 for joint in node.joints:
                     pairs = []
                     for succ, prob in step(model, ref, joint):
@@ -331,26 +345,22 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
                   links) -> list[Node]:
     """Step every joint of the slice ``chunk`` (with refreshed states
     ``refreshed``) in one :func:`step_batch`, perceive the delivered
-    successors in one batch, key them with :func:`key_rows` and link them.
-    A node, with its decision state, is built only for a key not yet in
-    ``ids_by_key``; returns these new nodes of ``stage``, whose ids count up
-    from ``next_id``."""
+    successors from their arrays with :func:`observe_rows`, key them with
+    :func:`key_rows` and link them.  A node, with its decision state, is
+    built only for a key not yet in ``ids_by_key``; returns these new nodes
+    of ``stage``, whose ids count up from ``next_id``."""
     counts = [len(node.joints) for node in chunk]
     joints = [joint for node in chunk for joint in node.joints]
 
-    def rows(vectors):  # one row per joint of the slice
-        return np.repeat(_stack(vectors), counts, axis=0)
+    def rows(a):  # one row per joint of the slice
+        return np.repeat(a, counts, axis=0)
 
-    n = model.n_agents
-    locs = [rows([s.agent_states[i].loc for s in refreshed]) for i in range(n)]
-    pers = [rows([s.agent_states[i].per for s in refreshed]) for i in range(n)]
-    src, succ_locs, envs, probs = step_batch(model, locs, pers, rows([s.env for s in refreshed]), joints)
+    locs, pers, envs = stack_states(refreshed)
+    locs, pers = [rows(a) for a in locs], [rows(a) for a in pers]
+    src, succ_locs, envs, probs = step_batch(model, locs, pers, rows(envs), joints)
     held = [per[src] for per in pers]  # a successor carries the percepts of its parent's step
     envs.flags.writeable = False
-    held_tuples = shared.tuples(succ_locs, held)
-    delivered = [GlobalState(t, env) for t, env in zip(held_tuples, envs)]
-    seen = [_stack(column) for column in observe_batch(model, delivered)]
-    del delivered  # freed before the states that live on are built, which then pack densely
+    seen = observe_rows(model, succ_locs, held, envs)
     new, cids = [], []
     for m, key in enumerate(key_rows(succ_locs + seen + [envs])):
         cid = ids_by_key.get(key)
@@ -364,11 +374,13 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
     kept = envs[at]
     kept.flags.writeable = False
     kept_rows = list(kept)
-    states = [GlobalState(held_tuples[m], env) for m, env in zip(new, kept_rows)]
-    tuples = shared.tuples([loc[at] for loc in succ_locs], [per[at] for per in seen])
-    decisions = [GlobalState(t, env) for t, env in zip(tuples, kept_rows)]
+
+    def kept_states(percepts):  # the new rows' states with the given percepts
+        tuples = shared.tuples([loc[at] for loc in succ_locs], [per[at] for per in percepts])
+        return [GlobalState(t, env) for t, env in zip(tuples, kept_rows)]
+
     created = [Node(next_id + k, stage, state, decision)
-               for k, (state, decision) in enumerate(zip(states, decisions))]
+               for k, (state, decision) in enumerate(zip(kept_states(held), kept_states(seen)))]
     probs = probs.tolist()
     bounds = np.searchsorted(src, np.arange(len(joints) + 1)).tolist()
     r = 0
@@ -380,17 +392,6 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
     links[0].extend(cids)
     links[1].extend(np.repeat([node.id for node in chunk], counts)[src].tolist())
     return created
-
-
-def _stack(vectors) -> np.ndarray:
-    try:
-        out = np.array(vectors, dtype=float)
-    except ValueError:
-        out = None
-    if out is None or out.ndim != 2:
-        raise ModelError("a region graph needs every agent's local states and percepts, and the "
-                         "environments, to keep one size each")
-    return out
 
 
 def _set_parents(nodes: list[Node], child_ids: list[int], parent_ids: list[int]) -> None:

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import coin_model_doc
 
+from nscsg import model as model_module
 from nscsg.benchmarks import BuiltModel, build
+from nscsg.benchmarks.vcas import stub_networks
 from nscsg.errors import ModelError
 from nscsg.model import (
     AgentState,
@@ -25,6 +27,7 @@ from nscsg.model import (
     refresh_batch,
     refresh_percepts,
     save_net_json,
+    stack_states,
     step,
     step_batch,
     successors,
@@ -65,7 +68,28 @@ class TestNnForward:
         for row, out in zip(x, scores):
             assert np.allclose(out, nn_forward(net, row), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3))], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("n_distinct", [2 * model_module._BLOCK_ROWS + 137, 0, 1],
+                             ids=["blocks-and-tail", "no-rows", "one-row"])
+    def test_matrix_forwards_each_distinct_row_once(self, n_distinct):
+        # heavily duplicated rows of the stub advisory network's input box
+        net = stub_networks(0)[0]
+        rng = np.random.default_rng(7)
+        distinct = rng.normal(size=(n_distinct, 4)) * [1000.0, 50.0, 50.0, 10.0]
+        copies = rng.integers(0, n_distinct, size=3 * n_distinct) if n_distinct > 1 else []
+        x = np.vstack([distinct, distinct[copies]])[rng.permutation(n_distinct + len(copies))]
+        first, inverse = model_module._distinct(model_module._void_rows(x))
+        assert len(first) == n_distinct
+        scores = nn_forward(net, x)
+        assert scores.shape == (len(x), 9)
+        assert scores.tobytes() == nn_forward(net, x[first])[inverse].tobytes()
+        for row, out in zip(x[first], scores[first]):
+            alone = nn_forward(net, row)
+            assert np.argmax(out) == np.argmax(alone)
+            assert np.allclose(out, alone, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3)), np.ones((0, 3)),
+                                   np.ones((3 * model_module._BLOCK_ROWS, 3))],
+                             ids=["vector", "matrix", "no-rows", "blocks"])
     def test_matrix_dimension_mismatch_names_layer(self, x):
         net = random_net((2, 3, 2), seed=1)
         with pytest.raises(ModelError, match="layer 0: expected input dim 2, got 3"):
@@ -121,7 +145,7 @@ class TestBatchedObservation:
         bm = build("vcas", params)
         states = [n.state for n in unfold_regions(bm.model, bm.initial, bm.horizon).nodes]
         for spec in bm.model.agents:
-            batched = spec.batch_observation(states).tolist()
+            batched = spec.batch_observation(*stack_states(states)).tolist()
             assert batched == [int(spec.observation(s)[0]) - 1 for s in states]
             if "nets" in params:  # ties resolve to the lowest index
                 assert set(batched) == {2}
@@ -129,10 +153,10 @@ class TestBatchedObservation:
         assert [canonical_key(s) for s in refresh_batch(bm.model, states)] == expect
 
     @pytest.mark.parametrize("indices, message", [
-        (lambda states: [0] * (len(states) + 1), "one percept index per state"),
-        (lambda states: [12] * len(states), "outside the percept set"),
-        (lambda states: [-1] * len(states), "outside the percept set"),
-        (lambda states: [0.0] * len(states), "one percept index per state"),
+        (lambda locs, pers, envs: [0] * (len(envs) + 1), "one percept index per state"),
+        (lambda locs, pers, envs: [12] * len(envs), "outside the percept set"),
+        (lambda locs, pers, envs: [-1] * len(envs), "outside the percept set"),
+        (lambda locs, pers, envs: [0.0] * len(envs), "one percept index per state"),
     ], ids=["length", "index-high", "index-negative", "float"])
     def test_bad_indices_rejected(self, indices, message):
         bm = build("counterexample", {})

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from nscsg.model import (
     GlobalState,
     NsCsg,
     RewardStructure,
+    action_menus,
     as_vector,
     canonical_key,
     step,
@@ -263,9 +265,11 @@ class TestPinnedOutputs:
          "efb924e4c81806be61b46e81180789af585aca541a6ad29eabed701f48e70524"),
         ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions,
          "3e3d49e001641e9b7d799d0a7faa4fedc159dd1071054fef9f0f1e5f2ba2a09a"),
+        ("vcas", {"t0": 4, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions,
+         "92614f1d7529a30f8ff14242db82226528a936bf78ca5f6b864631599dca5e9a"),
     ], ids=["counterexample-tree", "counterexample-region", "parking-k4-tree",
             "parking-k4-region", "parking-k8-region", "vcas-t3-tree", "vcas-t3-region",
-            "vcas-t3-eps0.2-tree", "vcas-t3-eps0.2-region"])
+            "vcas-t3-eps0.2-tree", "vcas-t3-eps0.2-region", "vcas-t4-eps0.2-region"])
     def test_structure_digest(self, name, params, unfold, digest):
         bm = build(name, params)
         structure = unfold(bm.model, bm.initial, bm.horizon)
@@ -331,9 +335,9 @@ class TestPerceiveOnce:
             if observe is None:
                 return None
 
-            def batch_observation(states):
-                calls[i] += len(states)
-                return observe(states)
+            def batch_observation(locs, pers, envs):
+                calls[i] += len(envs)
+                return observe(locs, pers, envs)
             return batch_observation
 
         model = dataclasses.replace(bm.model, agents=tuple(
@@ -346,3 +350,37 @@ class TestPerceiveOnce:
         else:
             assert expect == len(structure.nonleaf_ids())
         assert calls == [expect] * model.n_agents
+
+
+class TestMenusPerSharedTuple:
+    # equal decision agent states give equal menus, so a region graph reads
+    # each agent's availability once per distinct decision tuple; a tree once
+    # per nonleaf node
+    @pytest.mark.parametrize("name, params, unfold, expect", [
+        ("vcas", {"t0": 3}, unfold_regions, 20),
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions, 224),
+        ("vcas", {"t0": 3}, unfold_tree, 182),
+        ("parking", {"horizon": 4}, unfold_tree, 410),
+    ], ids=["vcas-t3-region", "parking-k8-region", "vcas-t3-tree", "parking-k4-tree"])
+    def test_availability_calls(self, name, params, unfold, expect):
+        bm = build(name, params)
+        calls = [0]
+
+        def counted(availability):
+            def wrapped(loc, per):
+                calls[0] += 1
+                return availability(loc, per)
+            return wrapped
+
+        model = dataclasses.replace(bm.model, agents=tuple(
+            dataclasses.replace(spec, availability=counted(spec.availability))
+            for spec in bm.model.agents))
+        structure = unfold(model, bm.initial, bm.horizon)
+        nonleaf = [structure.nodes[nid] for nid in structure.nonleaf_ids()]
+        if unfold is unfold_regions:
+            assert calls[0] == 2 * len({str(_state_bytes(n.decision)[0]) for n in nonleaf}) == expect
+        else:
+            assert calls[0] == 2 * len(nonleaf) == expect
+        for node in nonleaf:
+            assert node.menus == action_menus(bm.model, node.decision)
+            assert node.joints == tuple(itertools.product(*node.menus))
