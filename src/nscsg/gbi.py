@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
-from .model import RewardStructure
-from .nfg import (BimatrixGame, StageSolution, _ce_stack, any_equilibria, any_equilibrium,
+from .model import RewardStructure, row_bytes
+from .nfg import (BimatrixGame, StageSolution, _ce_arrays, any_equilibria, any_equilibrium,
                   enumerate_ne_stack, zero_sum_values)
 from .unfold import Node, StageGroup, Structure, node_json, write_json
 
@@ -137,22 +137,21 @@ class EquilibriumSolution:
 def _candidates_stack(p1: np.ndarray, p2: np.ndarray, kind: str) -> list[list[StageSolution]]:
     """:func:`_stage_candidates` of each game (p1[k], p2[k]) of a stack of
     games of one shape: their Nash equilibria enumerated together, or the
-    LPs of their five objectives each solved as one stack."""
+    LPs of their five objectives each solved as one stack and a game's
+    repeated distributions (equal after rounding to 9 decimals) dropped as
+    one array step."""
     if kind == "ne":
         return enumerate_ne_stack(p1, p2)
     g, m, n = p1.shape
     objectives = np.stack((p1 + p2, -p1, -p2, p1, p2), axis=1).reshape(5 * g, m * n)
-    ces = _ce_stack(np.repeat(p1, 5, axis=0), np.repeat(p2, 5, axis=0), objectives)
-    outs = []
-    for k in range(g):
-        out, seen = [], set()
-        for ce in ces[5 * k:5 * k + 5]:
-            key = tuple(np.round(ce.mu_joint.ravel(), 9))
-            if key not in seen:
-                seen.add(key)
-                out.append(ce)
-        outs.append(out)
-    return outs
+    mu, payoffs = _ce_arrays(np.repeat(p1, 5, axis=0), np.repeat(p2, 5, axis=0), objectives)
+    keys = np.round(mu, 9).reshape(g, 5, m * n)
+    # an objective's distribution is kept unless an earlier one of its game equals it
+    earlier = np.tril((keys[:, :, None] == keys[:, None]).all(axis=-1), -1)
+    kept = np.flatnonzero(~earlier.any(axis=-1).ravel())
+    sols = [StageSolution("ce", None, None, mu[k], payoffs[k]) for k in kept.tolist()]
+    ends = np.cumsum(np.bincount(kept // 5, minlength=g)).tolist()
+    return [sols[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _stage_candidates(game: BimatrixGame, kind: str) -> list[StageSolution]:
@@ -207,10 +206,11 @@ class StageGameCache:
         :class:`SolverError` or :class:`ResourceLimitError` is not stored: it
         gets its error in place of a list, and each of its rows is a miss.
         """
-        keys = [(kind, p1.shape, p1.tobytes(), p2.tobytes()) for p1, p2 in zip(z[0], z[1])]
+        candidates = self._candidates.setdefault((kind, z.shape[2:]), {})
+        keys = _row_keys(z)
         missed: dict = {}  # key -> first row
         for row, key in enumerate(keys):
-            if key not in self._candidates:
+            if key not in candidates:
                 missed.setdefault(key, row)
         failed = {}
         if missed:
@@ -218,11 +218,11 @@ class StageGameCache:
                 if isinstance(out, Exception):
                     failed[key] = out
                 else:
-                    self._candidates[key] = out
+                    candidates[key] = out
         misses = len(missed) - len(failed) + sum(key in failed for key in keys)
         self.candidate_misses += misses
         self.candidate_hits += len(keys) - misses
-        return [failed[key] if key in failed else self._candidates[key] for key in keys]
+        return [failed[key] if key in failed else candidates[key] for key in keys]
 
     def solve(self, game: BimatrixGame, kind: str, policy: str, rng=None) -> StageSolution:
         """A solution of ``game`` under ``policy``: the one-row
@@ -238,25 +238,26 @@ class StageGameCache:
         game's payoffs rounded to 12 decimals.  Each distinct key not yet
         stored is one miss and every other row a hit; the missed games are
         solved in one :func:`any_equilibria` call."""
-        rounded = np.round(z, 12)
-        sols = []
+        store = self._store.setdefault((kind, policy, z.shape[2:]), {})
+        keys = _row_keys(np.round(z, 12))
+        sols = [store.get(key) for key in keys]
         missed: dict = {}  # key -> first row
-        waiting = []  # (row, key) of rows not stored yet; a hit keeps no key, to bound memory
-        for row, (p1, p2) in enumerate(zip(rounded[0], rounded[1])):
-            key = (kind, policy, p1.shape, p1.tobytes(), p2.tobytes())
-            sol = self._store.get(key)
+        for row, (key, sol) in enumerate(zip(keys, sols)):
             if sol is None:
                 missed.setdefault(key, row)
-                waiting.append((row, key))
-            sols.append(sol)
         self.misses += len(missed)
         self.hits += len(sols) - len(missed)
         if missed:
             rows = list(missed.values())
-            self._store.update(zip(missed, any_equilibria(z[0, rows], z[1, rows], kind, policy)))
-            for row, key in waiting:
-                sols[row] = self._store[key]
+            store.update(zip(missed, any_equilibria(z[0, rows], z[1, rows], kind, policy)))
+            sols = [store[key] if sol is None else sol for key, sol in zip(keys, sols)]
         return sols
+
+
+def _row_keys(z: np.ndarray) -> list[bytes]:
+    """One bytes object per game of the stack ``z`` (2, n, m1, m2): agent
+    1's payoff bytes, then agent 2's."""
+    return row_bytes(z.transpose(1, 0, 2, 3).reshape(z.shape[1], 2 * z.shape[2] * z.shape[3]))
 
 
 def run_gbi(

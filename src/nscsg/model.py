@@ -201,8 +201,8 @@ class GlobalState:
         )
 
 
-def _round_component(v: float) -> float:
-    r = round(float(v), KEY_DIGITS)
+def _round_component(v: float, digits: int = KEY_DIGITS) -> float:
+    r = round(float(v), digits)
     return 0.0 if r == 0.0 else r  # normalise -0.0
 
 
@@ -247,19 +247,26 @@ def key_rows(blocks) -> list[bytes]:
     every agent's percepts, then the environments.  A key holds the blocks'
     widths, then the rounded values (-0.0 normalised), as bytes."""
     k = blocks[0].shape[0]
-    values = np.hstack(blocks)
-    rounded = np.round(values, KEY_DIGITS) + 0.0
-    # np.round rounds x * 10**KEY_DIGITS half to even, round() the exact
-    # decimal value of x; they agree unless the scaled value is within its
-    # own rounding error of a half step (every value once the margin passes
-    # 0.5, where doubles have no fraction left to round)
-    scaled = np.abs(values) * 10.0 ** KEY_DIGITS
-    with np.errstate(invalid="ignore"):  # inf - inf
-        near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6 + 1e-15 * scaled
-    for i, j in zip(*np.nonzero(near_half)):
-        rounded[i, j] = _round_component(values[i, j])
+    rounded = round_as_python(np.hstack(blocks), KEY_DIGITS)
     widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))
     return row_bytes(np.hstack([widths, rounded]))
+
+
+def round_as_python(values: np.ndarray, digits: int) -> np.ndarray:
+    """Each entry of ``values`` rounded to ``digits`` decimals as ``round()``
+    rounds it, -0.0 normalised to 0.0, from one ``np.round`` pass.
+
+    np.round rounds x * 10**digits half to even, round() the exact decimal
+    value of x; they agree unless the scaled value is within its own
+    rounding error of a half step (every value once the margin passes 0.5,
+    where doubles have no fraction left to round), and only those entries
+    go through round()."""
+    rounded = values.round(digits) + 0.0
+    scaled = np.abs(values) * 10.0 ** digits
+    near_half = np.abs(np.modf(scaled)[0] - 0.5) <= 1e-6 + 1e-15 * scaled
+    for idx in zip(*near_half.nonzero()):
+        rounded[idx] = _round_component(values[idx], digits)
+    return rounded
 
 
 def row_bytes(rows: np.ndarray) -> list[bytes]:

@@ -14,18 +14,23 @@ isolated representatives of their equilibrium components.
 
 The enumeration runs over a stack of games of one shape at once
 (:func:`enumerate_ne_stack`): one ``det`` and one ``solve`` over every basis
-of every game, feasibility, vertex dedupe, labels, the complete-labelling
-test and the pure-deviation check as array steps, in chunks of at most
-``_STACK_BASES`` bases.  :func:`enumerate_ne` and :func:`swne` are its
-one-game calls, and :func:`any_equilibria` solves a stack of distinct stage
-games under a deterministic policy, as backward induction does for each
-stage group's cache misses.
+of every game (the basis rows built once per shape), feasibility, vertex
+dedupe, labels, the complete-labelling test, the pure-deviation check, the
+point dedupe and the points' payoffs as array steps, in chunks of at most
+``_STACK_BASES`` bases.  Each dedupe is one stable sort over the bytes of
+the rounded keys.  What stays per point is its :class:`StageSolution`, and
+per game the :func:`_support_order` sort and :func:`_max_welfare`
+selection of a game with more than one point.  :func:`enumerate_ne` and
+:func:`swne` are its one-game calls, and :func:`any_equilibria` solves a
+stack of distinct stage games under a deterministic policy, as backward
+induction does for each stage group's cache misses.
 
 Correlated equilibria and zero-sum values are linear programs: the games of
 a stack build their constraint rows as arrays and have their LPs solved as
-LP stacks (:func:`nscsg.lp.lp_solve_stack`); :func:`swce` and
-:func:`zero_sum_value` are one-game calls of :func:`_ce_stack` and
-:func:`zero_sum_values`.
+LP stacks (:func:`nscsg.lp.lp_solve_stack`), and a chunk's statuses,
+distributions and payoffs are read as arrays (:func:`_ce_arrays`);
+:func:`swce` and :func:`zero_sum_value` are one-game calls of
+:func:`_ce_stack` and :func:`zero_sum_values`.
 
 Every Nash and correlated-equilibrium solver returns :class:`StageSolution`.
 """
@@ -33,12 +38,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
 import numpy as np
 
 from .errors import ResourceLimitError, SolverError
+from .model import _void_rows, round_as_python
 from . import lp
 
 EQ_TOL = 1e-7
@@ -102,13 +109,30 @@ def _normalise(p: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (p - lo) / np.where(flat, 1.0, span))
 
 
-def _first_rows(rows) -> list[int]:
-    """Ascending indices of the first of each set of equal ``rows`` (lists of
-    floats), compared as tuples, so -0.0 equals 0.0."""
-    first: dict = {}
-    for k, key in enumerate(map(tuple, rows)):
-        first.setdefault(key, k)
-    return list(first.values())
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first of each set of equal rows of the 2-d
+    float array ``keys``, compared by value, so -0.0 equals 0.0: one stable
+    sort over the rows' bytes, as ``model._distinct`` sorts, without the
+    inverse it also builds."""
+    rows = _void_rows(keys + 0.0)
+    order = rows.argsort(kind="stable")
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = order[starts]
+    first.sort()
+    return first
+
+
+@lru_cache(maxsize=32)
+def _basis_rows(m: int, n: int) -> np.ndarray:
+    """The template rows of each basis system of a polytope over m
+    strategies and n incentive rows: m of the first m + n rows, in
+    ``itertools.combinations`` order, then the row sum x = 1."""
+    rows = np.array([c + (m + n,) for c in itertools.combinations(range(m + n), m)], dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
 
 
 def _polytope_vertices(col_payoffs: np.ndarray, feas_tol: float):
@@ -129,9 +153,10 @@ def _polytope_vertices(col_payoffs: np.ndarray, feas_tol: float):
     templates[:, m:m + n, :m] = col_payoffs.transpose(0, 2, 1)
     templates[:, m:m + n, m] = -1.0
     templates[:, m + n, :m] = 1.0
-    # a basis system: the template rows of one combination, then sum x = 1
-    rows = np.array([c + (m + n,) for c in itertools.combinations(range(m + n), m)], dtype=np.intp)
-    systems = templates[:, rows].reshape(-1, m + 1, m + 1)
+    rows = _basis_rows(m, n)
+    # take, not templates[:, rows], gives the systems in C order, so the
+    # reshape copies nothing
+    systems = np.take(templates, rows, axis=1).reshape(-1, m + 1, m + 1)
     owner = np.repeat(np.arange(g), len(rows))
 
     ok = np.abs(np.linalg.det(systems)) > 1e-12
@@ -146,9 +171,8 @@ def _polytope_vertices(col_payoffs: np.ndarray, feas_tol: float):
             & (xs >= -feas_tol).all(axis=1) & (gaps <= feas_tol).all(axis=1))
 
     # the key rounds x as np.round does and v as round() does
-    owner, xs, gaps = owner[feas], xs[feas], gaps[feas]
-    keys = np.concatenate((owner[:, None], np.round(xs, 9)), axis=1).tolist()
-    first = _first_rows([key + [round(v, 9)] for key, v in zip(keys, vs[feas].tolist())])
+    owner, xs, vs, gaps = owner[feas], xs[feas], vs[feas], gaps[feas]
+    first = _first_rows(np.column_stack((owner, np.round(xs, 9), round_as_python(vs, 9))))
     owner, xs, gaps = owner[first], xs[first], gaps[first]
     x = np.clip(xs, 0.0, None)
     x /= x.sum(axis=1, keepdims=True)
@@ -202,15 +226,17 @@ def _enumerate_chunk(p1: np.ndarray, p2: np.ndarray) -> list[list[StageSolution]
     ok = (((x * r1).sum(axis=1) >= r1.max(axis=1) - EQ_TOL)
           & ((r2 * y).sum(axis=1) >= r2.max(axis=1) - EQ_TOL))
     game, x, y = game[ok], x[ok], y[ok]
-    first = _first_rows(np.concatenate((game[:, None], np.round(x, 9), np.round(y, 9)),
-                                       axis=1).tolist())
+    first = _first_rows(np.concatenate((game[:, None], np.round(x, 9), np.round(y, 9)), axis=1))
+    game, x, y = game[first], x[first], y[first]
 
+    # x P y of every point, one vector-matrix and one dot product per point
+    # as a per-point x @ P @ y makes them
+    payoffs = np.concatenate([np.matmul(np.matmul(x[:, None], p[game]), y[..., None])[..., 0]
+                              for p in (p1, p2)], axis=1)
     found = [[] for _ in range(g)]
-    for k in first:
-        gk, xk, yk = int(game[k]), x[k].copy(), y[k].copy()
-        payoffs = np.array([xk @ p1[gk] @ yk, xk @ p2[gk] @ yk])
-        found[gk].append(StageSolution("ne", xk, yk, None, payoffs))
-    return [sorted(points, key=_support_order) for points in found]
+    for gk, xk, yk, pk in zip(game.tolist(), x, y, payoffs):
+        found[gk].append(StageSolution("ne", xk, yk, None, pk))
+    return [sorted(points, key=_support_order) if len(points) > 1 else points for points in found]
 
 
 def enumerate_ne_stack(p1, p2) -> list[list[StageSolution]]:
@@ -288,6 +314,33 @@ def _ce_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return rows.reshape(g, -1, m * n)
 
 
+def _ce_arrays(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray):
+    """:func:`_ce_stack` as arrays: the joint distributions, shape (G, m, n),
+    and their payoffs, shape (G, 2)."""
+    g, m, n = p1.shape
+    per = max(1, lp._STACK_ENTRIES // ((m * (m - 1) + n * (n - 1) + 1) * m * n))
+    mu, payoffs = np.empty((g, m, n)), np.empty((g, 2))
+    for start in range(0, g, per):
+        part = slice(start, start + per)
+        rows = _ce_rows(p1[part], p2[part])
+        size = len(rows)
+        res = lp.lp_solve_stack(objectives[part], rows, np.zeros(rows.shape[:2]),
+                                np.ones((size, 1, m * n)), np.ones((size, 1)))
+        if res.status.count("optimal") != size:
+            k = next(k for k, status in enumerate(res.status) if status != "optimal")
+            res.result(k)  # raises an "error" row's SolverError
+            # every Nash equilibrium is feasible, so this cannot legitimately happen
+            raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
+        # each game's sums run over its own row of m n entries, as a
+        # per-game sum over its (m, n) distribution does
+        flat = np.clip(res.x, 0.0, None)
+        flat /= flat.sum(axis=1, keepdims=True)
+        mu[part] = flat.reshape(size, m, n)
+        for i, p in enumerate((p1, p2)):
+            payoffs[part, i] = (flat * p[part].reshape(size, -1)).sum(axis=1)
+    return mu, payoffs
+
+
 def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[StageSolution]:
     """The correlated equilibrium maximising ``objectives[k]`` (G, m n) of
     each game (p1[k], p2[k]) of a stack, the games' LPs solved as LP stacks.
@@ -295,26 +348,11 @@ def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[St
     The swap rows are built for at most ``lp._STACK_ENTRIES`` entries of
     them at a time, so memory stays bounded whatever the stack's size.  The
     lowest game whose LP fails raises, as a loop over the games would.
+    Status, clipping, normalisation and payoffs are array steps over a
+    chunk.
     """
-    g, m, n = p1.shape
-    per = max(1, lp._STACK_ENTRIES // ((m * (m - 1) + n * (n - 1) + 1) * m * n))
-    points = []
-    for start in range(0, g, per):
-        part = slice(start, start + per)
-        rows = _ce_rows(p1[part], p2[part])
-        size = len(rows)
-        res = lp.lp_solve_stack(objectives[part], rows, np.zeros(rows.shape[:2]),
-                                np.ones((size, 1, m * n)), np.ones((size, 1)))
-        for k, (a, b) in enumerate(zip(p1[part], p2[part])):
-            if res.status[k] != "optimal":
-                res.result(k)  # raises an "error" row's SolverError
-                # every Nash equilibrium is feasible, so this cannot legitimately happen
-                raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
-            mu = np.clip(res.x[k].reshape(m, n), 0.0, None)
-            mu /= mu.sum()
-            payoffs = np.array([float((mu * a).sum()), float((mu * b).sum())])
-            points.append(StageSolution("ce", None, None, mu, payoffs))
-    return points
+    return [StageSolution("ce", None, None, mu, payoffs)
+            for mu, payoffs in zip(*_ce_arrays(p1, p2, objectives))]
 
 
 def _ce_from_lp(game: BimatrixGame, objective: np.ndarray) -> StageSolution:
@@ -423,7 +461,8 @@ def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
     """
     _check_policy(kind, policy, None)
     if kind == "ne":
-        return [_select_ne(points, policy) for points in enumerate_ne_stack(p1, p2)]
+        return [points[0] if len(points) == 1 else _select_ne(points, policy)
+                for points in enumerate_ne_stack(p1, p2)]
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if not (np.isfinite(p1).all() and np.isfinite(p2).all()):

@@ -412,12 +412,15 @@ def _slacks(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value:
                 value[..., 1, None] - np.matmul(mu1[..., None, :], z2)[..., 0, :])
     mu, = strategies
     m, n = mu.shape[-2:]
-    # obeying recommendation a less playing each alternative row, then column
-    s1 = [np.matmul(mu[..., a, None, :], z1[..., a, :, None] - np.swapaxes(z1, -1, -2))[..., 0, :]
-          for a in range(m)]
-    s2 = [np.matmul(np.swapaxes(z2[..., :, b, None] - z2, -1, -2), mu[..., :, b, None])[..., 0]
-          for b in range(n)]
-    return np.concatenate(s1, axis=-1), np.concatenate(s2, axis=-1)
+    # obeying recommendation a less playing each alternative row, (a, b, alt),
+    # then column, (b, a, alt): one batched matmul each, a vector-matrix
+    # product per recommendation; the first's differences are freed before
+    # the second's are made
+    s1 = np.matmul(mu[..., :, None, :],
+                   z1[..., :, :, None] - np.swapaxes(z1, -1, -2)[..., None, :, :])
+    s2 = np.matmul(np.swapaxes(np.swapaxes(z2, -1, -2)[..., :, :, None] - z2[..., None, :, :], -1, -2),
+                   np.swapaxes(mu, -1, -2)[..., None])
+    return s1.reshape(s1.shape[:-3] + (m * m,)), s2.reshape(s2.shape[:-3] + (n * n,))
 
 
 def _gaps(kind: str, z1: np.ndarray, z2: np.ndarray, strategies: tuple, value: np.ndarray):
@@ -470,6 +473,36 @@ def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
     return _grid_search(structure, rewards, kind, nonleaf, resolution, None, tol, GRID_CAP)
 
 
+def _step_floats(kind: str, group: StageGroup) -> int:
+    """Floats a batch entry of an evaluation pass holds while ``group`` is
+    stepped, beside its stage's matrices: the strategy data, then the most
+    of what :func:`_values` holds (the joint distribution and its product
+    with a payoff) or what :func:`_slacks` holds (the node values, the
+    slacks made so far and one agent's matmul temporaries; for "ce" these
+    are the swap differences, m1 or m2 floats a joint)."""
+    n, m1, m2 = group.prob.shape[:3]
+    joints = n * m1 * m2
+    if kind == "ne":
+        return n * (m1 + m2) + max(2 * joints + n, n * (2 + m1 + 2 * m2))
+    return joints + max(joints + n, n * (2 + m1 * m1) + joints * m1,
+                        n * (2 + m1 * m1 + m2 * m2) + joints * m2)
+
+
+def _grid_floats(structure: Structure, kind: str, n_grid_nodes: int) -> int:
+    """Floats held per point of a grid block: the values (2 a node) and gap
+    table (2 a nonleaf node) of this block, the last block's being freed
+    before its pass; the matrices and returned values of the widest stage
+    (2 a joint, 2 a node) while its most demanding group is stepped
+    (:func:`_step_floats`); and the point's number and the grid index of
+    each grid node, of this block and, while it is drawn, of the last."""
+    compiled = structure._compiled()
+    stage = max((sum(2 * (math.prod(g.prob.shape[:3]) + len(g.ids)) for g in groups)
+                 + max(_step_floats(kind, g) for g in groups)
+                 for groups in compiled.groups if groups), default=0)
+    return (2 * (len(structure.nodes) + compiled.bounds[structure.horizon]) + stage
+            + 1 + 2 * n_grid_nodes)
+
+
 def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resolution: int,
                  base: Optional[EquilibriumSolution], tol: Optional[float],
                  max_points: int) -> GridResult:
@@ -515,17 +548,7 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
         group, row = compiled.locate(node.id)
         rows.setdefault(group.index, []).append((q, row))
     base_data = None if base is None else _stacked(kind, base.profiles)
-    # per point: the values (2 floats a node) and gap table (2 a nonleaf
-    # node) of this block, the last block's being freed before its pass;
-    # the matrices of one stage (2 floats a joint) and as much again of
-    # strategy data and temporaries while one of its groups is stepped; and
-    # the grid index of each node, of this block and, while it is drawn, of
-    # the last
-    joints = max((sum(math.prod(g.prob.shape[:-1]) for g in groups) for groups in compiled.groups),
-                 default=0)
-    per_point = (2 * (len(structure.nodes) + compiled.bounds[structure.horizon]) + 4 * joints
-                 + 2 * len(nodes))
-    block = max(1, _GRID_BLOCK // per_point)
+    block = max(1, _GRID_BLOCK // _grid_floats(structure, kind, len(nodes)))
 
     best = base
     best_sw = None if base is None else float(base.values[0].sum())

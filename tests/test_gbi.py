@@ -278,6 +278,50 @@ class TestGroupStep:
         z1, z2 = stage_matrices(graph, bm.rewards, node, first.values)
         assert cache.solve(BimatrixGame(z1, z2), "ne", "sw-optimal") is again.profiles[0]
 
+    def test_work_counts(self, vcas_t3, monkeypatch):
+        # deterministic counts of the stage solvers' work: over G 3x3 games
+        # with one equilibrium each (both agents have a dominant action),
+        # one StageSolution per game, no sort and no welfare key, and one
+        # vertex enumeration per agent and chunk of the stack
+        import nscsg.nfg as nfg
+
+        rng = np.random.default_rng(19)
+        g = 250
+        p1, p2 = rng.normal(size=(2, g, 3, 3))
+        p1[np.arange(g), rng.integers(3, size=g)] += 10.0
+        p2[np.arange(g), :, rng.integers(3, size=g)] += 10.0
+        counts = {"solutions": 0, "vertices": 0}
+
+        def solution(*args):
+            counts["solutions"] += 1
+            return StageSolution(*args)
+
+        def vertices(*args):
+            counts["vertices"] += 1
+            return polytope_vertices(*args)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a one-point game was sorted or scored")
+
+        monkeypatch.setattr(nfg, "StageSolution", solution)
+        monkeypatch.setattr(nfg, "_polytope_vertices", vertices)
+        monkeypatch.setattr(nfg, "_support_order", unexpected)
+        monkeypatch.setattr(nfg, "_max_welfare", unexpected)
+        chunks = -(-g // (nfg._STACK_BASES // 40))  # a 3x3 game has 2 * C(6, 3) bases
+        for policy in ("sw-optimal", "first-found"):
+            counts.update(solutions=0, vertices=0)
+            sols = nfg.any_equilibria(p1, p2, "ne", policy)
+            assert len(sols) == g and all(sol.mu1.max() == 1.0 for sol in sols)
+            assert counts == {"solutions": g, "vertices": 2 * chunks} and chunks == 3
+        monkeypatch.undo()
+        # the cache's hits and misses on a region graph, per kind and policy
+        bm, graph = vcas_t3
+        for kind in ("ne", "ce"):
+            for policy in ("sw-optimal", "first-found"):
+                cache = StageGameCache()
+                run_gbi(graph, bm.rewards, kind, policy, cache=cache)
+                assert (cache.hits, cache.misses) == (183, 57), (kind, policy)
+
     def test_one_stacked_enumeration_per_group(self, vcas_t3, monkeypatch):
         # each agent's polytope is enumerated once per stage group, not once
         # per missed game: a fall-back to per-node solving fails here

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from test_lp import failing_game
 import nscsg.lp as lp
 import nscsg.nfg as nfg
 from nscsg.errors import ResourceLimitError, SolverError
+from nscsg.gbi import _candidates_stack
 from nscsg.nfg import (
     BimatrixGame,
     StageSolution,
@@ -271,3 +273,186 @@ class TestOneResultType:
                 assert len(sols) == len(p1)
                 for sol in sols:
                     self.check(sol, kind, (2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the reference for the array steps: the per-point path, with one key list,
+# one payoff product, one sort and one selection per point or game
+
+
+def per_point_first_rows(rows):
+    first = {}
+    for k, key in enumerate(map(tuple, rows)):
+        first.setdefault(key, k)
+    return list(first.values())
+
+
+def per_point_vertices(col_payoffs, feas_tol):
+    g, m, n = col_payoffs.shape
+    templates = np.zeros((g, m + n + 1, m + 1))
+    diag = np.arange(m)
+    templates[:, diag, diag] = 1.0
+    templates[:, m:m + n, :m] = col_payoffs.transpose(0, 2, 1)
+    templates[:, m:m + n, m] = -1.0
+    templates[:, m + n, :m] = 1.0
+    rows = np.array([c + (m + n,) for c in itertools.combinations(range(m + n), m)], dtype=np.intp)
+    systems = templates[:, rows].reshape(-1, m + 1, m + 1)
+    owner = np.repeat(np.arange(g), len(rows))
+    ok = np.abs(np.linalg.det(systems)) > 1e-12
+    kept, owner = systems[ok], owner[ok]
+    rhs = np.zeros((len(kept), m + 1, 1))
+    rhs[:, m] = 1.0
+    sols = np.linalg.solve(kept, rhs)[..., 0]
+    residuals = np.abs(np.einsum("bij,bj->bi", kept, sols) - rhs[..., 0]).max(axis=1)
+    xs, vs = sols[:, :m], sols[:, m]
+    gaps = np.einsum("bi,bij->bj", xs, col_payoffs[owner]) - vs[:, None]
+    feas = ((residuals <= 1e-6) & np.isfinite(sols).all(axis=1)
+            & (xs >= -feas_tol).all(axis=1) & (gaps <= feas_tol).all(axis=1))
+    owner, xs, gaps = owner[feas], xs[feas], gaps[feas]
+    keys = np.concatenate((owner[:, None], np.round(xs, 9)), axis=1).tolist()
+    first = per_point_first_rows([key + [round(v, 9)] for key, v in zip(keys, vs[feas].tolist())])
+    owner, xs, gaps = owner[first], xs[first], gaps[first]
+    x = np.clip(xs, 0.0, None)
+    x /= x.sum(axis=1, keepdims=True)
+    return owner, x, np.concatenate((x <= feas_tol, gaps >= -feas_tol), axis=1)
+
+
+def per_point_enumeration(p1, p2):
+    g, m, n = p1.shape
+    a, b = nfg._normalise(p1), nfg._normalise(p2)
+    ox, xs, lx = per_point_vertices(b, nfg.EQ_TOL)
+    oy, ys, ly = per_point_vertices(a.transpose(0, 2, 1), nfg.EQ_TOL)
+    ly = np.concatenate((ly[:, n:], ly[:, :n]), axis=1)
+    ix, start_x, cx = nfg._places(ox, g)
+    iy, start_y, cy = nfg._places(oy, g)
+    pad_x = np.zeros((g, cx, m + n), dtype=bool)
+    pad_x[ox, ix] = lx
+    pad_y = np.zeros((g, cy, m + n), dtype=bool)
+    pad_y[oy, iy] = ly
+    game, i, j = np.nonzero((pad_x[:, :, None] | pad_y[:, None]).all(axis=-1))
+    x, y = xs[start_x[game] + i], ys[start_y[game] + j]
+    r1 = np.einsum("kij,kj->ki", a[game], y)
+    r2 = np.einsum("ki,kij->kj", x, b[game])
+    ok = (((x * r1).sum(axis=1) >= r1.max(axis=1) - nfg.EQ_TOL)
+          & ((r2 * y).sum(axis=1) >= r2.max(axis=1) - nfg.EQ_TOL))
+    game, x, y = game[ok], x[ok], y[ok]
+    first = per_point_first_rows(np.concatenate((game[:, None], np.round(x, 9), np.round(y, 9)),
+                                                axis=1).tolist())
+    found = [[] for _ in range(g)]
+    for k in first:
+        gk, xk, yk = int(game[k]), x[k].copy(), y[k].copy()
+        payoffs = np.array([xk @ p1[gk] @ yk, xk @ p2[gk] @ yk])
+        found[gk].append(StageSolution("ne", xk, yk, None, payoffs))
+    return [sorted(points, key=nfg._support_order) for points in found]
+
+
+def per_game_ce(p1, p2, objectives):
+    g, m, n = p1.shape
+    rows = nfg._ce_rows(p1, p2)
+    res = lp.lp_solve_stack(objectives, rows, np.zeros(rows.shape[:2]), np.ones((g, 1, m * n)),
+                            np.ones((g, 1)))
+    points = []
+    for k, (a, b) in enumerate(zip(p1, p2)):
+        assert res.status[k] == "optimal"
+        mu = np.clip(res.x[k].reshape(m, n), 0.0, None)
+        mu /= mu.sum()
+        points.append(StageSolution("ce", None, None, mu,
+                                    np.array([float((mu * a).sum()), float((mu * b).sum())])))
+    return points
+
+
+def per_game_candidates(p1, p2, kind):
+    if kind == "ne":
+        return per_point_enumeration(p1, p2)
+    g, m, n = p1.shape
+    objectives = np.stack((p1 + p2, -p1, -p2, p1, p2), axis=1).reshape(5 * g, m * n)
+    ces = per_game_ce(np.repeat(p1, 5, axis=0), np.repeat(p2, 5, axis=0), objectives)
+    outs = []
+    for k in range(g):
+        out, seen = [], set()
+        for ce in ces[5 * k:5 * k + 5]:
+            key = tuple(np.round(ce.mu_joint.ravel(), 9))
+            if key not in seen:
+                seen.add(key)
+                out.append(ce)
+        outs.append(out)
+    return outs
+
+
+def per_game_selection(p1, p2, kind, policy):
+    if kind == "ne":
+        points = per_point_enumeration(p1, p2)
+        return [nfg._max_welfare(pts) if policy == "sw-optimal" else pts[0] for pts in points]
+    g, m, n = p1.shape
+    objectives = (p1 + p2).reshape(g, m * n) if policy == "sw-optimal" else np.zeros((g, m * n))
+    return per_game_ce(p1, p2, objectives)
+
+
+def selection_stacks():
+    """Stacks of one shape each: equilibria tied on welfare and on agent 1's
+    payoff, -0.0 and constant payoffs, 1 x n and n x 1 games, and seeded
+    integer games with many ties."""
+    eye2, eye3 = np.eye(2), np.eye(3)
+    stacks = [
+        [(eye2, eye2), (eye2[::-1], eye2), (np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                                            np.array([[0.0, -0.0], [-0.0, 0.0]])),
+         (np.full((2, 2), 3.0), np.full((2, 2), -1.0)), (NODE4.p1, NODE4.p2),
+         (PENNIES.p1, PENNIES.p2)],
+        [(eye3, eye3), (2.0 - eye3, 2.0 - eye3), (np.zeros((3, 3)), -np.zeros((3, 3))),
+         (np.ones((3, 3)), eye3)],
+        [(np.array([[1.0, 2.0, 2.0]]), np.array([[0.0, 1.0, 1.0]])),
+         (np.array([[-0.0, 0.0, -0.0]]), np.array([[5.0, 5.0, 5.0]]))],
+        [(np.array([[1.0], [1.0], [0.0]]), np.array([[2.0], [-0.0], [0.0]])),
+         (np.array([[0.0], [0.0], [0.0]]), np.array([[-1.0], [-1.0], [-1.0]]))],
+        [(np.array([[4.0]]), np.array([[-0.0]]))],
+    ]
+    rng = np.random.default_rng(97)
+    for shape in ((3, 3), (2, 3), (3, 2)):
+        stacks.append([tuple(rng.integers(-2, 3, size=(2,) + shape).astype(float))
+                       for _ in range(40)])
+    for games in stacks:
+        p1, p2 = (np.array(part) for part in zip(*games))
+        yield p1, p2
+
+
+class TestPerPointPath:
+    """The array steps of enumeration, selection and CE extraction give, byte
+    for byte, what the per-point path gives."""
+
+    @staticmethod
+    def points_bytes(points):
+        return [solution_bytes(p) for p in points]
+
+    def test_key_dedupe_compares_by_value(self):
+        # -0.0 equals 0.0, and of equal keys the first index is kept
+        keys = np.array([[1.0, -0.0], [0.0, 2.0], [1.0, 0.0], [-0.0, 2.0], [0.5, 0.5]])
+        assert nfg._first_rows(keys).tolist() == [0, 1, 4]
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            keys = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(rng.integers(1, 40), rng.integers(1, 5)))
+            assert nfg._first_rows(keys).tolist() == per_point_first_rows(keys.tolist())
+
+    def test_enumeration_and_candidates(self):
+        for p1, p2 in selection_stacks():
+            expected = per_point_enumeration(p1, p2)
+            assert list(map(self.points_bytes, enumerate_ne_stack(p1, p2))) == \
+                list(map(self.points_bytes, expected))
+            for kind in ("ne", "ce"):
+                got = _candidates_stack(p1, p2, kind)
+                assert list(map(self.points_bytes, got)) == \
+                    list(map(self.points_bytes, per_game_candidates(p1, p2, kind))), kind
+
+    @pytest.mark.parametrize("kind", ["ne", "ce"])
+    @pytest.mark.parametrize("policy", ["sw-optimal", "first-found"])
+    def test_selection(self, kind, policy):
+        ties = 0
+        for p1, p2 in selection_stacks():
+            got = any_equilibria(p1, p2, kind, policy)
+            assert self.points_bytes(got) == self.points_bytes(per_game_selection(p1, p2, kind, policy))
+            if kind == "ne":
+                for points in per_point_enumeration(p1, p2):
+                    top = max(p.social_welfare for p in points)
+                    best = [p for p in points if p.social_welfare == top]
+                    ties += len({p.payoffs[0] for p in best}) < len(best)
+        # the inputs hold games whose selection falls to the probability vectors
+        assert kind == "ce" or ties > 0

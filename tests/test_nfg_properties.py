@@ -1,7 +1,10 @@
-"""Property tests of the stacked support enumeration: a stack of games gives
-each game, bit for bit, the points and order of its one-game call."""
+"""Property tests of the stage solvers: a stack of games gives each game,
+bit for bit, the points and order of its one-game call; every enumerated
+point is a Nash equilibrium; correlated welfare is never below Nash
+welfare."""
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import nscsg.nfg as nfg  # noqa: E402
-from nscsg.nfg import BimatrixGame, enumerate_ne, enumerate_ne_stack  # noqa: E402
+from nscsg.nfg import BimatrixGame, enumerate_ne, enumerate_ne_stack, swce, swne  # noqa: E402
 
 #: Few distinct values, so draws have ties, duplicate vertices and -0.0.
 TIED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5])
@@ -49,3 +52,40 @@ def test_stack_equals_one_game_calls(stack, chunk_bases):
     assert len(stacked) == len(p1)
     for points, a, b in zip(stacked, p1, p2):
         assert point_bytes(points) == point_bytes(enumerate_ne(BimatrixGame(a, b)))
+
+
+def spans(p):
+    return p.max(axis=(-2, -1)) - p.min(axis=(-2, -1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_every_enumerated_point_is_an_equilibrium(stack):
+    # the enumeration checks pure deviations on the normalised game, so on
+    # the game as given no deviation gains more than EQ_TOL times the
+    # deviating agent's payoff span (plus rounding of the products)
+    p1, p2 = stack
+    for points, a, b, span1, span2 in zip(enumerate_ne_stack(p1, p2), p1, p2, spans(p1), spans(p2)):
+        assert points
+        for pt in points:
+            r1, r2 = a @ pt.mu2, pt.mu1 @ b
+            slop1 = 1e-12 * max(1.0, np.abs(a).max())
+            slop2 = 1e-12 * max(1.0, np.abs(b).max())
+            assert r1.max() - pt.mu1 @ r1 <= nfg.EQ_TOL * span1 + slop1
+            assert r2.max() - r2 @ pt.mu2 <= nfg.EQ_TOL * span2 + slop2
+            assert pt.mu1.min() >= 0.0 and pt.mu2.min() >= 0.0
+
+
+INTEGER = arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                 elements=st.integers(-5, 5).map(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(INTEGER, st.data())
+def test_correlated_welfare_is_at_least_nash_welfare(p1, data):
+    # every Nash equilibrium is a correlated equilibrium, so the welfare
+    # optimum over the larger set is no lower; integer payoffs in [-5, 5]
+    p2 = data.draw(arrays(float, p1.shape, elements=st.integers(-5, 5).map(float)))
+    game = BimatrixGame(p1, p2)
+    span = max(spans(p1), spans(p2), 1.0)
+    assert swce(game).social_welfare >= swne(game).social_welfare - 1e-9 * span

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from nscsg.speprog import (
     _bottom_up,
     _evaluate,
     _gaps,
+    _grid_floats,
+    _grid_search,
+    _slacks,
     _solution_values,
     _stacked,
     _values,
@@ -299,6 +304,30 @@ class TestOnePassGaps:
         assert values.tobytes() == ref_values.tobytes()
         assert gaps.tobytes() == ref_gaps.tobytes()
 
+    def test_ce_slack_kernel_matches_per_recommendation_loop(self):
+        # the one batched matmul per agent gives, byte for byte, what one
+        # vector-matrix product per recommended action gave; shapes 1-5 x
+        # 1-5, 0-2 batch axes, some strategies without the batch axes
+        def loop(z1, z2, mu):
+            m, n = mu.shape[-2:]
+            s1 = [np.matmul(mu[..., a, None, :], z1[..., a, :, None] - np.swapaxes(z1, -1, -2))[..., 0, :]
+                  for a in range(m)]
+            s2 = [np.matmul(np.swapaxes(z2[..., :, b, None] - z2, -1, -2), mu[..., :, b, None])[..., 0]
+                  for b in range(n)]
+            return np.concatenate(s1, axis=-1), np.concatenate(s2, axis=-1)
+
+        rng = np.random.default_rng(41)
+        for case in range(300):
+            m, n = rng.integers(1, 6, size=2)
+            batch = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+            z1, z2 = rng.normal(size=(2,) + batch + (m, n)) * 10.0
+            mu = rng.dirichlet(np.ones(m * n), size=batch or None).reshape(batch + (m, n))
+            if case % 3 == 0:
+                mu = mu[(0,) * len(batch)]
+            got, expected = _slacks("ce", z1, z2, (mu,), None), loop(z1, z2, mu)
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, n, batch)
+
     def test_assignment_matches_per_node_reference(self):
         for name, rewards, structure in gap_structures():
             for kind in ("ne", "ce"):
@@ -369,6 +398,49 @@ class TestExactGrid:
                             solution_bytes(profiles[nid] for nid in sorted(profiles))))
         assert results[0] == results[1] == results[2]
         assert results[0][1] > 0
+
+    @pytest.mark.parametrize("model, kind, resolution, counts", [
+        ("counterexample", "ne", 10, (14641, 10)),
+        ("counterexample", "ce", 5, (3136, 36)),
+        (17, "ne", 10, None),
+        (17, "ce", 4, None),
+    ])
+    def test_block_memory_is_counted(self, counterexample, monkeypatch, model, kind, resolution,
+                                     counts):
+        # the floats a grid point adds to the peak, measured as the slope of
+        # tracemalloc peaks at two block budgets, stay within what
+        # _grid_floats counts for the menu shapes (3x3 stages on random model
+        # 17, whose root alone is gridded against its GBI solution), and
+        # the count is not loose
+        import nscsg.speprog as speprog
+
+        if model == "counterexample":
+            bm, tree = counterexample
+            nodes, base = [tree.nodes[i] for i in sorted(tree.nonleaf_ids())], None
+        else:
+            bm = random_model(model)
+            tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+            assert {tuple(map(len, tree.nodes[i].menus)) for i in tree.nonleaf_ids()} == {(3, 3)}
+            nodes, base = [tree.root], run_gbi(tree, bm.rewards, kind)
+        per_point = _grid_floats(tree, kind, len(nodes))
+        measured = []
+        for budget in (1 << 14, 1 << 17):
+            monkeypatch.setattr(speprog, "_GRID_BLOCK", budget)
+            tracemalloc.start()
+            try:
+                grid = _grid_search(tree, bm.rewards, kind, nodes, resolution, base, None,
+                                    speprog.GRID_CAP)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            measured.append((budget // per_point, peak, grid.checked, grid.feasible,
+                             grid.solution.values.tobytes()))
+        (small, low, *result), (large, high, *again) = measured
+        assert result == again
+        if counts is not None:
+            assert tuple(result[:2]) == counts
+        slope = (high - low) / (large - small) / 8
+        assert 0.8 * per_point <= slope <= per_point, (slope, per_point)
 
     def test_single_stage_matches_selection(self):
         rng = np.random.default_rng(2)
