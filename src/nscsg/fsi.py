@@ -165,9 +165,9 @@ def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: s
     equilibrium after every step), so only grid points that are equilibria
     themselves can replace it.  Falls back to the incumbent otherwise.
     """
-    free = _free_part(structure, frozen)
+    order, _ = _free_part(structure, frozen)
     _, gaps = evaluate_values(structure, rewards, current)
     tol = max(gaps.max(initial=0.0), 1e-9)
-    nodes = [structure.nodes[nid] for nid in sorted(free)]
+    nodes = [structure.nodes[nid] for nid in sorted(order)]
     return _grid_search(structure, rewards, kind, nodes, cfg.grid_resolution, current, tol,
                         max_points=2_000_000).solution

@@ -85,11 +85,9 @@ def _require(structure: Structure, profiles: Optional[dict]) -> None:
     """Raise for the first nonleaf node, bottom-up, without strategy data."""
     if profiles is None:
         return
-    bounds = structure._compiled().bounds
-    for stage in range(structure.horizon - 1, -1, -1):
-        for nid in range(bounds[stage], bounds[stage + 1]):
-            if nid not in profiles:
-                raise ModelError(f"strategy data missing at history {nid}")
+    for nid in structure._compiled().bottom_up.tolist():
+        if nid not in profiles:
+            raise ModelError(f"strategy data missing at history {nid}")
 
 
 def induce_stages(structure: Structure, rewards, step, profiles: Optional[dict] = None,

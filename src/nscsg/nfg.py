@@ -159,11 +159,13 @@ def _polytope_vertices(col_payoffs: np.ndarray, feas_tol: float):
     systems = np.take(templates, rows, axis=1).reshape(-1, m + 1, m + 1)
     owner = np.repeat(np.arange(g), len(rows))
 
-    ok = np.abs(np.linalg.det(systems)) > 1e-12
-    kept, owner = systems[ok], owner[ok]
-    rhs = np.zeros((len(kept), m + 1, 1))
-    rhs[:, m] = 1.0
-    sols = np.linalg.solve(kept, rhs)[..., 0]
+    # subnormal payoffs can make the LU divide by zero; such systems fail the checks below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ok = np.abs(np.linalg.det(systems)) > 1e-12
+        kept, owner = systems[ok], owner[ok]
+        rhs = np.zeros((len(kept), m + 1, 1))
+        rhs[:, m] = 1.0
+        sols = np.linalg.solve(kept, rhs)[..., 0]
     residuals = np.abs(np.einsum("bij,bj->bi", kept, sols) - rhs[..., 0]).max(axis=1)
     xs, vs = sols[:, :m], sols[:, m]
     gaps = np.einsum("bi,bij->bj", xs, col_payoffs[owner]) - vs[:, None]

@@ -598,32 +598,44 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
 # frozen-set validation and value propagation
 
 
-def _free_part(structure: Structure, frozen: set) -> set:
-    """Nonleaf nodes outside ``frozen``; each must have only free parents."""
-    free = set(structure.nonleaf_ids()) - set(frozen)
-    if any(pid not in free for nid in free for pid in structure.nodes[nid].parents):
+def _free_part(structure: Structure, frozen: set) -> tuple[list, dict]:
+    """The nonleaf nodes outside ``frozen`` bottom-up (by decreasing stage,
+    then id) and each one's ancestors in that order, from one pass over the
+    parent pairs into a free-by-free mask; a free node's parents must be free."""
+    compiled = structure._compiled()
+    child, parent, starts = compiled.parents
+    bounds, horizon = compiled.bounds, structure.horizon
+    held = np.zeros(bounds[horizon], dtype=bool)
+    held[[nid for nid in frozen if 0 <= nid < len(held)]] = True
+    free = ~held
+    kept = free[child[starts[1]:starts[horizon]]]  # the pairs whose child is a free nonleaf node
+    child, parent = child[starts[1]:starts[horizon]][kept], parent[starts[1]:starts[horizon]][kept]
+    if not free[parent].all():
         raise ModelError("free set must contain every parent of a free history")
-    return free
-
-
-def _bottom_up(structure: Structure, ids) -> list:
-    """Node ids ordered by decreasing stage, then by id."""
-    return sorted(ids, key=lambda nid: (-structure.nodes[nid].stage, nid))
+    order = compiled.bottom_up[free[compiled.bottom_up]]
+    place = np.empty(len(free), dtype=np.intp)
+    place[order] = np.arange(len(order))
+    rows, cols = place[child], place[parent]
+    above = np.zeros((len(order), len(order)), dtype=bool)
+    above[rows, cols] = True
+    cuts = child.searchsorted(bounds[2:horizon + 1]).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):  # stage by stage, each child takes its parents' ancestors
+        np.logical_or.at(above, rows[lo:hi], above[cols[lo:hi]])
+    rows, cols = np.nonzero(above)
+    cuts = rows.searchsorted(np.arange(len(order) + 1)).tolist()
+    cols, order = order[cols].tolist(), order.tolist()
+    return order, {nid: cols[lo:hi] for nid, lo, hi in zip(order, cuts, cuts[1:])}
 
 
 def _closure(structure: Structure, node_id: int) -> set:
-    """``node_id`` and every node on a history that reaches it."""
-    closure, frontier = set(), {node_id}
-    while frontier:
-        closure |= frontier
-        frontier = {pid for nid in frontier for pid in structure.nodes[nid].parents} - closure
-    return closure
-
-
-def _free_ancestors(structure: Structure, target: int) -> list:
-    """Nodes strictly above ``target`` ordered by decreasing stage: all free
-    when ``target`` is, as a free part holds every parent of its nodes."""
-    return _bottom_up(structure, _closure(structure, target) - {target})
+    """``node_id`` and every node on a history that reaches it, a stage at a time."""
+    child, parent, starts = structure._compiled().parents
+    reached = np.zeros(len(structure.nodes), dtype=bool)
+    reached[node_id] = True
+    for stage in range(structure.nodes[node_id].stage, 0, -1):
+        lo, hi = starts[stage], starts[stage + 1]
+        reached[parent[lo:hi][reached[child[lo:hi]]]] = True
+    return set(reached.nonzero()[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +653,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     they keep feasibility and do not decrease the root social welfare, so the
     output is feasible and at least as good as the input.
     """
-    free = _free_part(structure, frozen)
+    order, ancestors = _free_part(structure, frozen)
     current = init.copy()
     values, gaps = evaluate_values(structure, rewards, current)
     base_gap = gaps.max(initial=0.0)
@@ -649,8 +661,6 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
         raise ModelError(f"initial solution is infeasible (gap {base_gap:.3g})")
     current.values = values
 
-    order = _bottom_up(structure, free)
-    ancestors = {nid: _free_ancestors(structure, nid) for nid in order}
     sw = float(values[0].sum())
     for _ in range(max(rounds, 0)):
         improved = False
@@ -757,7 +767,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     are taken a whole node's candidates at a time in blocks of at most
     ``_TRIAL_BLOCK`` value floats (at least one node per block).
     """
-    free = _free_part(structure, frozen)
+    order, ancestors = _free_part(structure, frozen)
     cache = cache or StageGameCache()
     compiled = structure._compiled()
 
@@ -765,10 +775,8 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     current.values = _solution_values(structure, rewards, current)
     sw = float(current.values[0].sum())
 
-    order = _bottom_up(structure, free)
-    ancestors = {nid: _free_ancestors(structure, nid) for nid in order}
     free_rows: dict = {}  # stage group index -> (group, rows of its free nodes)
-    for nid in sorted(free):
+    for nid in sorted(order):
         group, row = compiled.locate(nid)
         free_rows.setdefault(group.index, (group, []))[1].append(row)
     free_rows = [(group, np.array(rows)) for group, rows in free_rows.values()]

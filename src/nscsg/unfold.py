@@ -11,6 +11,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class Node:
     menus: tuple[tuple[str, ...], ...] = ()
     joints: tuple[tuple[str, ...], ...] = ()
     children: dict = field(default_factory=dict)
-    parents: tuple[int, ...] = ()
 
 
 class Structure:
@@ -162,10 +162,10 @@ class Compiled:
     Node ids are contiguous per stage because the unfolding is breadth
     first: stage ``s`` holds ids ``bounds[s]:bounds[s + 1]``, so the nonleaf
     ids are ``range(bounds[horizon])`` and the leaves come last.  The stage
-    groups are built by the first pass that needs them.  A reward
-    structure's immediate rewards (action plus state reward per joint) and
-    leaf values are read from its callbacks once, on first use, and kept
-    while the structure lives: the callbacks must be pure.
+    groups, and the parent relation read off them, are built on first use.
+    A reward structure's immediate rewards (action plus state reward per
+    joint) and leaf values are read from its callbacks once, on first use,
+    and kept while the structure lives: the callbacks must be pure.
     """
 
     def __init__(self, structure: Structure):
@@ -220,6 +220,26 @@ class Compiled:
                 groups.append(group)
                 index += 1
             self._groups.append(groups)
+
+    @cached_property
+    def parents(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """The distinct (child id, parent id) pairs of the transitions as
+        ``(child, parent, starts)``, sorted by child and then parent; the
+        children of stage ``s`` have the pairs ``starts[s]:starts[s + 1]``."""
+        n, keys = len(self._nodes), [np.zeros(0, dtype=np.intp)]
+        for group in (g for groups in self.groups for g in groups):
+            ids = group.ids.reshape((-1,) + (1,) * (group.succ.ndim - 2))
+            keys += [np.ravel((group.succ[..., j] * n + ids)[live]) for j, live in enumerate(group.live)]
+        # distinct by a sort and a neighbour compare, as model._distinct
+        keys = np.sort(np.concatenate(keys))
+        child, parent = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        return child, parent, np.searchsorted(child, self.bounds).tolist()
+
+    @cached_property
+    def bottom_up(self) -> np.ndarray:
+        """The nonleaf ids by decreasing stage, then by id."""
+        stages = np.repeat(np.arange(self._horizon), np.diff(self.bounds[:self._horizon + 1]))
+        return np.argsort(-stages, kind="stable")
 
     def rewards(self, reward: RewardStructure) -> tuple[np.ndarray, list]:
         """Leaf values of ``reward`` (in leaf id order) and its immediate
@@ -278,7 +298,6 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
         shared.add(state.agent_states)
         decision = GlobalState(shared.add(decision.agent_states), decision.env)
     nodes = [Node(0, 0, state, decision)]
-    links = ([], [])  # (child id, parent id) of every transition
     menu_joints = {}
     # region mode: the menus of each shared decision tuple, keyed by its id
     # (the tuples live as long as ``shared``)
@@ -322,27 +341,22 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                         child = Node(len(nodes), stage + 1, succ, succ)
                         nodes.append(child)
                         nxt.append(child)
-                        links[0].append(child.id)
-                        links[1].append(node.id)
                         pairs.append((prob, child.id))
                     node.children[joint] = tuple(pairs)
             if merge:
-                created = _expand_slice(model, chunk, refreshed, shared, ids_by_key, len(nodes), stage + 1,
-                                        links)
+                created = _expand_slice(model, chunk, refreshed, shared, ids_by_key, len(nodes), stage + 1)
                 if len(nodes) + len(created) > max_nodes:
                     raise cap_error(max(len(nodes), max_nodes) + 1)
                 nodes.extend(created)
                 nxt.extend(created)
         frontier = nxt
-    _set_parents(nodes, *links)
     build_time = time.perf_counter() - t0
     cls = RegionGraph if merge else GameTree
     return cls(model, horizon, nodes, build_time)
 
 
 def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
-                  shared: "_SharedAgentStates", ids_by_key: dict, next_id: int, stage: int,
-                  links) -> list[Node]:
+                  shared: "_SharedAgentStates", ids_by_key: dict, next_id: int, stage: int) -> list[Node]:
     """Step every joint of the slice ``chunk`` (with refreshed states
     ``refreshed``) in one :func:`step_batch`, perceive the delivered
     successors from their arrays with :func:`observe_rows`, key them with
@@ -389,22 +403,7 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
             lo, hi = bounds[r], bounds[r + 1]
             node.children[joint] = tuple(zip(probs[lo:hi], cids[lo:hi]))
             r += 1
-    links[0].extend(cids)
-    links[1].extend(np.repeat([node.id for node in chunk], counts)[src].tolist())
     return created
-
-
-def _set_parents(nodes: list[Node], child_ids: list[int], parent_ids: list[int]) -> None:
-    """Set each node's sorted distinct parent ids from the transition list."""
-    n = len(nodes)
-    pairs = np.sort(np.asarray(child_ids, dtype=np.int64) * n + np.asarray(parent_ids, dtype=np.int64))
-    distinct = np.ones(len(pairs), dtype=bool)
-    distinct[1:] = pairs[1:] != pairs[:-1]
-    child, parent = np.divmod(pairs[distinct], n)
-    bounds = np.searchsorted(child, np.arange(n + 1)).tolist()
-    parent = parent.tolist()
-    for node, lo, hi in zip(nodes, bounds, bounds[1:]):
-        node.parents = tuple(parent[lo:hi])
 
 
 class _SharedAgentStates:

@@ -15,7 +15,7 @@ from nscsg.fsi import (
     write_trace_csv,
 )
 from nscsg.gbi import run_gbi, social_welfare
-from nscsg.speprog import _free_ancestors, solve_exact_grid
+from nscsg.speprog import _free_part, solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import check_spce, check_spne
 
@@ -232,9 +232,19 @@ class TestMaxSwSelection:
             assert chi2 <= CHI2_99[min(k - 1, 6)]
 
 
-def walked_closure(structure, node_id):
+def parent_map(structure):
+    """Each node's parent ids, read from every node's ``children``."""
+    parents = {node.id: set() for node in structure.nodes}
+    for node in structure.nodes:
+        for pairs in node.children.values():
+            for _, cid in pairs:
+                parents[cid].add(node.id)
+    return parents
+
+
+def walked_closure(parents, node_id):
     """The backward closure of ``node_id`` as a breadth-first walk through
-    every node's parents."""
+    the parent map ``parents``."""
     closure = set()
     frontier = {node_id}
     while frontier:
@@ -243,20 +253,20 @@ def walked_closure(structure, node_id):
             if nid in closure:
                 continue
             closure.add(nid)
-            nxt.update(structure.nodes[nid].parents)
+            nxt.update(parents[nid])
         frontier = nxt
     return closure
 
 
-def walked_free_ancestors(structure, free, target):
+def walked_free_ancestors(structure, parents, free, target):
     """The free nodes strictly above ``target`` as a breadth-first walk
-    through free parents only."""
+    through free parents only, bottom-up."""
     anc = set()
     frontier = {target}
     while frontier:
         nxt = set()
         for nid in frontier:
-            for pid in structure.nodes[nid].parents:
+            for pid in parents[nid]:
                 if pid in free and pid not in anc:
                     anc.add(pid)
                     nxt.add(pid)
@@ -273,11 +283,17 @@ class TestFreezePartition:
         bm = build(name, params)
         rg = unfold_regions(bm.model, bm.initial, bm.horizon)
         nonleaf = set(rg.nonleaf_ids())
+        parents = parent_map(rg)
+        # a free part holds every parent of its nodes, so its nodes' free
+        # ancestors are all their ancestors
+        above = {nid: walked_free_ancestors(rg, parents, nonleaf, nid) for nid in nonleaf}
         for nid in sorted(nonleaf):
             free, frozen = freeze_partition(rg, nid)
-            assert free == walked_closure(rg, nid) & nonleaf
+            assert free == walked_closure(parents, nid) & nonleaf
             assert frozen == nonleaf - free
-            assert _free_ancestors(rg, nid) == walked_free_ancestors(rg, free, nid)
+            order, ancestors = _free_part(rg, frozen)
+            assert order == sorted(free, key=lambda q: (-rg.nodes[q].stage, q))
+            assert ancestors == {q: above[q] for q in free}
 
     def test_root_only(self, counterexample):
         bm, tree = counterexample
@@ -300,9 +316,9 @@ class TestFreezePartition:
         free, frozen = freeze_partition(rg, target.id)
         # the free set is parent-closed and contains the target and the root
         assert target.id in free and 0 in free
+        parents = parent_map(rg)
         for nid in free:
-            for pid in rg.nodes[nid].parents:
-                assert pid in free
+            assert parents[nid] <= free
 
     def test_unknown_history_rejected(self, counterexample):
         bm, tree = counterexample

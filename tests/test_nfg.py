@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestStackedEnumeration:
         assert peak < 100_000
         with pytest.raises(ResourceLimitError):
             enumerate_ne(BimatrixGame(stack[0], stack[0]))
+
+    def test_subnormal_payoffs_warn_nothing(self):
+        # the LU of some basis systems of this game divides by zero
+        p1 = np.full((1, 2, 3), -0.0)
+        p2 = np.array([[[1.0, -0.0, 5e-324], [5e-324, 5e-324, 5e-324]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (points,) = enumerate_ne_stack(p1, p2)
+        assert [(p.mu1.tolist(), p.mu2.tolist()) for p in points] == [
+            ([1.0, 0.0], [1.0, 0.0, 0.0]), ([0.0, 1.0], [1.0, 0.0, 0.0]),
+            ([0.0, 1.0], [0.0, 1.0, 0.0]), ([0.0, 1.0], [0.0, 0.0, 1.0])]
 
     @pytest.mark.parametrize("kind", ["ne", "ce"])
     @pytest.mark.parametrize("policy", ["sw-optimal", "first-found"])

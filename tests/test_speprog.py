@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_model, random_profiles
+from test_fsi import parent_map, walked_free_ancestors
 from test_gbi import solution_bytes
 
 from nscsg.benchmarks import build
 from nscsg.errors import ModelError, ResourceLimitError, SolverError
-from nscsg.fsi import freeze_partition
+from nscsg.fsi import FsiConfig, freeze_partition, solve_exact_grid_on_free
 from nscsg.gbi import (EquilibriumSolution, StageGameCache, induce_groups, run_gbi, social_welfare,
                        stage_matrices)
 from nscsg.nfg import BimatrixGame, StageSolution, swce, swne
 from nscsg.speprog import (
     VarId,
-    _bottom_up,
     _evaluate,
     _gaps,
     _grid_floats,
@@ -23,7 +23,6 @@ from nscsg.speprog import (
     _solution_values,
     _stacked,
     _values,
-    _free_ancestors,
     _free_part,
     assignment_from_solution,
     build_ce_system,
@@ -569,13 +568,14 @@ class TestCoordinateAscent:
 def reference_reinduction(structure, rewards, kind, frozen, init, rounds, cache):
     """Re-induction one candidate at a time: each trial re-solves its free
     ancestors node by node through :meth:`StageGameCache.solve`."""
-    free = _free_part(structure, frozen)
+    free = set(structure.nonleaf_ids()) - frozen
+    parents = parent_map(structure)
     current = init.copy()
     current.values = evaluate_values(structure, rewards, current)[0]
     sw = float(current.values[0].sum())
     for _ in range(rounds):
         best = None
-        for nid in _bottom_up(structure, free):
+        for nid in sorted(free, key=lambda q: (-structure.nodes[q].stage, q)):
             z1, z2 = stage_matrices(structure, rewards, structure.nodes[nid], current.values)
             try:
                 candidates = cache.stage_candidates(BimatrixGame(z1, z2), kind)
@@ -588,7 +588,7 @@ def reference_reinduction(structure, rewards, kind, frozen, init, rounds, cache)
                 trial = current.copy()
                 trial.profiles[nid] = candidate
                 trial.values[nid] = candidate.payoffs
-                for qid in _free_ancestors(structure, nid):
+                for qid in walked_free_ancestors(structure, parents, free, nid):
                     z1, z2 = stage_matrices(structure, rewards, structure.nodes[qid], trial.values)
                     sol = trial.profiles[qid] = cache.solve(BimatrixGame(z1, z2), kind, "sw-optimal")
                     trial.values[qid] = sol.payoffs
@@ -673,7 +673,7 @@ class TestReinduction:
         _, frozen = freeze_partition(structure, last_stage[0].id)
         init = run_gbi(structure, rewards, kind)
         by_shape: dict = {}
-        for nid in _bottom_up(structure, _free_part(structure, frozen)):
+        for nid in _free_part(structure, frozen)[0]:
             by_shape.setdefault(tuple(map(len, structure.nodes[nid].menus)), []).append(nid)
         target = next(ids[0] for ids in by_shape.values() if len(ids) > 1)
         bad = tuple(z.tobytes() for z in stage_matrices(structure, rewards, structure.nodes[target],
@@ -725,7 +725,7 @@ class TestReinduction:
         def reinduce(structure, rewards, kind, frozen, *rest, **options):
             counts.update(dict.fromkeys(counts, 0))
             out = solve(structure, rewards, kind, frozen, *rest, **options)
-            free = _free_part(structure, frozen)
+            free = _free_part(structure, frozen)[0]
             calls.append((dict(counts), len({tuple(map(len, structure.nodes[nid].menus))
                                              for nid in free}),
                           len({compiled.locate(nid)[0].index for nid in free})))
@@ -768,6 +768,32 @@ class TestReinduction:
                            init.profiles[node4.id].joint_distribution())
         # node 4 keeps the welfare-8 equilibrium, so the root cannot improve
         assert float(out.values[0].sum()) == pytest.approx(-8.0, abs=1e-9)
+
+
+class TestFreePart:
+    @pytest.mark.parametrize("name, params, unfold", [
+        ("counterexample", {"phi": -10}, unfold_tree),
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions),
+    ], ids=["counterexample-tree", "parking-k8-region"])
+    def test_frozen_parent_of_a_free_history_raises(self, name, params, unfold):
+        """Every inner solver rejects a frozen set that holds a parent of a
+        free history: here a parent of the deepest free node of an FSI
+        partition."""
+        bm = build(name, params)
+        structure = unfold(bm.model, bm.initial, bm.horizon)
+        last_stage = structure.stage_nodes(structure.horizon - 1)
+        free, frozen = freeze_partition(structure, last_stage[-1].id)
+        nid = max(free, key=lambda q: (structure.nodes[q].stage, q))
+        parent = max(parent_map(structure)[nid])
+        frozen = frozen | {parent}
+        init = run_gbi(structure, bm.rewards, "ne")
+        solvers = [lambda: coordinate_ascent_solve(structure, bm.rewards, "ne", frozen, init),
+                   lambda: reinduction_solve(structure, bm.rewards, "ne", frozen, init),
+                   lambda: solve_exact_grid_on_free(structure, bm.rewards, "ne", frozen, init,
+                                                    FsiConfig())]
+        for solve in solvers:
+            with pytest.raises(ModelError, match="free set must contain every parent of a free history"):
+                solve()
 
 
 class TestWorstCaseEquality:

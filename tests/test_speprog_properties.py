@@ -77,8 +77,8 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
         return
     current = random_profiles(tree, kind, np.random.default_rng(seed))
     current.values = speprog.evaluate_values(tree, bm.rewards, current)[0]
-    free = set(tree.nonleaf_ids())
-    nid = data.draw(st.sampled_from(sorted(free)))
+    nid = data.draw(st.sampled_from(tree.nonleaf_ids()))
+    ancestors = speprog._free_part(tree, set())[1][nid]
     agent = None if kind == "ce" else data.draw(st.sampled_from([0, 1]))
 
     def with_block(b):
@@ -98,7 +98,7 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
         agent 2's, without the swaps of an action for itself."""
         values = speprog.evaluate_values(tree, bm.rewards, solution)[0]
         rows = []
-        for qid in [nid] + speprog._free_ancestors(tree, nid):
+        for qid in [nid] + ancestors:
             prof = solution.profiles[qid]
             strategies = (prof.mu_joint,) if kind == "ce" else (prof.mu1, prof.mu2)
             z1, z2 = stage_matrices(tree, bm.rewards, tree.nodes[qid], values)
@@ -110,8 +110,7 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
     prof = current.profiles[nid]
     b_cur = prof.mu_joint.ravel() if kind == "ce" else (prof.mu1, prof.mu2)[agent]
     with mock.patch.object(speprog, "lp_solve", side_effect=speprog.lp_solve) as solve:
-        speprog._block_lp_step(tree, bm.rewards, kind, speprog._free_ancestors(tree, nid), current,
-                               nid, agent)
+        speprog._block_lp_step(tree, bm.rewards, kind, ancestors, current, nid, agent)
     lp = solve.call_args.args[0]
     assert not lp.b_ub.any()
     for b in [b_cur] + list(np.eye(lp.c.size)):

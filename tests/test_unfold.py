@@ -107,6 +107,28 @@ class TestUnfoldTree:
         ]
 
 
+class TestParentPairs:
+    # the parking K8 tree is over 200,000 nodes, so the tree is taken at K5
+    @pytest.mark.parametrize("name, params, unfold", [
+        ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions),
+        ("parking", {"horizon": 5, "reward_structure": 2}, unfold_tree),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_tree),
+        ("counterexample", {"phi": -10}, unfold_regions),
+        ("counterexample", {"phi": -10}, unfold_tree),
+    ], ids=["parking-k8-region", "parking-k5-tree", "vcas-t3-eps0.2-region",
+            "vcas-t3-eps0.2-tree", "counterexample-region", "counterexample-tree"])
+    def test_pairs_are_the_children_read_backwards(self, name, params, unfold):
+        bm = build(name, params)
+        structure = unfold(bm.model, bm.initial, bm.horizon)
+        expected = sorted({(cid, node.id) for node in structure.nodes
+                           for pairs in node.children.values() for _, cid in pairs})
+        child, parent, starts = structure._compiled().parents
+        assert list(zip(child.tolist(), parent.tolist())) == expected
+        stages = [structure.nodes[cid].stage for cid, _ in expected]
+        assert starts == [sum(stage < s for stage in stages) for s in range(structure.horizon + 2)]
+
+
 class TestRegionGraph:
     def test_counterexample_graph_matches_tree(self, counterexample):
         # no two histories share a state here, so merging changes nothing
@@ -114,8 +136,8 @@ class TestRegionGraph:
         rg = unfold_regions(bm.model, bm.initial, bm.horizon)
         assert len(rg.nodes) == len(tree.nodes)
         for t, r in zip(tree.nodes, rg.nodes):
-            assert (t.id, t.stage, t.menus, t.joints, t.children, t.parents) == (
-                r.id, r.stage, r.menus, r.joints, r.children, r.parents)
+            assert (t.id, t.stage, t.menus, t.joints, t.children) == (
+                r.id, r.stage, r.menus, r.joints, r.children)
             assert canonical_key(t.state) == canonical_key(r.state)
 
     def test_merging_on_random_model(self):
@@ -297,8 +319,8 @@ class TestBatchedSlices:
         plain = unfold_regions(_without_hooks(bm.model), bm.initial, bm.horizon)
         assert len(hooked.nodes) == len(plain.nodes)
         for a, b in zip(hooked.nodes, plain.nodes):
-            assert (a.id, a.stage, a.menus, a.joints, a.children, a.parents) == (
-                b.id, b.stage, b.menus, b.joints, b.children, b.parents)
+            assert (a.id, a.stage, a.menus, a.joints, a.children) == (
+                b.id, b.stage, b.menus, b.joints, b.children)
             assert _state_bytes(a.state) == _state_bytes(b.state)
             assert _state_bytes(a.decision) == _state_bytes(b.decision)
 
