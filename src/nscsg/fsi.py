@@ -45,6 +45,8 @@ class FsiConfig:
     def __post_init__(self):
         if self.m_max < 0:
             raise ModelError("m_max must be nonnegative")
+        if self.solver_rounds < 0:
+            raise ModelError("solver_rounds must be nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ModelError("epsilon must lie in [0, 1]")
         if self.policy not in ("uniform-last-stage", "max-sw"):
@@ -87,9 +89,9 @@ def freeze_partition(structure: Structure, node_id: int) -> tuple[set, set]:
     """
     if node_id < 0 or node_id >= len(structure.nodes):
         raise ModelError(f"unknown history {node_id}")
-    nonleaf = set(structure.nonleaf_ids())
-    free = _closure(structure, node_id) & nonleaf
-    return free, nonleaf - free
+    reached = np.arange(len(structure.nodes)) == node_id
+    free = _closure(structure, reached)[:structure._compiled().bounds[structure.horizon]]
+    return set(np.flatnonzero(free).tolist()), set(np.flatnonzero(~free).tolist())
 
 
 @dataclass
@@ -165,7 +167,7 @@ def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: s
     equilibrium after every step), so only grid points that are equilibria
     themselves can replace it.  Falls back to the incumbent otherwise.
     """
-    order, _ = _free_part(structure, frozen)
+    order = _free_part(structure, frozen)
     _, gaps = evaluate_values(structure, rewards, current)
     tol = max(gaps.max(initial=0.0), 1e-9)
     nodes = [structure.nodes[nid] for nid in sorted(order)]

@@ -595,47 +595,41 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
 
 
 # ---------------------------------------------------------------------------
-# frozen-set validation and value propagation
+# free parts and backward closures
 
 
-def _free_part(structure: Structure, frozen: set) -> tuple[list, dict]:
+def _free_part(structure: Structure, frozen: set) -> list:
     """The nonleaf nodes outside ``frozen`` bottom-up (by decreasing stage,
-    then id) and each one's ancestors in that order, from one pass over the
-    parent pairs into a free-by-free mask; a free node's parents must be free."""
+    then id); a free node's parents must be free, so the free mask must be
+    its own closure."""
     compiled = structure._compiled()
-    child, parent, starts = compiled.parents
-    bounds, horizon = compiled.bounds, structure.horizon
-    held = np.zeros(bounds[horizon], dtype=bool)
-    held[[nid for nid in frozen if 0 <= nid < len(held)]] = True
-    free = ~held
-    kept = free[child[starts[1]:starts[horizon]]]  # the pairs whose child is a free nonleaf node
-    child, parent = child[starts[1]:starts[horizon]][kept], parent[starts[1]:starts[horizon]][kept]
-    if not free[parent].all():
+    nonleaf = compiled.bounds[structure.horizon]
+    free = np.arange(len(structure.nodes)) < nonleaf
+    held = np.fromiter(frozen, dtype=np.intp, count=len(frozen))
+    free[held[(held >= 0) & (held < nonleaf)]] = False
+    if (_closure(structure, free) != free).any():
         raise ModelError("free set must contain every parent of a free history")
-    order = compiled.bottom_up[free[compiled.bottom_up]]
-    place = np.empty(len(free), dtype=np.intp)
-    place[order] = np.arange(len(order))
-    rows, cols = place[child], place[parent]
-    above = np.zeros((len(order), len(order)), dtype=bool)
-    above[rows, cols] = True
-    cuts = child.searchsorted(bounds[2:horizon + 1]).tolist()
-    for lo, hi in zip(cuts, cuts[1:]):  # stage by stage, each child takes its parents' ancestors
-        np.logical_or.at(above, rows[lo:hi], above[cols[lo:hi]])
-    rows, cols = np.nonzero(above)
-    cuts = rows.searchsorted(np.arange(len(order) + 1)).tolist()
-    cols, order = order[cols].tolist(), order.tolist()
-    return order, {nid: cols[lo:hi] for nid, lo, hi in zip(order, cuts, cuts[1:])}
+    return compiled.bottom_up[free[compiled.bottom_up]].tolist()
 
 
-def _closure(structure: Structure, node_id: int) -> set:
-    """``node_id`` and every node on a history that reaches it, a stage at a time."""
-    child, parent, starts = structure._compiled().parents
-    reached = np.zeros(len(structure.nodes), dtype=bool)
-    reached[node_id] = True
-    for stage in range(structure.nodes[node_id].stage, 0, -1):
-        lo, hi = starts[stage], starts[stage + 1]
-        reached[parent[lo:hi][reached[child[lo:hi]]]] = True
-    return set(reached.nonzero()[0].tolist())
+def _closure(structure: Structure, reached: np.ndarray) -> np.ndarray:
+    """``reached``, a boolean mask over the nodes with optional leading batch
+    axes, with every node on a history that reaches a reached node marked:
+    the stage groups' successor arrays read backwards, deepest first, each
+    group marking its nodes that have a reached live successor, from the
+    stage above the deepest reached node.  Padded outcomes point at the
+    root, which is no node's successor, so the root is held out of the mask
+    until the walk is done."""
+    compiled = structure._compiled()
+    reached = np.array(reached, dtype=bool)
+    hit = np.flatnonzero(reached.reshape(-1, reached.shape[-1]).any(axis=0))
+    deepest = structure.nodes[hit[-1]].stage if len(hit) else 0
+    root = reached[..., 0].copy()
+    reached[..., 0] = False
+    for group in (g for groups in reversed(compiled.groups[:deepest]) for g in groups):
+        reached[..., group.ids] |= reached[..., group.succ].any(axis=(-3, -2, -1))
+    reached[..., 0] |= root
+    return reached
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +647,11 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     they keep feasibility and do not decrease the root social welfare, so the
     output is feasible and at least as good as the input.
     """
-    order, ancestors = _free_part(structure, frozen)
+    order = _free_part(structure, frozen)
+    bottom_up = structure._compiled().bottom_up
+    seeds = np.arange(len(structure.nodes)) == np.array(order, dtype=np.intp)[:, None]
+    # each free node's walk: the node, then its ancestors bottom-up
+    walks = [bottom_up[row].tolist() for row in _closure(structure, seeds)[:, bottom_up]]
     current = init.copy()
     values, gaps = evaluate_values(structure, rewards, current)
     base_gap = gaps.max(initial=0.0)
@@ -662,11 +660,11 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     current.values = values
 
     sw = float(values[0].sum())
-    for _ in range(max(rounds, 0)):
+    for _ in range(rounds):
         improved = False
-        for nid in order:
+        for walk in walks:
             for agent in [None] if kind == "ce" else [0, 1]:
-                cand = _block_lp_step(structure, rewards, kind, ancestors[nid], current, nid, agent)
+                cand = _block_lp_step(structure, rewards, kind, walk, current, agent)
                 if cand is None:
                     continue
                 new_vals, new_gaps = evaluate_values(structure, rewards, cand)
@@ -675,7 +673,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
                 new_sw = float(new_vals[0].sum())
                 if new_sw >= sw - 1e-12:
                     cand.values = new_vals
-                    for qid in [nid] + ancestors[nid]:  # the nodes whose values moved
+                    for qid in walk:  # the nodes whose values moved
                         cand.profiles[qid] = replace(cand.profiles[qid], payoffs=new_vals[qid].copy())
                     current = cand
                     improved |= new_sw > sw + _ASCENT_TOL
@@ -685,17 +683,18 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     return current
 
 
-def _block_lp_step(structure: Structure, rewards, kind: str, ancestors: list,
-                   current: EquilibriumSolution, nid: int, agent):
-    """One exact LP over the chosen block of ``current``, whose values must be
-    its evaluated ones; returns a candidate, still with the old payoffs, or
-    ``None``.  The values and incentive slacks of ``nid`` and its
-    ``ancestors`` are affine in the block, so on its simplex each is the
-    block-weighted mix of its values at the vertices.  One bottom-up walk
-    over those nodes, with the vertices as a batch axis, gives the LP: the
-    slacks at the vertices are its rows and the root welfare at the vertices
-    its objective."""
+def _block_lp_step(structure: Structure, rewards, kind: str, walk: list,
+                   current: EquilibriumSolution, agent):
+    """One exact LP over the chosen block of ``current`` at ``walk[0]``,
+    whose values must be its evaluated ones; returns a candidate, still with
+    the old payoffs, or ``None``.  ``walk`` is the block's node and then its
+    ancestors bottom-up, whose values and incentive slacks are affine in the
+    block, so on its simplex each is the block-weighted mix of its values at
+    the vertices.  One pass over the walk, with the vertices as a batch
+    axis, gives the LP: the slacks at the vertices are its rows and the root
+    welfare at the vertices its objective."""
     compiled = structure._compiled()
+    nid = walk[0]
     prof = current.profiles[nid]
     m1, m2 = map(len, structure.nodes[nid].menus)
     k = m1 * m2 if kind == "ce" else (m1, m2)[agent]
@@ -707,7 +706,7 @@ def _block_lp_step(structure: Structure, rewards, kind: str, ancestors: list,
 
     values = np.broadcast_to(current.values, (k,) + current.values.shape).copy()
     slacks = []
-    for qid in [nid] + ancestors:
+    for qid in walk:
         group, row = compiled.locate(qid)
         z = stage_games(structure, rewards, group, values, slice(row, row + 1))
         if qid == nid:
@@ -762,12 +761,12 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     among equals, so the round is scored as stacks: the candidates of every
     free node of one menu shape as one
     :meth:`StageGameCache.stage_candidates_stack`, and the trials, one batch
-    axis, a stage group at a time, each group's free ancestors of the
-    trials' nodes solved as one :meth:`StageGameCache.solve_stack`.  Trials
+    axis, a stage group at a time, each group's ancestors of the trials'
+    nodes solved as one :meth:`StageGameCache.solve_stack`.  Trials
     are taken a whole node's candidates at a time in blocks of at most
     ``_TRIAL_BLOCK`` value floats (at least one node per block).
     """
-    order, ancestors = _free_part(structure, frozen)
+    order = _free_part(structure, frozen)
     cache = cache or StageGameCache()
     compiled = structure._compiled()
 
@@ -780,11 +779,11 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
         group, row = compiled.locate(nid)
         free_rows.setdefault(group.index, (group, []))[1].append(row)
     free_rows = [(group, np.array(rows)) for group, rows in free_rows.values()]
-    for _ in range(max(rounds, 0)):
+    for _ in range(rounds):
         candidates = _round_candidates(structure, rewards, kind, current, free_rows, cache)
         best = None
         for trials in _trial_blocks(order, candidates, current.values.size):
-            best = _score_trials(structure, rewards, kind, current, sw, best, trials, ancestors, cache)
+            best = _score_trials(structure, rewards, kind, current, sw, best, trials, cache)
         if best is None:
             break
         sw, current = best
@@ -832,21 +831,23 @@ def _trial_blocks(order: list, candidates: dict, floats: int):
 
 
 def _score_trials(structure: Structure, rewards, kind: str, current: EquilibriumSolution,
-                  sw: float, best, trials: list, ancestors: dict, cache: StageGameCache):
+                  sw: float, best, trials: list, cache: StageGameCache):
     """The best of ``best`` and the ``trials``, (node, candidate) pairs in
     scoring order.  A trial's values are ``current.values`` with the
-    candidate's payoffs at its node and that node's free ``ancestors``
-    re-solved bottom-up under "sw-optimal": a stage group at a time, one
+    candidate's payoffs at its node and that node's ancestors, read off one
+    :func:`_closure` of the trials' nodes, re-solved bottom-up under
+    "sw-optimal": a stage group at a time, one
     :func:`nscsg.gbi.stage_games` call over every trial and every row that is
     some trial's ancestor, and one stack of the (trial, ancestor) pairs.
     ``best`` is ``(welfare, solution)`` or ``None``; a trial replaces it when
     its root welfare is above ``sw + 1e-9`` and above the best's by 1e-12."""
     compiled = structure._compiled()
     values = np.repeat(current.values[None], len(trials), axis=0)
-    above = np.zeros((len(trials), compiled.bounds[structure.horizon]), dtype=bool)
+    seeds = np.zeros((len(trials), len(structure.nodes)), dtype=bool)
     for k, (nid, candidate) in enumerate(trials):
         values[k, nid] = candidate.payoffs
-        above[k, ancestors[nid]] = True
+        seeds[k, nid] = True
+    above = _closure(structure, seeds) & ~seeds
     solved = []  # per stage group: the trial and the ancestor of each pair, and its solution
     for group in (g for groups in reversed(compiled.groups) for g in groups):
         pairs = above[:, group.ids]

@@ -162,7 +162,8 @@ class Compiled:
     Node ids are contiguous per stage because the unfolding is breadth
     first: stage ``s`` holds ids ``bounds[s]:bounds[s + 1]``, so the nonleaf
     ids are ``range(bounds[horizon])`` and the leaves come last.  The stage
-    groups, and the parent relation read off them, are built on first use.
+    groups are built on first use; their successor arrays are also the
+    parent relation, read backwards (:func:`nscsg.speprog._closure`).
     A reward structure's immediate rewards (action plus state reward per
     joint) and leaf values are read from its callbacks once, on first use,
     and kept while the structure lives: the callbacks must be pure.
@@ -220,20 +221,6 @@ class Compiled:
                 groups.append(group)
                 index += 1
             self._groups.append(groups)
-
-    @cached_property
-    def parents(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """The distinct (child id, parent id) pairs of the transitions as
-        ``(child, parent, starts)``, sorted by child and then parent; the
-        children of stage ``s`` have the pairs ``starts[s]:starts[s + 1]``."""
-        n, keys = len(self._nodes), [np.zeros(0, dtype=np.intp)]
-        for group in (g for groups in self.groups for g in groups):
-            ids = group.ids.reshape((-1,) + (1,) * (group.succ.ndim - 2))
-            keys += [np.ravel((group.succ[..., j] * n + ids)[live]) for j, live in enumerate(group.live)]
-        # distinct by a sort and a neighbour compare, as model._distinct
-        keys = np.sort(np.concatenate(keys))
-        child, parent = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-        return child, parent, np.searchsorted(child, self.bounds).tolist()
 
     @cached_property
     def bottom_up(self) -> np.ndarray:

@@ -144,6 +144,15 @@ class TestSolve:
         sws = [float(line.split(",")[1]) for line in trace[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(sws, sws[1:]))
 
+    @pytest.mark.parametrize("flag, value, field", [("--mmax", "-1", "m_max"),
+                                                    ("--solver-rounds", "-3", "solver_rounds")])
+    def test_negative_fsi_budget_is_a_model_error(self, capsys, flag, value, field):
+        argv = {"--mmax": "2", "--solver-rounds": "4", flag: value}
+        code, out, err = run_cli("solve", "--model", "counterexample", "--algo", "fsi",
+                                 *(item for pair in argv.items() for item in pair), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"model error: {field} must be nonnegative"
+
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         blobs = []
         for d in ("a", "b"):

@@ -15,7 +15,7 @@ from nscsg.fsi import (
     write_trace_csv,
 )
 from nscsg.gbi import run_gbi, social_welfare
-from nscsg.speprog import _free_part, solve_exact_grid
+from nscsg.speprog import _closure, _free_part, solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import check_spce, check_spne
 
@@ -287,13 +287,18 @@ class TestFreezePartition:
         # a free part holds every parent of its nodes, so its nodes' free
         # ancestors are all their ancestors
         above = {nid: walked_free_ancestors(rg, parents, nonleaf, nid) for nid in nonleaf}
+        bottom_up = rg._compiled().bottom_up
         for nid in sorted(nonleaf):
             free, frozen = freeze_partition(rg, nid)
             assert free == walked_closure(parents, nid) & nonleaf
             assert frozen == nonleaf - free
-            order, ancestors = _free_part(rg, frozen)
+            order = _free_part(rg, frozen)
             assert order == sorted(free, key=lambda q: (-rg.nodes[q].stage, q))
-            assert ancestors == {q: above[q] for q in free}
+            # coordinate ascent's walks: one closure row per free node, read
+            # bottom-up, so each node and then its ancestors
+            seeds = np.arange(len(rg.nodes)) == np.array(order)[:, None]
+            walks = [bottom_up[row].tolist() for row in _closure(rg, seeds)[:, bottom_up]]
+            assert walks == [[q] + above[q] for q in order]
 
     def test_root_only(self, counterexample):
         bm, tree = counterexample

@@ -673,7 +673,7 @@ class TestReinduction:
         _, frozen = freeze_partition(structure, last_stage[0].id)
         init = run_gbi(structure, rewards, kind)
         by_shape: dict = {}
-        for nid in _free_part(structure, frozen)[0]:
+        for nid in _free_part(structure, frozen):
             by_shape.setdefault(tuple(map(len, structure.nodes[nid].menus)), []).append(nid)
         target = next(ids[0] for ids in by_shape.values() if len(ids) > 1)
         bad = tuple(z.tobytes() for z in stage_matrices(structure, rewards, structure.nodes[target],
@@ -704,7 +704,8 @@ class TestReinduction:
         """In parking-k8's FSI runs a re-induction round makes one candidate
         stack per menu shape, and a trial block one stage_games and one
         solve_stack call per stage group that holds a free node: no call
-        per (node, ancestor)."""
+        per (node, ancestor).  Each trial block reads its trials' ancestors
+        off one batched closure, whose rows are the walked ones."""
         import nscsg.fsi as fsi
         import nscsg.speprog as speprog
 
@@ -712,7 +713,19 @@ class TestReinduction:
         compiled = structure._compiled()
         counts = dict.fromkeys(("rounds", "blocks", "stage_games", "candidate_stacks",
                                 "solve_stacks", "pairs"), 0)
-        calls = []
+        calls, walked = [], []
+        parents = parent_map(structure)
+        nonleaf = set(structure.nonleaf_ids())
+
+        def closure(structure, reached):
+            out = speprog_closure(structure, reached)
+            if reached.ndim == 2:  # a trial block: one seed per trial
+                walked.append(len(reached))
+                for seed, row in zip(reached, out):
+                    (nid,) = np.flatnonzero(seed).tolist()
+                    ancestors = np.flatnonzero(row & ~seed).tolist()
+                    assert ancestors == sorted(walked_free_ancestors(structure, parents, nonleaf, nid))
+            return out
 
         def counted(key, fn, stack_rows=False):
             def wrapper(*args):
@@ -725,14 +738,15 @@ class TestReinduction:
         def reinduce(structure, rewards, kind, frozen, *rest, **options):
             counts.update(dict.fromkeys(counts, 0))
             out = solve(structure, rewards, kind, frozen, *rest, **options)
-            free = _free_part(structure, frozen)[0]
+            free = _free_part(structure, frozen)
             calls.append((dict(counts), len({tuple(map(len, structure.nodes[nid].menus))
                                              for nid in free}),
                           len({compiled.locate(nid)[0].index for nid in free})))
             return out
 
-        solve = speprog.reinduction_solve
+        solve, speprog_closure = speprog.reinduction_solve, speprog._closure
         monkeypatch.setattr(fsi, "reinduction_solve", reinduce)
+        monkeypatch.setattr(speprog, "_closure", closure)
         monkeypatch.setattr(speprog, "_round_candidates",
                             counted("rounds", speprog._round_candidates))
         monkeypatch.setattr(speprog, "_score_trials", counted("blocks", speprog._score_trials))
@@ -743,7 +757,7 @@ class TestReinduction:
                             counted("solve_stacks", StageGameCache.solve_stack, stack_rows=True))
         for kind in ("ne", "ce"):
             fsi.run_fsi(structure, rewards, kind, fsi.FsiConfig(m_max=4, seed=0, solver_rounds=3))
-        assert sum(c["blocks"] for c, _, _ in calls) > 0
+        assert sum(c["blocks"] for c, _, _ in calls) == len(walked) > 0
         for c, shapes, groups in calls:
             assert c["blocks"] <= c["rounds"]  # a round is one block here
             assert c["candidate_stacks"] <= c["rounds"] * shapes

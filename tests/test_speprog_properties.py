@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from conftest import random_model, random_profiles  # noqa: E402
+from test_fsi import parent_map, walked_free_ancestors  # noqa: E402
 
 import nscsg.speprog as speprog  # noqa: E402
 from nscsg.errors import SolverError  # noqa: E402
@@ -78,7 +79,11 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
     current = random_profiles(tree, kind, np.random.default_rng(seed))
     current.values = speprog.evaluate_values(tree, bm.rewards, current)[0]
     nid = data.draw(st.sampled_from(tree.nonleaf_ids()))
-    ancestors = speprog._free_part(tree, set())[1][nid]
+    # coordinate ascent's walk: ``nid``, then its ancestors bottom-up
+    bottom_up = tree._compiled().bottom_up
+    walk = bottom_up[speprog._closure(tree, np.arange(len(tree.nodes)) == nid)[bottom_up]].tolist()
+    nonleaf = set(tree.nonleaf_ids())
+    assert walk == [nid] + walked_free_ancestors(tree, parent_map(tree), nonleaf, nid)
     agent = None if kind == "ce" else data.draw(st.sampled_from([0, 1]))
 
     def with_block(b):
@@ -98,7 +103,7 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
         agent 2's, without the swaps of an action for itself."""
         values = speprog.evaluate_values(tree, bm.rewards, solution)[0]
         rows = []
-        for qid in [nid] + ancestors:
+        for qid in walk:
             prof = solution.profiles[qid]
             strategies = (prof.mu_joint,) if kind == "ce" else (prof.mu1, prof.mu2)
             z1, z2 = stage_matrices(tree, bm.rewards, tree.nodes[qid], values)
@@ -110,7 +115,7 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
     prof = current.profiles[nid]
     b_cur = prof.mu_joint.ravel() if kind == "ce" else (prof.mu1, prof.mu2)[agent]
     with mock.patch.object(speprog, "lp_solve", side_effect=speprog.lp_solve) as solve:
-        speprog._block_lp_step(tree, bm.rewards, kind, ancestors, current, nid, agent)
+        speprog._block_lp_step(tree, bm.rewards, kind, walk, current, agent)
     lp = solve.call_args.args[0]
     assert not lp.b_ub.any()
     for b in [b_cur] + list(np.eye(lp.c.size)):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import enumerate_paths, path_reward_by_hand, random_model
+from test_fsi import parent_map, walked_closure
 
 from nscsg.benchmarks import build
 from nscsg.errors import ResourceLimitError
@@ -22,6 +23,7 @@ from nscsg.model import (
     canonical_key,
     step,
 )
+from nscsg.speprog import _closure
 from nscsg.unfold import Path, path_value, stats, unfold_regions, unfold_tree
 
 
@@ -107,7 +109,7 @@ class TestUnfoldTree:
         ]
 
 
-class TestParentPairs:
+class TestClosure:
     # the parking K8 tree is over 200,000 nodes, so the tree is taken at K5
     @pytest.mark.parametrize("name, params, unfold", [
         ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions),
@@ -118,15 +120,21 @@ class TestParentPairs:
         ("counterexample", {"phi": -10}, unfold_tree),
     ], ids=["parking-k8-region", "parking-k5-tree", "vcas-t3-eps0.2-region",
             "vcas-t3-eps0.2-tree", "counterexample-region", "counterexample-tree"])
-    def test_pairs_are_the_children_read_backwards(self, name, params, unfold):
+    def test_rows_are_the_walked_closures(self, name, params, unfold):
+        """One batched call, seeded with every nonleaf node, one leaf, and
+        that leaf with the root, marks in each row the breadth-first walk
+        through the parents read from ``children``; an empty batch stays
+        empty."""
         bm = build(name, params)
         structure = unfold(bm.model, bm.initial, bm.horizon)
-        expected = sorted({(cid, node.id) for node in structure.nodes
-                           for pairs in node.children.values() for _, cid in pairs})
-        child, parent, starts = structure._compiled().parents
-        assert list(zip(child.tolist(), parent.tolist())) == expected
-        stages = [structure.nodes[cid].stage for cid, _ in expected]
-        assert starts == [sum(stage < s for stage in stages) for s in range(structure.horizon + 2)]
+        n = len(structure.nodes)
+        ids = structure.nonleaf_ids() + [n - 1]
+        seeds = np.arange(n) == np.array(ids)[:, None]
+        closures = _closure(structure, np.vstack([seeds, seeds[-1] | seeds[0]]))
+        parents = parent_map(structure)
+        assert [set(np.flatnonzero(row).tolist()) for row in closures] == \
+            [walked_closure(parents, nid) for nid in ids + [n - 1]]
+        assert _closure(structure, np.zeros((0, n), dtype=bool)).shape == (0, n)
 
 
 class TestRegionGraph:
