@@ -90,7 +90,7 @@ def freeze_partition(structure: Structure, node_id: int) -> tuple[set, set]:
     if node_id < 0 or node_id >= len(structure.nodes):
         raise ModelError(f"unknown history {node_id}")
     reached = np.arange(len(structure.nodes)) == node_id
-    free = _closure(structure, reached)[:structure._compiled().bounds[structure.horizon]]
+    free = _closure(structure, reached)[:structure.bounds[structure.horizon]]
     return set(np.flatnonzero(free).tolist()), set(np.flatnonzero(~free).tolist())
 
 

@@ -6,9 +6,9 @@ entries combine the immediate rewards with the probability-weighted successor
 values.  On a region graph this computes strategies that depend on the state
 and the stage only.
 
-The stage games are read from the structure's compiled form
-(:class:`nscsg.unfold.Compiled`): each reward callback runs once per node or
-(node, joint) for a structure and reward structure.  :func:`stage_games`
+The stage games are read from the structure's stage groups and reward
+arrays (:class:`nscsg.unfold.Structure`): each reward callback runs once per
+node or (node, joint) for a structure and reward structure.  :func:`stage_games`
 builds the matrices of one stage group in one array step and
 :func:`stage_matrices` those of one node.  :func:`induce_stages` (one step
 per stage) and its per-group form :func:`induce_groups` are the one
@@ -49,11 +49,10 @@ def stage_games(structure: Structure, rewards, group: StageGroup, values: np.nda
     per-joint loop, so a batch of nodes or of value tables gives every node
     the bits it would get alone.
     """
-    compiled = structure._compiled()
     succ, prob = group.succ[rows], group.prob[rows]
     z = np.empty((len(rewards),) + values.shape[:-2] + succ.shape[:-1])
     for i, r in enumerate(rewards):
-        z[i] = compiled.rewards(r)[1][group.index][rows]
+        z[i] = structure.rewards(r)[1][group.index][rows]
         column = values[..., i]
         for j, live in enumerate(group.live):
             np.add(z[i], prob[..., j] * column[..., succ[..., j]], out=z[i],
@@ -67,17 +66,16 @@ def stage_matrices(structure: Structure, rewards, node: Node, values: np.ndarray
     Entry (a, b) is the action reward plus the node's state reward plus the
     expected continuation value under joint action (a, b).
     """
-    group, row = structure._compiled().locate(node.id)
+    group, row = structure.locate(node.id)
     return tuple(stage_games(structure, rewards, group, values, slice(row, row + 1))[:, 0])
 
 
 def _leaf_values(structure: Structure, rewards, batch=()) -> np.ndarray:
     """Values of shape (*batch, n_nodes, len(rewards)): a leaf's state rewards,
     zero elsewhere."""
-    compiled = structure._compiled()
     values = np.zeros((len(structure.nodes), len(rewards)))
     for i, r in enumerate(rewards):
-        values[compiled.bounds[structure.horizon]:, i] = compiled.rewards(r)[0]
+        values[structure.bounds[structure.horizon]:, i] = structure.rewards(r)[0]
     return np.broadcast_to(values, batch + values.shape).copy()
 
 
@@ -85,7 +83,7 @@ def _require(structure: Structure, profiles: Optional[dict]) -> None:
     """Raise for the first nonleaf node, bottom-up, without strategy data."""
     if profiles is None:
         return
-    for nid in structure._compiled().bottom_up.tolist():
+    for nid in structure.bottom_up.tolist():
         if nid not in profiles:
             raise ModelError(f"strategy data missing at history {nid}")
 
@@ -104,7 +102,7 @@ def induce_stages(structure: Structure, rewards, step, profiles: Optional[dict] 
     """
     _require(structure, profiles)
     values = _leaf_values(structure, rewards, batch)
-    for groups in reversed(structure._compiled().groups):
+    for groups in reversed(structure.groups):
         zs = [stage_games(structure, rewards, g, values) for g in groups]
         for g, v in zip(groups, step(groups, zs)):
             values[..., g.ids, :] = v
@@ -358,8 +356,8 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
     """Rebuild a solution against a freshly unfolded ``structure``.
 
     The node ids must match the deterministic unfolding that produced the
-    file; mismatched menus, missing fields, and a path that cannot be read
-    or parsed, raise :class:`ModelError`.
+    file, each id once; mismatched menus, missing fields, and a path that
+    cannot be read or parsed, raise :class:`ModelError`.
     """
     if isinstance(doc, str):
         try:
@@ -377,10 +375,14 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
         raise ModelError(f"solution has {len(entries)} nodes, structure has {n}")
     values = np.zeros((n, 2))
     profiles: dict[int, StageSolution] = {}
+    seen = set()
     for entry in entries:
         nid = _field(entry, "id", "solution node")
-        if not isinstance(nid, int) or not 0 <= nid < n:
+        if not isinstance(nid, int) or isinstance(nid, bool) or not 0 <= nid < n:
             raise ModelError(f"solution node id {nid!r} outside 0..{n - 1}")
+        if nid in seen:
+            raise ModelError(f"solution node id {nid} appears twice")
+        seen.add(nid)
         node = structure.nodes[nid]
         where = f"solution node {nid}"
         try:

@@ -221,31 +221,15 @@ def canonical_key(state: GlobalState):
     )
 
 
-def canonical_keys(states: Sequence[GlobalState]) -> list[bytes]:
-    """Merge keys of many states from one rounding pass over their stacked
-    (loc, per, ..., env) vectors.
-
-    Two keys are equal iff the states have the same component sizes and
-    agree in every component after rounding to ``KEY_DIGITS`` decimals as
-    :func:`canonical_key` rounds, so both give the same merge classes; keys
-    compare only with keys from this function and :func:`key_rows`.
-    """
-    if not states:
-        return []
-    fields = [[a.loc for a in s.agent_states] + [a.per for a in s.agent_states] + [s.env]
-              for s in states]
-    try:
-        blocks = [np.stack(col) for col in zip(*fields)]
-    except ValueError:  # component sizes differ between states: one row each
-        return [key_rows([np.atleast_2d(np.ravel(v)) for v in f])[0] for f in fields]
-    return key_rows(blocks)
-
-
 def key_rows(blocks) -> list[bytes]:
-    """:func:`canonical_keys` of the k states given as their stacked
-    components: the (k, d_f) ``blocks`` are every agent's local states, then
-    every agent's percepts, then the environments.  A key holds the blocks'
-    widths, then the rounded values (-0.0 normalised), as bytes."""
+    """Merge keys of the k states given as their stacked components, from
+    one rounding pass: the (k, d_f) ``blocks`` are every agent's local
+    states, then every agent's percepts, then the environments.  A key holds
+    the blocks' widths, then the values rounded to ``KEY_DIGITS`` decimals as
+    :func:`canonical_key` rounds them (-0.0 normalised), as bytes; so two
+    keys are equal iff the states have the same component sizes and agree in
+    every component after that rounding, and both give the same merge
+    classes."""
     k = blocks[0].shape[0]
     rounded = round_as_python(np.hstack(blocks), KEY_DIGITS)
     widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))

@@ -124,13 +124,14 @@ def _z_definitions(structure: Structure, node, consts, constraints, variables):
     """Z-definition equalities for one node; leaf successor values fold into
     the constant term, taken from :func:`_z_constants` (whose row-major
     order is the order of ``node.joints``)."""
+    children = structure.children(node)
     for k, joint in enumerate(node.joints):
         for i in range(2):
             z = VarId("Z", node.id, i, joint=joint)
             variables.add(z)
             const = -consts[(node.id, i)].flat[k]
             terms = [(1.0, (z,))]
-            for p, cid in node.children[joint]:
+            for p, cid in children[joint]:
                 if not structure.is_leaf(structure.nodes[cid]):
                     v = VarId("V", cid, i)
                     variables.add(v)
@@ -305,7 +306,7 @@ def _evaluate(structure: Structure, rewards, kind: str, strategies, profiles=Non
     (:func:`_gaps`) at every nonleaf node, rows in
     :meth:`Structure.nonleaf_ids` order.
     """
-    gaps = np.zeros(batch + (structure._compiled().bounds[structure.horizon], 2))
+    gaps = np.zeros(batch + (structure.bounds[structure.horizon], 2))
 
     def step(group, z):
         s = strategies(group)
@@ -340,7 +341,7 @@ def assignment_from_solution(structure: Structure, rewards, solution: Equilibriu
     """Total assignment of mu, V and Z induced by ``solution``."""
     values = _solution_values(structure, rewards, solution)
     z: dict = {}  # node id -> its stage matrices, shape (2, m1, m2)
-    for groups in structure._compiled().groups:
+    for groups in structure.groups:
         for group in groups:
             games = stage_games(structure, rewards, group, values)
             z.update(zip(group.ids.tolist(), games.swapaxes(0, 1)))
@@ -495,11 +496,10 @@ def _grid_floats(structure: Structure, kind: str, n_grid_nodes: int) -> int:
     (2 a joint, 2 a node) while its most demanding group is stepped
     (:func:`_step_floats`); and the point's number and the grid index of
     each grid node, of this block and, while it is drawn, of the last."""
-    compiled = structure._compiled()
     stage = max((sum(2 * (math.prod(g.prob.shape[:3]) + len(g.ids)) for g in groups)
                  + max(_step_floats(kind, g) for g in groups)
-                 for groups in compiled.groups if groups), default=0)
-    return (2 * (len(structure.nodes) + compiled.bounds[structure.horizon]) + stage
+                 for groups in structure.groups if groups), default=0)
+    return (2 * (len(structure.nodes) + structure.bounds[structure.horizon]) + stage
             + 1 + 2 * n_grid_nodes)
 
 
@@ -540,12 +540,11 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
     ids = {node.id for node in nodes}
     _require(structure, ids if base is None else ids | base.profiles.keys())
 
-    compiled = structure._compiled()
     sizes = [len(grid[0]) for grid in grids]
     strides = [math.prod(sizes[q + 1:]) for q in range(len(nodes))]
     rows: dict = {}  # group index -> (position in nodes, row in group)
     for q, node in enumerate(nodes):
-        group, row = compiled.locate(node.id)
+        group, row = structure.locate(node.id)
         rows.setdefault(group.index, []).append((q, row))
     base_data = None if base is None else _stacked(kind, base.profiles)
     block = max(1, _GRID_BLOCK // _grid_floats(structure, kind, len(nodes)))
@@ -602,14 +601,13 @@ def _free_part(structure: Structure, frozen: set) -> list:
     """The nonleaf nodes outside ``frozen`` bottom-up (by decreasing stage,
     then id); a free node's parents must be free, so the free mask must be
     its own closure."""
-    compiled = structure._compiled()
-    nonleaf = compiled.bounds[structure.horizon]
+    nonleaf = structure.bounds[structure.horizon]
     free = np.arange(len(structure.nodes)) < nonleaf
     held = np.fromiter(frozen, dtype=np.intp, count=len(frozen))
     free[held[(held >= 0) & (held < nonleaf)]] = False
     if (_closure(structure, free) != free).any():
         raise ModelError("free set must contain every parent of a free history")
-    return compiled.bottom_up[free[compiled.bottom_up]].tolist()
+    return structure.bottom_up[free[structure.bottom_up]].tolist()
 
 
 def _closure(structure: Structure, reached: np.ndarray) -> np.ndarray:
@@ -620,13 +618,12 @@ def _closure(structure: Structure, reached: np.ndarray) -> np.ndarray:
     stage above the deepest reached node.  Padded outcomes point at the
     root, which is no node's successor, so the root is held out of the mask
     until the walk is done."""
-    compiled = structure._compiled()
     reached = np.array(reached, dtype=bool)
     hit = np.flatnonzero(reached.reshape(-1, reached.shape[-1]).any(axis=0))
     deepest = structure.nodes[hit[-1]].stage if len(hit) else 0
     root = reached[..., 0].copy()
     reached[..., 0] = False
-    for group in (g for groups in reversed(compiled.groups[:deepest]) for g in groups):
+    for group in (g for groups in reversed(structure.groups[:deepest]) for g in groups):
         reached[..., group.ids] |= reached[..., group.succ].any(axis=(-3, -2, -1))
     reached[..., 0] |= root
     return reached
@@ -648,7 +645,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     output is feasible and at least as good as the input.
     """
     order = _free_part(structure, frozen)
-    bottom_up = structure._compiled().bottom_up
+    bottom_up = structure.bottom_up
     seeds = np.arange(len(structure.nodes)) == np.array(order, dtype=np.intp)[:, None]
     # each free node's walk: the node, then its ancestors bottom-up
     walks = [bottom_up[row].tolist() for row in _closure(structure, seeds)[:, bottom_up]]
@@ -693,7 +690,6 @@ def _block_lp_step(structure: Structure, rewards, kind: str, walk: list,
     the vertices.  One pass over the walk, with the vertices as a batch
     axis, gives the LP: the slacks at the vertices are its rows and the root
     welfare at the vertices its objective."""
-    compiled = structure._compiled()
     nid = walk[0]
     prof = current.profiles[nid]
     m1, m2 = map(len, structure.nodes[nid].menus)
@@ -707,7 +703,7 @@ def _block_lp_step(structure: Structure, rewards, kind: str, walk: list,
     values = np.broadcast_to(current.values, (k,) + current.values.shape).copy()
     slacks = []
     for qid in walk:
-        group, row = compiled.locate(qid)
+        group, row = structure.locate(qid)
         z = stage_games(structure, rewards, group, values, slice(row, row + 1))
         if qid == nid:
             strategies = vertices
@@ -768,7 +764,6 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     """
     order = _free_part(structure, frozen)
     cache = cache or StageGameCache()
-    compiled = structure._compiled()
 
     current = init.copy()
     current.values = _solution_values(structure, rewards, current)
@@ -776,7 +771,7 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
 
     free_rows: dict = {}  # stage group index -> (group, rows of its free nodes)
     for nid in sorted(order):
-        group, row = compiled.locate(nid)
+        group, row = structure.locate(nid)
         free_rows.setdefault(group.index, (group, []))[1].append(row)
     free_rows = [(group, np.array(rows)) for group, rows in free_rows.values()]
     for _ in range(rounds):
@@ -841,7 +836,6 @@ def _score_trials(structure: Structure, rewards, kind: str, current: Equilibrium
     some trial's ancestor, and one stack of the (trial, ancestor) pairs.
     ``best`` is ``(welfare, solution)`` or ``None``; a trial replaces it when
     its root welfare is above ``sw + 1e-9`` and above the best's by 1e-12."""
-    compiled = structure._compiled()
     values = np.repeat(current.values[None], len(trials), axis=0)
     seeds = np.zeros((len(trials), len(structure.nodes)), dtype=bool)
     for k, (nid, candidate) in enumerate(trials):
@@ -849,7 +843,7 @@ def _score_trials(structure: Structure, rewards, kind: str, current: Equilibrium
         seeds[k, nid] = True
     above = _closure(structure, seeds) & ~seeds
     solved = []  # per stage group: the trial and the ancestor of each pair, and its solution
-    for group in (g for groups in reversed(compiled.groups) for g in groups):
+    for group in (g for groups in reversed(structure.groups) for g in groups):
         pairs = above[:, group.ids]
         cols = np.flatnonzero(pairs.any(axis=0))
         if len(cols):

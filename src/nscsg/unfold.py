@@ -2,15 +2,17 @@
 
 Two structures are produced: a :class:`GameTree` whose nodes are histories,
 and a :class:`RegionGraph` where all histories sharing the same (state,
-stage) pair are merged.  Both expose the same node interface, so the solvers
-operate on either.
+stage) pair are merged.  Both are a :class:`Structure`: its nodes, its
+transitions as flat arrays, and the stage groups and reward arrays built
+from them on first use; so the solvers operate on either.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,8 +48,8 @@ class Node:
     ``state`` stores percepts as delivered by the previous step; ``decision``
     is the state with refreshed percepts, which availability reads; until a
     tree node is expanded, and at tree leaves, it is the delivered state.
-    ``children`` maps each joint action to the tuple of (probability, child
-    id) pairs.
+    ``joints`` lists the node's joint actions in the order of its rows in the
+    structure's transition arrays; a leaf has none.
     """
 
     id: int
@@ -56,26 +58,39 @@ class Node:
     decision: GlobalState
     menus: tuple[tuple[str, ...], ...] = ()
     joints: tuple[tuple[str, ...], ...] = ()
-    children: dict = field(default_factory=dict)
 
 
 class Structure:
-    """Shared interface of game trees and region graphs."""
+    """Shared interface of game trees and region graphs.
+
+    The transitions are stored once, as three flat arrays over the (node,
+    joint) rows in id-then-joint order: row r's outcomes are the child ids
+    ``child[offsets[r]:offsets[r + 1]]`` with probabilities ``prob[...]``
+    of the same slice.  :meth:`children` reads one node's rows.
+
+    Node ids are contiguous per stage because the unfolding is breadth
+    first: stage ``s`` holds ids ``bounds[s]:bounds[s + 1]``, so the nonleaf
+    ids are ``range(bounds[horizon])`` and the leaves come last.  The stage
+    groups, which every bottom-up pass reads, are built on first use; their
+    successor arrays are also the parent relation, read backwards
+    (:func:`nscsg.speprog._closure`).  A reward structure's immediate
+    rewards (action plus state reward per joint) and leaf values are read
+    from its callbacks once, on first use, and kept while the structure
+    lives: the callbacks must be pure.
+    """
 
     mode = "tree"
 
-    def __init__(self, model: NsCsg, horizon: int, nodes: list[Node], build_time: float):
+    def __init__(self, model: NsCsg, horizon: int, nodes: list[Node], build_time: float,
+                 offsets: np.ndarray, child: np.ndarray, prob: np.ndarray):
         self.model = model
         self.horizon = horizon
         self.nodes = nodes
         self.build_time = build_time
-        self._compiled_form = None
-
-    def _compiled(self) -> "Compiled":
-        """The structure's compiled form, built on first use and then kept."""
-        if self._compiled_form is None:
-            self._compiled_form = Compiled(self)
-        return self._compiled_form
+        self.offsets = offsets
+        self.child = child
+        self.prob = prob
+        self._rewards = {}
 
     @property
     def root(self) -> Node:
@@ -84,35 +99,135 @@ class Structure:
     def is_leaf(self, node: Node) -> bool:
         return node.stage == self.horizon
 
+    @cached_property
+    def _first_row(self) -> np.ndarray:
+        """The first transition row of each node, and the row count last."""
+        counts = np.fromiter((len(n.joints) for n in self.nodes), dtype=np.intp, count=len(self.nodes))
+        return np.concatenate(([0], np.cumsum(counts)))
+
+    def children(self, node: Node) -> dict:
+        """Each joint action of ``node`` mapped to its (probability, child
+        id) pairs; empty for a leaf."""
+        first = self._first_row[node.id]
+        offsets = self.offsets[first:first + len(node.joints) + 1]
+        lo, hi = offsets[0], offsets[-1]
+        pairs = list(zip(self.prob[lo:hi].tolist(), self.child[lo:hi].tolist()))
+        rows = itertools.pairwise((offsets - lo).tolist())
+        return {joint: tuple(pairs[a:b]) for joint, (a, b) in zip(node.joints, rows)}
+
     def succ(self, node: Node) -> list[Node]:
         """Deduplicated one-stage successors; empty for a leaf."""
-        if self.is_leaf(node):
-            return []
-        seen, out = set(), []
-        for pairs in node.children.values():
-            for _, cid in pairs:
-                if cid not in seen:
-                    seen.add(cid)
-                    out.append(self.nodes[cid])
-        return out
+        cids = (cid for pairs in self.children(node).values() for _, cid in pairs)
+        return [self.nodes[cid] for cid in dict.fromkeys(cids)]
 
     def stage_nodes(self, stage: int) -> list[Node]:
         if not 0 <= stage <= self.horizon:
             return []
-        bounds = self._compiled().bounds
-        return self.nodes[bounds[stage]:bounds[stage + 1]]
+        return self.nodes[self.bounds[stage]:self.bounds[stage + 1]]
 
     def nonleaf_ids(self) -> list[int]:
-        return list(range(self._compiled().bounds[self.horizon]))
+        return list(range(self.bounds[self.horizon]))
 
     def n_transitions(self) -> int:
-        return sum(len(pairs) for n in self.nodes for pairs in n.children.values())
+        return len(self.child)
 
     def to_json(self, path=None):
-        nodes = [{**node_json(n), "edges": [{"action": list(joint), "to": [[p, c] for p, c in pairs]}
-                                            for joint, pairs in n.children.items()]}
+        pairs = [list(p) for p in zip(self.prob.tolist(), self.child.tolist())]
+        rows = itertools.pairwise(self.offsets.tolist())  # taken in id-then-joint order
+        nodes = [{**node_json(n), "edges": [{"action": list(joint), "to": pairs[slice(*next(rows))]}
+                                            for joint in n.joints]}
                  for n in self.nodes]
         return write_json({"mode": self.mode, "horizon": self.horizon, "nodes": nodes}, path)
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """``bounds[s]:bounds[s + 1]`` are the ids of stage ``s``."""
+        stages = np.fromiter((n.stage for n in self.nodes), dtype=np.intp, count=len(self.nodes))
+        if np.any(stages[1:] < stages[:-1]):
+            raise ModelError("node ids must be contiguous per stage")
+        return np.searchsorted(stages, np.arange(self.horizon + 2)).tolist()
+
+    @cached_property
+    def groups(self) -> list[list[StageGroup]]:
+        """Stage groups of each decision stage, ``groups[stage]``, padded
+        from the transition arrays."""
+        out, index = [], 0
+        for stage in range(self.horizon):
+            by_shape: dict = {}
+            for nid in range(self.bounds[stage], self.bounds[stage + 1]):
+                by_shape.setdefault(tuple(map(len, self.nodes[nid].menus)), []).append(nid)
+            groups = []
+            for shape, ids in by_shape.items():
+                ids = np.array(ids, dtype=np.intp)
+                rows = (self._first_row[ids, None] + np.arange(math.prod(shape))).ravel()
+                lo = self.offsets[rows]
+                count = self.offsets[rows + 1] - lo
+                k = int(count.max(initial=0))
+                live = np.arange(k) < count[:, None]
+                at = np.where(live, lo[:, None] + np.arange(k), 0)
+                full = (len(ids),) + shape + (k,)
+                succ = np.where(live, self.child[at], 0).reshape(full)
+                prob = np.where(live, self.prob[at], 0.0).reshape(full)
+                count = count.reshape(full[:-1])
+                groups.append(StageGroup(index, ids, succ, prob,
+                                         tuple(True if j < count.min(initial=k) else count > j
+                                               for j in range(k))))
+                index += 1
+            out.append(groups)
+        return out
+
+    @cached_property
+    def _slots(self) -> tuple[list[StageGroup], np.ndarray, np.ndarray]:
+        """Every stage group by index, and each nonleaf node's group index and row."""
+        flat = [g for groups in self.groups for g in groups]
+        where, row = np.zeros((2, self.bounds[self.horizon]), dtype=np.intp)
+        for g in flat:
+            where[g.ids], row[g.ids] = g.index, np.arange(len(g.ids))
+        return flat, where, row
+
+    def locate(self, node_id: int) -> tuple[StageGroup, int]:
+        """The stage group of a nonleaf node and its row in it."""
+        flat, where, row = self._slots
+        if not 0 <= node_id < len(where):
+            raise KeyError(node_id)
+        return flat[where[node_id]], int(row[node_id])
+
+    @cached_property
+    def bottom_up(self) -> np.ndarray:
+        """The nonleaf ids by decreasing stage, then by id."""
+        stages = np.repeat(np.arange(self.horizon), np.diff(self.bounds[:self.horizon + 1]))
+        return np.argsort(-stages, kind="stable")
+
+    def rewards(self, reward: RewardStructure) -> tuple[np.ndarray, list]:
+        """Leaf values of ``reward`` (in leaf id order) and its immediate
+        rewards per stage group (indexed by ``StageGroup.index``).
+
+        A state or action reward that is not finite raises
+        :class:`ModelError` naming the first history, by id, that has one.
+        """
+        entry = self._rewards.get(id(reward))
+        if entry is None:
+            nodes = self.nodes
+            first_leaf = self.bounds[self.horizon]
+            leaves = np.array([reward.state_reward(nodes[nid].state)
+                               for nid in range(first_leaf, len(nodes))], dtype=float)
+            bad = (np.flatnonzero(~np.isfinite(leaves))[:1] + first_leaf).tolist()
+            immediate = []
+            for group in (g for groups in self.groups for g in groups):
+                state = np.array([reward.state_reward(nodes[nid].state) for nid in group.ids],
+                                 dtype=float)
+                action = np.array([reward.action_reward(nodes[nid].state, joint)
+                                   for nid in group.ids for joint in nodes[nid].joints], dtype=float)
+                shape = group.prob.shape[:-1]
+                finite = np.isfinite(state) & np.isfinite(action.reshape(len(state), -1)).all(axis=1)
+                bad.extend(group.ids[~finite][:1].tolist())
+                immediate.append(action.reshape(shape)
+                                 + state.reshape((-1,) + (1,) * (len(shape) - 1)))
+            if bad:
+                raise ModelError(f"history {min(bad)} has a state or action reward that is not finite")
+            # the reward is kept with its arrays so that its id is not reused
+            entry = self._rewards[id(reward)] = (reward, leaves, immediate)
+        return entry[1], entry[2]
 
 
 def node_json(node: Node) -> dict:
@@ -156,110 +271,6 @@ class StageGroup:
     live: tuple
 
 
-class Compiled:
-    """The arrays every bottom-up pass over one structure reads.
-
-    Node ids are contiguous per stage because the unfolding is breadth
-    first: stage ``s`` holds ids ``bounds[s]:bounds[s + 1]``, so the nonleaf
-    ids are ``range(bounds[horizon])`` and the leaves come last.  The stage
-    groups are built on first use; their successor arrays are also the
-    parent relation, read backwards (:func:`nscsg.speprog._closure`).
-    A reward structure's immediate rewards (action plus state reward per
-    joint) and leaf values are read from its callbacks once, on first use,
-    and kept while the structure lives: the callbacks must be pure.
-    """
-
-    def __init__(self, structure: Structure):
-        self._nodes = structure.nodes
-        self._horizon = structure.horizon
-        stages = np.fromiter((n.stage for n in self._nodes), dtype=np.intp,
-                             count=len(self._nodes))
-        if np.any(stages[1:] < stages[:-1]):
-            raise ModelError("node ids must be contiguous per stage")
-        self.bounds = np.searchsorted(stages, np.arange(self._horizon + 2)).tolist()
-        self._groups = None
-        self._slots = None
-        self._rewards = {}
-
-    @property
-    def groups(self) -> list[list[StageGroup]]:
-        """Stage groups of each decision stage, ``groups[stage]``."""
-        if self._groups is None:
-            self._build_groups()
-        return self._groups
-
-    def locate(self, node_id: int) -> tuple[StageGroup, int]:
-        """The stage group of a nonleaf node and its row in it."""
-        if self._slots is None:
-            self._build_groups()
-        if not 0 <= node_id < len(self._slots):
-            raise KeyError(node_id)
-        return self._slots[node_id]
-
-    def _build_groups(self) -> None:
-        nodes = self._nodes
-        self._groups, self._slots = [], [None] * self.bounds[self._horizon]
-        index = 0
-        for stage in range(self._horizon):
-            by_shape: dict = {}
-            for nid in range(self.bounds[stage], self.bounds[stage + 1]):
-                by_shape.setdefault(tuple(map(len, nodes[nid].menus)), []).append(nid)
-            groups = []
-            for shape, ids in by_shape.items():
-                outcomes = [nodes[nid].children[joint] for nid in ids for joint in nodes[nid].joints]
-                count = np.fromiter(map(len, outcomes), dtype=np.intp, count=len(outcomes))
-                k = int(count.max(initial=0))
-                pad = ((0.0, 0),) * k
-                flat = np.array([pair for pairs in outcomes for pair in pairs + pad[len(pairs):]],
-                                dtype=float).reshape((len(ids),) + shape + (k, 2))
-                count = count.reshape((len(ids),) + shape)
-                live = tuple(True if j < count.min(initial=k) else count > j for j in range(k))
-                group = StageGroup(index, np.array(ids, dtype=np.intp),
-                                   flat[..., 1].astype(np.intp), flat[..., 0].copy(), live)
-                for row, nid in enumerate(ids):
-                    self._slots[nid] = (group, row)
-                groups.append(group)
-                index += 1
-            self._groups.append(groups)
-
-    @cached_property
-    def bottom_up(self) -> np.ndarray:
-        """The nonleaf ids by decreasing stage, then by id."""
-        stages = np.repeat(np.arange(self._horizon), np.diff(self.bounds[:self._horizon + 1]))
-        return np.argsort(-stages, kind="stable")
-
-    def rewards(self, reward: RewardStructure) -> tuple[np.ndarray, list]:
-        """Leaf values of ``reward`` (in leaf id order) and its immediate
-        rewards per stage group (indexed by ``StageGroup.index``).
-
-        A state or action reward that is not finite raises
-        :class:`ModelError` naming the first history, by id, that has one.
-        """
-        entry = self._rewards.get(id(reward))
-        if entry is None:
-            nodes = self._nodes
-            first_leaf = self.bounds[self._horizon]
-            leaves = np.array([reward.state_reward(nodes[nid].state)
-                               for nid in range(first_leaf, len(nodes))], dtype=float)
-            bad = (np.flatnonzero(~np.isfinite(leaves))[:1] + first_leaf).tolist()
-            immediate = []
-            for group in (g for groups in self.groups for g in groups):
-                state = np.array([reward.state_reward(nodes[nid].state) for nid in group.ids],
-                                 dtype=float)
-                action = np.array([reward.action_reward(nodes[nid].state, joint)
-                                   for nid in group.ids for joint in nodes[nid].joints], dtype=float)
-                shape = group.prob.shape[:-1]
-                finite = np.isfinite(state) & np.isfinite(action.reshape(len(state), -1)).all(axis=1)
-                bad.extend(group.ids[~finite][:1].tolist())
-                immediate.append(action.reshape(shape)
-                                 + state.reshape((-1,) + (1,) * (len(shape) - 1)))
-            if bad:
-                raise ModelError(f"history {min(bad)} has a state or action reward that is not finite")
-            # the reward is kept with its arrays so that its id is not reused
-            entry = self._rewards[id(reward)] = (reward, leaves, immediate)
-        return entry[1], entry[2]
-
-
 def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merge: bool):
     """Breadth-first unfolding shared by trees and region graphs.
 
@@ -297,6 +308,8 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
         return menu_joints[menus]
 
     frontier = nodes[:]
+    # per slice: the outcome count of each (node, joint) row, the child ids, the probabilities
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     for stage in range(horizon):
         nxt = []
         ids_by_key = {}
@@ -311,6 +324,7 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             # a decision state that is not the delivered state was refreshed at creation
             fresh = iter(refresh_batch(model, [n.state for n in chunk if n.decision is n.state]))
             refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
+            counts, cids, probs = [], [], []
             for node, ref in zip(chunk, refreshed):
                 node.decision = ref
                 if merge:
@@ -321,35 +335,41 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                     continue
                 node.menus, node.joints = menus_and_joints(ref)
                 for joint in node.joints:
-                    pairs = []
-                    for succ, prob in step(model, ref, joint):
+                    outcomes = step(model, ref, joint)
+                    for succ, prob in outcomes:
                         if len(nodes) >= max_nodes:
                             raise cap_error(len(nodes) + 1)
                         child = Node(len(nodes), stage + 1, succ, succ)
                         nodes.append(child)
                         nxt.append(child)
-                        pairs.append((prob, child.id))
-                    node.children[joint] = tuple(pairs)
+                        cids.append(child.id)
+                        probs.append(prob)
+                    counts.append(len(outcomes))
             if merge:
-                created = _expand_slice(model, chunk, refreshed, shared, ids_by_key, len(nodes), stage + 1)
+                created, counts, cids, probs = _expand_slice(model, chunk, refreshed, shared, ids_by_key,
+                                                             len(nodes), stage + 1)
                 if len(nodes) + len(created) > max_nodes:
                     raise cap_error(max(len(nodes), max_nodes) + 1)
                 nodes.extend(created)
                 nxt.extend(created)
+            parts.append((np.asarray(counts, np.intp), np.asarray(cids, np.intp), np.asarray(probs, float)))
         frontier = nxt
+    counts, child, prob = map(np.concatenate, zip(*parts))
     build_time = time.perf_counter() - t0
     cls = RegionGraph if merge else GameTree
-    return cls(model, horizon, nodes, build_time)
+    return cls(model, horizon, nodes, build_time, np.concatenate(([0], np.cumsum(counts))), child, prob)
 
 
 def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
-                  shared: "_SharedAgentStates", ids_by_key: dict, next_id: int, stage: int) -> list[Node]:
+                  shared: "_SharedAgentStates", ids_by_key: dict, next_id: int, stage: int) -> tuple:
     """Step every joint of the slice ``chunk`` (with refreshed states
     ``refreshed``) in one :func:`step_batch`, perceive the delivered
     successors from their arrays with :func:`observe_rows`, key them with
     :func:`key_rows` and link them.  A node, with its decision state, is
-    built only for a key not yet in ``ids_by_key``; returns these new nodes
-    of ``stage``, whose ids count up from ``next_id``."""
+    built only for a key not yet in ``ids_by_key``.  Returns these new nodes
+    of ``stage``, whose ids count up from ``next_id``, and the slice's
+    transitions: the outcome count of each (node, joint) row and every
+    outcome's child id and probability, in row order."""
     counts = [len(node.joints) for node in chunk]
     joints = [joint for node in chunk for joint in node.joints]
 
@@ -382,15 +402,7 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
 
     created = [Node(next_id + k, stage, state, decision)
                for k, (state, decision) in enumerate(zip(kept_states(held), kept_states(seen)))]
-    probs = probs.tolist()
-    bounds = np.searchsorted(src, np.arange(len(joints) + 1)).tolist()
-    r = 0
-    for node in chunk:
-        for joint in node.joints:
-            lo, hi = bounds[r], bounds[r + 1]
-            node.children[joint] = tuple(zip(probs[lo:hi], cids[lo:hi]))
-            r += 1
-    return created
+    return created, np.bincount(src, minlength=len(joints)), cids, probs
 
 
 class _SharedAgentStates:
@@ -491,13 +503,10 @@ def path_value(rewards: tuple[RewardStructure, ...], path: Path) -> np.ndarray:
 
 def stats(structure: Structure) -> dict:
     """Node/transition counts, per-stage sizes and construction wall time."""
-    per_stage = {}
-    for n in structure.nodes:
-        per_stage[n.stage] = per_stage.get(n.stage, 0) + 1
     return {
         "mode": structure.mode,
         "nodes": len(structure.nodes),
         "transitions": structure.n_transitions(),
-        "per_stage": [per_stage.get(k, 0) for k in range(structure.horizon + 1)],
+        "per_stage": np.diff(structure.bounds).tolist(),
         "build_time": structure.build_time,
     }

@@ -146,7 +146,7 @@ def simulate(structure: Structure, solution: EquilibriumSolution, rewards,
             action = model.agents[i].action(lab)
             if action.value is not None and np.all(action.value == 0.0):
                 zero_counts[i] += 1
-        pairs = node.children[joint]
+        pairs = structure.children(node)[joint]
         probs = np.array([p for p, _ in pairs])
         pick = int(rng.choice(len(pairs), p=probs / probs.sum()))
         node = structure.nodes[pairs[pick][1]]

@@ -139,7 +139,7 @@ def enumerate_paths(structure, node=None):
     if structure.is_leaf(node):
         return [((node.id,), 1.0, ())]
     out = []
-    for joint, pairs in node.children.items():
+    for joint, pairs in structure.children(node).items():
         for p, cid in pairs:
             for ids, prob, acts in enumerate_paths(structure, structure.nodes[cid]):
                 out.append(((node.id,) + ids, p * prob, (joint,) + acts))

@@ -28,12 +28,12 @@ class TestCounterexample:
         bm = build("counterexample", {"phi": -10})
         tree = unfold_tree(bm.model, bm.initial, 2)
         node4 = next(n for n in tree.nodes if n.stage == 1 and int(n.state.env[0]) == 4)
-        node9 = tree.nodes[node4.children[("D", "R")][0][1]]
+        node9 = tree.nodes[tree.children(node4)[("D", "R")][0][1]]
         path = Path(0, (tree.root.state, node4.state, node9.state), (("D", "L"), ("D", "R")))
         assert np.allclose(path_value(bm.rewards, path), [5.0, 2.0])
 
         node2 = next(n for n in tree.nodes if n.stage == 1 and int(n.state.env[0]) == 2)
-        leaf = tree.nodes[node2.children[("idle", "idle")][0][1]]
+        leaf = tree.nodes[tree.children(node2)[("idle", "idle")][0][1]]
         path = Path(0, (tree.root.state, node2.state, leaf.state), (("U", "L"), ("idle", "idle")))
         assert np.allclose(path_value(bm.rewards, path), [1.0, 1.0 - 10.0])
 
@@ -64,7 +64,7 @@ class TestCounterexample:
         tree = unfold_tree(bm.model, bm.initial, 2)
         seen = {}
         for n in tree.nodes:
-            for joint, pairs in n.children.items():
+            for joint, pairs in tree.children(n).items():
                 assert len(pairs) == 1 and pairs[0][0] == 1.0  # deterministic game
                 seen[(int(n.state.env[0]), joint)] = int(tree.nodes[pairs[0][1]].state.env[0])
         assert seen == expected_edges

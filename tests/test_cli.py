@@ -240,7 +240,9 @@ class TestVerify:
         ("mu1", None, "solution node 0 lacks field 'mu1'"),
         ("value", "x", "solution node 0: could not convert string to float: 'x'"),
         ("id", 99, "solution node id 99 outside 0..11"),
-    ], ids=["no-strategy", "value-not-a-number", "id-outside"])
+        ("id", True, "solution node id True outside 0..11"),
+        ("id", 11, "solution node id 11 appears twice"),
+    ], ids=["no-strategy", "value-not-a-number", "id-outside", "id-bool", "id-repeated"])
     def test_malformed_solution_entry_is_a_model_error(self, tmp_path, capsys, field, value, message):
         out_dir = tmp_path / "o"
         run_cli("solve", "--model", "counterexample", "--out", str(out_dir), capsys=capsys)

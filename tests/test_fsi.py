@@ -233,10 +233,10 @@ class TestMaxSwSelection:
 
 
 def parent_map(structure):
-    """Each node's parent ids, read from every node's ``children``."""
+    """Each node's parent ids, read from every node's children."""
     parents = {node.id: set() for node in structure.nodes}
     for node in structure.nodes:
-        for pairs in node.children.values():
+        for pairs in structure.children(node).values():
             for _, cid in pairs:
                 parents[cid].add(node.id)
     return parents
@@ -287,7 +287,7 @@ class TestFreezePartition:
         # a free part holds every parent of its nodes, so its nodes' free
         # ancestors are all their ancestors
         above = {nid: walked_free_ancestors(rg, parents, nonleaf, nid) for nid in nonleaf}
-        bottom_up = rg._compiled().bottom_up
+        bottom_up = rg.bottom_up
         for nid in sorted(nonleaf):
             free, frozen = freeze_partition(rg, nid)
             assert free == walked_closure(parents, nid) & nonleaf

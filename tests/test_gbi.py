@@ -58,8 +58,8 @@ PASSES = {
 
 
 class TestOneKernel:
-    """Every solver and checker reads payoffs through one compiled form per
-    structure: each agent's state reward is called once per node and its
+    """Every solver and checker reads payoffs through one set of reward
+    arrays per structure: each agent's state reward is called once per node and its
     action reward once per (nonleaf node, joint action), for a structure
     and reward structure, however many passes follow."""
 
@@ -93,7 +93,7 @@ class TestOneKernel:
 
 
     def test_non_finite_reward_names_first_history(self, counterexample_tree):
-        # every pass reads rewards through the compiled form, which names the
+        # every pass reads rewards through the structure's arrays, which name the
         # lowest id whose state reward, or one of whose action rewards, is
         # not finite; leaves have no action rewards
         bm, tree = counterexample_tree
@@ -125,15 +125,15 @@ class TestOneKernel:
         assert 0 in named and len(named) > 3
 
 
-def reference_stage_matrices(rewards, node, values):
-    """The per-joint loop the compiled kernel replaced, kept as the oracle."""
+def reference_stage_matrices(structure, rewards, node, values):
+    """The per-joint loop the stage-group kernel replaced, kept as the oracle."""
     m1, m2 = node.menus
     z = np.zeros((2, len(m1), len(m2)))
     state_rewards = [r.state_reward(node.state) for r in rewards]
     for a, lab1 in enumerate(m1):
         for b, lab2 in enumerate(m2):
             joint = (lab1, lab2)
-            pairs = node.children[joint]
+            pairs = structure.children(node)[joint]
             for i, r in enumerate(rewards):
                 acc = r.action_reward(node.state, joint) + state_rewards[i]
                 for p, cid in pairs:
@@ -150,7 +150,7 @@ def reference_induce(structure, rewards, step):
             if structure.is_leaf(node):
                 values[node.id] = [r.state_reward(node.state) for r in rewards]
             else:
-                values[node.id] = step(node, *reference_stage_matrices(rewards, node, values))
+                values[node.id] = step(node, *reference_stage_matrices(structure, rewards, node, values))
     return values
 
 
@@ -170,7 +170,7 @@ def oracle_structures():
 
 
 class TestCompiledKernel:
-    """The compiled stage games are bit-identical to the per-joint loop."""
+    """The stage-group stage games are bit-identical to the per-joint loop."""
 
     def test_matches_per_joint_loop(self):
         shapes, outcomes = set(), set()
@@ -200,13 +200,13 @@ class TestCompiledKernel:
             for nid in structure.nonleaf_ids():
                 node = structure.nodes[nid]
                 shapes.add(tuple(map(len, node.menus)))
-                outcomes.update(len(pairs) for pairs in node.children.values())
+                outcomes.update(len(pairs) for pairs in structure.children(node).values())
                 for values in tables:
-                    ref = reference_stage_matrices(rewards, node, values)
+                    ref = reference_stage_matrices(structure, rewards, node, values)
                     z = stage_matrices(structure, rewards, node, values)
                     assert [m.tobytes() for m in z] == [m.tobytes() for m in ref], (name, nid)
                 assert [games[(nid, i)].tobytes() for i in range(2)] == \
-                    [m.tobytes() for m in reference_stage_matrices(rewards, node, expected)]
+                    [m.tobytes() for m in reference_stage_matrices(structure, rewards, node, expected)]
         assert (1, 1) in shapes and len(shapes) > 5
         assert {1, 2} <= outcomes
 
@@ -335,7 +335,7 @@ class TestGroupStep:
         monkeypatch.setattr("nscsg.nfg._polytope_vertices", counted)
         cache = StageGameCache()
         run_gbi(graph, bm.rewards, "ne", cache=cache)
-        groups = sum(len(g) for g in graph._compiled().groups)
+        groups = sum(len(g) for g in graph.groups)
         assert 0 < len(calls) <= 2 * groups < cache.misses
         assert sum(calls) == 2 * cache.misses
 

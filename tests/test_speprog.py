@@ -194,7 +194,7 @@ class TestEvaluateValues:
                 for i in range(2):
                     totals[s, i] += bm.rewards[i].action_reward(node.state, joint)
                     totals[s, i] += bm.rewards[i].state_reward(node.state)
-                pairs = node.children[joint]
+                pairs = tree.children(node)[joint]
                 probs = np.array([p for p, _ in pairs])
                 node = tree.nodes[pairs[rng.choice(len(pairs), p=probs)][1]]
             for i in range(2):
@@ -216,7 +216,7 @@ def two_walk_gaps(structure, rewards, kind, strategies, batch=()):
 
     values = induce_groups(structure, rewards, step, batch=batch)
     table = np.zeros(batch + (len(structure.nonleaf_ids()), 2))
-    for groups in structure._compiled().groups:
+    for groups in structure.groups:
         for group in groups:
             z = games[group.index]
             gap1, gap2 = _gaps(kind, z[0], z[1], stacks[group.index], values[..., group.ids, :])
@@ -710,7 +710,6 @@ class TestReinduction:
         import nscsg.speprog as speprog
 
         _, rewards, structure = next(reinduction_structures())
-        compiled = structure._compiled()
         counts = dict.fromkeys(("rounds", "blocks", "stage_games", "candidate_stacks",
                                 "solve_stacks", "pairs"), 0)
         calls, walked = [], []
@@ -741,7 +740,7 @@ class TestReinduction:
             free = _free_part(structure, frozen)
             calls.append((dict(counts), len({tuple(map(len, structure.nodes[nid].menus))
                                              for nid in free}),
-                          len({compiled.locate(nid)[0].index for nid in free})))
+                          len({structure.locate(nid)[0].index for nid in free})))
             return out
 
         solve, speprog_closure = speprog.reinduction_solve, speprog._closure

@@ -80,7 +80,7 @@ def test_block_lp_rows_are_the_evaluated_slacks(seed, kind, data):
     current.values = speprog.evaluate_values(tree, bm.rewards, current)[0]
     nid = data.draw(st.sampled_from(tree.nonleaf_ids()))
     # coordinate ascent's walk: ``nid``, then its ancestors bottom-up
-    bottom_up = tree._compiled().bottom_up
+    bottom_up = tree.bottom_up
     walk = bottom_up[speprog._closure(tree, np.arange(len(tree.nodes)) == nid)[bottom_up]].tolist()
     nonleaf = set(tree.nonleaf_ids())
     assert walk == [nid] + walked_free_ancestors(tree, parent_map(tree), nonleaf, nid)

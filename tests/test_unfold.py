@@ -144,8 +144,8 @@ class TestRegionGraph:
         rg = unfold_regions(bm.model, bm.initial, bm.horizon)
         assert len(rg.nodes) == len(tree.nodes)
         for t, r in zip(tree.nodes, rg.nodes):
-            assert (t.id, t.stage, t.menus, t.joints, t.children) == (
-                r.id, r.stage, r.menus, r.joints, r.children)
+            assert (t.id, t.stage, t.menus, t.joints, tree.children(t)) == (
+                r.id, r.stage, r.menus, r.joints, rg.children(r))
             assert canonical_key(t.state) == canonical_key(r.state)
 
     def test_merging_on_random_model(self):
@@ -229,7 +229,7 @@ class TestPathValue:
     def test_counterexample_terminal_payoff(self, counterexample):
         bm, tree = counterexample
         node4 = next(n for n in tree.nodes if n.stage == 1 and int(n.state.env[0]) == 4)
-        node9 = next(tree.nodes[cid] for p, cid in node4.children[("D", "R")])
+        node9 = next(tree.nodes[cid] for p, cid in tree.children(node4)[("D", "R")])
         path = Path(0, (tree.root.state, node4.state, node9.state), (("D", "L"), ("D", "R")))
         assert np.allclose(path_value(bm.rewards, path), [5.0, 2.0])
 
@@ -263,7 +263,7 @@ class TestInvariants:
         bm = random_model(29)
         tree = unfold_tree(bm.model, bm.initial, bm.horizon)
         for n in tree.nodes:
-            for joint, pairs in n.children.items():
+            for joint, pairs in tree.children(n).items():
                 assert sum(p for p, _ in pairs) == pytest.approx(1.0, abs=1e-12)
 
     def test_export_round_trip_fields(self, tmp_path, counterexample):
@@ -327,8 +327,8 @@ class TestBatchedSlices:
         plain = unfold_regions(_without_hooks(bm.model), bm.initial, bm.horizon)
         assert len(hooked.nodes) == len(plain.nodes)
         for a, b in zip(hooked.nodes, plain.nodes):
-            assert (a.id, a.stage, a.menus, a.joints, a.children) == (
-                b.id, b.stage, b.menus, b.joints, b.children)
+            assert (a.id, a.stage, a.menus, a.joints, hooked.children(a)) == (
+                b.id, b.stage, b.menus, b.joints, plain.children(b))
             assert _state_bytes(a.state) == _state_bytes(b.state)
             assert _state_bytes(a.decision) == _state_bytes(b.decision)
 

@@ -10,7 +10,7 @@ from nscsg.errors import ModelError
 from nscsg.gbi import EquilibriumSolution, run_gbi
 from nscsg.model import FeedForwardNet
 from nscsg.nfg import StageSolution
-from nscsg.unfold import unfold_tree
+from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import best_response_value, check_spce, check_spne, simulate
 
 
@@ -220,6 +220,31 @@ class TestSimulate:
         # display rounding matches the published trajectory figure
         assert [round(c[0]) for c in chain] == [50, 66, 91, 123]
         assert sim.zero_action_counts == (0, 0)  # fully compliant run
+
+    @pytest.mark.parametrize("name, params", [
+        ("parking", {"horizon": 4}),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}),
+    ], ids=["parking-k4", "vcas-t3-eps0.2"])
+    def test_region_graph_rollout_follows_the_tree(self, name, params):
+        # merged histories solve the same stage games, so a seeded rollout
+        # draws the same actions and outcomes on either structure; on VCAS
+        # at eps 0.2 the drawn outcomes (the agents' local states) vary by seed
+        bm = build(name, params)
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        graph = unfold_regions(bm.model, bm.initial, bm.horizon)
+        assert len(graph.nodes) < len(tree.nodes)
+
+        def trace(sim):
+            return [(s.env.tolist(), [a.loc.tolist() for a in s.agent_states]) for s in sim.path.states]
+
+        for kind in ("ne", "ce"):
+            on_tree, on_graph = run_gbi(tree, bm.rewards, kind), run_gbi(graph, bm.rewards, kind)
+            for seed in range(20):
+                a = simulate(tree, on_tree, bm.rewards, seed=seed)
+                b = simulate(graph, on_graph, bm.rewards, seed=seed)
+                assert trace(b) == trace(a)
+                assert b.joint_actions == a.joint_actions
+                assert b.totals.tolist() == a.totals.tolist()
 
     def test_trust_branch_frequencies(self):
         bias = np.zeros(9)
