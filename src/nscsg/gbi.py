@@ -356,7 +356,8 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
     """Rebuild a solution against a freshly unfolded ``structure``.
 
     The node ids must match the deterministic unfolding that produced the
-    file, each id once; mismatched menus, missing fields, and a path that
+    file, each id once; mismatched menus, missing fields, a mixture or joint
+    distribution that is not a probability distribution, and a path that
     cannot be read or parsed, raise :class:`ModelError`.
     """
     if isinstance(doc, str):
@@ -391,18 +392,25 @@ def solution_from_json(structure: Structure, doc) -> EquilibriumSolution:
                 continue
             m1, m2 = node.menus
             if kind == "ne":
-                mu1, mu2 = _field(entry, "mu1", where), _field(entry, "mu2", where)
-                mu1 = np.array([_field(mu1, lab, f"{where} mu1") for lab in m1], dtype=float)
-                mu2 = np.array([_field(mu2, lab, f"{where} mu2") for lab in m2], dtype=float)
+                mu1, mu2 = _distribution(entry, "mu1", m1, where), _distribution(entry, "mu2", m2, where)
                 profiles[nid] = StageSolution("ne", mu1, mu2, None, values[nid].copy())
             else:
-                mu = _field(entry, "mu", where)
-                mu = np.array([[_field(mu, f"{la}|{lb}", f"{where} mu") for lb in m2] for la in m1],
-                              dtype=float)
-                profiles[nid] = StageSolution("ce", None, None, mu, values[nid].copy())
+                mu = _distribution(entry, "mu", [f"{la}|{lb}" for la in m1 for lb in m2], where)
+                profiles[nid] = StageSolution("ce", None, None, mu.reshape(len(m1), len(m2)),
+                                              values[nid].copy())
         except (TypeError, ValueError) as exc:  # numbers that are not numbers, or the wrong count
             raise ModelError(f"{where}: {exc}") from None
     return EquilibriumSolution(kind, values, profiles, doc.get("policy", "unknown"))
+
+
+def _distribution(entry, name: str, labels, where: str) -> np.ndarray:
+    """The probabilities ``entry[name][label]`` of the ``labels``, which must be
+    finite and nonnegative and sum to 1 within 1e-9 (else :class:`ModelError`)."""
+    mu = _field(entry, name, where)
+    mu = np.array([_field(mu, lab, f"{where} {name}") for lab in labels], dtype=float)
+    if not (np.isfinite(mu).all() and (mu >= 0).all() and abs(mu.sum() - 1.0) <= 1e-9):
+        raise ModelError(f"{where} {name} is not a probability distribution: {mu.tolist()}")
+    return mu
 
 
 def _field(doc, name: str, where: str):

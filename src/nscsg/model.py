@@ -459,13 +459,18 @@ def observe_rows(model: NsCsg, locs: list[np.ndarray], pers: list[np.ndarray],
             out.append(_rows(spec.percepts)[_percept_indices(spec, locs, pers, envs)])
             continue
         if states is None:
-            views = [a.view() for a in locs + pers + [envs]]
-            for view in views:
-                view.flags.writeable = False
-            n = len(locs)
-            states = [GlobalState(tuple(map(AgentState, row[:n], row[n:-1])), row[-1]) for row in zip(*views)]
+            states = row_states(locs, pers, envs)
         out.append(_rows([_observe(spec, s) for s in states]))
     return out
+
+
+def row_states(locs: list[np.ndarray], pers: list[np.ndarray], envs: np.ndarray) -> list[GlobalState]:
+    """The states given as :func:`observe_rows` takes them, on read-only views of their rows."""
+    views = [a.view() for a in locs + pers + [envs]]
+    for view in views:
+        view.flags.writeable = False
+    n = len(locs)
+    return [GlobalState(tuple(map(AgentState, row[:n], row[n:-1])), row[-1]) for row in zip(*views)]
 
 
 def available_labels(model: NsCsg, state: GlobalState, agent: int) -> tuple[str, ...]:

@@ -29,6 +29,7 @@ from .model import (
     observe_rows,
     refresh_batch,
     row_bytes,
+    row_states,
     stack_states,
     step,
     step_batch,
@@ -45,17 +46,16 @@ _SLICE = 1024
 class Node:
     """One history (tree) or one merged (state, stage) class (region graph).
 
-    ``state`` stores percepts as delivered by the previous step; ``decision``
-    is the state with refreshed percepts, which availability reads; until a
-    tree node is expanded, and at tree leaves, it is the delivered state.
-    ``joints`` lists the node's joint actions in the order of its rows in the
-    structure's transition arrays; a leaf has none.
+    ``state`` stores percepts as delivered by the previous step; the state
+    with refreshed percepts, which availability reads, is not kept:
+    ``refresh_batch(model, [node.state])`` derives it.  ``joints`` lists the
+    node's joint actions in the order of its rows in the structure's
+    transition arrays; a leaf has none.
     """
 
     id: int
     stage: int
     state: GlobalState
-    decision: GlobalState
     menus: tuple[tuple[str, ...], ...] = ()
     joints: tuple[tuple[str, ...], ...] = ()
 
@@ -82,11 +82,12 @@ class Structure:
     mode = "tree"
 
     def __init__(self, model: NsCsg, horizon: int, nodes: list[Node], build_time: float,
-                 offsets: np.ndarray, child: np.ndarray, prob: np.ndarray):
+                 bounds: list[int], offsets: np.ndarray, child: np.ndarray, prob: np.ndarray):
         self.model = model
         self.horizon = horizon
         self.nodes = nodes
         self.build_time = build_time
+        self.bounds = bounds
         self.offsets = offsets
         self.child = child
         self.prob = prob
@@ -138,14 +139,6 @@ class Structure:
                                             for joint in n.joints]}
                  for n in self.nodes]
         return write_json({"mode": self.mode, "horizon": self.horizon, "nodes": nodes}, path)
-
-    @cached_property
-    def bounds(self) -> list[int]:
-        """``bounds[s]:bounds[s + 1]`` are the ids of stage ``s``."""
-        stages = np.fromiter((n.stage for n in self.nodes), dtype=np.intp, count=len(self.nodes))
-        if np.any(stages[1:] < stages[:-1]):
-            raise ModelError("node ids must be contiguous per stage")
-        return np.searchsorted(stages, np.arange(self.horizon + 2)).tolist()
 
     @cached_property
     def groups(self) -> list[list[StageGroup]]:
@@ -274,32 +267,29 @@ class StageGroup:
 def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merge: bool):
     """Breadth-first unfolding shared by trees and region graphs.
 
-    Each state is perceived once: its refreshed percepts serve its decision
-    state, menus, joint actions and every successor.  Each stage's frontier
-    is taken in slices of ``_SLICE`` nodes, and the slice's unexpanded nodes
-    are refreshed in one batch.  With ``merge`` off every joint is stepped
-    on its own and each successor becomes a new node right after its step,
-    perceived when expanded; leaves keep their delivered percepts.  With it
-    on, a slice is stepped, perceived and keyed as one batch
-    (:func:`_expand_slice`) and equal (key, stage) pairs share one node.
-    Node ids follow the frontier, joint and successor order in both modes,
-    and nodes with equal menus share their menu and joint tuples.  Menus
-    read only each agent's (loc, per), so a region graph reads them once per
-    shared decision tuple; a tree reads them per node.
+    Each state is perceived once, the root up front: its refreshed percepts
+    serve its menus, joint actions and every successor.  The frontier is
+    taken in slices of at most ``_SLICE`` nodes.  With ``merge`` off a slice
+    is refreshed in one batch, every joint is stepped on its own and each
+    successor becomes a new node right after its step.  With it on, the
+    frontier is the blocks of new nodes and their refreshed states as arrays
+    that the slices of the stage before made, and a slice, cut from one
+    block, is stepped, perceived and keyed as one batch
+    (:func:`_expand_slice`); equal (key, stage) pairs share one node.  Node
+    ids follow the frontier, joint and successor order, not ``_SLICE``, and
+    nodes with equal menus share their menu and joint tuples.  Menus read
+    only each agent's (loc, per): a region graph reads them once per
+    distinct refreshed (loc, per) row, a tree per node.
     """
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
-    decision = refresh_batch(model, [state])[0]
-    shared = _SharedAgentStates() if merge else None
-    if merge:
-        shared.add(state.agent_states)
-        decision = GlobalState(shared.add(decision.agent_states), decision.env)
-    nodes = [Node(0, 0, state, decision)]
+    root = refresh_batch(model, [state])[0]
+    nodes = [Node(0, 0, state)]
+    bounds = [0]
     menu_joints = {}
-    # region mode: the menus of each shared decision tuple, keyed by its id
-    # (the tuples live as long as ``shared``)
-    tuple_menus = {}
+    # region mode: component widths -> refreshed (loc, per) row bytes -> menus and joints
+    row_menus = {}
 
     def menus_and_joints(refreshed):
         menus = action_menus(model, refreshed)
@@ -307,11 +297,24 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             menu_joints[menus] = (menus, tuple(itertools.product(*menus)))
         return menu_joints[menus]
 
-    frontier = nodes[:]
+    def read_row_menus(chunk, locs, pers, envs):
+        table = row_menus.setdefault(tuple(a.shape[1] for a in locs + pers), {})
+        keys = row_bytes(np.hstack(locs + pers))
+        new = {key: m for m, key in enumerate(keys) if key not in table}  # a row of each new key
+        at = list(new.values())
+        for key, refreshed in zip(new, row_states([a[at] for a in locs], [a[at] for a in pers], envs[at])):
+            table[key] = menus_and_joints(refreshed)
+        for node, key in zip(chunk, keys):
+            node.menus, node.joints = table[key]
+
+    shared = _SharedAgentStates()
+    # the frontier's blocks: nodes, and in region mode their refreshed states as arrays
+    blocks = [(nodes[:], stack_states([root]) if merge else None)]
     # per slice: the outcome count of each (node, joint) row, the child ids, the probabilities
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     for stage in range(horizon):
-        nxt = []
+        bounds.append(len(nodes))
+        nxt = []  # the next frontier: its blocks (region) or its nodes (tree)
         ids_by_key = {}
 
         def cap_error(count):  # the first node over the cap would be node number ``count``
@@ -319,64 +322,62 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             return ResourceLimitError(f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
                                       stats={"nodes": count, "stage": stage + 1})
 
-        for lo in range(0, len(frontier), _SLICE):
-            chunk = frontier[lo:lo + _SLICE]
-            # a decision state that is not the delivered state was refreshed at creation
-            fresh = iter(refresh_batch(model, [n.state for n in chunk if n.decision is n.state]))
-            refreshed = [next(fresh) if n.decision is n.state else n.decision for n in chunk]
-            counts, cids, probs = [], [], []
-            for node, ref in zip(chunk, refreshed):
-                node.decision = ref
+        for block, arrays in blocks:
+            for lo in range(0, len(block), _SLICE):
+                chunk = block[lo:lo + _SLICE]
                 if merge:
-                    key = id(ref.agent_states)
-                    if key not in tuple_menus:
-                        tuple_menus[key] = menus_and_joints(ref)
-                    node.menus, node.joints = tuple_menus[key]
-                    continue
-                node.menus, node.joints = menus_and_joints(ref)
-                for joint in node.joints:
-                    outcomes = step(model, ref, joint)
-                    for succ, prob in outcomes:
-                        if len(nodes) >= max_nodes:
-                            raise cap_error(len(nodes) + 1)
-                        child = Node(len(nodes), stage + 1, succ, succ)
-                        nodes.append(child)
-                        nxt.append(child)
-                        cids.append(child.id)
-                        probs.append(prob)
-                    counts.append(len(outcomes))
-            if merge:
-                created, counts, cids, probs = _expand_slice(model, chunk, refreshed, shared, ids_by_key,
-                                                             len(nodes), stage + 1)
-                if len(nodes) + len(created) > max_nodes:
-                    raise cap_error(max(len(nodes), max_nodes) + 1)
-                nodes.extend(created)
-                nxt.extend(created)
-            parts.append((np.asarray(counts, np.intp), np.asarray(cids, np.intp), np.asarray(probs, float)))
-        frontier = nxt
+                    cut = slice(lo, lo + _SLICE)
+                    locs, pers, envs = [a[cut] for a in arrays[0]], [a[cut] for a in arrays[1]], arrays[2][cut]
+                    read_row_menus(chunk, locs, pers, envs)
+                    created, created_arrays, counts, cids, probs = _expand_slice(
+                        model, chunk, locs, pers, envs, shared, ids_by_key, len(nodes), stage + 1)
+                    if len(nodes) + len(created) > max_nodes:
+                        raise cap_error(max(len(nodes), max_nodes) + 1)
+                    nodes.extend(created)
+                    nxt.append((created, created_arrays))
+                else:
+                    counts, cids, probs = [], [], []
+                    refreshed = [root] if stage == 0 else refresh_batch(model, [n.state for n in chunk])
+                    for node, ref in zip(chunk, refreshed):
+                        node.menus, node.joints = menus_and_joints(ref)
+                        for joint in node.joints:
+                            outcomes = step(model, ref, joint)
+                            for succ, prob in outcomes:
+                                if len(nodes) >= max_nodes:
+                                    raise cap_error(len(nodes) + 1)
+                                child = Node(len(nodes), stage + 1, succ)
+                                nodes.append(child)
+                                nxt.append(child)
+                                cids.append(child.id)
+                                probs.append(prob)
+                            counts.append(len(outcomes))
+                parts.append((np.asarray(counts, np.intp), np.asarray(cids, np.intp), np.asarray(probs, float)))
+        blocks = nxt if merge else [(nxt, None)]
+    bounds.append(len(nodes))
     counts, child, prob = map(np.concatenate, zip(*parts))
     build_time = time.perf_counter() - t0
     cls = RegionGraph if merge else GameTree
-    return cls(model, horizon, nodes, build_time, np.concatenate(([0], np.cumsum(counts))), child, prob)
+    return cls(model, horizon, nodes, build_time, bounds, np.concatenate(([0], np.cumsum(counts))), child, prob)
 
 
-def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
-                  shared: "_SharedAgentStates", ids_by_key: dict, next_id: int, stage: int) -> tuple:
-    """Step every joint of the slice ``chunk`` (with refreshed states
-    ``refreshed``) in one :func:`step_batch`, perceive the delivered
-    successors from their arrays with :func:`observe_rows`, key them with
-    :func:`key_rows` and link them.  A node, with its decision state, is
-    built only for a key not yet in ``ids_by_key``.  Returns these new nodes
-    of ``stage``, whose ids count up from ``next_id``, and the slice's
-    transitions: the outcome count of each (node, joint) row and every
-    outcome's child id and probability, in row order."""
+def _expand_slice(model: NsCsg, chunk: list[Node], locs: list[np.ndarray], pers: list[np.ndarray],
+                  envs: np.ndarray, shared: "_SharedAgentStates", ids_by_key: dict, next_id: int,
+                  stage: int) -> tuple:
+    """Step every joint of the slice ``chunk``, whose refreshed states are
+    given as arrays as :func:`observe_rows` takes them, in one
+    :func:`step_batch`, perceive the delivered successors from their arrays
+    with :func:`observe_rows`, key them with :func:`key_rows` and link them.
+    A node is built only for a key not yet in ``ids_by_key``.  Returns these
+    new nodes of ``stage``, whose ids count up from ``next_id``, their
+    refreshed states as arrays, and the slice's transitions: the outcome
+    count of each (node, joint) row and every outcome's child id and
+    probability, in row order."""
     counts = [len(node.joints) for node in chunk]
     joints = [joint for node in chunk for joint in node.joints]
 
     def rows(a):  # one row per joint of the slice
         return np.repeat(a, counts, axis=0)
 
-    locs, pers, envs = stack_states(refreshed)
     locs, pers = [rows(a) for a in locs], [rows(a) for a in pers]
     src, succ_locs, envs, probs = step_batch(model, locs, pers, rows(envs), joints)
     held = [per[src] for per in pers]  # a successor carries the percepts of its parent's step
@@ -389,24 +390,20 @@ def _expand_slice(model: NsCsg, chunk: list[Node], refreshed: list[GlobalState],
             cid = ids_by_key[key] = next_id + len(new)
             new.append(m)
         cids.append(cid)
-    # the states that live on get their own compact environment array, and a
-    # node's two states one view of their row
+    # the new nodes' states get their own compact environment array, and a
+    # node's state one view of its row
     at = np.array(new, dtype=np.intp)
+    new_locs = [loc[at] for loc in succ_locs]
     kept = envs[at]
     kept.flags.writeable = False
-    kept_rows = list(kept)
-
-    def kept_states(percepts):  # the new rows' states with the given percepts
-        tuples = shared.tuples([loc[at] for loc in succ_locs], [per[at] for per in percepts])
-        return [GlobalState(t, env) for t, env in zip(tuples, kept_rows)]
-
-    created = [Node(next_id + k, stage, state, decision)
-               for k, (state, decision) in enumerate(zip(kept_states(held), kept_states(seen)))]
-    return created, np.bincount(src, minlength=len(joints)), cids, probs
+    tuples = shared.tuples(new_locs, [per[at] for per in held])
+    created = [Node(next_id + k, stage, GlobalState(t, env)) for k, (t, env) in enumerate(zip(tuples, kept))]
+    return (created, (new_locs, [per[at] for per in seen], kept),
+            np.bincount(src, minlength=len(joints)), cids, probs)
 
 
 class _SharedAgentStates:
-    """The agent states of one unfolding, stored once each.
+    """The delivered agent states of one unfolding, stored once each.
 
     There is one tuple of agent states per exact bytes of every agent's
     (loc, per), and one :class:`AgentState` per agent and exact (loc, per)
@@ -430,24 +427,10 @@ class _SharedAgentStates:
             out.append(agents)
         return out
 
-    def add(self, agent_states: tuple[AgentState, ...]) -> tuple[AgentState, ...]:
-        """The shared tuple equal to ``agent_states``; ``agent_states`` itself
-        becomes it when there is none yet and every component is a 1-d float
-        vector, as the stepped ones are."""
-        vectors = [v for a in agent_states for v in (a.loc, a.per)]
-        if not all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == float for v in vectors):
-            return agent_states
-        blocks = [a.loc[None] for a in agent_states] + [a.per[None] for a in agent_states]
-        table = self._tuples.setdefault(tuple(b.shape[1] for b in blocks), {})
-        key = row_bytes(np.hstack(blocks))[0]
-        if key not in table:
-            table[key] = tuple(self._agent(i, a.loc, a.per, a) for i, a in enumerate(agent_states))
-        return table[key]
-
-    def _agent(self, i: int, loc: np.ndarray, per: np.ndarray, agent: AgentState | None = None) -> AgentState:
+    def _agent(self, i: int, loc: np.ndarray, per: np.ndarray) -> AgentState:
         key = (i, loc.tobytes(), per.tobytes())
         if key not in self._agents:
-            self._agents[key] = AgentState(loc, per) if agent is None else agent
+            self._agents[key] = AgentState(loc, per)
         return self._agents[key]
 
 

@@ -236,18 +236,33 @@ class TestVerify:
         assert code == 2
         assert err.startswith("model error:") and field in err
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("mu1", None, "solution node 0 lacks field 'mu1'"),
-        ("value", "x", "solution node 0: could not convert string to float: 'x'"),
-        ("id", 99, "solution node id 99 outside 0..11"),
-        ("id", True, "solution node id True outside 0..11"),
-        ("id", 11, "solution node id 11 appears twice"),
-    ], ids=["no-strategy", "value-not-a-number", "id-outside", "id-bool", "id-repeated"])
-    def test_malformed_solution_entry_is_a_model_error(self, tmp_path, capsys, field, value, message):
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("ne", "mu1", None, "solution node 0 lacks field 'mu1'"),
+        ("ne", "value", "x", "solution node 0: could not convert string to float: 'x'"),
+        ("ne", "id", 99, "solution node id 99 outside 0..11"),
+        ("ne", "id", True, "solution node id True outside 0..11"),
+        ("ne", "id", 11, "solution node id 11 appears twice"),
+        # every value and best response is 0 when every strategy is 0, so
+        # the gap checks alone would pass such a file
+        ("ne", "every mu", 0, "solution node 0 mu1 is not a probability distribution: [0.0, 0.0]"),
+        ("ce", "every mu", 0,
+         "solution node 0 mu is not a probability distribution: [0.0, 0.0, 0.0, 0.0]"),
+        ("ne", "mu2", {"L": 1.5, "R": -0.5},
+         "solution node 0 mu2 is not a probability distribution: [1.5, -0.5]"),
+        ("ce", "mu", {"U|L": float("nan"), "U|R": 1.0, "D|L": 0.0, "D|R": 0.0},
+         "solution node 0 mu is not a probability distribution: [nan, 1.0, 0.0, 0.0]"),
+    ], ids=["no-strategy", "value-not-a-number", "id-outside", "id-bool", "id-repeated",
+            "all-zero-ne", "all-zero-ce", "negative", "nan"])
+    def test_malformed_solution_entry_is_a_model_error(self, tmp_path, capsys, kind, field, value, message):
         out_dir = tmp_path / "o"
-        run_cli("solve", "--model", "counterexample", "--out", str(out_dir), capsys=capsys)
+        run_cli("solve", "--model", "counterexample", "--type", kind, "--out", str(out_dir), capsys=capsys)
         doc = json.loads((out_dir / "solution.json").read_text())
-        if value is None:
+        if field == "every mu":
+            for entry in doc["nodes"]:
+                for name in ("mu1", "mu2", "mu"):
+                    if name in entry:
+                        entry[name] = dict.fromkeys(entry[name], value)
+        elif value is None:
             del doc["nodes"][0][field]
         else:
             doc["nodes"][0][field] = value

@@ -170,8 +170,9 @@ class TestBatchedObservation:
 
 def _vcas_rows(structure):
     """Every (refreshed state, joint) of ``structure``'s nonleaf nodes."""
-    return [(structure.nodes[nid].decision, joint)
-            for nid in structure.nonleaf_ids() for joint in structure.nodes[nid].joints]
+    nonleaf = [structure.nodes[nid] for nid in structure.nonleaf_ids()]
+    refreshed = refresh_batch(structure.model, [n.state for n in nonleaf])
+    return [(s, joint) for n, s in zip(nonleaf, refreshed) for joint in n.joints]
 
 
 def _stacked(rows):
@@ -374,7 +375,7 @@ class TestCanonicalKey:
         # the one-pass keys of the region unfolding merge exactly the states
         # canonical_key merges; the tree repeats many states per stage
         bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
-        states = [n.decision for n in unfold_tree(bm.model, bm.initial, bm.horizon).nodes]
+        states = refresh_batch(bm.model, [n.state for n in unfold_tree(bm.model, bm.initial, bm.horizon).nodes])
         expect = _first_index([canonical_key(s) for s in states])
         assert len(set(expect)) < len(states)
         assert _first_index(_stacked_keys(states)) == expect

@@ -21,6 +21,7 @@ from nscsg.model import (
     action_menus,
     as_vector,
     canonical_key,
+    refresh_batch,
     step,
 )
 from nscsg.speprog import _closure
@@ -154,11 +155,11 @@ class TestRegionGraph:
         rg = unfold_regions(bm.model, bm.initial, bm.horizon)
         assert len(rg.nodes) <= len(tree.nodes)
         # every tree history maps to a region node carrying the same state
-        keys = {(canonical_key(n.decision), n.stage) for n in rg.nodes}
-        for n in tree.nodes:
-            assert (canonical_key(n.decision), n.stage) in keys
+        keys = {(canonical_key(s), n.stage) for n, s in zip(rg.nodes, _refreshed(rg))}
+        for n, s in zip(tree.nodes, _refreshed(tree)):
+            assert (canonical_key(s), n.stage) in keys
         # at most one node per (state key, stage)
-        seen = [(canonical_key(n.decision), n.stage) for n in rg.nodes]
+        seen = [(canonical_key(s), n.stage) for n, s in zip(rg.nodes, _refreshed(rg))]
         assert len(seen) == len(set(seen))
 
     def test_single_action_chain(self):
@@ -315,6 +316,11 @@ def _state_bytes(state):
     return ([(a.loc.tobytes(), a.per.tobytes()) for a in state.agent_states], state.env.tobytes())
 
 
+def _refreshed(structure):
+    """The state with refreshed percepts of each node of ``structure``."""
+    return refresh_batch(structure.model, [n.state for n in structure.nodes])
+
+
 class TestBatchedSlices:
     @pytest.mark.parametrize("params", [
         {"t0": 3},
@@ -330,17 +336,39 @@ class TestBatchedSlices:
             assert (a.id, a.stage, a.menus, a.joints, hooked.children(a)) == (
                 b.id, b.stage, b.menus, b.joints, plain.children(b))
             assert _state_bytes(a.state) == _state_bytes(b.state)
-            assert _state_bytes(a.decision) == _state_bytes(b.decision)
+        for a, b in zip(_refreshed(hooked), _refreshed(plain)):
+            assert _state_bytes(a) == _state_bytes(b)
 
     def test_agent_states_shared(self):
         # one AgentState per (agent, loc bytes, per bytes), one tuple per agents' bytes
         bm = build("vcas", {"t0": 4})
         graph = unfold_regions(bm.model, bm.initial, bm.horizon)
-        states = [s for n in graph.nodes for s in (n.state, n.decision)]
+        states = [n.state for n in graph.nodes]
         objects = {id(a) for s in states for a in s.agent_states}
         triples = {(i, a.loc.tobytes(), a.per.tobytes()) for s in states for i, a in enumerate(s.agent_states)}
         assert len(objects) <= len(triples)
         assert len({id(s.agent_states) for s in states}) <= len({str(_state_bytes(s)[0]) for s in states})
+
+
+class TestSlices:
+    def test_slice_size_changes_nothing(self, monkeypatch):
+        # node ids follow the frontier, joint and successor order, so slices
+        # of one node, of seven (cutting every region block into uneven
+        # pieces) and of 1,024 give the same structure
+        cases = [
+            ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions,
+             "fcf2cf983717241c44b2b201935979bf0fad24021e72d88d9539620a4f5db065"),
+            ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}, unfold_regions,
+             "3e3d49e001641e9b7d799d0a7faa4fedc159dd1071054fef9f0f1e5f2ba2a09a"),
+            ("parking", {"horizon": 4}, unfold_tree,
+             "e1a472bef1e63511bba2955060eec16e980b409c21e6274836ac0d79b2470e28"),
+        ]
+        for name, params, unfold, digest in cases:
+            bm = build(name, params)
+            for size in (1, 7):
+                monkeypatch.setattr("nscsg.unfold._SLICE", size)
+                structure = unfold(bm.model, bm.initial, bm.horizon)
+                assert hashlib.sha256(json.dumps(structure.to_json()).encode()).hexdigest() == digest, (name, size)
 
 
 class TestPerceiveOnce:
@@ -407,10 +435,11 @@ class TestMenusPerSharedTuple:
             for spec in bm.model.agents))
         structure = unfold(model, bm.initial, bm.horizon)
         nonleaf = [structure.nodes[nid] for nid in structure.nonleaf_ids()]
+        refreshed = refresh_batch(bm.model, [n.state for n in nonleaf])
         if unfold is unfold_regions:
-            assert calls[0] == 2 * len({str(_state_bytes(n.decision)[0]) for n in nonleaf}) == expect
+            assert calls[0] == 2 * len({str(_state_bytes(s)[0]) for s in refreshed}) == expect
         else:
             assert calls[0] == 2 * len(nonleaf) == expect
-        for node in nonleaf:
-            assert node.menus == action_menus(bm.model, node.decision)
+        for node, s in zip(nonleaf, refreshed):
+            assert node.menus == action_menus(bm.model, s)
             assert node.joints == tuple(itertools.product(*node.menus))
