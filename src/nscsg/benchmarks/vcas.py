@@ -277,7 +277,10 @@ def vcas_rewards(structure: str, *, t0: int = 0, instant_k: int | None = None,
             def state_reward(state, _s=sign, _t=t_at_k):
                 return _s * state.env[0] if abs(state.env[3] - _t) < 1e-9 else 0.0
 
-            return RewardStructure(lambda s, a: 0.0, state_reward)
+            def batch_state_reward(locs, pers, envs, _s=sign, _t=t_at_k):
+                return np.where(np.abs(envs[:, 3] - _t) < 1e-9, _s * envs[:, 0], 0.0)
+
+            return RewardStructure(lambda s, a: 0.0, state_reward, batch_state_reward, _no_action_reward)
 
         return (make(0), make(1))
 
@@ -293,6 +296,10 @@ def vcas_rewards(structure: str, *, t0: int = 0, instant_k: int | None = None,
                 return abs(state.env[0]) / h_max + trust / 4.0
             return 0.0
 
+        def batch_state_reward(locs, pers, envs):
+            h = np.abs(envs[:, 0])
+            return np.where(h <= safety_limit, h / h_max + locs[agent][:, 0] / 4.0, 0.0)
+
         def action_reward(state, joint):
             if abs(state.env[0]) <= safety_limit:
                 return 0.0
@@ -303,18 +310,32 @@ def vcas_rewards(structure: str, *, t0: int = 0, instant_k: int | None = None,
                 raise ModelError("trust-fuel rewards need the maximal |acc| over the game tree")
             return -acc / hdd_max
 
-        return RewardStructure(action_reward, state_reward)
+        def batch_action_reward(locs, pers, envs, joints):
+            acc = np.abs(np.array([float(joint[agent]) for joint in joints]))
+            paid = ~(np.abs(envs[:, 0]) <= safety_limit) & (acc != 0.0)
+            if not paid.any():
+                return np.zeros(len(joints))
+            if hdd_max <= 0.0:
+                raise ModelError("trust-fuel rewards need the maximal |acc| over the game tree")
+            return np.where(paid, -acc / hdd_max, 0.0)
+
+        return RewardStructure(action_reward, state_reward, batch_state_reward, batch_action_reward)
 
     return (make(0), make(1))
 
 
+def _no_action_reward(locs, pers, envs, joints) -> np.ndarray:
+    return np.zeros(len(joints))
+
+
 def tree_extents(structure) -> tuple[float, float]:
-    """Maximal absolute altitude over nodes and acceleration over menus."""
-    h_max = 0.0
+    """Maximal absolute altitude over the nodes' environments and absolute
+    acceleration over the structure's distinct menus."""
+    envs = structure.state_rows(slice(None))[2]
+    h_max = float(np.abs(envs[:, 0]).max(initial=0.0))
     hdd_max = 0.0
-    for node in structure.nodes:
-        h_max = max(h_max, abs(float(node.state.env[0])))
-        for menu in node.menus:
+    for menus, _ in structure.menu_table:
+        for menu in menus:
             for lab in menu:
                 try:
                     hdd_max = max(hdd_max, abs(float(lab)))

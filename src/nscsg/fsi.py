@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class FsiConfig:
             raise ModelError(f"unknown solver {self.solver!r}")
 
 
-def sample_history_uniform(candidates: list[Node], rng: np.random.Generator) -> Node:
-    """Uniform draw from a nonempty list of histories."""
+def sample_history_uniform(candidates: Sequence, rng: np.random.Generator):
+    """Uniform draw from a nonempty sequence of histories (nodes or ids)."""
     if not candidates:
         raise ModelError("cannot sample from an empty history set")
     return candidates[int(rng.integers(len(candidates)))]
@@ -126,13 +126,13 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     if structure.horizon == 0:
         return current, trace
 
-    last_stage = structure.stage_nodes(structure.horizon - 1)
+    last_stage = range(*structure.bounds[structure.horizon - 1:structure.horizon + 1])
     for m in range(1, cfg.m_max + 1):
         if cfg.policy == "uniform-last-stage":
             picked = sample_history_uniform(last_stage, rng)
         else:
-            picked = select_history_max_sw(structure, current, cfg.epsilon, rng)
-        free, frozen = freeze_partition(structure, picked.id)
+            picked = select_history_max_sw(structure, current, cfg.epsilon, rng).id
+        free, frozen = freeze_partition(structure, picked)
 
         if cfg.solver == "grid":
             result = solve_exact_grid_on_free(structure, rewards, kind, frozen, current, cfg)
@@ -152,7 +152,7 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
             sw = max(sw, new_sw)
         else:  # inner solvers should never regress; keep the incumbent if one does
             status += ":kept-incumbent"
-        trace.append(FsiTraceRow(m, sw, picked.id, status))
+        trace.append(FsiTraceRow(m, sw, picked, status))
         if on_iteration is not None:
             on_iteration(m, current)
     return current, trace

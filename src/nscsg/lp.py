@@ -297,8 +297,8 @@ def _solve_chunk(c, a_ub, b_ub, a_eq, b_eq, layout):
     x[live[:, None], basis] = T[:, :m, -1]
     x = x[:, :n]
     objective = [None] * g
-    for k in live.tolist():
-        resid = _residual(a_ub[k], b_ub[k], a_eq[k], b_eq[k], x[k])
+    for k, resid in zip(live.tolist(), _residuals(a_ub[live], b_ub[live], a_eq[live], b_eq[live],
+                                                   x[live]).tolist()):
         if resid > 1e-7:
             status[k], errors[k] = "error", f"simplex returned an infeasible point (residual {resid:.3g})"
             x[k] = 0.0
@@ -307,9 +307,12 @@ def _solve_chunk(c, a_ub, b_ub, a_eq, b_eq, layout):
     return status, x, objective, errors
 
 
-def _residual(a_ub, b_ub, a_eq, b_eq, x) -> float:
-    """Largest violation of ``x``'s constraints and of ``x >= 0``, or 0."""
-    return float(np.concatenate((a_ub @ x - b_ub, np.abs(a_eq @ x - b_eq), -x)).max(initial=0.0))
+def _residuals(a_ub, b_ub, a_eq, b_eq, x) -> np.ndarray:
+    """Largest violation of each ``x[k]``'s constraints and of ``x[k] >= 0``,
+    or 0, from one batched step over the stack."""
+    ub = (a_ub @ x[..., None])[..., 0] - b_ub
+    eq = np.abs((a_eq @ x[..., None])[..., 0] - b_eq)
+    return np.concatenate((ub, eq, -x), axis=1).max(axis=1, initial=0.0)
 
 
 def lp_solve_stack(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpStack:

@@ -330,10 +330,24 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class RewardStructure:
-    """Reward structure of one agent: action rewards plus state rewards."""
+    """Reward structure of one agent: action rewards plus state rewards.
+
+    The optional ``batch_state_reward(locs, pers, envs)`` is ``state_reward``
+    of R states given as :func:`observe_rows` takes them (every agent's
+    (R, d_loc) local states and (R, d_per) percepts, and the (R, env_dim)
+    environments); it returns the R rewards.  The optional
+    ``batch_action_reward(locs, pers, envs, joints)`` is ``action_reward``
+    of the R states under the R joints.  :meth:`nscsg.unfold.Structure.rewards`
+    uses them to read a whole stage group at once; each must give the bits
+    of its callback.
+    """
 
     action_reward: Callable[[GlobalState, tuple[str, ...]], float]
     state_reward: Callable[[GlobalState], float]
+    batch_state_reward: Callable[[Sequence[np.ndarray], Sequence[np.ndarray], np.ndarray],
+                                 np.ndarray] | None = None
+    batch_action_reward: Callable[[Sequence[np.ndarray], Sequence[np.ndarray], np.ndarray,
+                                   Sequence[tuple[str, ...]]], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)

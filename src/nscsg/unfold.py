@@ -8,10 +8,13 @@ from them on first use; so the solvers operate on either.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +27,6 @@ from .model import (
     NsCsg,
     RewardStructure,
     action_menus,
-    as_vector,
     key_rows,
     observe_rows,
     refresh_batch,
@@ -42,7 +44,7 @@ DEFAULT_NODE_CAP = 5_000_000
 _SLICE = 1024
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Node:
     """One history (tree) or one merged (state, stage) class (region graph).
 
@@ -66,7 +68,10 @@ class Structure:
     The transitions are stored once, as three flat arrays over the (node,
     joint) rows in id-then-joint order: row r's outcomes are the child ids
     ``child[offsets[r]:offsets[r + 1]]`` with probabilities ``prob[...]``
-    of the same slice.  :meth:`children` reads one node's rows.
+    of the same slice.  :meth:`children` reads one node's rows.  Each node's
+    menus and joints are entry ``menu_ids[id]`` of ``menu_table``, the
+    distinct (menus, joints) pairs of the unfolding; entry 0, ``((), ())``,
+    is a leaf's.
 
     Node ids are contiguous per stage because the unfolding is breadth
     first: stage ``s`` holds ids ``bounds[s]:bounds[s + 1]``, so the nonleaf
@@ -75,19 +80,23 @@ class Structure:
     successor arrays are also the parent relation, read backwards
     (:func:`nscsg.speprog._closure`).  A reward structure's immediate
     rewards (action plus state reward per joint) and leaf values are read
-    from its callbacks once, on first use, and kept while the structure
-    lives: the callbacks must be pure.
+    once, on first use, from its batch hooks where it has them and else
+    from its callbacks, and kept while the structure lives: both must be
+    pure.
     """
 
     mode = "tree"
 
-    def __init__(self, model: NsCsg, horizon: int, nodes: list[Node], build_time: float,
-                 bounds: list[int], offsets: np.ndarray, child: np.ndarray, prob: np.ndarray):
+    def __init__(self, model: NsCsg, horizon: int, nodes: Sequence[Node], build_time: float,
+                 bounds: list[int], menu_table: list[tuple], menu_ids: np.ndarray,
+                 offsets: np.ndarray, child: np.ndarray, prob: np.ndarray):
         self.model = model
         self.horizon = horizon
         self.nodes = nodes
         self.build_time = build_time
         self.bounds = bounds
+        self.menu_table = menu_table
+        self.menu_ids = menu_ids
         self.offsets = offsets
         self.child = child
         self.prob = prob
@@ -100,10 +109,19 @@ class Structure:
     def is_leaf(self, node: Node) -> bool:
         return node.stage == self.horizon
 
+    def states(self, ids) -> list[GlobalState]:
+        """The delivered states of the nodes ``ids``, a slice or an id array."""
+        return [self.nodes[nid].state for nid in np.arange(len(self.nodes))[ids].tolist()]
+
+    def state_rows(self, ids) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """The delivered states of the nodes ``ids`` (a slice or an id array)
+        as arrays, as :func:`stack_states` gives them."""
+        return stack_states(self.states(ids))
+
     @cached_property
     def _first_row(self) -> np.ndarray:
         """The first transition row of each node, and the row count last."""
-        counts = np.fromiter((len(n.joints) for n in self.nodes), dtype=np.intp, count=len(self.nodes))
+        counts = np.array([len(joints) for _, joints in self.menu_table], dtype=np.intp)[self.menu_ids]
         return np.concatenate(([0], np.cumsum(counts)))
 
     def children(self, node: Node) -> dict:
@@ -144,20 +162,24 @@ class Structure:
     def groups(self) -> list[list[StageGroup]]:
         """Stage groups of each decision stage, ``groups[stage]``, padded
         from the transition arrays."""
+        shapes: dict = {}  # menu shape -> its number, in order of first use
+        shape_of = np.array([shapes.setdefault(tuple(map(len, menus)), len(shapes))
+                             for menus, _ in self.menu_table], dtype=np.intp)
+        shapes = list(shapes)
         out, index = [], 0
         for stage in range(self.horizon):
-            by_shape: dict = {}
-            for nid in range(self.bounds[stage], self.bounds[stage + 1]):
-                by_shape.setdefault(tuple(map(len, self.nodes[nid].menus)), []).append(nid)
+            lo = self.bounds[stage]
+            numbers = shape_of[self.menu_ids[lo:self.bounds[stage + 1]]]
             groups = []
-            for shape, ids in by_shape.items():
-                ids = np.array(ids, dtype=np.intp)
+            for number in dict.fromkeys(numbers.tolist()):  # in order of first node
+                shape = shapes[number]
+                ids = lo + np.flatnonzero(numbers == number)
                 rows = (self._first_row[ids, None] + np.arange(math.prod(shape))).ravel()
-                lo = self.offsets[rows]
-                count = self.offsets[rows + 1] - lo
+                lo_row = self.offsets[rows]
+                count = self.offsets[rows + 1] - lo_row
                 k = int(count.max(initial=0))
                 live = np.arange(k) < count[:, None]
-                at = np.where(live, lo[:, None] + np.arange(k), 0)
+                at = np.where(live, lo_row[:, None] + np.arange(k), 0)
                 full = (len(ids),) + shape + (k,)
                 succ = np.where(live, self.child[at], 0).reshape(full)
                 prob = np.where(live, self.prob[at], 0.0).reshape(full)
@@ -197,22 +219,18 @@ class Structure:
 
         A state or action reward that is not finite raises
         :class:`ModelError` naming the first history, by id, that has one.
+        A batch hook that does not give one value per row raises it too.
         """
         entry = self._rewards.get(id(reward))
         if entry is None:
-            nodes = self.nodes
             first_leaf = self.bounds[self.horizon]
-            leaves = np.array([reward.state_reward(nodes[nid].state)
-                               for nid in range(first_leaf, len(nodes))], dtype=float)
+            leaves, _ = self._reward_rows(reward, slice(first_leaf, len(self.nodes)), False)
             bad = (np.flatnonzero(~np.isfinite(leaves))[:1] + first_leaf).tolist()
             immediate = []
             for group in (g for groups in self.groups for g in groups):
-                state = np.array([reward.state_reward(nodes[nid].state) for nid in group.ids],
-                                 dtype=float)
-                action = np.array([reward.action_reward(nodes[nid].state, joint)
-                                   for nid in group.ids for joint in nodes[nid].joints], dtype=float)
+                state, action = self._reward_rows(reward, group.ids, True)
                 shape = group.prob.shape[:-1]
-                finite = np.isfinite(state) & np.isfinite(action.reshape(len(state), -1)).all(axis=1)
+                finite = np.isfinite(state) & np.isfinite(action).all(axis=1)
                 bad.extend(group.ids[~finite][:1].tolist())
                 immediate.append(action.reshape(shape)
                                  + state.reshape((-1,) + (1,) * (len(shape) - 1)))
@@ -221,6 +239,45 @@ class Structure:
             # the reward is kept with its arrays so that its id is not reused
             entry = self._rewards[id(reward)] = (reward, leaves, immediate)
         return entry[1], entry[2]
+
+    def _reward_rows(self, reward: RewardStructure, ids, actions: bool):
+        """The state rewards of the nodes ``ids`` (a slice or an id array)
+        and, with ``actions``, their action rewards as one row a node, in
+        joint order (the nodes must share a joint count).  A reward's batch
+        hooks read the nodes' states as arrays; its callbacks, where it has
+        no hook, read them as states, built once for both."""
+        joints = [self.menu_table[k][1] for k in self.menu_ids[ids].tolist()] if actions else []
+        state_hook = reward.batch_state_reward
+        action_hook = reward.batch_action_reward if actions else None
+        rows = self.state_rows(ids) if state_hook is not None or action_hook is not None else None
+        states = self.states(ids) if state_hook is None or (actions and action_hook is None) else None
+        if state_hook is None:
+            state = np.array([reward.state_reward(s) for s in states], dtype=float)
+        else:
+            state = _hook_values(state_hook(*rows), len(rows[2]), "batch_state_reward")
+        if not actions:
+            return state, None
+        flat = [joint for js in joints for joint in js]
+        if action_hook is None:
+            action = np.array([reward.action_reward(s, joint) for s, js in zip(states, joints) for joint in js],
+                              dtype=float)
+        else:
+            def per_joint(a):  # each node's row once per joint
+                return np.repeat(a, len(flat) // len(joints), axis=0)
+
+            locs, pers, envs = rows
+            action = _hook_values(action_hook([per_joint(a) for a in locs], [per_joint(a) for a in pers],
+                                              per_joint(envs), flat), len(flat), "batch_action_reward")
+        return state, action.reshape(len(joints), -1)
+
+
+def _hook_values(values, count: int, name: str) -> np.ndarray:
+    """A reward hook's output as ``count`` floats, or a :class:`ModelError`."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != (count,):
+        raise ModelError(f"reward hook {name} must give one value per row, got shape {out.shape} "
+                         f"for {count} rows")
+    return out
 
 
 def node_json(node: Node) -> dict:
@@ -244,7 +301,51 @@ class GameTree(Structure):
 
 
 class RegionGraph(Structure):
+    """A structure whose nodes are stored as arrays (:class:`NodeRows`)."""
+
     mode = "region"
+
+    def states(self, ids) -> list[GlobalState]:
+        return row_states(*self.state_rows(ids))
+
+    def state_rows(self, ids) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        return self.nodes.rows(ids)
+
+
+class NodeRows(Sequence):
+    """A region graph's nodes, kept as read-only arrays of their delivered
+    states: agent i of node ``id`` is at ``locs[i][id]`` with percept
+    ``pers[i][id]``, its environment is ``envs[id]``.  Indexing builds a
+    frozen :class:`Node` on views of its rows, its stage read from
+    ``bounds`` and its menus and joints from ``menu_table``."""
+
+    def __init__(self, bounds: list[int], locs: list[np.ndarray], pers: list[np.ndarray],
+                 envs: np.ndarray, menu_table: list[tuple], menu_ids: np.ndarray):
+        self.bounds, self.locs, self.pers, self.envs = bounds, locs, pers, envs
+        self.menu_table, self.menu_ids = menu_table, menu_ids
+
+    def __len__(self) -> int:
+        return len(self.envs)
+
+    def __getitem__(self, nid):
+        if isinstance(nid, slice):
+            return [self[k] for k in range(*nid.indices(len(self)))]
+        nid = operator.index(nid)
+        if nid < 0:
+            nid += len(self)
+        if not 0 <= nid < len(self):
+            raise IndexError(f"node id {nid} outside 0..{len(self) - 1}")
+        state = GlobalState(tuple(AgentState(loc[nid], per[nid]) for loc, per in zip(self.locs, self.pers)),
+                            self.envs[nid])
+        return Node(nid, bisect.bisect_right(self.bounds, nid) - 1, state,
+                    *self.menu_table[self.menu_ids[nid]])
+
+    def __iter__(self):
+        return (self[nid] for nid in range(len(self)))
+
+    def rows(self, ids) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """The rows ``ids`` (a slice or an id array) of every array."""
+        return [a[ids] for a in self.locs], [a[ids] for a in self.pers], self.envs[ids]
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,13 +372,15 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
     serve its menus, joint actions and every successor.  The frontier is
     taken in slices of at most ``_SLICE`` nodes.  With ``merge`` off a slice
     is refreshed in one batch, every joint is stepped on its own and each
-    successor becomes a new node right after its step.  With it on, the
-    frontier is the blocks of new nodes and their refreshed states as arrays
-    that the slices of the stage before made, and a slice, cut from one
-    block, is stepped, perceived and keyed as one batch
-    (:func:`_expand_slice`); equal (key, stage) pairs share one node.  Node
-    ids follow the frontier, joint and successor order, not ``_SLICE``, and
-    nodes with equal menus share their menu and joint tuples.  Menus read
+    successor's state is kept right after its step; the nodes are built at
+    the end.  With it on, the frontier is the blocks of refreshed states as
+    arrays that the slices of the stage before made, and a slice, cut from
+    one block, is stepped, perceived and keyed as one batch
+    (:func:`_expand_slice`); equal (key, stage) pairs share one node, and
+    the nodes' delivered states are kept as the rows those calls return,
+    joined once at the end (:class:`NodeRows`).  Node ids follow the
+    frontier, joint and successor order, not ``_SLICE``.  Each node keeps
+    an index into a table of the distinct (menus, joints) pairs.  Menus read
     only each agent's (loc, per): a region graph reads them once per
     distinct refreshed (loc, per) row, a tree per node.
     """
@@ -285,36 +388,39 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
         raise ModelError("horizon must be nonnegative")
     t0 = time.perf_counter()
     root = refresh_batch(model, [state])[0]
-    nodes = [Node(0, 0, state)]
     bounds = [0]
-    menu_joints = {}
-    # region mode: component widths -> refreshed (loc, per) row bytes -> menus and joints
+    menu_table = [((), ())]  # the distinct (menus, joints) pairs; entry 0 is a leaf's
+    menu_index = {}  # menus -> their entry in menu_table
+    menu_ids = []  # the entry of each expanded node, in id order (tree) or per slice (region)
+
+    def menus_of(refreshed) -> int:
+        menus = action_menus(model, refreshed)
+        if menus not in menu_index:
+            menu_index[menus] = len(menu_table)
+            menu_table.append((menus, tuple(itertools.product(*menus))))
+        return menu_index[menus]
+
+    # region mode: component widths -> refreshed (loc, per) row bytes -> menu_table entry
     row_menus = {}
 
-    def menus_and_joints(refreshed):
-        menus = action_menus(model, refreshed)
-        if menus not in menu_joints:
-            menu_joints[menus] = (menus, tuple(itertools.product(*menus)))
-        return menu_joints[menus]
-
-    def read_row_menus(chunk, locs, pers, envs):
+    def read_row_menus(locs, pers, envs) -> np.ndarray:
         table = row_menus.setdefault(tuple(a.shape[1] for a in locs + pers), {})
         keys = row_bytes(np.hstack(locs + pers))
         new = {key: m for m, key in enumerate(keys) if key not in table}  # a row of each new key
         at = list(new.values())
         for key, refreshed in zip(new, row_states([a[at] for a in locs], [a[at] for a in pers], envs[at])):
-            table[key] = menus_and_joints(refreshed)
-        for node, key in zip(chunk, keys):
-            node.menus, node.joints = table[key]
+            table[key] = menus_of(refreshed)
+        return np.array([table[key] for key in keys], dtype=np.intp)
 
-    shared = _SharedAgentStates()
-    # the frontier's blocks: nodes, and in region mode their refreshed states as arrays
-    blocks = [(nodes[:], stack_states([root]) if merge else None)]
+    states = [state]  # tree mode: every node's delivered state
+    delivered = [stack_states([state])] if merge else []  # region mode: per slice, its new nodes' rows
+    blocks = [stack_states([root])] if merge else []  # region mode: the frontier's refreshed rows
+    n_nodes = 1
     # per slice: the outcome count of each (node, joint) row, the child ids, the probabilities
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     for stage in range(horizon):
-        bounds.append(len(nodes))
-        nxt = []  # the next frontier: its blocks (region) or its nodes (tree)
+        bounds.append(n_nodes)
+        nxt = []  # region mode: the next frontier's blocks
         ids_by_key = {}
 
         def cap_error(count):  # the first node over the cap would be node number ``count``
@@ -322,58 +428,82 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             return ResourceLimitError(f"{what} exceeded {max_nodes} nodes at stage {stage + 1}",
                                       stats={"nodes": count, "stage": stage + 1})
 
-        for block, arrays in blocks:
-            for lo in range(0, len(block), _SLICE):
-                chunk = block[lo:lo + _SLICE]
-                if merge:
+        if merge:
+            for arrays in blocks:
+                for lo in range(0, len(arrays[2]), _SLICE):
                     cut = slice(lo, lo + _SLICE)
                     locs, pers, envs = [a[cut] for a in arrays[0]], [a[cut] for a in arrays[1]], arrays[2][cut]
-                    read_row_menus(chunk, locs, pers, envs)
-                    created, created_arrays, counts, cids, probs = _expand_slice(
-                        model, chunk, locs, pers, envs, shared, ids_by_key, len(nodes), stage + 1)
-                    if len(nodes) + len(created) > max_nodes:
-                        raise cap_error(max(len(nodes), max_nodes) + 1)
-                    nodes.extend(created)
-                    nxt.append((created, created_arrays))
-                else:
-                    counts, cids, probs = [], [], []
-                    refreshed = [root] if stage == 0 else refresh_batch(model, [n.state for n in chunk])
-                    for node, ref in zip(chunk, refreshed):
-                        node.menus, node.joints = menus_and_joints(ref)
-                        for joint in node.joints:
-                            outcomes = step(model, ref, joint)
-                            for succ, prob in outcomes:
-                                if len(nodes) >= max_nodes:
-                                    raise cap_error(len(nodes) + 1)
-                                child = Node(len(nodes), stage + 1, succ)
-                                nodes.append(child)
-                                nxt.append(child)
-                                cids.append(child.id)
-                                probs.append(prob)
-                            counts.append(len(outcomes))
-                parts.append((np.asarray(counts, np.intp), np.asarray(cids, np.intp), np.asarray(probs, float)))
-        blocks = nxt if merge else [(nxt, None)]
-    bounds.append(len(nodes))
+                    at = read_row_menus(locs, pers, envs)
+                    menu_ids.append(at)
+                    made, refreshed, counts, cids, probs = _expand_slice(
+                        model, [menu_table[k][1] for k in at.tolist()], locs, pers, envs, ids_by_key, n_nodes)
+                    if n_nodes + len(made[2]) > max_nodes:
+                        raise cap_error(max(n_nodes, max_nodes) + 1)
+                    n_nodes += len(made[2])
+                    delivered.append(made)
+                    nxt.append(refreshed)
+                    parts.append((counts, np.asarray(cids, np.intp), probs))
+            blocks = nxt
+            continue
+        for lo in range(bounds[stage], bounds[stage + 1], _SLICE):
+            counts, cids, probs = [], [], []
+            refreshed = [root] if stage == 0 else refresh_batch(model, states[lo:min(lo + _SLICE, bounds[stage + 1])])
+            for ref in refreshed:
+                k = menus_of(ref)
+                menu_ids.append(k)
+                for joint in menu_table[k][1]:
+                    outcomes = step(model, ref, joint)
+                    for succ, prob in outcomes:
+                        if len(states) >= max_nodes:
+                            raise cap_error(len(states) + 1)
+                        cids.append(len(states))
+                        states.append(succ)
+                        probs.append(prob)
+                    counts.append(len(outcomes))
+            parts.append((np.asarray(counts, np.intp), np.asarray(cids, np.intp), np.asarray(probs, float)))
+        n_nodes = len(states)
+    bounds.append(n_nodes)
     counts, child, prob = map(np.concatenate, zip(*parts))
-    build_time = time.perf_counter() - t0
-    cls = RegionGraph if merge else GameTree
-    return cls(model, horizon, nodes, build_time, bounds, np.concatenate(([0], np.cumsum(counts))), child, prob)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    if merge:
+        menu_ids = np.concatenate(menu_ids + [np.zeros(n_nodes - bounds[horizon], np.intp)])
+        locs = [_joined([d[0][i] for d in delivered]) for i in range(model.n_agents)]
+        pers = [_joined([d[1][i] for d in delivered]) for i in range(model.n_agents)]
+        nodes = NodeRows(bounds, locs, pers, _joined([d[2] for d in delivered]), menu_table, menu_ids)
+        return RegionGraph(model, horizon, nodes, time.perf_counter() - t0, bounds, menu_table, menu_ids,
+                           offsets, child, prob)
+    menu_ids += [0] * (n_nodes - bounds[horizon])
+    nodes = [Node(nid, stage, states[nid], *menu_table[menu_ids[nid]])
+             for stage in range(horizon + 1) for nid in range(bounds[stage], bounds[stage + 1])]
+    return GameTree(model, horizon, nodes, time.perf_counter() - t0, bounds, menu_table,
+                    np.array(menu_ids, dtype=np.intp), offsets, child, prob)
 
 
-def _expand_slice(model: NsCsg, chunk: list[Node], locs: list[np.ndarray], pers: list[np.ndarray],
-                  envs: np.ndarray, shared: "_SharedAgentStates", ids_by_key: dict, next_id: int,
-                  stage: int) -> tuple:
-    """Step every joint of the slice ``chunk``, whose refreshed states are
-    given as arrays as :func:`observe_rows` takes them, in one
-    :func:`step_batch`, perceive the delivered successors from their arrays
-    with :func:`observe_rows`, key them with :func:`key_rows` and link them.
-    A node is built only for a key not yet in ``ids_by_key``.  Returns these
-    new nodes of ``stage``, whose ids count up from ``next_id``, their
-    refreshed states as arrays, and the slice's transitions: the outcome
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The row blocks ``pieces`` as one read-only array; they must share a width."""
+    try:
+        out = np.concatenate(pieces)
+    except ValueError:
+        raise ModelError("a region graph needs every agent's local states and percepts, and the "
+                         "environments, to keep one size each") from None
+    out.flags.writeable = False
+    return out
+
+
+def _expand_slice(model: NsCsg, node_joints: list[tuple], locs: list[np.ndarray], pers: list[np.ndarray],
+                  envs: np.ndarray, ids_by_key: dict, next_id: int) -> tuple:
+    """Step every joint of a slice of nodes, whose joints are
+    ``node_joints`` and whose refreshed states are given as arrays as
+    :func:`observe_rows` takes them, in one :func:`step_batch`, perceive the
+    delivered successors from their arrays with :func:`observe_rows`, key
+    them with :func:`key_rows` and link them.  A node is made only for a key
+    not yet in ``ids_by_key``, its id counting up from ``next_id``.  Returns
+    the new nodes' delivered states and their refreshed states, each as
+    (locs, pers, envs) arrays, and the slice's transitions: the outcome
     count of each (node, joint) row and every outcome's child id and
     probability, in row order."""
-    counts = [len(node.joints) for node in chunk]
-    joints = [joint for node in chunk for joint in node.joints]
+    counts = [len(joints) for joints in node_joints]
+    joints = [joint for js in node_joints for joint in js]
 
     def rows(a):  # one row per joint of the slice
         return np.repeat(a, counts, axis=0)
@@ -390,48 +520,10 @@ def _expand_slice(model: NsCsg, chunk: list[Node], locs: list[np.ndarray], pers:
             cid = ids_by_key[key] = next_id + len(new)
             new.append(m)
         cids.append(cid)
-    # the new nodes' states get their own compact environment array, and a
-    # node's state one view of its row
     at = np.array(new, dtype=np.intp)
-    new_locs = [loc[at] for loc in succ_locs]
-    kept = envs[at]
-    kept.flags.writeable = False
-    tuples = shared.tuples(new_locs, [per[at] for per in held])
-    created = [Node(next_id + k, stage, GlobalState(t, env)) for k, (t, env) in enumerate(zip(tuples, kept))]
-    return (created, (new_locs, [per[at] for per in seen], kept),
+    new_locs, kept = [loc[at] for loc in succ_locs], envs[at]
+    return ((new_locs, [per[at] for per in held], kept), (new_locs, [per[at] for per in seen], kept),
             np.bincount(src, minlength=len(joints)), cids, probs)
-
-
-class _SharedAgentStates:
-    """The delivered agent states of one unfolding, stored once each.
-
-    There is one tuple of agent states per exact bytes of every agent's
-    (loc, per), and one :class:`AgentState` per agent and exact (loc, per)
-    bytes; exact bytes rather than merge keys, so no stored value moves.
-    """
-
-    def __init__(self):
-        self._tuples: dict = {}  # component widths -> row bytes -> tuple
-        self._agents: dict = {}  # (agent, loc bytes, per bytes) -> AgentState
-
-    def tuples(self, locs: list[np.ndarray], pers: list[np.ndarray]) -> list[tuple]:
-        """The shared tuple of each row m: agent i at ``locs[i][m]``, ``pers[i][m]``."""
-        blocks = locs + pers
-        table = self._tuples.setdefault(tuple(b.shape[1] for b in blocks), {})
-        out = []
-        for m, key in enumerate(row_bytes(np.hstack(blocks))):
-            agents = table.get(key)
-            if agents is None:
-                agents = table[key] = tuple(self._agent(i, as_vector(loc[m].copy()), as_vector(per[m].copy()))
-                                            for i, (loc, per) in enumerate(zip(locs, pers)))
-            out.append(agents)
-        return out
-
-    def _agent(self, i: int, loc: np.ndarray, per: np.ndarray) -> AgentState:
-        key = (i, loc.tobytes(), per.tobytes())
-        if key not in self._agents:
-            self._agents[key] = AgentState(loc, per)
-        return self._agents[key]
 
 
 def unfold_tree(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int = DEFAULT_NODE_CAP) -> GameTree:

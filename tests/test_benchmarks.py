@@ -259,6 +259,18 @@ class TestVcasRewards:
         assert r[0].state_reward(at_k1) == 10.0
 
 
+    def test_trust_fuel_extents_at_t0_4(self):
+        # the two-pass build reads h_max off the environment rows and the
+        # accelerations off the distinct menus; both, and the GBI root
+        # values they scale, are those of the walk over every node
+        bm = build("vcas", {"t0": 4, "reward": "trust-fuel"})
+        assert (bm.extras["h_max"], bm.extras["hdd_max"]) == (164.64000000000001, 9.33)
+        graph = unfold_regions(bm.model, bm.initial, bm.horizon)
+        for kind in ("ne", "ce"):
+            root = run_gbi(graph, bm.rewards, kind, "sw-optimal").values[0]
+            assert root.tolist() == [7.664237123420797, 7.414237123420797]
+
+
 class TestParams:
     def test_values_of_the_default_kind_accepted(self):
         # an int where a float is due, numpy integers, tuples or lists, null instant_k

@@ -185,6 +185,15 @@ class TestHistorySampling:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 <= CHI2_99[len(stage1) - 1]
 
+    def test_id_range_draws_the_nodes_ids(self):
+        # run_fsi draws from the id range of the last decision stage
+        bm = build("counterexample", {})
+        tree = unfold_tree(bm.model, bm.initial, 2)
+        rng_nodes, rng_ids = np.random.default_rng(5), np.random.default_rng(5)
+        nodes = [sample_history_uniform(tree.stage_nodes(1), rng_nodes).id for _ in range(20)]
+        ids = [sample_history_uniform(range(*tree.bounds[1:3]), rng_ids) for _ in range(20)]
+        assert nodes == ids and len(set(ids)) > 1
+
     def test_seeded_reproducibility(self):
         bm = build("counterexample", {})
         tree = unfold_tree(bm.model, bm.initial, 2)

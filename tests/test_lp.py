@@ -248,6 +248,22 @@ def digest(outcomes) -> str:
     return hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
 
 
+class TestResiduals:
+    @pytest.mark.parametrize("m_ub, m_eq", [(3, 2), (0, 2), (3, 0)])
+    def test_stack_matches_each_lp(self, m_ub, m_eq):
+        # the batched feasibility check is the largest violation of each
+        # LP's rows and of x >= 0, as computed one LP at a time
+        rng = np.random.default_rng(4)
+        g, n = 6, 4
+        a_ub, b_ub = rng.normal(size=(g, m_ub, n)), rng.normal(size=(g, m_ub))
+        a_eq, b_eq = rng.normal(size=(g, m_eq, n)), rng.normal(size=(g, m_eq))
+        x = rng.normal(size=(g, n))
+        got = lp._residuals(a_ub, b_ub, a_eq, b_eq, x)
+        want = [max(np.concatenate((a_ub[k] @ x[k] - b_ub[k], np.abs(a_eq[k] @ x[k] - b_eq[k]), -x[k])).max(),
+                    0.0) for k in range(g)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestPinnedLp:
     """Status, x bytes, objective and error message of every LP of a seeded
     corpus, and the zero-sum solutions of a set of games, pinned by digest,

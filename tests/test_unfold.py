@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from conftest import enumerate_paths, path_reward_by_hand, random_model
 from test_fsi import parent_map, walked_closure
 
 from nscsg.benchmarks import build
-from nscsg.errors import ResourceLimitError
+from nscsg.errors import ModelError, ResourceLimitError
 from nscsg.model import (
     Action,
     AgentSpec,
@@ -178,6 +179,28 @@ class TestRegionGraph:
             unfold_regions(model, initial, 3, max_nodes=3)
         assert err.value.stats == {"nodes": 4, "stage": 1}
 
+    def test_nodes_read_only_and_built_on_access(self, counterexample):
+        bm, tree = counterexample
+        rg = unfold_regions(bm.model, bm.initial, bm.horizon)
+        node = rg.nodes[-1]
+        assert node is not rg.nodes[-1] and node.id == len(rg.nodes) - 1 == rg.nodes[node.id].id
+        assert [n.id for n in rg.nodes[1:3]] == [1, 2] and rg.stage_nodes(2)[-1].id == node.id
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.menus = ()
+        assert not node.state.env.flags.writeable and not node.state.agent_states[0].per.flags.writeable
+        with pytest.raises(IndexError):
+            rg.nodes[len(rg.nodes)]
+
+    def test_component_sizes_must_agree_across_the_graph(self, counterexample):
+        # the states are kept as one array per component: a root percept of
+        # another size than the observed ones is a model error, not a crash
+        bm, _ = counterexample
+        initial = GlobalState(tuple(AgentState(a.loc, as_vector([1.0, 0.0])) for a in bm.initial.agent_states),
+                              bm.initial.env)
+        assert len(unfold_tree(bm.model, initial, bm.horizon).nodes) == 12
+        with pytest.raises(ModelError, match="to keep one size each"):
+            unfold_regions(bm.model, initial, bm.horizon)
+
     def test_parking_region_sizes(self):
         # shipped lane table: one off the published 258/1080 and 386/1689
         for horizon, expect in ((6, (257, 1015)), (8, (385, 1624))):
@@ -339,15 +362,96 @@ class TestBatchedSlices:
         for a, b in zip(_refreshed(hooked), _refreshed(plain)):
             assert _state_bytes(a) == _state_bytes(b)
 
-    def test_agent_states_shared(self):
-        # one AgentState per (agent, loc bytes, per bytes), one tuple per agents' bytes
+    def test_nodes_kept_as_rows(self):
+        # a region graph keeps its nodes' states as arrays and builds a node
+        # on access: the unfolding adds next to no GC-tracked objects (one
+        # object a node would be 5,965), and the states built on access are
+        # those of the hook-free unfolding, bit for bit
         bm = build("vcas", {"t0": 4})
+        gc.collect()
+        before = len(gc.get_objects())
         graph = unfold_regions(bm.model, bm.initial, bm.horizon)
-        states = [n.state for n in graph.nodes]
-        objects = {id(a) for s in states for a in s.agent_states}
-        triples = {(i, a.loc.tobytes(), a.per.tobytes()) for s in states for i, a in enumerate(s.agent_states)}
-        assert len(objects) <= len(triples)
-        assert len({id(s.agent_states) for s in states}) <= len({str(_state_bytes(s)[0]) for s in states})
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert len(graph.nodes) == 5965
+        plain = unfold_regions(_without_hooks(bm.model), bm.initial, bm.horizon)
+        assert [_state_bytes(n.state) for n in graph.nodes] == [_state_bytes(n.state) for n in plain.nodes]
+
+
+def _without_reward_hooks(rewards):
+    return tuple(dataclasses.replace(r, batch_state_reward=None, batch_action_reward=None) for r in rewards)
+
+
+def _reward_bytes(structure, reward):
+    leaves, immediate = structure.rewards(reward)
+    return [(a.dtype, a.shape, a.tobytes()) for a in [leaves, *immediate]]
+
+
+class TestRewardHooks:
+    # the batch reward hooks give Structure.rewards the bits of the per-node
+    # callbacks, on region graphs and on trees
+    @pytest.mark.parametrize("name, params", [
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2}),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2, "zero_sum": True}),
+        ("vcas", {"t0": 3, "instant_k": 1, "zero_sum": True}),
+        ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2, "reward": "trust-fuel", "safety_limit": 60.0}),
+        ("parking", {"horizon": 4, "reward_structure": 1}),
+        ("parking", {"horizon": 4, "reward_structure": 2}),
+    ], ids=["vcas-instant", "vcas-instant-zero-sum", "vcas-instant-k1", "vcas-trust-fuel",
+            "parking-1", "parking-2"])
+    @pytest.mark.parametrize("unfold", [unfold_regions, unfold_tree], ids=["region", "tree"])
+    def test_hooks_match_callbacks(self, name, params, unfold):
+        bm = build(name, params)
+        structure = unfold(bm.model, bm.initial, bm.horizon)
+        for reward, plain in zip(bm.rewards, _without_reward_hooks(bm.rewards)):
+            assert reward.batch_state_reward is not None and reward.batch_action_reward is not None
+            hooked = _reward_bytes(structure, reward)
+            assert hooked == _reward_bytes(structure, plain)
+            # every case pays something other than zero
+            assert any(np.frombuffer(b).any() for _, _, b in hooked)
+        if params.get("reward") == "trust-fuel":  # inside and outside the safety band
+            assert any((a < 0).any() for a in structure.rewards(bm.rewards[0])[1])
+
+    @pytest.mark.parametrize("unfold", [unfold_regions, unfold_tree], ids=["region", "tree"])
+    @pytest.mark.parametrize("which", ["state", "action"])
+    def test_non_finite_hook_names_the_first_history(self, unfold, which):
+        bm = build("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2})
+        structure = unfold(bm.model, bm.initial, bm.horizon)
+        bad = 1.0  # remaining time of the stage paid NaN
+
+        def state_reward(s):
+            return float("nan") if which == "state" and s.env[3] == bad else 0.0
+
+        def action_reward(s, joint):
+            return float("nan") if which == "action" and s.env[3] == bad and joint[1] == "0" else 0.0
+
+        def batch_state_reward(locs, pers, envs):
+            return np.where((envs[:, 3] == bad) & (which == "state"), np.nan, 0.0)
+
+        def batch_action_reward(locs, pers, envs, joints):
+            zero = np.array([joint[1] == "0" for joint in joints])
+            return np.where((envs[:, 3] == bad) & zero & (which == "action"), np.nan, 0.0)
+
+        plain = RewardStructure(action_reward, state_reward)
+        hooked = RewardStructure(action_reward, state_reward, batch_state_reward, batch_action_reward)
+        with pytest.raises(ModelError, match="not finite") as expect:
+            structure.rewards(plain)
+        with pytest.raises(ModelError) as got:
+            structure.rewards(hooked)
+        assert str(got.value) == str(expect.value)
+
+    @pytest.mark.parametrize("which", ["state", "action"])
+    def test_wrong_shape_is_a_model_error(self, which):
+        bm = build("vcas", {"t0": 2})
+        graph = unfold_regions(bm.model, bm.initial, bm.horizon)
+        reward = bm.rewards[0]
+        if which == "state":
+            reward = dataclasses.replace(reward, batch_state_reward=lambda locs, pers, envs: np.zeros(len(envs) + 1))
+        else:
+            reward = dataclasses.replace(reward, batch_action_reward=lambda locs, pers, envs, joints:
+                                         np.zeros((len(joints), 1)))
+        with pytest.raises(ModelError, match=f"batch_{which}_reward must give one value per row"):
+            graph.rewards(reward)
 
 
 class TestSlices:
