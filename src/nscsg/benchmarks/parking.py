@@ -201,27 +201,8 @@ def build_parking(params: ParkingParams = ParkingParams()) -> BuiltModel:
             return params.step_reward
         return state_reward
 
-    def make_batch_state_reward(agent):
-        bonus = params.reward_structure == 2 and agent == 1
-
-        def batch_state_reward(locs, pers, envs):
-            # the cases of state_reward, the first that holds written last
-            cells = np.rint(envs[:, :4])
-            own = cells[:, 2 * agent:2 * agent + 2]
-            out = np.full(len(envs), float(params.step_reward))
-            if bonus:
-                out[(own == params.bonus_cell).all(axis=1)
-                    & (np.rint(envs[:, 4]) <= params.bonus_deadline)] = params.bonus_value
-            for slot in slots:
-                out[(own == slot).all(axis=1)] = 0.0
-            out[(cells[:, :2] == cells[:, 2:]).all(axis=1)] = params.collision_reward
-            return out
-        return batch_state_reward
-
     rewards = tuple(
-        RewardStructure(action_reward=lambda s, a: 0.0, state_reward=make_state_reward(i),
-                        batch_state_reward=make_batch_state_reward(i),
-                        batch_action_reward=lambda locs, pers, envs, joints: np.zeros(len(joints)))
+        RewardStructure(action_reward=lambda s, a: 0.0, state_reward=make_state_reward(i))
         for i in range(2)
     )
 

@@ -339,7 +339,7 @@ class RewardStructure:
     ``batch_action_reward(locs, pers, envs, joints)`` is ``action_reward``
     of the R states under the R joints.  :meth:`nscsg.unfold.Structure.rewards`
     uses them to read a whole stage group at once; each must give the bits
-    of its callback.
+    of its callback.  The hooks come together or not at all.
     """
 
     action_reward: Callable[[GlobalState, tuple[str, ...]], float]
@@ -348,6 +348,10 @@ class RewardStructure:
                                  np.ndarray] | None = None
     batch_action_reward: Callable[[Sequence[np.ndarray], Sequence[np.ndarray], np.ndarray,
                                    Sequence[tuple[str, ...]]], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.batch_state_reward is None) != (self.batch_action_reward is None):
+            raise ModelError("a reward structure needs both batch hooks or neither")
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,18 @@ class Structure:
 
     def states(self, ids) -> list[GlobalState]:
         """The delivered states of the nodes ``ids``, a slice or an id array."""
-        return [self.nodes[nid].state for nid in np.arange(len(self.nodes))[ids].tolist()]
+        ids = range(len(self.nodes))[ids] if isinstance(ids, slice) else ids.tolist()
+        return [self.nodes[nid].state for nid in ids]
 
     def state_rows(self, ids) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
         """The delivered states of the nodes ``ids`` (a slice or an id array)
-        as arrays, as :func:`stack_states` gives them."""
-        return stack_states(self.states(ids))
+        as arrays, as :func:`stack_states` gives them; no ids give arrays of
+        no rows, as wide as the root's."""
+        states = self.states(ids)
+        if not states:
+            locs, pers, envs = stack_states([self.root.state])
+            return [a[:0] for a in locs], [a[:0] for a in pers], envs[:0]
+        return stack_states(states)
 
     @cached_property
     def _first_row(self) -> np.ndarray:
@@ -224,7 +230,8 @@ class Structure:
         entry = self._rewards.get(id(reward))
         if entry is None:
             first_leaf = self.bounds[self.horizon]
-            leaves, _ = self._reward_rows(reward, slice(first_leaf, len(self.nodes)), False)
+            leaves = np.concatenate([self._reward_rows(reward, slice(lo, lo + _SLICE), False)[0]
+                                     for lo in range(first_leaf, len(self.nodes), _SLICE)] or [np.zeros(0)])
             bad = (np.flatnonzero(~np.isfinite(leaves))[:1] + first_leaf).tolist()
             immediate = []
             for group in (g for groups in self.groups for g in groups):
@@ -244,31 +251,27 @@ class Structure:
         """The state rewards of the nodes ``ids`` (a slice or an id array)
         and, with ``actions``, their action rewards as one row a node, in
         joint order (the nodes must share a joint count).  A reward's batch
-        hooks read the nodes' states as arrays; its callbacks, where it has
-        no hook, read them as states, built once for both."""
+        hooks read the nodes' states as arrays; without hooks its callbacks
+        read them as states."""
         joints = [self.menu_table[k][1] for k in self.menu_ids[ids].tolist()] if actions else []
-        state_hook = reward.batch_state_reward
-        action_hook = reward.batch_action_reward if actions else None
-        rows = self.state_rows(ids) if state_hook is not None or action_hook is not None else None
-        states = self.states(ids) if state_hook is None or (actions and action_hook is None) else None
-        if state_hook is None:
-            state = np.array([reward.state_reward(s) for s in states], dtype=float)
-        else:
-            state = _hook_values(state_hook(*rows), len(rows[2]), "batch_state_reward")
-        if not actions:
-            return state, None
         flat = [joint for js in joints for joint in js]
-        if action_hook is None:
+        if reward.batch_state_reward is None:
+            states = self.states(ids)
+            state = np.array([reward.state_reward(s) for s in states], dtype=float)
             action = np.array([reward.action_reward(s, joint) for s, js in zip(states, joints) for joint in js],
                               dtype=float)
         else:
+            locs, pers, envs = self.state_rows(ids)
+            state = _hook_values(reward.batch_state_reward(locs, pers, envs), len(envs), "batch_state_reward")
+            if not actions:
+                return state, None
+
             def per_joint(a):  # each node's row once per joint
                 return np.repeat(a, len(flat) // len(joints), axis=0)
 
-            locs, pers, envs = rows
-            action = _hook_values(action_hook([per_joint(a) for a in locs], [per_joint(a) for a in pers],
-                                              per_joint(envs), flat), len(flat), "batch_action_reward")
-        return state, action.reshape(len(joints), -1)
+            action = _hook_values(reward.batch_action_reward([per_joint(a) for a in locs], [per_joint(a) for a in pers],
+                                                             per_joint(envs), flat), len(flat), "batch_action_reward")
+        return state, action.reshape(len(joints), -1) if actions else None
 
 
 def _hook_values(values, count: int, name: str) -> np.ndarray:
@@ -414,6 +417,7 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
 
     states = [state]  # tree mode: every node's delivered state
     delivered = [stack_states([state])] if merge else []  # region mode: per slice, its new nodes' rows
+    widths = _widths(*delivered[0]) if merge else None  # region mode: the root's component sizes
     blocks = [stack_states([root])] if merge else []  # region mode: the frontier's refreshed rows
     n_nodes = 1
     # per slice: the outcome count of each (node, joint) row, the child ids, the probabilities
@@ -437,6 +441,10 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                     menu_ids.append(at)
                     made, refreshed, counts, cids, probs = _expand_slice(
                         model, [menu_table[k][1] for k in at.tolist()], locs, pers, envs, ids_by_key, n_nodes)
+                    if _widths(*made) != widths:
+                        raise ModelError(f"a region graph needs every agent's local states and percepts, and the "
+                                         f"environments, to keep one size each: the states of stage {stage + 1} "
+                                         f"have sizes {_widths(*made)}, the root {widths}")
                     if n_nodes + len(made[2]) > max_nodes:
                         raise cap_error(max(n_nodes, max_nodes) + 1)
                     n_nodes += len(made[2])
@@ -479,13 +487,15 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                     np.array(menu_ids, dtype=np.intp), offsets, child, prob)
 
 
+def _widths(locs: list[np.ndarray], pers: list[np.ndarray], envs: np.ndarray) -> tuple[int, ...]:
+    """The sizes of every agent's local states and percepts, and of the
+    environments, in states given as arrays."""
+    return tuple(a.shape[1] for a in [*locs, *pers, envs])
+
+
 def _joined(pieces: list[np.ndarray]) -> np.ndarray:
-    """The row blocks ``pieces`` as one read-only array; they must share a width."""
-    try:
-        out = np.concatenate(pieces)
-    except ValueError:
-        raise ModelError("a region graph needs every agent's local states and percepts, and the "
-                         "environments, to keep one size each") from None
+    """The row blocks ``pieces``, which share a width, as one read-only array."""
+    out = np.concatenate(pieces)
     out.flags.writeable = False
     return out
 

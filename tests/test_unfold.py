@@ -193,12 +193,13 @@ class TestRegionGraph:
 
     def test_component_sizes_must_agree_across_the_graph(self, counterexample):
         # the states are kept as one array per component: a root percept of
-        # another size than the observed ones is a model error, not a crash
+        # another size than the observed ones is a model error, raised at
+        # the first stage whose sizes differ, not a crash
         bm, _ = counterexample
         initial = GlobalState(tuple(AgentState(a.loc, as_vector([1.0, 0.0])) for a in bm.initial.agent_states),
                               bm.initial.env)
         assert len(unfold_tree(bm.model, initial, bm.horizon).nodes) == 12
-        with pytest.raises(ModelError, match="to keep one size each"):
+        with pytest.raises(ModelError, match="to keep one size each: the states of stage 1 "):
             unfold_regions(bm.model, initial, bm.horizon)
 
     def test_parking_region_sizes(self):
@@ -395,10 +396,7 @@ class TestRewardHooks:
         ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2, "zero_sum": True}),
         ("vcas", {"t0": 3, "instant_k": 1, "zero_sum": True}),
         ("vcas", {"t0": 3, "eps_own": 0.2, "eps_int": 0.2, "reward": "trust-fuel", "safety_limit": 60.0}),
-        ("parking", {"horizon": 4, "reward_structure": 1}),
-        ("parking", {"horizon": 4, "reward_structure": 2}),
-    ], ids=["vcas-instant", "vcas-instant-zero-sum", "vcas-instant-k1", "vcas-trust-fuel",
-            "parking-1", "parking-2"])
+    ], ids=["vcas-instant", "vcas-instant-zero-sum", "vcas-instant-k1", "vcas-trust-fuel"])
     @pytest.mark.parametrize("unfold", [unfold_regions, unfold_tree], ids=["region", "tree"])
     def test_hooks_match_callbacks(self, name, params, unfold):
         bm = build(name, params)
@@ -452,6 +450,25 @@ class TestRewardHooks:
                                          np.zeros((len(joints), 1)))
         with pytest.raises(ModelError, match=f"batch_{which}_reward must give one value per row"):
             graph.rewards(reward)
+
+    @pytest.mark.parametrize("which", ["batch_state_reward", "batch_action_reward"])
+    def test_hooks_come_together(self, which):
+        reward = build("vcas", {"t0": 2}).rewards[0]
+        with pytest.raises(ModelError, match="both batch hooks or neither"):
+            dataclasses.replace(reward, **{which: None})
+
+    @pytest.mark.parametrize("unfold", [unfold_regions, unfold_tree], ids=["region", "tree"])
+    def test_state_rows_of_no_ids(self, counterexample, unfold):
+        # both paths give arrays of no rows, as wide as the root's
+        bm, _ = counterexample
+        structure = unfold(bm.model, bm.initial, bm.horizon)
+        def shapes(ids):
+            locs, pers, envs = structure.state_rows(ids)
+            return [a.shape for a in [*locs, *pers, envs]]
+
+        for ids in (slice(0, 0), np.zeros(0, np.intp)):
+            assert structure.states(ids) == []
+            assert shapes(ids) == [(0, width) for _, width in shapes(slice(0, 1))]
 
 
 class TestSlices:
