@@ -184,6 +184,9 @@ class VcasParams:
                 raise ModelError(f"environment value {v} outside [{lo}, {hi}]")
         if self.reward not in ("instant-altitude", "trust-fuel"):
             raise ModelError(f"unknown reward structure {self.reward!r}")
+        for name, unset in (("zero_sum", False), ("instant_k", None)):
+            if self.reward != "instant-altitude" and getattr(self, name) != unset:
+                raise ModelError(f"{name} applies to the instant-altitude reward only, not {self.reward!r}")
         for tr in self.trust0:
             if tr not in (1, 2, 3, 4):
                 raise ModelError("initial trust levels must lie in 1..4")

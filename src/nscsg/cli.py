@@ -23,7 +23,7 @@ import numpy as np
 
 from . import benchmarks
 from .errors import ModelError, ResourceLimitError, SolverError
-from .fsi import FsiConfig, run_fsi, write_trace_csv
+from .fsi import SOLVERS, FsiConfig, run_fsi, write_trace_csv
 from .gbi import run_gbi, run_minimax, solution_from_json, solution_to_json
 from .model import load_model_json
 from .speprog import solve_exact_grid
@@ -66,8 +66,8 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _load(model_ref: str, params_blob):
-    params = _json_arg(params_blob) if params_blob else {}
+def _load(model_ref: str, params):
+    """The model ``model_ref`` names, built with the parsed ``params``."""
     if model_ref in _BUILTINS:
         return benchmarks.build(model_ref, params)
     _object(params, "--params")
@@ -86,7 +86,7 @@ def _unfold(bundle, horizon=None, mode="tree", max_nodes=DEFAULT_NODE_CAP):
 
 def _load_structure(args):
     """The model that ``args`` names and its unfolding."""
-    bundle = _load(args.model, args.params)
+    bundle = _load(args.model, _json_arg(args.params) if args.params else {})
     return bundle, _unfold(bundle, args.horizon, args.mode, args.max_nodes)
 
 
@@ -122,10 +122,7 @@ def cmd_solve(args, fmt) -> int:
             raise SolverError("no feasible grid point found")
         solution = result.solution
     else:  # minimax
-        mm = run_minimax(structure, bundle.rewards)
-        elapsed = time.perf_counter() - t0
-        print(f"{fmt(mm.values[0, 0])},{fmt(mm.values[0, 1])},{fmt(mm.values[0].sum())},{fmt(elapsed)}")
-        return 0
+        solution = run_minimax(structure, bundle.rewards)
     elapsed = time.perf_counter() - t0
     v = solution.values[0]
     print(f"{fmt(v.sum())},{fmt(v[0])},{fmt(v[1])},{fmt(elapsed)}")
@@ -153,6 +150,7 @@ def _check_spec(key: str, spec: dict) -> None:
     """Raise a :class:`ModelError` for the first field of a ``--runs`` entry
     under ``key`` that holds a value of the wrong kind."""
     where = f"--runs {key} entry"
+    choices = {"type": ("ne", "ce"), "mode": ("tree", "region")}
     if key == "sw_trace":
         if "model" not in spec:
             raise ModelError(f"{where} lacks field 'model'")
@@ -162,9 +160,12 @@ def _check_spec(key: str, spec: dict) -> None:
         for name in ("horizon", "m_max"):
             if name in spec:
                 _integer(spec[name], f"{where} field {name!r}")
-    for name, choices in (("type", ("ne", "ce")), ("mode", ("tree", "region"))):
-        if name in spec and spec[name] not in choices:
-            raise ModelError(f"{where} field {name!r} must be one of {', '.join(choices)}, "
+        choices["solver"] = SOLVERS
+    if "params" in spec:
+        _object(spec["params"], f"{where} field 'params'")
+    for name, values in choices.items():
+        if name in spec and spec[name] not in values:
+            raise ModelError(f"{where} field {name!r} must be one of {', '.join(values)}, "
                              f"not {json.dumps(spec[name])}")
 
 
@@ -198,7 +199,7 @@ def cmd_plotdata(args, fmt) -> int:
             writer.writerow([label, k, fmt(he), fmt(hz)])
 
     for spec in runs.get("sw_trace", []):
-        bundle = _load(spec["model"], json.dumps(spec.get("params", {})))
+        bundle = _load(spec["model"], spec.get("params", {}))
         structure = _unfold(bundle, spec.get("horizon"), spec.get("mode", "region"))
         cfg = FsiConfig(m_max=spec.get("m_max", 10), seed=args.seed,
                         solver=spec.get("solver", "reinduce"))
@@ -237,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-res", type=int, default=5)
     p.add_argument("--history-policy", default="uniform-last-stage",
                    choices=["uniform-last-stage", "max-sw"])
-    p.add_argument("--np-solver", default="reinduce",
-                   choices=["reinduce", "coordinate-ascent", "grid"])
+    p.add_argument("--np-solver", default="reinduce", choices=SOLVERS)
     p.add_argument("--solver-rounds", type=int, default=4)
     p.set_defaults(func=cmd_solve)
 

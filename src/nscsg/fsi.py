@@ -22,6 +22,10 @@ from .speprog import (_closure, _free_part, _grid_search, coordinate_ascent_solv
 from .unfold import Node, Structure
 
 
+#: The inner solvers an FSI step can use.
+SOLVERS = ("reinduce", "coordinate-ascent", "grid")
+
+
 @dataclass(frozen=True)
 class FsiConfig:
     """Iteration budget, history selection policy and inner solver choice.
@@ -51,7 +55,7 @@ class FsiConfig:
             raise ModelError("epsilon must lie in [0, 1]")
         if self.policy not in ("uniform-last-stage", "max-sw"):
             raise ModelError(f"unknown history policy {self.policy!r}")
-        if self.solver not in ("reinduce", "coordinate-ascent", "grid"):
+        if self.solver not in SOLVERS:
             raise ModelError(f"unknown solver {self.solver!r}")
 
 

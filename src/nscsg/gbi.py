@@ -220,12 +220,8 @@ class StageGameCache:
         self.candidate_hits += len(keys) - misses
         return [failed[key] if key in failed else candidates[key] for key in keys]
 
-    def solve(self, game: BimatrixGame, kind: str, policy: str, rng=None) -> StageSolution:
-        """A solution of ``game`` under ``policy``: the one-row
-        :meth:`solve_stack`, except for "seeded-random", the one policy that
-        draws from ``rng``, which is not memoised."""
-        if policy == "seeded-random":
-            return any_equilibrium(game, kind, policy, rng)
+    def solve(self, game: BimatrixGame, kind: str, policy: str) -> StageSolution:
+        """A solution of ``game`` under ``policy``: the one-row :meth:`solve_stack`."""
         return self.solve_stack(np.stack((game.p1, game.p2))[:, None], kind, policy)[0]
 
     def solve_stack(self, z: np.ndarray, kind: str, policy: str) -> list[StageSolution]:
@@ -283,7 +279,7 @@ def run_gbi(
             for _, k, row in sorted((nid, k, row) for k, g in enumerate(groups)
                                     for row, nid in enumerate(g.ids.tolist())):
                 z = zs[k][:, row]
-                sols[k][row] = cache.solve(BimatrixGame(z[0], z[1]), kind, policy, rng)
+                sols[k][row] = any_equilibrium(BimatrixGame(z[0], z[1]), kind, policy, rng)
         else:
             sols = [cache.solve_stack(z, kind, policy) for z in zs]
         for g, group_sols in zip(groups, sols):
@@ -294,13 +290,7 @@ def run_gbi(
     return EquilibriumSolution(kind, values, profiles, policy)
 
 
-@dataclass
-class MinimaxSolution:
-    values: np.ndarray  # (n_nodes, 2); agent 2's value is the negation
-    profiles: dict[int, StageSolution]
-
-
-def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> MinimaxSolution:
+def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> EquilibriumSolution:
     """Zero-sum baseline: agent 1 maximises its reward, agent 2 minimises it.
 
     Only agent 1's reward structure is consulted: the pass builds agent 1's
@@ -317,7 +307,7 @@ def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> M
         return v[:, None]
 
     values = induce_groups(structure, rewards[:1], step)
-    return MinimaxSolution(np.hstack((values, -values)), profiles)
+    return EquilibriumSolution("ne", np.hstack((values, -values)), profiles, "minimax")
 
 
 def social_welfare(solution, node: int = 0) -> float:

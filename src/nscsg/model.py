@@ -225,15 +225,12 @@ def key_rows(blocks) -> list[bytes]:
     """Merge keys of the k states given as their stacked components, from
     one rounding pass: the (k, d_f) ``blocks`` are every agent's local
     states, then every agent's percepts, then the environments.  A key holds
-    the blocks' widths, then the values rounded to ``KEY_DIGITS`` decimals as
-    :func:`canonical_key` rounds them (-0.0 normalised), as bytes; so two
-    keys are equal iff the states have the same component sizes and agree in
-    every component after that rounding, and both give the same merge
-    classes."""
-    k = blocks[0].shape[0]
-    rounded = round_as_python(np.hstack(blocks), KEY_DIGITS)
-    widths = np.broadcast_to(np.array([b.shape[1] for b in blocks], dtype=float), (k, len(blocks)))
-    return row_bytes(np.hstack([widths, rounded]))
+    the values rounded to ``KEY_DIGITS`` decimals as :func:`canonical_key`
+    rounds them (-0.0 normalised), as bytes; so for states of the same
+    component sizes, which the region unfolding enforces, two keys are equal
+    iff the states agree in every component after that rounding, and both
+    give the same merge classes."""
+    return row_bytes(round_as_python(np.hstack(blocks), KEY_DIGITS))
 
 
 def round_as_python(values: np.ndarray, digits: int) -> np.ndarray:

@@ -10,12 +10,13 @@ ascent with exact LP sub-steps, and an equilibrium re-seeding search that
 re-runs backward induction above a changed node.
 
 Payoffs come from the stage-game kernel :func:`nscsg.gbi.stage_games`;
-whole-structure passes (evaluation, incentive gaps, grid scoring, Z-definition
-constants) are the one bottom-up pass of :mod:`nscsg.gbi`, taken one stage
-group at a time wherever the step allows it.
+whole-structure passes (evaluation, incentive gaps, grid scoring) are the one
+bottom-up pass of :mod:`nscsg.gbi`, taken one stage group at a time wherever
+the step allows it.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
-from .gbi import EquilibriumSolution, StageGameCache, _require, induce_groups, stage_games
+from .gbi import EquilibriumSolution, StageGameCache, _leaf_values, _require, induce_groups, stage_games
 from .lp import LinearProgram, lp_solve
 from .nfg import StageSolution
 from .unfold import StageGroup, Structure
@@ -105,19 +106,11 @@ class ConstraintSystem:
         return out
 
 
-def _z_constants(structure: Structure, rewards) -> dict:
+def _z_constants(structure: Structure, rewards) -> list[np.ndarray]:
     """Stage matrices with every nonleaf value zero: immediate rewards plus
-    expected leaf rewards, keyed (node id, agent)."""
-    consts: dict = {}
-
-    def step(group, z):
-        for row, nid in enumerate(group.ids.tolist()):
-            for i, zi in enumerate(z[:, row]):
-                consts[(nid, i)] = zi
-        return np.zeros((len(group.ids), len(rewards)))
-
-    induce_groups(structure, rewards, step)
-    return consts
+    expected leaf rewards: the :func:`stage_games` of each stage group, by index."""
+    values = _leaf_values(structure, rewards)
+    return [stage_games(structure, rewards, g, values) for groups in structure.groups for g in groups]
 
 
 def _z_definitions(structure: Structure, node, consts, constraints, variables):
@@ -125,14 +118,15 @@ def _z_definitions(structure: Structure, node, consts, constraints, variables):
     the constant term, taken from :func:`_z_constants` (whose row-major
     order is the order of ``node.joints``)."""
     children = structure.children(node)
+    group, row = structure.locate(node.id)
     for k, joint in enumerate(node.joints):
         for i in range(2):
             z = VarId("Z", node.id, i, joint=joint)
             variables.add(z)
-            const = -consts[(node.id, i)].flat[k]
+            const = -consts[group.index][i, row].flat[k]
             terms = [(1.0, (z,))]
             for p, cid in children[joint]:
-                if not structure.is_leaf(structure.nodes[cid]):
+                if cid < structure.bounds[structure.horizon]:  # not a leaf
                     v = VarId("V", cid, i)
                     variables.add(v)
                     terms.append((-p, (v,)))
@@ -151,9 +145,7 @@ def build_ne_system(structure: Structure, rewards) -> ConstraintSystem:
     constraints: list = []
     variables: set = set()
     consts = _z_constants(structure, rewards)
-    for node in structure.nodes:
-        if structure.is_leaf(node):
-            continue
+    for node in structure.nodes[:structure.bounds[structure.horizon]]:
         m1, m2 = node.menus
         _z_definitions(structure, node, consts, constraints, variables)
         mu1 = {a: VarId("muN", node.id, 0, a) for a in m1}
@@ -199,9 +191,7 @@ def build_ce_system(structure: Structure, rewards) -> ConstraintSystem:
     constraints: list = []
     variables: set = set()
     consts = _z_constants(structure, rewards)
-    for node in structure.nodes:
-        if structure.is_leaf(node):
-            continue
+    for node in structure.nodes[:structure.bounds[structure.horizon]]:
         m1, m2 = node.menus
         _z_definitions(structure, node, consts, constraints, variables)
         mu = {j: VarId("muC", node.id, joint=j) for j in node.joints}
@@ -620,7 +610,7 @@ def _closure(structure: Structure, reached: np.ndarray) -> np.ndarray:
     until the walk is done."""
     reached = np.array(reached, dtype=bool)
     hit = np.flatnonzero(reached.reshape(-1, reached.shape[-1]).any(axis=0))
-    deepest = structure.nodes[hit[-1]].stage if len(hit) else 0
+    deepest = bisect.bisect_right(structure.bounds, hit[-1]) - 1 if len(hit) else 0
     root = reached[..., 0].copy()
     reached[..., 0] = False
     for group in (g for groups in reversed(structure.groups[:deepest]) for g in groups):

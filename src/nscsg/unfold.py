@@ -403,17 +403,15 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
             menu_table.append((menus, tuple(itertools.product(*menus))))
         return menu_index[menus]
 
-    # region mode: component widths -> refreshed (loc, per) row bytes -> menu_table entry
-    row_menus = {}
+    row_menus = {}  # region mode: refreshed (loc, per) row bytes -> menu_table entry
 
     def read_row_menus(locs, pers, envs) -> np.ndarray:
-        table = row_menus.setdefault(tuple(a.shape[1] for a in locs + pers), {})
         keys = row_bytes(np.hstack(locs + pers))
-        new = {key: m for m, key in enumerate(keys) if key not in table}  # a row of each new key
+        new = {key: m for m, key in enumerate(keys) if key not in row_menus}  # a row of each new key
         at = list(new.values())
         for key, refreshed in zip(new, row_states([a[at] for a in locs], [a[at] for a in pers], envs[at])):
-            table[key] = menus_of(refreshed)
-        return np.array([table[key] for key in keys], dtype=np.intp)
+            row_menus[key] = menus_of(refreshed)
+        return np.array([row_menus[key] for key in keys], dtype=np.intp)
 
     states = [state]  # tree mode: every node's delivered state
     delivered = [stack_states([state])] if merge else []  # region mode: per slice, its new nodes' rows
@@ -441,10 +439,12 @@ def _unfold(model: NsCsg, state: GlobalState, horizon: int, max_nodes: int, merg
                     menu_ids.append(at)
                     made, refreshed, counts, cids, probs = _expand_slice(
                         model, [menu_table[k][1] for k in at.tolist()], locs, pers, envs, ids_by_key, n_nodes)
-                    if _widths(*made) != widths:
-                        raise ModelError(f"a region graph needs every agent's local states and percepts, and the "
-                                         f"environments, to keep one size each: the states of stage {stage + 1} "
-                                         f"have sizes {_widths(*made)}, the root {widths}")
+                    # keys and menu rows hold values alone, so every row keeps the root's sizes
+                    for what, rows in (("", made), ("refreshed ", refreshed)):
+                        if _widths(*rows) != widths:
+                            raise ModelError(f"a region graph needs every agent's local states and percepts, and "
+                                             f"the environments, to keep one size each: the {what}states of stage "
+                                             f"{stage + 1} have sizes {_widths(*rows)}, the root {widths}")
                     if n_nodes + len(made[2]) > max_nodes:
                         raise cap_error(max(n_nodes, max_nodes) + 1)
                     n_nodes += len(made[2])

@@ -270,6 +270,12 @@ class TestVcasRewards:
             root = run_gbi(graph, bm.rewards, kind, "sw-optimal").values[0]
             assert root.tolist() == [7.664237123420797, 7.414237123420797]
 
+    @pytest.mark.parametrize("name, value", [("zero_sum", True), ("instant_k", 1), ("instant_k", 0)])
+    def test_trust_fuel_refuses_instant_altitude_params(self, name, value):
+        # only the instant-altitude reward reads zero_sum and instant_k
+        with pytest.raises(ModelError, match=f"^{name} applies to the instant-altitude reward only"):
+            build("vcas", {"t0": 1, "reward": "trust-fuel", name: value})
+
 
 class TestParams:
     def test_values_of_the_default_kind_accepted(self):

@@ -130,7 +130,27 @@ class TestSolve:
                                "--params", '{"phi": -10, "zero_sum": true}',
                                "--algo", "minimax", capsys=capsys)
         assert code == 0
-        assert float(out.split(",")[0]) == pytest.approx(1.0, abs=1e-9)
+        assert float(out.split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("algo", ["gbi", "fsi", "exact", "minimax"])
+    def test_summary_line_order(self, capsys, algo):
+        # every solver prints welfare, agent 1's value, agent 2's value, seconds
+        code, out, _ = run_cli("solve", "--model", "counterexample",
+                               "--params", '{"phi": -10, "zero_sum": true}',
+                               "--algo", algo, "--mmax", "2", capsys=capsys)
+        assert code == 0
+        welfare, v1, v2, _ = out.split(",")
+        assert (welfare, v1, v2) == ("0", "1", "-1")
+
+    def test_minimax_solution_is_written_and_verified(self, tmp_path, capsys):
+        params = '{"phi": -10, "zero_sum": true}'
+        run_cli("solve", "--model", "counterexample", "--params", params, "--algo", "minimax",
+                "--out", str(tmp_path / "sol"), capsys=capsys)
+        doc = json.loads((tmp_path / "sol" / "solution.json").read_text())
+        assert (doc["kind"], doc["policy"]) == ("ne", "minimax")
+        code, out, _ = run_cli("verify", "--model", "counterexample", "--params", params,
+                               "--solution", str(tmp_path / "sol" / "solution.json"), capsys=capsys)
+        assert (code, out) == (0, "pass,0")
 
     def test_fsi_writes_solution_and_trace(self, tmp_path, capsys):
         out_dir = tmp_path / "sol"
@@ -397,7 +417,7 @@ class TestLongInlineJson:
 class TestPlotdata:
     @pytest.mark.parametrize("runs, message", [
         ("[1]", "--runs holds list, not a JSON object"),
-        ('{"altitude": [{"params": [1]}]}', "vcas parameters must be a JSON object, not list"),
+        ('{"altitude": [{"params": [1]}]}', "--runs altitude entry field 'params' holds list, not a JSON object"),
         ('{"sw_trace": [1]}', "--runs field 'sw_trace' must be a list of JSON objects"),
         ('{"altitude": 5}', "--runs field 'altitude' must be a list of JSON objects"),
     ], ids=["runs-list", "params-list", "trace-entry-int", "altitude-int"])
@@ -426,14 +446,31 @@ class TestPlotdata:
          "--runs altitude entry field 'mode' must be one of tree, region, not 1"),
         ({"altitude": [{"params": {"t0": 1}}], "sw_trace": [{"model": "counterexample"}, {}]},
          "--runs sw_trace entry lacks field 'model'"),
+        ({"altitude": [{"params": {"t0": 1}}],
+          "sw_trace": [{"model": "counterexample"}, {"model": "counterexample", "solver": "bogus"}]},
+         "--runs sw_trace entry field 'solver' must be one of reinduce, coordinate-ascent, grid, not \"bogus\""),
+        ({"altitude": [{"params": {"t0": 1}}], "sw_trace": [{"model": "counterexample", "params": [1]}]},
+         "--runs sw_trace entry field 'params' holds list, not a JSON object"),
     ], ids=["model-missing", "model-int", "horizon-float", "horizon-bool", "m_max-string",
-            "trace-type", "trace-mode", "altitude-type", "altitude-mode", "checked-before-work"])
+            "trace-type", "trace-mode", "altitude-type", "altitude-mode", "checked-before-work",
+            "trace-solver", "trace-params-list"])
     def test_bad_spec_field_is_a_model_error(self, tmp_path, capsys, runs, message):
         out_dir = tmp_path / "csv"
         code, out, err = run_cli("plotdata", "--runs", json.dumps(runs), "--out", str(out_dir),
                                  capsys=capsys)
         assert (code, out, err) == (2, "", f"model error: {message}")
         assert not out_dir.exists()  # checked before any run or output
+
+    def test_trace_params_are_not_read_as_a_file_name(self, tmp_path, capsys, monkeypatch):
+        # an entry's params are parsed JSON already: a file named like their
+        # JSON text in the working directory is not read in their place
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "{}").write_text('{"phi": 5}')
+        runs = {"sw_trace": [{"label": "cex", "model": "counterexample", "mode": "tree", "m_max": 0}]}
+        code, _, _ = run_cli("plotdata", "--runs", json.dumps(runs), "--out", "csv", capsys=capsys)
+        assert code == 0
+        trace = (tmp_path / "csv" / "sw_trace_cex.csv").read_text().splitlines()
+        assert trace[1].startswith("0,-8,")  # the default phi -10, not the file's 5
 
     def test_empty_spec_header_only(self, tmp_path, capsys):
         code, out, _ = run_cli("plotdata", "--runs", "{}",

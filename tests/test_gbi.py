@@ -19,7 +19,7 @@ from nscsg.gbi import (
     stage_matrices,
 )
 from nscsg.model import RewardStructure
-from nscsg.nfg import BimatrixGame, StageSolution, _ce_from_lp, enumerate_ne, zero_sum_value
+from nscsg.nfg import BimatrixGame, StageSolution, _ce_from_lp, any_equilibrium, enumerate_ne, zero_sum_value
 from nscsg.nfg import _polytope_vertices as polytope_vertices
 from nscsg.speprog import evaluate_values
 from nscsg.unfold import unfold_regions, unfold_tree
@@ -227,14 +227,16 @@ class TestCompiledKernel:
 
 def reference_gbi(structure, rewards, kind, policy, seed=None):
     """Backward induction node by node in id order over the reference kernel,
-    each node through :meth:`StageGameCache.solve`: values, profiles and the
-    cache."""
+    each node through :meth:`StageGameCache.solve`, or under "seeded-random"
+    through :func:`any_equilibrium`: values, profiles and the cache."""
     rng = np.random.default_rng(seed)
     cache = StageGameCache()
     profiles = {}
 
     def step(node, z1, z2):
-        sol = profiles[node.id] = cache.solve(BimatrixGame(z1, z2), kind, policy, rng)
+        game = BimatrixGame(z1, z2)
+        sol = profiles[node.id] = (any_equilibrium(game, kind, policy, rng) if policy == "seeded-random"
+                                   else cache.solve(game, kind, policy))
         return sol.payoffs
 
     return reference_induce(structure, rewards, step), profiles, cache

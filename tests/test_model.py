@@ -12,7 +12,6 @@ from nscsg.benchmarks import BuiltModel, build
 from nscsg.benchmarks.vcas import stub_networks
 from nscsg.errors import ModelError
 from nscsg.model import (
-    AgentState,
     FeedForwardNet,
     GlobalState,
     as_vector,
@@ -394,14 +393,6 @@ class TestCanonicalKey:
         assert single[0] == single[1] != single[2] != single[3] == single[4]
         assert single[5] == single[6]
         assert _first_index(_stacked_keys(states)) == _first_index(single)
-
-    def test_batched_keys_separate_component_sizes(self):
-        # both states stack to the values (1, 2, 3, 0), in blocks of different widths
-        a = GlobalState((AgentState(as_vector([1, 2]), as_vector([3])),), as_vector([0]))
-        b = GlobalState((AgentState(as_vector([1]), as_vector([2, 3])),), as_vector([0]))
-        ka, ka2 = _stacked_keys([a, a])
-        kb, = _stacked_keys([b])
-        assert ka != kb and ka == ka2 == _stacked_keys([a])[0]
 
 
 class TestTabularLoader:

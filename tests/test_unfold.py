@@ -202,6 +202,28 @@ class TestRegionGraph:
         with pytest.raises(ModelError, match="to keep one size each: the states of stage 1 "):
             unfold_regions(bm.model, initial, bm.horizon)
 
+    def test_leaf_percept_sizes_must_agree(self):
+        # merge keys hold values alone, so a leaf whose refreshed percepts
+        # change size is a model error, not a key that might equal another
+        # leaf's; the leaves' refreshed rows are keyed but never expanded
+        specs = tuple(AgentSpec(
+            name=f"agent{i + 1}",
+            local_states=(as_vector([0.0]),),
+            percepts=(as_vector([0.0]), as_vector([0.0, 0.0])),
+            actions=(Action("a", as_vector([0.0])),),
+            availability=lambda loc, per: ("a",),
+            observation=lambda state: as_vector([0.0] * (1 + int(state.env[0] >= 2))),
+            local_transition=lambda loc, per, joint: ((loc, 1.0),),
+        ) for i in range(2))
+        model = NsCsg("growing-percepts", specs, lambda env, a: env + 1.0, 1)
+        initial = GlobalState(tuple(AgentState(s.local_states[0], s.percepts[0]) for s in specs),
+                              as_vector([0.0]))
+        assert len(unfold_regions(model, initial, 1).nodes) == 2
+        assert len(unfold_tree(model, initial, 2).nodes) == 3
+        with pytest.raises(ModelError, match=r"one size each: the refreshed states of stage 2 have sizes "
+                                             r"\(1, 1, 2, 2, 1\), the root \(1, 1, 1, 1, 1\)$"):
+            unfold_regions(model, initial, 2)
+
     def test_parking_region_sizes(self):
         # shipped lane table: one off the published 258/1080 and 386/1689
         for horizon, expect in ((6, (257, 1015)), (8, (385, 1624))):
