@@ -6,6 +6,11 @@ value variable off the histories leading to it, and re-optimises the
 remaining free part with a feasibility-preserving solver.  The root social
 welfare never decreases and the solution stays subgame perfect after every
 iteration.
+
+A Nash step runs no inner solver when no free node's stage game has more
+than one extreme equilibrium (:attr:`EquilibriumSolution.ne_counts`): the
+deepest free node's game is fixed by its frozen continuation, so its one
+equilibrium stays, and so on up the free part; nothing can move.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .gbi import EquilibriumSolution, StageGameCache, run_gbi
+from .gbi import EquilibriumSolution, StageGameCache, run_gbi, stage_games
 from .speprog import (_closure, _free_part, _grid_search, coordinate_ascent_solve,
                       evaluate_values, reinduction_solve)
 from .unfold import Node, Structure
@@ -57,6 +62,8 @@ class FsiConfig:
             raise ModelError(f"unknown history policy {self.policy!r}")
         if self.solver not in SOLVERS:
             raise ModelError(f"unknown solver {self.solver!r}")
+        if self.grid_resolution < 1:
+            raise ModelError("grid resolution must be at least 1")
 
 
 def sample_history_uniform(candidates: Sequence, rng: np.random.Generator):
@@ -119,8 +126,13 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     """Frozen subgame improvement; returns the final solution and the
     per-iteration social-welfare trace (nondecreasing).
 
-    ``on_iteration(m, solution)`` is called after every merge, mainly so
-    test harnesses can audit intermediate solutions.
+    A Nash step whose free part has no node with more than one extreme
+    equilibrium (:attr:`EquilibriumSolution.ne_counts`) keeps the incumbent
+    without running the inner solver or building the partition, and is
+    traced ``unique``; after an accepted step the counts are brought up to
+    date under the new values.  ``on_iteration(m, solution)`` is called
+    after every iteration, mainly so test harnesses can audit intermediate
+    solutions.
     """
     rng = np.random.default_rng(cfg.seed)
     cache = cache or StageGameCache()
@@ -136,30 +148,58 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
             picked = sample_history_uniform(last_stage, rng)
         else:
             picked = select_history_max_sw(structure, current, cfg.epsilon, rng).id
-        free, frozen = freeze_partition(structure, picked)
-
-        if cfg.solver == "grid":
-            result = solve_exact_grid_on_free(structure, rewards, kind, frozen, current, cfg)
-            status = "grid"
-        elif cfg.solver == "coordinate-ascent":
-            result = coordinate_ascent_solve(structure, rewards, kind, frozen, current,
-                                             rounds=cfg.solver_rounds)
-            status = "ascent"
+        counts = current.ne_counts
+        if counts is not None and (
+                counts[_closure(structure, np.arange(len(counts)) == picked)] <= 1).all():
+            status = "unique"  # no free stage game has a second equilibrium
         else:
-            result = reinduction_solve(structure, rewards, kind, frozen, current,
-                                       rounds=cfg.solver_rounds, cache=cache)
-            status = "reinduce"
+            free, frozen = freeze_partition(structure, picked)
+            if cfg.solver == "grid":
+                result = solve_exact_grid_on_free(structure, rewards, kind, frozen, current, cfg)
+                status = "grid"
+            elif cfg.solver == "coordinate-ascent":
+                result = coordinate_ascent_solve(structure, rewards, kind, frozen, current,
+                                                 rounds=cfg.solver_rounds)
+                status = "ascent"
+            else:
+                result = reinduction_solve(structure, rewards, kind, frozen, current,
+                                           rounds=cfg.solver_rounds, cache=cache)
+                status = "reinduce"
 
-        new_sw = float(result.values[0].sum())
-        if new_sw >= sw - 1e-12:
-            current = result
-            sw = max(sw, new_sw)
-        else:  # inner solvers should never regress; keep the incumbent if one does
-            status += ":kept-incumbent"
+            new_sw = float(result.values[0].sum())
+            if new_sw >= sw - 1e-12:
+                if counts is not None:
+                    result.ne_counts = _moved_counts(structure, rewards, current, result.values,
+                                                     cache)
+                current = result
+                sw = max(sw, new_sw)
+            else:  # inner solvers should never regress; keep the incumbent if one does
+                status += ":kept-incumbent"
         trace.append(FsiTraceRow(m, sw, picked, status))
         if on_iteration is not None:
             on_iteration(m, current)
     return current, trace
+
+
+def _moved_counts(structure: Structure, rewards, current: EquilibriumSolution,
+                  values: np.ndarray, cache: StageGameCache) -> np.ndarray:
+    """``current.ne_counts`` under ``values`` in place of ``current.values``:
+    a node's stage game changes only with its successors' values, so only
+    the nodes with a successor whose value moved are counted again, read
+    from ``cache`` under the keys the inner solver filled.  Every node is
+    looked at, not only the free ones: a solver's re-evaluation can move a
+    frozen node's value in its last bits."""
+    moved = (values != current.values).any(axis=1)
+    moved[0] = False  # padded outcomes point at the root, which is no node's successor
+    if not moved.any():
+        return current.ne_counts
+    counts = current.ne_counts.copy()
+    for group in (g for groups in structure.groups for g in groups):
+        rows = np.flatnonzero(moved[group.succ].any(axis=(1, 2, 3)))
+        if len(rows):
+            counts[group.ids[rows]] = cache.ne_counts(stage_games(structure, rewards, group,
+                                                                  values, rows))
+    return counts
 
 
 def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: set,

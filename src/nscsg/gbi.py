@@ -18,10 +18,12 @@ bottom-up pass, so every solver and checker differs only in its step.
 (:meth:`StageGameCache.solve_stack`, whose one-row form is
 :meth:`StageGameCache.solve`): it rounds the group's stage games once, keys
 every row from the rounded bytes, and passes the distinct missed games to
-:func:`nscsg.nfg.any_equilibria` in one call.  FSI's re-induction scores a
-round's trials as one such stack per stage group and block of trials, and
-reads the candidate equilibria of every free node of one menu shape as one
-:meth:`StageGameCache.stage_candidates_stack`.
+:func:`nscsg.nfg.any_equilibria` in one call.  The number of extreme Nash
+equilibria that call enumerated for a game is kept under the game's key,
+and the NE pass returns it as :attr:`EquilibriumSolution.ne_counts`.  FSI's
+re-induction scores a round's trials as one such stack per stage group and
+block of trials, and reads the candidate equilibria of every free node of
+one menu shape as one :meth:`StageGameCache.stage_candidates_stack`.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
 from .model import RewardStructure, row_bytes
-from .nfg import (BimatrixGame, StageSolution, _ce_arrays, any_equilibria, any_equilibrium,
+from .nfg import (BimatrixGame, StageSolution, _ce_arrays, _counted_equilibria, any_equilibrium,
                   enumerate_ne_stack, zero_sum_values)
 from .unfold import Node, StageGroup, Structure, node_json, write_json
 
@@ -119,15 +121,27 @@ def induce_groups(structure: Structure, rewards, step, profiles: Optional[dict] 
 
 @dataclass
 class EquilibriumSolution:
-    """Per-node strategy data and value vectors for a whole structure."""
+    """Per-node strategy data and value vectors for a whole structure.
+
+    ``ne_counts`` holds, for a Nash solution from :func:`run_gbi` under a
+    deterministic policy (and from :func:`nscsg.fsi.run_fsi`), the number
+    of extreme Nash equilibria of each node's stage game under ``values``:
+    one int per node, 0 at leaves.  A game with one extreme equilibrium has
+    exactly one Nash equilibrium, so where every nonleaf count is 1 the
+    solution is the unique subgame-perfect Nash equilibrium.  It is ``None``
+    where nothing counted: correlated, minimax, "seeded-random" and loaded
+    solutions.
+    """
 
     kind: str  # "ne" | "ce"
     values: np.ndarray  # shape (n_nodes, 2)
     profiles: dict[int, StageSolution]
     policy: str = "sw-optimal"
+    ne_counts: Optional[np.ndarray] = None
 
     def copy(self) -> "EquilibriumSolution":
-        return EquilibriumSolution(self.kind, self.values.copy(), dict(self.profiles), self.policy)
+        return EquilibriumSolution(self.kind, self.values.copy(), dict(self.profiles), self.policy,
+                                   None if self.ne_counts is None else self.ne_counts.copy())
 
 
 def _candidates_stack(p1: np.ndarray, p2: np.ndarray, kind: str) -> list[list[StageSolution]]:
@@ -171,11 +185,14 @@ def _candidates_or_errors(z: np.ndarray, kind: str) -> list:
 
 
 class StageGameCache:
-    """Memoises stage-game solutions keyed by rounded payoff matrices, and
-    the candidate equilibria of a stage game keyed by its exact payoffs."""
+    """Memoises stage-game solutions keyed by rounded payoff matrices, with
+    the number of extreme Nash equilibria of each game whose equilibria were
+    enumerated, and the candidate equilibria of a stage game keyed by its
+    exact payoffs."""
 
     def __init__(self):
         self._store = {}
+        self._ne_counts = {}  # menu shape -> solve key -> extreme Nash equilibria
         self.hits = 0
         self.misses = 0
         self._candidates = {}
@@ -229,7 +246,13 @@ class StageGameCache:
         in row order, under "sw-optimal" or "first-found", memoised by the
         game's payoffs rounded to 12 decimals.  Each distinct key not yet
         stored is one miss and every other row a hit; the missed games are
-        solved in one :func:`any_equilibria` call."""
+        solved in one call, and a Nash game's count of extreme equilibria is
+        kept under its key."""
+        return self._solve_counted(z, kind, policy)[0]
+
+    def _solve_counted(self, z: np.ndarray, kind: str, policy: str):
+        """:meth:`solve_stack`'s solutions, and for "ne" each row's number of
+        extreme equilibria (``None`` for "ce")."""
         store = self._store.setdefault((kind, policy, z.shape[2:]), {})
         keys = _row_keys(np.round(z, 12))
         sols = [store.get(key) for key in keys]
@@ -241,9 +264,32 @@ class StageGameCache:
         self.hits += len(sols) - len(missed)
         if missed:
             rows = list(missed.values())
-            store.update(zip(missed, any_equilibria(z[0, rows], z[1, rows], kind, policy)))
+            solved, counts = _counted_equilibria(z[0, rows], z[1, rows], kind, policy)
+            store.update(zip(missed, solved))
+            if counts is not None:
+                self._ne_counts.setdefault(z.shape[2:], {}).update(zip(missed, counts))
             sols = [store[key] if sol is None else sol for key, sol in zip(keys, sols)]
-        return sols
+        if kind != "ne":
+            return sols, None
+        counts = self._ne_counts.setdefault(z.shape[2:], {})
+        return sols, [counts[key] for key in keys]
+
+    def ne_counts(self, z: np.ndarray) -> list[int]:
+        """The number of extreme Nash equilibria of each game of the stack
+        ``z`` (2, n, m1, m2), read under :meth:`solve_stack`'s key where a
+        Nash solve or an earlier count kept it; the other distinct games are
+        enumerated together and their counts kept.  Solutions are not
+        stored and the hit and miss counts do not move."""
+        counts = self._ne_counts.setdefault(z.shape[2:], {})
+        keys = _row_keys(np.round(z, 12))
+        missed: dict = {}  # key -> first row
+        for row, key in enumerate(keys):
+            if key not in counts:
+                missed.setdefault(key, row)
+        if missed:
+            rows = list(missed.values())
+            counts.update(zip(missed, map(len, enumerate_ne_stack(z[0, rows], z[1, rows]))))
+        return [counts[key] for key in keys]
 
 
 def _row_keys(z: np.ndarray) -> list[bytes]:
@@ -265,13 +311,18 @@ def run_gbi(
     ``policy`` selects the equilibrium solved at each node ("sw-optimal",
     "first-found" or "seeded-random").  Each stage group is solved as one
     stack (:meth:`StageGameCache.solve_stack`); "seeded-random" draws from
-    its generator node by node, in id order within each stage.
+    its generator node by node, in id order within each stage.  A Nash pass
+    under a deterministic policy also returns each node's count of extreme
+    equilibria (:attr:`EquilibriumSolution.ne_counts`), read off the same
+    enumeration.
     """
     if len(rewards) != 2:
         raise ModelError("backward induction is implemented for two agents")
     rng = np.random.default_rng(seed)
     cache = cache or StageGameCache()
     profiles: dict[int, StageSolution] = {}
+    counts = (np.zeros(len(structure.nodes), dtype=np.intp)
+              if kind == "ne" and policy != "seeded-random" else None)
 
     def step(groups, zs):
         if policy == "seeded-random":
@@ -281,13 +332,18 @@ def run_gbi(
                 z = zs[k][:, row]
                 sols[k][row] = any_equilibrium(BimatrixGame(z[0], z[1]), kind, policy, rng)
         else:
-            sols = [cache.solve_stack(z, kind, policy) for z in zs]
+            sols = []
+            for g, z in zip(groups, zs):
+                group_sols, group_counts = cache._solve_counted(z, kind, policy)
+                sols.append(group_sols)
+                if counts is not None:
+                    counts[g.ids] = group_counts
         for g, group_sols in zip(groups, sols):
             profiles.update(zip(g.ids.tolist(), group_sols))
         return [np.array([sol.payoffs for sol in group_sols]) for group_sols in sols]
 
     values = induce_stages(structure, rewards, step)
-    return EquilibriumSolution(kind, values, profiles, policy)
+    return EquilibriumSolution(kind, values, profiles, policy, counts)
 
 
 def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> EquilibriumSolution:

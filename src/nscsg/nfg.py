@@ -461,14 +461,21 @@ def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
     Nash equilibria of the whole stack are enumerated together, and the
     games' correlated-equilibrium LPs are solved as one stack.
     """
+    return _counted_equilibria(p1, p2, kind, policy)[0]
+
+
+def _counted_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str, policy: str):
+    """:func:`any_equilibria`, and each game's number of enumerated extreme
+    Nash equilibria (``None`` for "ce")."""
     _check_policy(kind, policy, None)
     if kind == "ne":
-        return [points[0] if len(points) == 1 else _select_ne(points, policy)
-                for points in enumerate_ne_stack(p1, p2)]
+        found = enumerate_ne_stack(p1, p2)
+        return ([points[0] if len(points) == 1 else _select_ne(points, policy) for points in found],
+                [len(points) for points in found])
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
         raise ValueError("payoffs must be finite")
     g, m, n = p1.shape
     objectives = (p1 + p2).reshape(g, m * n) if policy == "sw-optimal" else np.zeros((g, m * n))
-    return _ce_stack(p1, p2, objectives)
+    return _ce_stack(p1, p2, objectives), None

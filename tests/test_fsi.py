@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_model
 
+import nscsg.fsi as fsi
 from nscsg.benchmarks import build
 from nscsg.errors import ModelError, ResourceLimitError
 from nscsg.fsi import (
@@ -14,7 +15,8 @@ from nscsg.fsi import (
     solve_exact_grid_on_free,
     write_trace_csv,
 )
-from nscsg.gbi import run_gbi, social_welfare
+from nscsg.gbi import run_gbi, social_welfare, stage_matrices
+from nscsg.nfg import BimatrixGame, enumerate_ne
 from nscsg.speprog import _closure, _free_part, solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import check_spce, check_spne
@@ -156,9 +158,10 @@ class TestGridOnFree:
         bm, tree = counterexample
         with pytest.raises(ModelError, match="grid resolution must be at least 1"):
             solve_exact_grid(tree, bm.rewards, "ne", resolution)
-        cfg = FsiConfig(m_max=2, seed=1, solver="grid", grid_resolution=resolution)
+        # the configuration refuses it, so no run starts with it, not even
+        # one whose steps would all be skipped
         with pytest.raises(ModelError, match="grid resolution must be at least 1"):
-            run_fsi(tree, bm.rewards, "ne", cfg)
+            FsiConfig(m_max=2, seed=1, solver="grid", grid_resolution=resolution)
 
 
 class TestHistorySampling:
@@ -338,3 +341,134 @@ class TestFreezePartition:
         bm, tree = counterexample
         with pytest.raises(ModelError):
             freeze_partition(tree, 10_000)
+
+
+def certificate_off(monkeypatch):
+    """Run FSI with the uniqueness certificate off: GBI's solution without
+    its equilibrium counts, so every step runs its inner solver."""
+    real = fsi.run_gbi
+
+    def uncounted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.ne_counts = None
+        return sol
+
+    monkeypatch.setattr(fsi, "run_gbi", uncounted)
+
+
+def exactness_cases(counterexample):
+    """(name, (bundle, structure), config) of the Nash runs whose skipped
+    steps are checked against running the inner solver."""
+    cases = []
+    for seed in (5000, 5003, 5032, 5058):
+        bm = random_model(seed)
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        # the three Nash configurations of the small-games benchmark
+        for policy, solver in (("uniform-last-stage", "reinduce"), ("max-sw", "reinduce"),
+                               ("uniform-last-stage", "coordinate-ascent")):
+            cases.append((f"{seed}/{policy}/{solver}", (bm, tree),
+                          FsiConfig(m_max=3, seed=seed, policy=policy, epsilon=0.2, solver=solver)))
+    for solver in ("reinduce", "coordinate-ascent", "grid"):
+        cases.append((f"counterexample/{solver}", counterexample,
+                      FsiConfig(m_max=5, seed=1, solver=solver, grid_resolution=5)))
+    bm = build("parking", {"horizon": 8, "reward_structure": 2})
+    cases.append(("parking-k8", (bm, unfold_regions(bm.model, bm.initial, bm.horizon)),
+                  FsiConfig(m_max=4, seed=0, solver_rounds=3)))
+    return cases
+
+
+def assert_counts_current(structure, rewards, sol, where):
+    """``sol.ne_counts`` is, at every nonleaf node, the number of extreme
+    Nash equilibria of its stage game under ``sol.values``, and 0 at leaves."""
+    counts = sol.ne_counts
+    assert counts.shape == (len(structure.nodes),), where
+    nonleaf = structure.nonleaf_ids()
+    assert not counts[structure.bounds[structure.horizon]:].any(), where
+    for nid in nonleaf:
+        game = BimatrixGame(*stage_matrices(structure, rewards, structure.nodes[nid], sol.values))
+        assert counts[nid] == len(enumerate_ne(game)), (where, nid)
+
+
+def profile_bytes(sol):
+    return {nid: (p.mu1.tobytes(), p.mu2.tobytes(), p.payoffs.tobytes())
+            for nid, p in sol.profiles.items()}
+
+
+class TestUniquenessCertificate:
+    def test_skipping_is_exact(self, counterexample, monkeypatch):
+        # a step whose free part has no stage game with a second equilibrium
+        # skips its inner solver; running the solver there changes nothing
+        cases = exactness_cases(counterexample)
+        runs = {name: run_fsi(tree, bm.rewards, "ne", cfg) for name, (bm, tree), cfg in cases}
+        certificate_off(monkeypatch)
+        skipped = 0
+        for name, (bm, tree), cfg in cases:
+            sol, trace = runs[name]
+            ref, ref_trace = run_fsi(tree, bm.rewards, "ne", cfg)
+            assert [(r.iteration, r.selected_node) for r in trace] == \
+                [(r.iteration, r.selected_node) for r in ref_trace], name
+            for row, ref_row in zip(trace, ref_trace):
+                assert abs(row.social_welfare - ref_row.social_welfare) <= 1e-12, name
+                assert row.status in (ref_row.status, "unique"), name
+                skipped += row.status == "unique"
+            assert np.abs(sol.values - ref.values).max() <= 1e-12, name
+            assert sorted(sol.profiles) == sorted(ref.profiles), name
+            for nid, prof in sol.profiles.items():
+                diff = np.abs(prof.joint_distribution() - ref.profiles[nid].joint_distribution())
+                assert diff.max() <= 1e-9, (name, nid)
+        assert skipped > 0
+
+    def test_counts_stay_current(self, counterexample):
+        # GBI's counts, and after each iteration those the loop refreshed
+        # where an accepted step moved a successor's value
+        bm = build("parking", {"horizon": 8, "reward_structure": 2})
+        cases = [("parking-k8", (bm, unfold_regions(bm.model, bm.initial, bm.horizon)),
+                  FsiConfig(m_max=4, seed=0, solver_rounds=3)),
+                 ("counterexample", counterexample, FsiConfig(m_max=5, seed=1))]
+        for seed in (5032, 5058):
+            bm = random_model(seed)
+            cases.append((str(seed), (bm, unfold_tree(bm.model, bm.initial, bm.horizon)),
+                          FsiConfig(m_max=3, seed=seed, policy="max-sw", epsilon=0.2)))
+        refreshed = 0
+        for name, (bm, structure), cfg in cases:
+            gbi = run_gbi(structure, bm.rewards, "ne", "sw-optimal")
+            assert_counts_current(structure, bm.rewards, gbi, name)
+            seen = [gbi.ne_counts]
+
+            def audit(m, sol, _name=name, _bm=bm, _structure=structure, _seen=seen):
+                assert_counts_current(_structure, _bm.rewards, sol, (_name, m))
+                _seen.append(sol.ne_counts)
+
+            run_fsi(structure, bm.rewards, "ne", cfg, on_iteration=audit)
+            assert len(seen) == cfg.m_max + 1
+            refreshed += any((a != b).any() for a, b in zip(seen, seen[1:]))
+        assert refreshed > 0  # some count moved, so the refresh ran
+
+    def test_no_choice_node_runs_no_solver(self, monkeypatch):
+        # stub VCAS t0=4, trust-fuel, eps 0: every stage game has one
+        # equilibrium, so GBI's answer is the unique SPNE and FSI keeps it
+        bm = build("vcas", {"t0": 4, "eps_own": 0.0, "eps_int": 0.0, "reward": "trust-fuel"})
+        graph = unfold_regions(bm.model, bm.initial, bm.horizon)
+        gbi = run_gbi(graph, bm.rewards, "ne", "sw-optimal")
+        nonleaf = gbi.ne_counts[:graph.bounds[graph.horizon]]
+        assert len(nonleaf) == 776 and (nonleaf == 1).all()
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("an FSI step ran where nothing can move")
+
+        for name in ("freeze_partition", "reinduction_solve", "coordinate_ascent_solve",
+                     "solve_exact_grid_on_free"):
+            monkeypatch.setattr(fsi, name, unexpected)
+        for solver in ("reinduce", "coordinate-ascent", "grid"):
+            for policy in ("uniform-last-stage", "max-sw"):
+                cfg = FsiConfig(m_max=4, seed=3, policy=policy, epsilon=0.2, solver=solver)
+                sol, trace = run_fsi(graph, bm.rewards, "ne", cfg)
+                assert [row.status for row in trace] == ["init"] + ["unique"] * 4
+                assert sol.values.tobytes() == gbi.values.tobytes()
+                assert profile_bytes(sol) == profile_bytes(gbi)
+
+    def test_correlated_steps_are_never_skipped(self, counterexample):
+        bm, tree = counterexample
+        sol, trace = run_fsi(tree, bm.rewards, "ce", FsiConfig(m_max=5, seed=1))
+        assert sol.ne_counts is None
+        assert {row.status for row in trace[1:]} == {"reinduce"}

@@ -342,6 +342,37 @@ class TestGroupStep:
         assert sum(calls) == 2 * cache.misses
 
 
+    def test_equilibrium_counts_where_counted(self, vcas_t3):
+        # a deterministic Nash pass counts each node's extreme equilibria,
+        # the same from the store's hits as from its misses; the passes
+        # that count nothing carry None
+        bm, graph = vcas_t3
+
+        def enumerated(sol):
+            games = (BimatrixGame(*stage_matrices(graph, bm.rewards, node, sol.values))
+                     for node in graph.nodes if not graph.is_leaf(node))
+            return [len(enumerate_ne(game)) for game in games] + \
+                [0] * (len(graph.nodes) - graph.bounds[graph.horizon])
+
+        cache = StageGameCache()
+        first = run_gbi(graph, bm.rewards, "ne", "sw-optimal", cache=cache)
+        assert first.ne_counts.tolist() == enumerated(first)
+        hits = cache.hits
+        again = run_gbi(graph, bm.rewards, "ne", "sw-optimal", cache=cache)
+        assert cache.hits == hits + len(again.profiles)
+        assert again.ne_counts.tolist() == first.ne_counts.tolist()
+        first_found = run_gbi(graph, bm.rewards, "ne", "first-found")
+        assert first_found.ne_counts.tolist() == enumerated(first_found)
+        copied = first.copy()
+        assert copied.ne_counts is not first.ne_counts
+        assert copied.ne_counts.tolist() == first.ne_counts.tolist()
+        uncounted = [run_gbi(graph, bm.rewards, "ce"),
+                     run_gbi(graph, bm.rewards, "ne", "seeded-random", seed=3),
+                     run_minimax(graph, bm.rewards),
+                     solution_from_json(graph, solution_to_json(graph, first))]
+        assert [sol.ne_counts for sol in uncounted] == [None] * 4
+
+
 def solution_bytes(sols):
     return [(s.kind, *(None if a is None else a.tobytes()
                        for a in (s.mu1, s.mu2, s.mu_joint, s.payoffs))) for s in sols]

@@ -1,7 +1,8 @@
 """Property tests of the stage solvers: a stack of games gives each game,
 bit for bit, the points and order of its one-game call; every enumerated
-point is a Nash equilibrium; correlated welfare is never below Nash
-welfare."""
+point is a Nash equilibrium; every pure Nash equilibrium is enumerated;
+correlated welfare is never below Nash welfare."""
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -89,3 +90,31 @@ def test_correlated_welfare_is_at_least_nash_welfare(p1, data):
     game = BimatrixGame(p1, p2)
     span = max(spans(p1), spans(p2), 1.0)
     assert swce(game).social_welfare >= swne(game).social_welfare - 1e-9 * span
+
+
+GAUSSIAN = st.floats(-3.0, 3.0, allow_nan=False)
+SMALL_INTEGER = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def small_games(draw):
+    """(p1, p2) of one shape up to 3x3, Gaussian-like or integer payoffs in
+    [-2, 2]; the integer draws include degenerate games."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        return tuple(np.random.default_rng(seed).normal(size=(2,) + shape))
+    return tuple(draw(arrays(float, shape, elements=SMALL_INTEGER)) for _ in range(2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_games())
+def test_every_pure_equilibrium_is_enumerated(game):
+    # FSI's uniqueness certificate reads one enumerated point as one Nash
+    # equilibrium, so the enumeration must miss none; brute force finds the
+    # pure ones
+    p1, p2 = game
+    points = enumerate_ne(BimatrixGame(p1, p2))
+    for i, j in itertools.product(range(p1.shape[0]), range(p1.shape[1])):
+        if p1[i, j] >= p1[:, j].max() and p2[i, j] >= p2[i].max():
+            assert any(pt.mu1[i] >= 1.0 - 1e-9 and pt.mu2[j] >= 1.0 - 1e-9 for pt in points), (i, j)
