@@ -10,7 +10,11 @@ iteration.
 A Nash step runs no inner solver when no free node's stage game has more
 than one extreme equilibrium (:attr:`EquilibriumSolution.ne_counts`): the
 deepest free node's game is fixed by its frozen continuation, so its one
-equilibrium stays, and so on up the free part; nothing can move.
+equilibrium stays, and so on up the free part; nothing can move.  A
+correlated step runs none when every free node's stage game is 1x1 or
+one-sided with a best response that passes the margin of
+:func:`nscsg.nfg._pure_ce`: each such game has one correlated equilibrium,
+and the same argument holds.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, StageGameCache, run_gbi, stage_games
+from .nfg import _pure_ce
 from .speprog import (_closure, _free_part, _grid_search, coordinate_ascent_solve,
                       evaluate_values, reinduction_solve)
 from .unfold import Node, Structure
@@ -127,10 +132,12 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     per-iteration social-welfare trace (nondecreasing).
 
     A Nash step whose free part has no node with more than one extreme
-    equilibrium (:attr:`EquilibriumSolution.ne_counts`) keeps the incumbent
-    without running the inner solver or building the partition, and is
-    traced ``unique``; after an accepted step the counts are brought up to
-    date under the new values.  ``on_iteration(m, solution)`` is called
+    equilibrium (:attr:`EquilibriumSolution.ne_counts`), and a correlated
+    step whose free nodes' games all have one correlated equilibrium
+    (:func:`_single_correlated`), keep the incumbent without running the
+    inner solver or building the partition, and are traced ``unique``;
+    after an accepted Nash step the counts are brought up to date under the
+    new values.  ``on_iteration(m, solution)`` is called
     after every iteration, mainly so test harnesses can audit intermediate
     solutions.
     """
@@ -149,8 +156,9 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
         else:
             picked = select_history_max_sw(structure, current, cfg.epsilon, rng).id
         counts = current.ne_counts
-        if counts is not None and (
-                counts[_closure(structure, np.arange(len(counts)) == picked)] <= 1).all():
+        free = _closure(structure, np.arange(len(structure.nodes)) == picked)
+        if ((counts[free] <= 1).all() if counts is not None else
+                kind == "ce" and _single_correlated(structure, rewards, current.values, free)):
             status = "unique"  # no free stage game has a second equilibrium
         else:
             free, frozen = freeze_partition(structure, picked)
@@ -179,6 +187,26 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
         if on_iteration is not None:
             on_iteration(m, current)
     return current, trace
+
+
+def _single_correlated(structure: Structure, rewards, values: np.ndarray,
+                       free: np.ndarray) -> bool:
+    """Whether every node of the mask ``free`` has a stage game with one
+    correlated equilibrium under ``values``: a 1x1 game, or a one-sided game
+    whose chooser's best action passes :func:`nscsg.nfg._pure_ce`.  Every
+    free group's menu shape is read before any stage game is built, and a
+    two-sided one answers no."""
+    rows = [(group, np.flatnonzero(free[group.ids]))
+            for groups in structure.groups for group in groups]
+    rows = [(group, r) for group, r in rows if len(r)]
+    if any(1 not in group.succ.shape[1:3] for group, _ in rows):
+        return False
+    for group, r in rows:
+        if group.succ.shape[1:3] != (1, 1):
+            z = stage_games(structure, rewards, group, values, r)
+            if not _pure_ce(z[0], z[1])[1].all():
+                return False
+    return True
 
 
 def _moved_counts(structure: Structure, rewards, current: EquilibriumSolution,

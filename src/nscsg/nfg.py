@@ -32,6 +32,19 @@ distributions and payoffs are read as arrays (:func:`_ce_arrays`);
 :func:`swce` and :func:`zero_sum_value` are one-game calls of
 :func:`_ce_stack` and :func:`zero_sum_values`.
 
+A one-sided game, where one agent has a single action, is the other
+agent's decision problem, and both kernels solve a stack of them as array
+steps with no basis system and no simplex.  Its Nash equilibria are the
+chooser's pure actions within ``EQ_TOL`` of its best normalised payoff
+(:func:`_one_sided_ne`).  When the chooser's best action beats its second
+by more than the margin of :func:`_pure_ce`, its only correlated
+equilibrium is that action's pure profile, the one feasible point of its
+LP.  A game near the ``EQ_TOL`` edge, or whose best responses are tied or
+nearly tied, takes the general kernel in the same call.  Payoffs are the
+general kernels' own expressions, so points, counts, order and bytes are
+theirs; FSI reads the same margin to certify that a correlated step cannot
+move.
+
 Every Nash and correlated-equilibrium solver returns :class:`StageSolution`.
 """
 from __future__ import annotations
@@ -54,6 +67,11 @@ BASIS_CAP = 500_000
 #: for 3x3 games, 102 games): its memory stays bounded whatever the stack's
 #: size, and its peak stays within what the pass already holds.
 _STACK_BASES = 1 << 12
+#: A one-sided game's correlated equilibrium is read off in closed form when
+#: the chooser's best action beats its second by more than this many times
+#: max(1, its largest payoff magnitude): far above the simplex's pivot
+#: tolerance, so the LP would find the same single feasible point.
+_CE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -230,38 +248,91 @@ def _enumerate_chunk(p1: np.ndarray, p2: np.ndarray) -> list[list[StageSolution]
     game, x, y = game[ok], x[ok], y[ok]
     first = _first_rows(np.concatenate((game[:, None], np.round(x, 9), np.round(y, 9)), axis=1))
     game, x, y = game[first], x[first], y[first]
+    found = _points(p1, p2, game, x, y)
+    return [sorted(points, key=_support_order) if len(points) > 1 else points for points in found]
 
-    # x P y of every point, one vector-matrix and one dot product per point
-    # as a per-point x @ P @ y makes them
+
+def _points(p1: np.ndarray, p2: np.ndarray, game: np.ndarray, x: np.ndarray,
+            y: np.ndarray) -> list[list[StageSolution]]:
+    """The points (x[k], y[k]) of games ``game[k]`` of the stack as each
+    game's list of :class:`StageSolution`, in the order given.  Their payoffs
+    x P y are one vector-matrix and one dot product per point, as a
+    per-point x @ P @ y makes them."""
     payoffs = np.concatenate([np.matmul(np.matmul(x[:, None], p[game]), y[..., None])[..., 0]
                               for p in (p1, p2)], axis=1)
-    found = [[] for _ in range(g)]
+    found = [[] for _ in range(len(p1))]
     for gk, xk, yk, pk in zip(game.tolist(), x, y, payoffs):
         found[gk].append(StageSolution("ne", xk, yk, None, pk))
-    return [sorted(points, key=_support_order) if len(points) > 1 else points for points in found]
+    return found
+
+
+def _chooser(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """The payoffs of the agent that chooses in each game of a stack of
+    one-sided games, (G, m, 1) or (G, 1, n): agent 1's column when agent 2
+    has one action (so also in a 1x1 game), else agent 2's row; (G, k)."""
+    return p1[:, :, 0] if p1.shape[2] == 1 else p2[:, 0, :]
+
+
+def _one_sided_ne(p1: np.ndarray, p2: np.ndarray, bases: int) -> list[list[StageSolution]]:
+    """:func:`enumerate_ne_stack` of a stack of one-sided games, (G, m, 1)
+    or (G, 1, n), with no basis system.
+
+    Such a game is the chooser's decision problem: its polytope vertices
+    are the chooser's pure actions, the other agent's single action is a
+    best response to each, and the support enumeration keeps exactly the
+    actions whose normalised payoff ``c`` passes its pure-deviation check
+    ``c >= max(c) - EQ_TOL``, in ascending order.  The check is the
+    enumeration's own expression, and so are the payoffs
+    (:func:`_points`), so points, order and bytes are the enumeration's.  A
+    game with an action within 1e-12 of that edge, where the enumeration's
+    labels (read off ``solve``) might round the other way, is enumerated.
+    """
+    c = _normalise(_chooser(p1, p2)[:, None])[:, 0]
+    floor = c.max(axis=1, keepdims=True) - EQ_TOL
+    edge = (np.abs(c - floor) <= 1e-12).any(axis=1)
+    game, action = np.nonzero((c >= floor) & ~edge[:, None])
+    pure = np.zeros((len(game), c.shape[1]))
+    pure[np.arange(len(game)), action] = 1.0
+    single = np.ones((len(game), 1))
+    found = _points(p1, p2, game, *((pure, single) if p1.shape[2] == 1 else (single, pure)))
+    rows = np.flatnonzero(edge)
+    if len(rows):
+        for row, points in zip(rows.tolist(), _enumerate_chunks(p1[rows], p2[rows], bases)):
+            found[row] = points
+    return found
+
+
+def _enumerate_chunks(p1: np.ndarray, p2: np.ndarray, bases: int) -> list[list[StageSolution]]:
+    """:func:`_enumerate_chunk` over a stack, in chunks of at most
+    ``_STACK_BASES`` basis systems (one game per chunk if a game has more)."""
+    per = max(1, _STACK_BASES // bases)
+    return [points for start in range(0, len(p1), per)
+            for points in _enumerate_chunk(p1[start:start + per], p2[start:start + per])]
 
 
 def enumerate_ne_stack(p1, p2) -> list[list[StageSolution]]:
     """:func:`enumerate_ne` of each game (p1[k], p2[k]) of a stack of games
     of one shape, (G, m, n) each, enumerated together.
 
-    The stack is split into chunks of at most ``_STACK_BASES`` basis systems
-    (one game per chunk if a game has more); a game over ``BASIS_CAP`` raises
-    before anything is built.
+    A stack of one-sided games (one agent has one action) is solved in
+    closed form (:func:`_one_sided_ne`).  Any other stack is split into
+    chunks of at most ``_STACK_BASES`` basis systems (one game per chunk if
+    a game has more); a game over ``BASIS_CAP`` raises before anything is
+    built.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape or p1.ndim != 3:
         raise ValueError(f"payoff stacks differ or are not (G, m, n): {p1.shape} vs {p2.shape}")
-    g, m, n = p1.shape
+    _, m, n = p1.shape
     bases = comb(m + n, m) + comb(m + n, n)
     if bases > BASIS_CAP:
         raise ResourceLimitError(f"support enumeration over a {m}x{n} game exceeds the basis cap")
     if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
         raise ValueError("payoffs must be finite")
-    per = max(1, _STACK_BASES // bases)
-    return [points for start in range(0, g, per)
-            for points in _enumerate_chunk(p1[start:start + per], p2[start:start + per])]
+    if 1 in (m, n):
+        return _one_sided_ne(p1, p2, bases)
+    return _enumerate_chunks(p1, p2, bases)
 
 
 def enumerate_ne(game: BimatrixGame) -> list[StageSolution]:
@@ -316,12 +387,57 @@ def _ce_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return rows.reshape(g, -1, m * n)
 
 
+def _pure_ce(p1: np.ndarray, p2: np.ndarray):
+    """The chooser's best action (:func:`_chooser`) of each game of a stack
+    of one-sided games, and whether it beats every other action by more
+    than ``_CE_MARGIN * max(1, max |c|)`` of the chooser's payoffs ``c``.
+
+    Where it does, the game has one correlated equilibrium, that action's
+    pure profile: the swap row of each other action a towards the best one
+    reads ``(c_best - c_a) mu_a <= 0``, so mu_a = 0 is the LP's only
+    feasible choice.  A game whose chooser has one action passes.
+    """
+    c = _chooser(p1, p2)
+    rows = np.arange(len(c))
+    best = c.argmax(axis=1)
+    others = c.copy()
+    others[rows, best] = -np.inf
+    margin = _CE_MARGIN * np.maximum(1.0, np.abs(c).max(axis=1))
+    return best, c[rows, best] - others.max(axis=1) > margin
+
+
 def _ce_arrays(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray):
     """:func:`_ce_stack` as arrays: the joint distributions, shape (G, m, n),
-    and their payoffs, shape (G, 2)."""
+    and their payoffs, shape (G, 2).
+
+    A one-sided game that passes :func:`_pure_ce` gets its best action's
+    pure profile without an LP, whatever its objective: the LP's one
+    feasible point, so the distribution the LP returns.  The other games'
+    LPs are solved (:func:`_ce_lps`).  Payoffs are :func:`_ce_payoffs`
+    either way.
+    """
+    g, m, n = p1.shape
+    if 1 not in (m, n):
+        mu, payoffs = _ce_lps(p1, p2, objectives)
+    else:
+        best, pure = _pure_ce(p1, p2)
+        mu = np.zeros((g, m * n))
+        mu[np.arange(g), best] = 1.0
+        payoffs = _ce_payoffs(p1, p2, mu)
+        rows = np.flatnonzero(~pure)
+        if len(rows):
+            mu[rows], payoffs[rows] = _ce_lps(p1[rows], p2[rows], objectives[rows])
+    return mu.reshape(g, m, n), payoffs
+
+
+def _ce_lps(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray):
+    """The correlated-equilibrium LPs of a stack of games, solved as LP
+    stacks of at most ``lp._STACK_ENTRIES`` entries of swap rows: each
+    game's distribution, clipped at 0 and normalised, as a row of m n
+    entries, and its payoffs, shape (G, 2)."""
     g, m, n = p1.shape
     per = max(1, lp._STACK_ENTRIES // ((m * (m - 1) + n * (n - 1) + 1) * m * n))
-    mu, payoffs = np.empty((g, m, n)), np.empty((g, 2))
+    mu, payoffs = np.empty((g, m * n)), np.empty((g, 2))
     for start in range(0, g, per):
         part = slice(start, start + per)
         rows = _ce_rows(p1[part], p2[part])
@@ -333,14 +449,18 @@ def _ce_arrays(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray):
             res.result(k)  # raises an "error" row's SolverError
             # every Nash equilibrium is feasible, so this cannot legitimately happen
             raise SolverError(f"correlated-equilibrium LP reported {res.status[k]}")
-        # each game's sums run over its own row of m n entries, as a
-        # per-game sum over its (m, n) distribution does
         flat = np.clip(res.x, 0.0, None)
         flat /= flat.sum(axis=1, keepdims=True)
-        mu[part] = flat.reshape(size, m, n)
-        for i, p in enumerate((p1, p2)):
-            payoffs[part, i] = (flat * p[part].reshape(size, -1)).sum(axis=1)
+        mu[part] = flat
+        payoffs[part] = _ce_payoffs(p1[part], p2[part], flat)
     return mu, payoffs
+
+
+def _ce_payoffs(p1: np.ndarray, p2: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Both agents' payoffs, shape (G, 2), of the distributions ``flat``
+    (G, m n): each game's sum runs over its own row of m n entries, as a
+    per-game sum over its (m, n) distribution does."""
+    return np.stack([(flat * p.reshape(len(p), -1)).sum(axis=1) for p in (p1, p2)], axis=1)
 
 
 def _ce_stack(p1: np.ndarray, p2: np.ndarray, objectives: np.ndarray) -> list[StageSolution]:

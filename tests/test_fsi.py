@@ -16,6 +16,7 @@ from nscsg.fsi import (
     write_trace_csv,
 )
 from nscsg.gbi import run_gbi, social_welfare, stage_matrices
+from nscsg.model import RewardStructure
 from nscsg.nfg import BimatrixGame, enumerate_ne
 from nscsg.speprog import _closure, _free_part, solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
@@ -356,18 +357,25 @@ def certificate_off(monkeypatch):
     monkeypatch.setattr(fsi, "run_gbi", uncounted)
 
 
-def exactness_cases(counterexample):
-    """(name, (bundle, structure), config) of the Nash runs whose skipped
-    steps are checked against running the inner solver."""
+def random_model_cases():
+    """(name, (bundle, tree), config) of random models 5000, 5003, 5032 and
+    5058 under the small-games benchmark's three FSI configurations, which
+    it runs for either kind."""
     cases = []
     for seed in (5000, 5003, 5032, 5058):
         bm = random_model(seed)
         tree = unfold_tree(bm.model, bm.initial, bm.horizon)
-        # the three Nash configurations of the small-games benchmark
         for policy, solver in (("uniform-last-stage", "reinduce"), ("max-sw", "reinduce"),
                                ("uniform-last-stage", "coordinate-ascent")):
             cases.append((f"{seed}/{policy}/{solver}", (bm, tree),
                           FsiConfig(m_max=3, seed=seed, policy=policy, epsilon=0.2, solver=solver)))
+    return cases
+
+
+def exactness_cases(counterexample):
+    """(name, (bundle, structure), config) of the Nash runs whose skipped
+    steps are checked against running the inner solver."""
+    cases = random_model_cases()
     for solver in ("reinduce", "coordinate-ascent", "grid"):
         cases.append((f"counterexample/{solver}", counterexample,
                       FsiConfig(m_max=5, seed=1, solver=solver, grid_resolution=5)))
@@ -390,7 +398,7 @@ def assert_counts_current(structure, rewards, sol, where):
 
 
 def profile_bytes(sol):
-    return {nid: (p.mu1.tobytes(), p.mu2.tobytes(), p.payoffs.tobytes())
+    return {nid: [None if a is None else a.tobytes() for a in (p.mu1, p.mu2, p.mu_joint, p.payoffs)]
             for nid, p in sol.profiles.items()}
 
 
@@ -467,8 +475,71 @@ class TestUniquenessCertificate:
                 assert sol.values.tobytes() == gbi.values.tobytes()
                 assert profile_bytes(sol) == profile_bytes(gbi)
 
-    def test_correlated_steps_are_never_skipped(self, counterexample):
+    def test_correlated_steps_run_where_games_are_two_sided(self, counterexample):
+        # every closure of the counterexample holds its two-sided root game,
+        # so no CE step is certified
         bm, tree = counterexample
+        assert tree.groups[0][0].succ.shape[1:3] == (2, 2)
         sol, trace = run_fsi(tree, bm.rewards, "ce", FsiConfig(m_max=5, seed=1))
         assert sol.ne_counts is None
         assert {row.status for row in trace[1:]} == {"reinduce"}
+
+    def test_correlated_skipping_is_exact(self, monkeypatch):
+        # a CE step whose free games are all 1x1 or one-sided with a unique
+        # best response skips its inner solver; running the solver there
+        # changes nothing
+        cases = random_model_cases()
+        runs = {name: run_fsi(tree, bm.rewards, "ce", cfg) for name, (bm, tree), cfg in cases}
+        monkeypatch.setattr(fsi, "_single_correlated", lambda *args: False)
+        skipped = 0
+        for name, (bm, tree), cfg in cases:
+            sol, trace = runs[name]
+            ref, ref_trace = run_fsi(tree, bm.rewards, "ce", cfg)
+            assert [(r.iteration, r.selected_node) for r in trace] == \
+                [(r.iteration, r.selected_node) for r in ref_trace], name
+            for row, ref_row in zip(trace, ref_trace):
+                assert abs(row.social_welfare - ref_row.social_welfare) <= 1e-12, name
+                assert row.status in (ref_row.status, "unique"), name
+                assert ref_row.status != "unique", name
+                skipped += row.status == "unique"
+            assert np.abs(sol.values - ref.values).max() <= 1e-12, name
+            assert sorted(sol.profiles) == sorted(ref.profiles), name
+            for nid, prof in sol.profiles.items():
+                assert np.abs(prof.mu_joint - ref.profiles[nid].mu_joint).max() <= 1e-9, (name, nid)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("seed", [4, 20])
+    def test_one_sided_games_run_no_correlated_solver(self, seed, monkeypatch):
+        # random models 4 (1x3 games) and 20 (3x1): every stage game is
+        # one-sided with Gaussian payoffs, so each has one correlated
+        # equilibrium, the chooser's unique best response
+        bm = random_model(seed)
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        shapes = {g.succ.shape[1:3] for groups in tree.groups for g in groups}
+        assert len(shapes) == 1 and 1 in shapes.pop()
+        gbi = run_gbi(tree, bm.rewards, "ce", "sw-optimal")
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a correlated FSI step ran where nothing can move")
+
+        for name in ("freeze_partition", "reinduction_solve", "coordinate_ascent_solve",
+                     "solve_exact_grid_on_free"):
+            monkeypatch.setattr(fsi, name, unexpected)
+        for solver in ("reinduce", "coordinate-ascent", "grid"):
+            for policy in ("uniform-last-stage", "max-sw"):
+                cfg = FsiConfig(m_max=4, seed=3, policy=policy, epsilon=0.2, solver=solver)
+                sol, trace = run_fsi(tree, bm.rewards, "ce", cfg)
+                assert [row.status for row in trace] == ["init"] + ["unique"] * 4
+                assert sol.values.tobytes() == gbi.values.tobytes()
+                assert profile_bytes(sol) == profile_bytes(gbi)
+
+    def test_tied_best_responses_run_the_solver(self):
+        # random model 20 with agent 1, the chooser of its 3x1 games,
+        # indifferent everywhere: no game passes the CE margin, so every
+        # step runs
+        bm = random_model(20)
+        tied = (RewardStructure(lambda state, joint: 0.0, lambda state: 0.0), bm.rewards[1])
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        for solver, status in (("reinduce", "reinduce"), ("coordinate-ascent", "ascent")):
+            _, trace = run_fsi(tree, tied, "ce", FsiConfig(m_max=3, seed=3, solver=solver))
+            assert [row.status for row in trace[1:]] == [status] * 3

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -468,3 +469,120 @@ class TestPerPointPath:
                     ties += len({p.payoffs[0] for p in best}) < len(best)
         # the inputs hold games whose selection falls to the probability vectors
         assert kind == "ce" or ties > 0
+
+
+# ---------------------------------------------------------------------------
+# one-sided games: the closed form against the general kernels
+
+ONE_SIDED_STYLES = ("integer", "gaussian", "near-tie", "signed-zero", "constant", "large")
+#: Near-tie offsets from an agent's best payoff: about the enumeration's
+#: EQ_TOL edge (times the game's span), about the CE margin and below the
+#: simplex's pivot tolerance (times max(1, max |p|)), and exact ties.
+EDGE_OFFSETS = (1e-7, 1e-7 + 5e-13, 1e-7 - 5e-13, 1e-7 + 2e-12, 1e-7 - 2e-12, 1.1e-7, 9e-8)
+MARGIN_OFFSETS = (0.0, 1e-12, 5e-11, 2e-10, 5e-10, 1e-9, 1.5e-9, 3e-9, 1e-8)
+
+
+def one_sided_game(rng, shape, style):
+    """(p1, p2) of one game of ``shape`` (m x 1 or 1 x n) in a payoff style."""
+    if style == "integer":
+        return rng.integers(-2, 3, size=(2,) + shape).astype(float)
+    if style == "signed-zero":
+        return rng.choice([-0.0, 0.0, -0.0, 1.0, -1.0], size=(2,) + shape)
+    if style == "constant":
+        return np.broadcast_to(rng.normal(size=(2, 1, 1)) * 10, (2,) + shape).copy()
+    p = rng.normal(size=(2,) + shape) * (1e6 if style == "large" else 10.0)
+    if style == "near-tie":
+        for agent in p:
+            flat = agent.reshape(-1)
+            top, span = flat.max(), flat.max() - flat.min()
+            scale = max(1.0, np.abs(flat).max())
+            for k in rng.permutation(len(flat))[:rng.integers(1, len(flat) + 1)]:
+                if rng.random() < 0.5:
+                    flat[k] = top - rng.choice(EDGE_OFFSETS) * span
+                else:
+                    flat[k] = top + rng.choice([-1.0, 1.0]) * rng.choice(MARGIN_OFFSETS) * scale
+    return p
+
+
+def one_sided_stack(rng, g, shape, styles):
+    """(p1, p2), each (g, *shape), one game per payoff style of ``styles``."""
+    p = np.stack([one_sided_game(rng, shape, styles[k % len(styles)]) for k in range(g)], axis=1)
+    return p[0], p[1]
+
+
+def assert_one_sided_exact(p1, p2, rng):
+    """The one-sided closed forms give, byte for byte, the general kernels'
+    points, order, counts, distributions and payoffs; CE under the welfare,
+    zero and Gaussian objectives."""
+    g, m, n = p1.shape
+    general = nfg._enumerate_chunks(p1, p2, math.comb(m + n, m) + math.comb(m + n, n))
+    got = enumerate_ne_stack(p1, p2)
+    assert [[solution_bytes(p) for p in points] for points in got] == \
+        [[solution_bytes(p) for p in points] for points in general]
+    for objectives in ((p1 + p2).reshape(g, -1), np.zeros((g, m * n)), rng.normal(size=(g, m * n))):
+        assert ce_outcome(nfg._ce_arrays, p1, p2, objectives) == \
+            ce_outcome(nfg._ce_lps, p1, p2, objectives)
+
+
+def ce_outcome(kernel, p1, p2, objectives):
+    """A CE kernel's distributions and payoffs as bytes, or the message of
+    the :class:`SolverError` an LP of the stack raised (the simplex fails on
+    some near-tied games, closed form or not)."""
+    try:
+        mu, payoffs = kernel(p1, p2, objectives)
+    except SolverError as exc:
+        return str(exc)
+    return mu.reshape(len(p1), -1).tobytes(), payoffs.tobytes()
+
+
+class TestOneSidedClosedForm:
+    def test_seeded_sweep_matches_the_general_kernels(self):
+        rng = np.random.default_rng(2028)
+        fallbacks = margins = 0
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            shape = (k, 1) if rng.random() < 0.5 else (1, k)
+            styles = list(rng.choice(ONE_SIDED_STYLES, size=int(rng.integers(1, 6))))
+            p1, p2 = one_sided_stack(rng, len(styles), shape, styles)
+            assert_one_sided_exact(p1, p2, rng)
+            c = nfg._normalise(nfg._chooser(p1, p2)[:, None])[:, 0]
+            floor = c.max(axis=1, keepdims=True) - nfg.EQ_TOL
+            fallbacks += (np.abs(c - floor) <= 1e-12).any(axis=1).sum()
+            margins += (~nfg._pure_ce(p1, p2)[1]).sum()
+        # the sweep reaches both fallbacks: the NE edge and the CE margin
+        assert fallbacks > 0 and margins > 0
+
+    def test_edge_games_take_the_general_kernel(self, monkeypatch):
+        # a game with an action within 1e-12 of the EQ_TOL edge is
+        # enumerated; the others of its stack are not
+        p1 = np.array([[[0.0], [1.0 - nfg.EQ_TOL], [1.0]], [[0.0], [0.5], [1.0]]])
+        p2 = np.zeros_like(p1)
+        real, seen = nfg._enumerate_chunks, []
+
+        def spy(a, b, bases):
+            seen.append(a.tobytes())
+            return real(a, b, bases)
+
+        monkeypatch.setattr(nfg, "_enumerate_chunks", spy)
+        points = enumerate_ne_stack(p1, p2)
+        assert seen == [p1[:1].tobytes()]
+        assert [[p.mu1.tolist() for p in game] for game in points] == \
+            [[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]]]
+
+    def test_unique_best_response_is_the_only_equilibrium(self):
+        # 3 x 1: agent 1's best action 2 beats action 0 by 1e-6, so the
+        # correlated equilibrium is pure whatever the objective favours
+        p1 = np.array([[[1.0], [0.0], [1.0 + 1e-6]]])
+        p2 = np.array([[[9.0], [5.0], [0.0]]])
+        best, pure = nfg._pure_ce(p1, p2)
+        assert best.tolist() == [2] and pure.tolist() == [True]
+        mu, payoffs = nfg._ce_arrays(p1, p2, (p1 + p2).reshape(1, -1))
+        assert mu.ravel().tolist() == [0.0, 0.0, 1.0] and payoffs.tolist() == [[1.0 + 1e-6, 0.0]]
+        # a tie leaves the choice to the LP, which follows the objective
+        tied = p1.copy()
+        tied[0, 2] = 1.0
+        assert nfg._pure_ce(tied, p2)[1].tolist() == [False]
+        assert nfg._ce_arrays(tied, p2, (tied + p2).reshape(1, -1))[0].ravel().tolist() == [1.0, 0.0, 0.0]
+        # both tied actions are Nash equilibria, in ascending order
+        assert [p.mu1.tolist() for p in enumerate_ne_stack(tied, p2)[0]] == \
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]

@@ -1,7 +1,8 @@
 """Property tests of the stage solvers: a stack of games gives each game,
 bit for bit, the points and order of its one-game call; every enumerated
 point is a Nash equilibrium; every pure Nash equilibrium is enumerated;
-correlated welfare is never below Nash welfare."""
+correlated welfare is never below Nash welfare; one-sided games' closed
+forms give the general kernels' bytes."""
 import itertools
 from unittest import mock
 
@@ -12,6 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from test_nfg import ONE_SIDED_STYLES, assert_one_sided_exact, one_sided_stack  # noqa: E402
 
 import nscsg.nfg as nfg  # noqa: E402
 from nscsg.nfg import BimatrixGame, enumerate_ne, enumerate_ne_stack, swce, swne  # noqa: E402
@@ -118,3 +121,15 @@ def test_every_pure_equilibrium_is_enumerated(game):
     for i, j in itertools.product(range(p1.shape[0]), range(p1.shape[1])):
         if p1[i, j] >= p1[:, j].max() and p2[i, j] >= p2[i].max():
             assert any(pt.mu1[i] >= 1.0 - 1e-9 and pt.mu2[j] >= 1.0 - 1e-9 for pt in points), (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.lists(st.sampled_from(ONE_SIDED_STYLES), min_size=1,
+                                                  max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_one_sided_closed_forms_are_the_general_kernels(k, column, styles, seed):
+    # stacks of 1-5 games of shape k x 1 or 1 x k, one payoff style each:
+    # integers in [-2, 2], Gaussian x 10, near-ties, +-0.0, constant, 1e6 scale
+    rng = np.random.default_rng(seed)
+    p1, p2 = one_sided_stack(rng, len(styles), (k, 1) if column else (1, k), styles)
+    assert_one_sided_exact(p1, p2, rng)
