@@ -57,10 +57,9 @@ class FsiConfig:
     grid_resolution: int = 4
 
     def __post_init__(self):
-        if self.m_max < 0:
-            raise ModelError("m_max must be nonnegative")
-        if self.solver_rounds < 0:
-            raise ModelError("solver_rounds must be nonnegative")
+        for name in ("m_max", "seed", "solver_rounds"):
+            if getattr(self, name) < 0:
+                raise ModelError(f"{name} must be nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ModelError("epsilon must lie in [0, 1]")
         if self.policy not in ("uniform-last-stage", "max-sw"):
@@ -95,19 +94,19 @@ def select_history_max_sw(structure: Structure, solution: EquilibriumSolution,
     return node
 
 
-def freeze_partition(structure: Structure, node_id: int) -> tuple[set, set]:
-    """Free and frozen history sets for an improvement step at ``node_id``.
+def freeze_partition(structure: Structure, node_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Free and frozen nonleaf ids (ascending arrays) of a step at ``node_id``.
 
-    On a tree the free set is the chain of prefixes of the sampled history.
-    On a region graph it is every node lying on some history that reaches the
-    sampled state at its stage, i.e. the backward closure through all
-    parents.  Leaves carry no decision variables and belong to neither set.
+    On a tree the free ids are the chain of prefixes of the sampled history.
+    On a region graph they are every node lying on some history that reaches
+    the sampled state at its stage, i.e. the backward closure through all
+    parents.  Leaves carry no decision variables and belong to neither.
     """
     if node_id < 0 or node_id >= len(structure.nodes):
         raise ModelError(f"unknown history {node_id}")
     reached = np.arange(len(structure.nodes)) == node_id
     free = _closure(structure, reached)[:structure.bounds[structure.horizon]]
-    return set(np.flatnonzero(free).tolist()), set(np.flatnonzero(~free).tolist())
+    return np.flatnonzero(free), np.flatnonzero(~free)
 
 
 @dataclass
@@ -131,15 +130,16 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     """Frozen subgame improvement; returns the final solution and the
     per-iteration social-welfare trace (nondecreasing).
 
-    A Nash step whose free part has no node with more than one extreme
-    equilibrium (:attr:`EquilibriumSolution.ne_counts`), and a correlated
-    step whose free nodes' games all have one correlated equilibrium
+    Each step builds one partition (:func:`freeze_partition`).  A Nash step
+    whose free part has no node with more than one extreme equilibrium
+    (:attr:`EquilibriumSolution.ne_counts`), and a correlated step whose free
+    nodes' games all have one correlated equilibrium
     (:func:`_single_correlated`), keep the incumbent without running the
-    inner solver or building the partition, and are traced ``unique``;
-    after an accepted Nash step the counts are brought up to date under the
-    new values.  ``on_iteration(m, solution)`` is called
-    after every iteration, mainly so test harnesses can audit intermediate
-    solutions.
+    inner solver, and are traced ``unique``.  Otherwise the incumbent's values
+    are written back at the frozen ids after the solve, so a step changes
+    nothing outside its free part; after an accepted Nash step the counts are
+    brought up to date.  ``on_iteration(m, solution)`` is called after every
+    iteration, mainly so test harnesses can audit intermediate solutions.
     """
     rng = np.random.default_rng(cfg.seed)
     cache = cache or StageGameCache()
@@ -156,29 +156,29 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
         else:
             picked = select_history_max_sw(structure, current, cfg.epsilon, rng).id
         counts = current.ne_counts
-        free = _closure(structure, np.arange(len(structure.nodes)) == picked)
+        free, frozen = freeze_partition(structure, picked)
         if ((counts[free] <= 1).all() if counts is not None else
                 kind == "ce" and _single_correlated(structure, rewards, current.values, free)):
             status = "unique"  # no free stage game has a second equilibrium
         else:
-            free, frozen = freeze_partition(structure, picked)
             if cfg.solver == "grid":
-                result = solve_exact_grid_on_free(structure, rewards, kind, frozen, current, cfg)
+                result = solve_exact_grid_on_free(structure, rewards, kind, free, current, cfg)
                 status = "grid"
             elif cfg.solver == "coordinate-ascent":
-                result = coordinate_ascent_solve(structure, rewards, kind, frozen, current,
+                result = coordinate_ascent_solve(structure, rewards, kind, free, current,
                                                  rounds=cfg.solver_rounds)
                 status = "ascent"
             else:
-                result = reinduction_solve(structure, rewards, kind, frozen, current,
+                result = reinduction_solve(structure, rewards, kind, free, current,
                                            rounds=cfg.solver_rounds, cache=cache)
                 status = "reinduce"
+            result.values[frozen] = current.values[frozen]
 
             new_sw = float(result.values[0].sum())
             if new_sw >= sw - 1e-12:
                 if counts is not None:
                     result.ne_counts = _moved_counts(structure, rewards, current, result.values,
-                                                     cache)
+                                                     free, cache)
                 current = result
                 sw = max(sw, new_sw)
             else:  # inner solvers should never regress; keep the incumbent if one does
@@ -191,14 +191,12 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
 
 def _single_correlated(structure: Structure, rewards, values: np.ndarray,
                        free: np.ndarray) -> bool:
-    """Whether every node of the mask ``free`` has a stage game with one
-    correlated equilibrium under ``values``: a 1x1 game, or a one-sided game
-    whose chooser's best action passes :func:`nscsg.nfg._pure_ce`.  Every
-    free group's menu shape is read before any stage game is built, and a
-    two-sided one answers no."""
-    rows = [(group, np.flatnonzero(free[group.ids]))
-            for groups in structure.groups for group in groups]
-    rows = [(group, r) for group, r in rows if len(r)]
+    """Whether every node of the nonleaf ids ``free`` has a stage game with
+    one correlated equilibrium under ``values``: a 1x1 game, or a one-sided
+    game whose chooser's best action passes :func:`nscsg.nfg._pure_ce`.
+    Every free group's menu shape is read before any stage game is built,
+    and a two-sided one answers no."""
+    rows = structure.group_rows(free)
     if any(1 not in group.succ.shape[1:3] for group, _ in rows):
         return False
     for group, r in rows:
@@ -210,36 +208,36 @@ def _single_correlated(structure: Structure, rewards, values: np.ndarray,
 
 
 def _moved_counts(structure: Structure, rewards, current: EquilibriumSolution,
-                  values: np.ndarray, cache: StageGameCache) -> np.ndarray:
-    """``current.ne_counts`` under ``values`` in place of ``current.values``:
-    a node's stage game changes only with its successors' values, so only
-    the nodes with a successor whose value moved are counted again, read
-    from ``cache`` under the keys the inner solver filled.  Every node is
-    looked at, not only the free ones: a solver's re-evaluation can move a
-    frozen node's value in its last bits."""
-    moved = (values != current.values).any(axis=1)
+                  values: np.ndarray, free: np.ndarray, cache: StageGameCache) -> np.ndarray:
+    """``current.ne_counts`` under ``values``, which agree with
+    ``current.values`` off the nonleaf ids ``free``: a node's stage game
+    changes only with its successors' values, so only free nodes (a moved
+    node's parents are free) with a moved successor are counted again, read
+    from ``cache`` under the keys the inner solver filled."""
+    moved = np.zeros(len(values), dtype=bool)
+    moved[free] = (values[free] != current.values[free]).any(axis=1)
     moved[0] = False  # padded outcomes point at the root, which is no node's successor
     if not moved.any():
         return current.ne_counts
     counts = current.ne_counts.copy()
-    for group in (g for groups in structure.groups for g in groups):
-        rows = np.flatnonzero(moved[group.succ].any(axis=(1, 2, 3)))
+    for group, rows in structure.group_rows(free):
+        rows = rows[moved[group.succ[rows]].any(axis=(1, 2, 3))]
         if len(rows):
             counts[group.ids[rows]] = cache.ne_counts(stage_games(structure, rewards, group,
                                                                   values, rows))
     return counts
 
 
-def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, frozen: set,
+def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, free,
                              current: EquilibriumSolution, cfg: FsiConfig) -> EquilibriumSolution:
-    """Grid search restricted to the free nodes, keeping frozen data fixed.
+    """Grid search over the nonleaf ids ``free``, keeping other data fixed.
 
     Unlike the standalone grid program, a candidate here must not be less
     feasible than the incumbent (the iteration loop guarantees an exact
     equilibrium after every step), so only grid points that are equilibria
     themselves can replace it.  Falls back to the incumbent otherwise.
     """
-    order = _free_part(structure, frozen)
+    order = _free_part(structure, free)
     _, gaps = evaluate_values(structure, rewards, current)
     tol = max(gaps.max(initial=0.0), 1e-9)
     nodes = [structure.nodes[nid] for nid in sorted(order)]

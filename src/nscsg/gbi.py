@@ -318,6 +318,8 @@ def run_gbi(
     """
     if len(rewards) != 2:
         raise ModelError("backward induction is implemented for two agents")
+    if seed is not None and seed < 0:
+        raise ModelError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     cache = cache or StageGameCache()
     profiles: dict[int, StageSolution] = {}

@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimitError, SolverError
-from .model import _void_rows, round_as_python
+from .model import _distinct, _void_rows, round_as_python
 from . import lp
 
 EQ_TOL = 1e-7
@@ -129,18 +129,8 @@ def _normalise(p: np.ndarray) -> np.ndarray:
 
 def _first_rows(keys: np.ndarray) -> np.ndarray:
     """Ascending indices of the first of each set of equal rows of the 2-d
-    float array ``keys``, compared by value, so -0.0 equals 0.0: one stable
-    sort over the rows' bytes, as ``model._distinct`` sorts, without the
-    inverse it also builds."""
-    rows = _void_rows(keys + 0.0)
-    order = rows.argsort(kind="stable")
-    ordered = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[:1] = True
-    starts[1:] = ordered[1:] != ordered[:-1]
-    first = order[starts]
-    first.sort()
-    return first
+    float array ``keys``, compared by value, so -0.0 equals 0.0."""
+    return np.sort(_distinct(_void_rows(keys + 0.0))[0])
 
 
 @lru_cache(maxsize=32)

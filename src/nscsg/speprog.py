@@ -451,17 +451,16 @@ class GridResult:
     feasible: int
 
 
-def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int,
-                     tol: Optional[float] = None) -> GridResult:
+def solve_exact_grid(structure: Structure, rewards, kind: str, resolution: int) -> GridResult:
     """Enumerate all strategy data on the 1/resolution grid and keep the
     feasible assignment with the best root social welfare.
 
     Exact equilibria need not lie on the grid, so feasibility is accepted up
-    to ``tol`` (default 0.5 / resolution).  Ties break on enumeration order,
-    which is lexicographic in the per-node grids.
+    to 0.5 / resolution.  Ties break on enumeration order, which is
+    lexicographic in the per-node grids.
     """
     nonleaf = [structure.nodes[i] for i in sorted(structure.nonleaf_ids())]
-    return _grid_search(structure, rewards, kind, nonleaf, resolution, None, tol, GRID_CAP)
+    return _grid_search(structure, rewards, kind, nonleaf, resolution, None, None, GRID_CAP)
 
 
 def _step_floats(kind: str, group: StageGroup) -> int:
@@ -587,17 +586,19 @@ def _grid_search(structure: Structure, rewards, kind: str, nodes: list, resoluti
 # free parts and backward closures
 
 
-def _free_part(structure: Structure, frozen: set) -> list:
-    """The nonleaf nodes outside ``frozen`` bottom-up (by decreasing stage,
-    then id); a free node's parents must be free, so the free mask must be
-    its own closure."""
+def _free_part(structure: Structure, free) -> list:
+    """The nonleaf ids ``free`` bottom-up (by decreasing stage, then id); a
+    free node's parents must be free, so the free mask must be its own
+    closure."""
     nonleaf = structure.bounds[structure.horizon]
-    free = np.arange(len(structure.nodes)) < nonleaf
-    held = np.fromiter(frozen, dtype=np.intp, count=len(frozen))
-    free[held[(held >= 0) & (held < nonleaf)]] = False
-    if (_closure(structure, free) != free).any():
+    free = np.asarray(free, dtype=np.intp)
+    if ((free < 0) | (free >= nonleaf)).any():
+        raise ModelError(f"free ids must be nonleaf node ids 0..{nonleaf - 1}")
+    mask = np.zeros(len(structure.nodes), dtype=bool)
+    mask[free] = True
+    if (_closure(structure, mask) != mask).any():
         raise ModelError("free set must contain every parent of a free history")
-    return structure.bottom_up[free[structure.bottom_up]].tolist()
+    return structure.bottom_up[mask[structure.bottom_up]].tolist()
 
 
 def _closure(structure: Structure, reached: np.ndarray) -> np.ndarray:
@@ -623,9 +624,10 @@ def _closure(structure: Structure, reached: np.ndarray) -> np.ndarray:
 # block coordinate ascent (LP sub-steps)
 
 
-def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: set,
+def coordinate_ascent_solve(structure: Structure, rewards, kind: str, free,
                             init: EquilibriumSolution, rounds: int = 5) -> EquilibriumSolution:
-    """Improve ``init`` by re-solving one strategy block at a time.
+    """Improve ``init`` by re-solving one strategy block at a time, at the
+    nonleaf ids ``free``.
 
     A block is one node's joint distribution (correlated) or one agent's
     mixture at one node (independent).  With every other block fixed, the
@@ -634,7 +636,7 @@ def coordinate_ascent_solve(structure: Structure, rewards, kind: str, frozen: se
     they keep feasibility and do not decrease the root social welfare, so the
     output is feasible and at least as good as the input.
     """
-    order = _free_part(structure, frozen)
+    order = _free_part(structure, free)
     bottom_up = structure.bottom_up
     seeds = np.arange(len(structure.nodes)) == np.array(order, dtype=np.intp)[:, None]
     # each free node's walk: the node, then its ancestors bottom-up
@@ -732,11 +734,12 @@ def _block_lp_step(structure: Structure, rewards, kind: str, walk: list,
 # equilibrium re-seeding (re-induction above a changed node)
 
 
-def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
+def reinduction_solve(structure: Structure, rewards, kind: str, free,
                       init: EquilibriumSolution, rounds: int = 8,
                       cache: Optional[StageGameCache] = None) -> EquilibriumSolution:
-    """Search over alternative stage equilibria at one free node at a time,
-    re-running social-welfare backward induction above the changed node.
+    """Search over alternative stage equilibria at one node of the nonleaf
+    ids ``free`` at a time, re-running social-welfare backward induction
+    above the changed node.
 
     Every candidate state is subgame perfect by construction (each node holds
     an equilibrium of its own stage game), so feasibility is maintained; a
@@ -752,18 +755,14 @@ def reinduction_solve(structure: Structure, rewards, kind: str, frozen: set,
     are taken a whole node's candidates at a time in blocks of at most
     ``_TRIAL_BLOCK`` value floats (at least one node per block).
     """
-    order = _free_part(structure, frozen)
+    order = _free_part(structure, free)
     cache = cache or StageGameCache()
 
     current = init.copy()
     current.values = _solution_values(structure, rewards, current)
     sw = float(current.values[0].sum())
 
-    free_rows: dict = {}  # stage group index -> (group, rows of its free nodes)
-    for nid in sorted(order):
-        group, row = structure.locate(nid)
-        free_rows.setdefault(group.index, (group, []))[1].append(row)
-    free_rows = [(group, np.array(rows)) for group, rows in free_rows.values()]
+    free_rows = structure.group_rows(sorted(order))
     for _ in range(rounds):
         candidates = _round_candidates(structure, rewards, kind, current, free_rows, cache)
         best = None

@@ -213,6 +213,14 @@ class Structure:
             raise KeyError(node_id)
         return flat[where[node_id]], int(row[node_id])
 
+    def group_rows(self, ids) -> list[tuple[StageGroup, np.ndarray]]:
+        """Each stage group holding some of the nonleaf ``ids``, in order of
+        first use, with the rows of those ids in it, in the order of ``ids``."""
+        flat, where, row = self._slots
+        ids = np.asarray(ids, dtype=np.intp)
+        at = where[ids]
+        return [(flat[g], row[ids[at == g]]) for g in dict.fromkeys(at.tolist())]
+
     @cached_property
     def bottom_up(self) -> np.ndarray:
         """The nonleaf ids by decreasing stage, then by id."""

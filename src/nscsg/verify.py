@@ -123,6 +123,8 @@ def simulate(structure: Structure, solution: EquilibriumSolution, rewards,
     Zero-valued executed actions are counted per agent; for the collision
     avoidance models these are the advisory violations.
     """
+    if seed < 0:
+        raise ModelError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     model = structure.model
     node = structure.root

@@ -173,6 +173,15 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == f"model error: {field} must be nonnegative"
 
+    @pytest.mark.parametrize("algo", [("--algo", "gbi"), ("--algo", "gbi", "--policy", "seeded-random"),
+                                      ("--algo", "fsi", "--mmax", "2")],
+                             ids=["gbi", "gbi-seeded-random", "fsi"])
+    def test_negative_seed_is_a_model_error(self, capsys, algo):
+        code, out, err = run_cli("solve", "--model", "counterexample", *algo, "--seed", "-1",
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "model error: seed must be nonnegative"
+
     def test_deterministic_output_bytes(self, tmp_path, capsys):
         blobs = []
         for d in ("a", "b"):
@@ -415,6 +424,16 @@ class TestLongInlineJson:
 
 
 class TestPlotdata:
+    @pytest.mark.parametrize("runs", [
+        {"altitude": [{"label": "t2", "params": {"t0": 2}}]},
+        {"sw_trace": [{"label": "cex", "model": "counterexample", "mode": "tree", "m_max": 2}]},
+    ], ids=["altitude", "sw_trace"])
+    def test_negative_seed_is_a_model_error(self, tmp_path, capsys, runs):
+        code, out, err = run_cli("plotdata", "--runs", json.dumps(runs), "--seed", "-1",
+                                 "--out", str(tmp_path / "csv"), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "model error: seed must be nonnegative"
+
     @pytest.mark.parametrize("runs, message", [
         ("[1]", "--runs holds list, not a JSON object"),
         ('{"altitude": [{"params": [1]}]}', "--runs altitude entry field 'params' holds list, not a JSON object"),

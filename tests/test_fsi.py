@@ -141,8 +141,7 @@ class TestGridOnFree:
     def test_all_frozen_returns_incumbent(self, counterexample):
         bm, tree = counterexample
         init = run_gbi(tree, bm.rewards, "ne", "sw-optimal")
-        frozen = set(tree.nonleaf_ids())
-        result = solve_exact_grid_on_free(tree, bm.rewards, "ne", frozen, init, FsiConfig())
+        result = solve_exact_grid_on_free(tree, bm.rewards, "ne", [], init, FsiConfig())
         assert result is init
 
     def test_oversized_free_part_raises(self, counterexample):
@@ -150,7 +149,7 @@ class TestGridOnFree:
         init = run_gbi(tree, bm.rewards, "ne", "sw-optimal")
         # two free 2x2 nodes at resolution 50 need 2601^2 > 2,000,000 points
         with pytest.raises(ResourceLimitError) as err:
-            solve_exact_grid_on_free(tree, bm.rewards, "ne", set(), init,
+            solve_exact_grid_on_free(tree, bm.rewards, "ne", tree.nonleaf_ids(), init,
                                      FsiConfig(grid_resolution=50))
         assert err.value.stats["resolution"] == 50
 
@@ -303,9 +302,10 @@ class TestFreezePartition:
         bottom_up = rg.bottom_up
         for nid in sorted(nonleaf):
             free, frozen = freeze_partition(rg, nid)
-            assert free == walked_closure(parents, nid) & nonleaf
-            assert frozen == nonleaf - free
-            order = _free_part(rg, frozen)
+            assert free.dtype == frozen.dtype == np.intp
+            assert free.tolist() == sorted(walked_closure(parents, nid) & nonleaf)
+            assert frozen.tolist() == sorted(nonleaf - set(free.tolist()))
+            order = _free_part(rg, free)
             assert order == sorted(free, key=lambda q: (-rg.nodes[q].stage, q))
             # coordinate ascent's walks: one closure row per free node, read
             # bottom-up, so each node and then its ancestors
@@ -316,14 +316,14 @@ class TestFreezePartition:
     def test_root_only(self, counterexample):
         bm, tree = counterexample
         free, frozen = freeze_partition(tree, 0)
-        assert free == {0}
-        assert frozen == set(tree.nonleaf_ids()) - {0}
+        assert free.tolist() == [0]
+        assert frozen.tolist() == tree.nonleaf_ids()[1:]
 
     def test_tree_prefix_path(self, counterexample):
         bm, tree = counterexample
         node4 = next(n for n in tree.nodes if n.stage == 1 and int(n.state.env[0]) == 4)
         free, frozen = freeze_partition(tree, node4.id)
-        assert free == {0, node4.id}
+        assert free.tolist() == [0, node4.id]
         assert node4.id not in frozen
 
     def test_region_backward_closure(self):
@@ -335,8 +335,8 @@ class TestFreezePartition:
         # the free set is parent-closed and contains the target and the root
         assert target.id in free and 0 in free
         parents = parent_map(rg)
-        for nid in free:
-            assert parents[nid] <= free
+        for nid in free.tolist():
+            assert parents[nid] <= set(free.tolist())
 
     def test_unknown_history_rejected(self, counterexample):
         bm, tree = counterexample
@@ -464,8 +464,7 @@ class TestUniquenessCertificate:
         def unexpected(*args, **kwargs):
             raise AssertionError("an FSI step ran where nothing can move")
 
-        for name in ("freeze_partition", "reinduction_solve", "coordinate_ascent_solve",
-                     "solve_exact_grid_on_free"):
+        for name in ("reinduction_solve", "coordinate_ascent_solve", "solve_exact_grid_on_free"):
             monkeypatch.setattr(fsi, name, unexpected)
         for solver in ("reinduce", "coordinate-ascent", "grid"):
             for policy in ("uniform-last-stage", "max-sw"):
@@ -522,8 +521,7 @@ class TestUniquenessCertificate:
         def unexpected(*args, **kwargs):
             raise AssertionError("a correlated FSI step ran where nothing can move")
 
-        for name in ("freeze_partition", "reinduction_solve", "coordinate_ascent_solve",
-                     "solve_exact_grid_on_free"):
+        for name in ("reinduction_solve", "coordinate_ascent_solve", "solve_exact_grid_on_free"):
             monkeypatch.setattr(fsi, name, unexpected)
         for solver in ("reinduce", "coordinate-ascent", "grid"):
             for policy in ("uniform-last-stage", "max-sw"):
@@ -543,3 +541,65 @@ class TestUniquenessCertificate:
         for solver, status in (("reinduce", "reinduce"), ("coordinate-ascent", "ascent")):
             _, trace = run_fsi(tree, tied, "ce", FsiConfig(m_max=3, seed=3, solver=solver))
             assert [row.status for row in trace[1:]] == [status] * 3
+
+
+class TestOnePartitionPerStep:
+    def test_frozen_values_kept_bit_for_bit(self, counterexample):
+        # random model 5031 under the small-games Nash configuration first:
+        # its first step's re-induction re-evaluates the whole structure,
+        # which moves frozen values in their last bits unless the step
+        # writes the incumbent's back; leaves never move
+        bm = random_model(5031)
+        cases = [("5031", (bm, unfold_tree(bm.model, bm.initial, bm.horizon)),
+                  FsiConfig(m_max=3, seed=5031, epsilon=0.2, solver="reinduce"))]
+        cases += random_model_cases()
+        cases.append(("counterexample/grid", counterexample,
+                      FsiConfig(m_max=5, seed=1, solver="grid", grid_resolution=5)))
+        solved = 0
+        for name, (bm, tree), cfg in cases:
+            for kind in ("ne", "ce"):
+                seen = [run_gbi(tree, bm.rewards, kind, "sw-optimal").values]
+                _, trace = run_fsi(tree, bm.rewards, kind, cfg,
+                                   on_iteration=lambda m, sol, _seen=seen: _seen.append(sol.values.copy()))
+                for row, before, after in zip(trace[1:], seen, seen[1:]):
+                    free, _ = freeze_partition(tree, row.selected_node)
+                    held = np.setdiff1d(np.arange(len(tree.nodes)), list(free))
+                    assert after[held].tobytes() == before[held].tobytes(), (name, kind, row.iteration)
+                    solved += row.status != "unique"
+        assert solved > 0
+
+    def test_one_partition_per_step(self, counterexample, monkeypatch):
+        # unique steps build their partition too, and run no other closure
+        # walk; a grid step adds only its solver's range and closure check
+        import nscsg.speprog as speprog
+
+        partitions, closures = [], []
+        partition, closure = fsi.freeze_partition, speprog._closure
+
+        def counted_partition(*args):
+            partitions.append(args[1])
+            return partition(*args)
+
+        def counted_closure(*args):
+            closures.append(1)
+            return closure(*args)
+
+        monkeypatch.setattr(fsi, "freeze_partition", counted_partition)
+        monkeypatch.setattr(fsi, "_closure", counted_closure)
+        monkeypatch.setattr(speprog, "_closure", counted_closure)
+        cases = random_model_cases() + [("counterexample/grid", counterexample,
+                                         FsiConfig(m_max=5, seed=1, solver="grid", grid_resolution=5))]
+        statuses = []
+        for name, (bm, tree), cfg in cases:
+            for kind in ("ne", "ce"):
+                partitions.clear()
+                closures.clear()
+                walked = []  # closure walks so far, after each step
+                _, trace = run_fsi(tree, bm.rewards, kind, cfg,
+                                   on_iteration=lambda m, sol, _w=walked: _w.append(len(closures)))
+                assert len(partitions) == cfg.m_max, (name, kind)
+                if cfg.solver == "grid":
+                    assert np.diff([0] + walked).tolist() == \
+                        [1 if row.status == "unique" else 2 for row in trace[1:]], (name, kind)
+                    statuses += [row.status for row in trace[1:]]
+        assert {"unique", "grid"} <= set(statuses)

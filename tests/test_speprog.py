@@ -14,6 +14,7 @@ from nscsg.gbi import (EquilibriumSolution, StageGameCache, induce_groups, run_g
                        stage_matrices)
 from nscsg.nfg import BimatrixGame, StageSolution, swce, swne
 from nscsg.speprog import (
+    GRID_CAP,
     VarId,
     _evaluate,
     _gaps,
@@ -445,19 +446,22 @@ class TestExactGrid:
         rng = np.random.default_rng(2)
         p1, p2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         tree, rewards = one_stage_tree(p1, p2)
-        result = solve_exact_grid(tree, rewards, "ne", 20, tol=1e-6)
+        # solve_exact_grid's search at a feasibility tolerance of 1e-6, not
+        # its 0.5 / resolution
+        result = _grid_search(tree, rewards, "ne", [tree.root], 20, None, 1e-6, GRID_CAP)
         target = swne(BimatrixGame(p1, p2)).social_welfare
         # pure equilibria lie on the grid; mixed ones may sit between points
         assert result.social_welfare >= target - 0.3
-        ce = solve_exact_grid(tree, rewards, "ce", 10, tol=1e-6)
+        ce = _grid_search(tree, rewards, "ce", [tree.root], 10, None, 1e-6, GRID_CAP)
         assert ce.social_welfare <= swce(BimatrixGame(p1, p2)).social_welfare + 1e-6
 
     def test_refinement_monotone_on_nested_grids(self):
         rng = np.random.default_rng(9)
         p1, p2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         tree, rewards = one_stage_tree(p1, p2)
-        coarse = solve_exact_grid(tree, rewards, "ne", 4, tol=0.05)
-        fine = solve_exact_grid(tree, rewards, "ne", 8, tol=0.05)
+        # solve_exact_grid's search at one tolerance for both resolutions
+        coarse = _grid_search(tree, rewards, "ne", [tree.root], 4, None, 0.05, GRID_CAP)
+        fine = _grid_search(tree, rewards, "ne", [tree.root], 8, None, 0.05, GRID_CAP)
         if coarse.social_welfare is not None:
             assert fine.social_welfare >= coarse.social_welfare - 1e-12
 
@@ -474,8 +478,7 @@ class TestCoordinateAscent:
     def test_all_frozen_returns_init(self, counterexample):
         bm, tree = counterexample
         init = run_gbi(tree, bm.rewards, "ce")
-        frozen = set(tree.nonleaf_ids())
-        out = coordinate_ascent_solve(tree, bm.rewards, "ce", frozen, init)
+        out = coordinate_ascent_solve(tree, bm.rewards, "ce", [], init)
         assert np.allclose(out.values, init.values)
         for nid in init.profiles:
             assert np.allclose(out.profiles[nid].joint_distribution(),
@@ -485,7 +488,7 @@ class TestCoordinateAscent:
         bm, tree = counterexample
         for kind in ("ne", "ce"):
             init = run_gbi(tree, bm.rewards, kind)
-            out = coordinate_ascent_solve(tree, bm.rewards, kind, set(), init, rounds=3)
+            out = coordinate_ascent_solve(tree, bm.rewards, kind, tree.nonleaf_ids(), init, rounds=3)
             assert float(out.values[0].sum()) >= social_welfare(init) - 1e-9
             from nscsg.verify import check_spce, check_spne
 
@@ -500,8 +503,7 @@ class TestCoordinateAscent:
         free = {stage_nodes[0]} | {0} if tree.horizon > 1 else {stage_nodes[0]}
         # freeing only one late history: ascent must match re-solving that
         # stage with welfare-optimal selection under upstream constraints
-        frozen = set(tree.nonleaf_ids()) - {stage_nodes[0]}
-        out = coordinate_ascent_solve(tree, bm.rewards, "ce", frozen, init, rounds=4)
+        out = coordinate_ascent_solve(tree, bm.rewards, "ce", [stage_nodes[0]], init, rounds=4)
         assert float(out.values[0].sum()) >= social_welfare(init) - 1e-9
 
     @pytest.mark.parametrize("kind, passes", [("ne", 11), ("ce", 6)])
@@ -527,7 +529,7 @@ class TestCoordinateAscent:
 
         monkeypatch.setattr(speprog, "evaluate_values", evaluate)
         monkeypatch.setattr(speprog, "_block_lp_step", step)
-        coordinate_ascent_solve(tree, bm.rewards, kind, set(), init, rounds=2)
+        coordinate_ascent_solve(tree, bm.rewards, kind, tree.nonleaf_ids(), init, rounds=2)
         assert counts["evaluate"] == 1 + counts["candidates"] == passes
 
     @pytest.mark.parametrize("seed", [None, 5003, 5005, 5015])
@@ -552,8 +554,8 @@ class TestCoordinateAscent:
             return steps[-1]
 
         monkeypatch.setattr(speprog, "_block_lp_step", step)
-        coordinate_ascent_solve(tree, bm.rewards, kind, set(), run_gbi(tree, bm.rewards, kind),
-                                rounds=2)
+        coordinate_ascent_solve(tree, bm.rewards, kind, tree.nonleaf_ids(),
+                                run_gbi(tree, bm.rewards, kind), rounds=2)
         assert steps and all(cand is not None for cand in steps)
         if seed is None:
             assert len(steps) == (10 if kind == "ne" else 5)
@@ -562,13 +564,14 @@ class TestCoordinateAscent:
         bm, tree = counterexample
         bad = random_profiles(tree, "ne", np.random.default_rng(3))
         with pytest.raises(ModelError, match="infeasible"):
-            coordinate_ascent_solve(tree, bm.rewards, "ne", set(), bad)
+            coordinate_ascent_solve(tree, bm.rewards, "ne", tree.nonleaf_ids(), bad)
 
 
-def reference_reinduction(structure, rewards, kind, frozen, init, rounds, cache):
-    """Re-induction one candidate at a time: each trial re-solves its free
-    ancestors node by node through :meth:`StageGameCache.solve`."""
-    free = set(structure.nonleaf_ids()) - frozen
+def reference_reinduction(structure, rewards, kind, free, init, rounds, cache):
+    """Re-induction one candidate at a time at the nonleaf ids ``free``: each
+    trial re-solves its free ancestors node by node through
+    :meth:`StageGameCache.solve`."""
+    free = set(np.asarray(free).tolist())
     parents = parent_map(structure)
     current = init.copy()
     current.values = evaluate_values(structure, rewards, current)[0]
@@ -625,9 +628,9 @@ class TestReinduction:
                 caches = StageGameCache(), StageGameCache()
                 ref, out = (run_gbi(structure, rewards, kind, cache=c) for c in caches)
                 for pick in picks:
-                    _, frozen = freeze_partition(structure, last_stage[pick].id)
-                    ref = reference_reinduction(structure, rewards, kind, frozen, ref, 4, caches[0])
-                    out = reinduction_solve(structure, rewards, kind, frozen, out, 4, caches[1])
+                    free, _ = freeze_partition(structure, last_stage[pick].id)
+                    ref = reference_reinduction(structure, rewards, kind, free, ref, 4, caches[0])
+                    out = reinduction_solve(structure, rewards, kind, free, out, 4, caches[1])
                     where = (name, kind, int(pick))
                     assert out.values.tobytes() == ref.values.tobytes(), where
                     assert sorted(out.profiles) == sorted(ref.profiles), where
@@ -670,10 +673,10 @@ class TestReinduction:
 
         _, rewards, structure = next(reinduction_structures())
         last_stage = structure.stage_nodes(structure.horizon - 1)
-        _, frozen = freeze_partition(structure, last_stage[0].id)
+        free, _ = freeze_partition(structure, last_stage[0].id)
         init = run_gbi(structure, rewards, kind)
         by_shape: dict = {}
-        for nid in _free_part(structure, frozen):
+        for nid in _free_part(structure, free):
             by_shape.setdefault(tuple(map(len, structure.nodes[nid].menus)), []).append(nid)
         target = next(ids[0] for ids in by_shape.values() if len(ids) > 1)
         bad = tuple(z.tobytes() for z in stage_matrices(structure, rewards, structure.nodes[target],
@@ -688,9 +691,9 @@ class TestReinduction:
 
         monkeypatch.setattr(gbi, "_candidates_stack", failing)
         caches = StageGameCache(), StageGameCache()
-        ref = reference_reinduction(structure, rewards, kind, frozen, init, 4, caches[0])
+        ref = reference_reinduction(structure, rewards, kind, free, init, 4, caches[0])
         n_ref = len(raised)
-        out = reinduction_solve(structure, rewards, kind, frozen, init, 4, caches[1])
+        out = reinduction_solve(structure, rewards, kind, free, init, 4, caches[1])
         assert max(raised[n_ref:]) > 1  # a stack of several games raised ...
         assert raised.count(1) > n_ref  # ... and its games were solved again one at a time
         assert out.values.tobytes() == ref.values.tobytes()
@@ -734,10 +737,10 @@ class TestReinduction:
                 return fn(*args)
             return wrapper
 
-        def reinduce(structure, rewards, kind, frozen, *rest, **options):
+        def reinduce(structure, rewards, kind, free, *rest, **options):
             counts.update(dict.fromkeys(counts, 0))
-            out = solve(structure, rewards, kind, frozen, *rest, **options)
-            free = _free_part(structure, frozen)
+            out = solve(structure, rewards, kind, free, *rest, **options)
+            free = _free_part(structure, free)
             calls.append((dict(counts), len({tuple(map(len, structure.nodes[nid].menus))
                                              for nid in free}),
                           len({structure.locate(nid)[0].index for nid in free})))
@@ -768,15 +771,15 @@ class TestReinduction:
         bm, tree = counterexample
         for kind in ("ne", "ce"):
             init = run_gbi(tree, bm.rewards, kind)
-            out = reinduction_solve(tree, bm.rewards, kind, set(), init)
+            out = reinduction_solve(tree, bm.rewards, kind, tree.nonleaf_ids(), init)
             assert float(out.values[0].sum()) >= 7.0 - 1e-9
 
     def test_respects_frozen_nodes(self, counterexample):
         bm, tree = counterexample
         init = run_gbi(tree, bm.rewards, "ne")
         node4 = next(n for n in tree.nodes if n.stage == 1 and int(n.state.env[0]) == 4)
-        frozen = {node4.id}
-        out = reinduction_solve(tree, bm.rewards, "ne", frozen, init)
+        free = [nid for nid in tree.nonleaf_ids() if nid != node4.id]
+        out = reinduction_solve(tree, bm.rewards, "ne", free, init)
         assert np.allclose(out.profiles[node4.id].joint_distribution(),
                            init.profiles[node4.id].joint_distribution())
         # node 4 keeps the welfare-8 equilibrium, so the root cannot improve
@@ -789,24 +792,41 @@ class TestFreePart:
         ("parking", {"horizon": 8, "reward_structure": 2}, unfold_regions),
     ], ids=["counterexample-tree", "parking-k8-region"])
     def test_frozen_parent_of_a_free_history_raises(self, name, params, unfold):
-        """Every inner solver rejects a frozen set that holds a parent of a
+        """Every inner solver rejects free ids that leave out a parent of a
         free history: here a parent of the deepest free node of an FSI
         partition."""
         bm = build(name, params)
         structure = unfold(bm.model, bm.initial, bm.horizon)
         last_stage = structure.stage_nodes(structure.horizon - 1)
-        free, frozen = freeze_partition(structure, last_stage[-1].id)
-        nid = max(free, key=lambda q: (structure.nodes[q].stage, q))
+        free, _ = freeze_partition(structure, last_stage[-1].id)
+        nid = max(free.tolist(), key=lambda q: (structure.nodes[q].stage, q))
         parent = max(parent_map(structure)[nid])
-        frozen = frozen | {parent}
+        free = free[free != parent]
         init = run_gbi(structure, bm.rewards, "ne")
-        solvers = [lambda: coordinate_ascent_solve(structure, bm.rewards, "ne", frozen, init),
-                   lambda: reinduction_solve(structure, bm.rewards, "ne", frozen, init),
-                   lambda: solve_exact_grid_on_free(structure, bm.rewards, "ne", frozen, init,
+        solvers = [lambda: coordinate_ascent_solve(structure, bm.rewards, "ne", free, init),
+                   lambda: reinduction_solve(structure, bm.rewards, "ne", free, init),
+                   lambda: solve_exact_grid_on_free(structure, bm.rewards, "ne", free, init,
                                                     FsiConfig())]
         for solve in solvers:
             with pytest.raises(ModelError, match="free set must contain every parent of a free history"):
                 solve()
+
+    def test_ids_outside_the_nonleaf_range_raise(self, counterexample):
+        """Free ids must be nonleaf node ids: a negative id does not wrap
+        round to a leaf, and a leaf or an id past the nodes is no free
+        history."""
+        bm, tree = counterexample
+        nonleaf = tree.bounds[tree.horizon]
+        init = run_gbi(tree, bm.rewards, "ne")
+        for bad in ([-1], [0, -nonleaf], [0, nonleaf], [0, len(tree.nodes)]):
+            solvers = [lambda: _free_part(tree, bad),
+                       lambda: coordinate_ascent_solve(tree, bm.rewards, "ne", bad, init),
+                       lambda: reinduction_solve(tree, bm.rewards, "ne", bad, init),
+                       lambda: solve_exact_grid_on_free(tree, bm.rewards, "ne", bad, init,
+                                                        FsiConfig())]
+            for solve in solvers:
+                with pytest.raises(ModelError, match=f"free ids must be nonleaf node ids 0..{nonleaf - 1}"):
+                    solve()
 
 
 class TestWorstCaseEquality:

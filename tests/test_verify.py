@@ -194,6 +194,12 @@ class TestSimulate:
         assert traces[0] == traces[1] == traces[2]
         assert np.allclose(runs[0].totals, sol.values[0])
 
+    def test_negative_seed_is_a_model_error(self):
+        bm = build("counterexample", {"phi": -10})
+        tree = unfold_tree(bm.model, bm.initial, 2)
+        with pytest.raises(ModelError, match="seed must be nonnegative"):
+            simulate(tree, run_gbi(tree, bm.rewards, "ne"), bm.rewards, seed=-1)
+
     def test_forced_advisory_chain_matches_dynamics(self):
         # networks pinned so the play follows one compliant descent/climb
         # profile; the environment chain must equal the closed-form values
