@@ -99,8 +99,20 @@ def cmd_unfold(args, fmt) -> int:
     return 0
 
 
+def _require_zero_sum(structure, rewards) -> None:
+    """A :class:`ModelError` unless agent 2's leaf values and immediate
+    rewards are the negation of agent 1's (-0.0 equal to 0.0): the minimax
+    baseline reads agent 1's rewards alone."""
+    (leaf1, stage1), (leaf2, stage2) = (structure.rewards(r) for r in rewards)
+    if not all(np.array_equal(a, -b) for a, b in zip([leaf1, *stage1], [leaf2, *stage2])):
+        raise ModelError("minimax needs a zero-sum model: agent 2's rewards are not the "
+                         "negation of agent 1's")
+
+
 def cmd_solve(args, fmt) -> int:
     bundle, structure = _load_structure(args)
+    if args.algo == "minimax":
+        _require_zero_sum(structure, bundle.rewards)
     t0 = time.perf_counter()
     trace = None
     if args.algo == "gbi":

@@ -7,14 +7,10 @@ remaining free part with a feasibility-preserving solver.  The root social
 welfare never decreases and the solution stays subgame perfect after every
 iteration.
 
-A Nash step runs no inner solver when no free node's stage game has more
-than one extreme equilibrium (:attr:`EquilibriumSolution.ne_counts`): the
-deepest free node's game is fixed by its frozen continuation, so its one
-equilibrium stays, and so on up the free part; nothing can move.  A
-correlated step runs none when every free node's stage game is 1x1 or
-one-sided with a best response that passes the margin of
-:func:`nscsg.nfg._pure_ce`: each such game has one correlated equilibrium,
-and the same argument holds.
+A step runs no inner solver when every free node's stage game provably
+has one equilibrium of the run's kind (:attr:`EquilibriumSolution.unique`):
+the deepest free node's game is fixed by its frozen continuation, so its
+one equilibrium stays, and so on up the free part; nothing can move.
 """
 from __future__ import annotations
 
@@ -26,7 +22,7 @@ import numpy as np
 
 from .errors import ModelError
 from .gbi import EquilibriumSolution, StageGameCache, run_gbi, stage_games
-from .nfg import _pure_ce
+from .nfg import _unique
 from .speprog import (_closure, _free_part, _grid_search, coordinate_ascent_solve,
                       evaluate_values, reinduction_solve)
 from .unfold import Node, Structure
@@ -130,16 +126,15 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     """Frozen subgame improvement; returns the final solution and the
     per-iteration social-welfare trace (nondecreasing).
 
-    Each step builds one partition (:func:`freeze_partition`).  A Nash step
-    whose free part has no node with more than one extreme equilibrium
-    (:attr:`EquilibriumSolution.ne_counts`), and a correlated step whose free
-    nodes' games all have one correlated equilibrium
-    (:func:`_single_correlated`), keep the incumbent without running the
-    inner solver, and are traced ``unique``.  Otherwise the incumbent's values
-    are written back at the frozen ids after the solve, so a step changes
-    nothing outside its free part; after an accepted Nash step the counts are
-    brought up to date.  ``on_iteration(m, solution)`` is called after every
-    iteration, mainly so test harnesses can audit intermediate solutions.
+    Each step builds one partition (:func:`freeze_partition`).  A step whose
+    free nodes all carry the :attr:`EquilibriumSolution.unique` flag keeps
+    the incumbent without running the inner solver, and is traced
+    ``unique``.  Otherwise the incumbent's values are written back at the
+    frozen ids after the solve, so a step changes nothing outside its free
+    part, and an accepted step's flags are brought up to date
+    (:func:`_recertified`).  ``on_iteration(m, solution)`` is called after
+    every iteration, mainly so test harnesses can audit intermediate
+    solutions.
     """
     rng = np.random.default_rng(cfg.seed)
     cache = cache or StageGameCache()
@@ -155,10 +150,8 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
             picked = sample_history_uniform(last_stage, rng)
         else:
             picked = select_history_max_sw(structure, current, cfg.epsilon, rng).id
-        counts = current.ne_counts
         free, frozen = freeze_partition(structure, picked)
-        if ((counts[free] <= 1).all() if counts is not None else
-                kind == "ce" and _single_correlated(structure, rewards, current.values, free)):
+        if current.unique is not None and current.unique[free].all():
             status = "unique"  # no free stage game has a second equilibrium
         else:
             if cfg.solver == "grid":
@@ -176,9 +169,7 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
 
             new_sw = float(result.values[0].sum())
             if new_sw >= sw - 1e-12:
-                if counts is not None:
-                    result.ne_counts = _moved_counts(structure, rewards, current, result.values,
-                                                     free, cache)
+                result.unique = _recertified(structure, rewards, current, result.values, free)
                 current = result
                 sw = max(sw, new_sw)
             else:  # inner solvers should never regress; keep the incumbent if one does
@@ -189,43 +180,24 @@ def run_fsi(structure: Structure, rewards, kind: str, cfg: FsiConfig = FsiConfig
     return current, trace
 
 
-def _single_correlated(structure: Structure, rewards, values: np.ndarray,
-                       free: np.ndarray) -> bool:
-    """Whether every node of the nonleaf ids ``free`` has a stage game with
-    one correlated equilibrium under ``values``: a 1x1 game, or a one-sided
-    game whose chooser's best action passes :func:`nscsg.nfg._pure_ce`.
-    Every free group's menu shape is read before any stage game is built,
-    and a two-sided one answers no."""
-    rows = structure.group_rows(free)
-    if any(1 not in group.succ.shape[1:3] for group, _ in rows):
-        return False
-    for group, r in rows:
-        if group.succ.shape[1:3] != (1, 1):
-            z = stage_games(structure, rewards, group, values, r)
-            if not _pure_ce(z[0], z[1])[1].all():
-                return False
-    return True
-
-
-def _moved_counts(structure: Structure, rewards, current: EquilibriumSolution,
-                  values: np.ndarray, free: np.ndarray, cache: StageGameCache) -> np.ndarray:
-    """``current.ne_counts`` under ``values``, which agree with
-    ``current.values`` off the nonleaf ids ``free``: a node's stage game
-    changes only with its successors' values, so only free nodes (a moved
-    node's parents are free) with a moved successor are counted again, read
-    from ``cache`` under the keys the inner solver filled."""
+def _recertified(structure: Structure, rewards, current: EquilibriumSolution,
+                 values: np.ndarray, free: np.ndarray) -> Optional[np.ndarray]:
+    """``current.unique`` under ``values``, which agree with ``current.values``
+    off the nonleaf ids ``free``: a node's stage game changes only with its
+    successors' values, so only free nodes (a moved node's parents are free)
+    with a moved successor are certified again (:func:`nscsg.nfg._unique`)."""
     moved = np.zeros(len(values), dtype=bool)
     moved[free] = (values[free] != current.values[free]).any(axis=1)
     moved[0] = False  # padded outcomes point at the root, which is no node's successor
-    if not moved.any():
-        return current.ne_counts
-    counts = current.ne_counts.copy()
+    if current.unique is None or not moved.any():
+        return current.unique
+    unique = current.unique.copy()
     for group, rows in structure.group_rows(free):
         rows = rows[moved[group.succ[rows]].any(axis=(1, 2, 3))]
         if len(rows):
-            counts[group.ids[rows]] = cache.ne_counts(stage_games(structure, rewards, group,
-                                                                  values, rows))
-    return counts
+            z = stage_games(structure, rewards, group, values, rows)
+            unique[group.ids[rows]] = _unique(z[0], z[1], current.kind)
+    return unique
 
 
 def solve_exact_grid_on_free(structure: Structure, rewards, kind: str, free,

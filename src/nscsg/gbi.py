@@ -18,12 +18,13 @@ bottom-up pass, so every solver and checker differs only in its step.
 (:meth:`StageGameCache.solve_stack`, whose one-row form is
 :meth:`StageGameCache.solve`): it rounds the group's stage games once, keys
 every row from the rounded bytes, and passes the distinct missed games to
-:func:`nscsg.nfg.any_equilibria` in one call.  The number of extreme Nash
-equilibria that call enumerated for a game is kept under the game's key,
-and the NE pass returns it as :attr:`EquilibriumSolution.ne_counts`.  FSI's
-re-induction scores a round's trials as one such stack per stage group and
-block of trials, and reads the candidate equilibria of every free node of
-one menu shape as one :meth:`StageGameCache.stage_candidates_stack`.
+:func:`nscsg.nfg.any_equilibria` in one call.  Each game's uniqueness
+flag (:func:`nscsg.nfg._unique`) is kept beside its solution under the
+game's key, and the pass returns the flags as
+:attr:`EquilibriumSolution.unique`.  FSI's re-induction scores a round's
+trials as one such stack per stage group and block of trials, and reads
+the candidate equilibria of every free node of one menu shape as one
+:meth:`StageGameCache.stage_candidates_stack`.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ModelError, ResourceLimitError, SolverError
 from .model import RewardStructure, row_bytes
-from .nfg import (BimatrixGame, StageSolution, _ce_arrays, _counted_equilibria, any_equilibrium,
+from .nfg import (BimatrixGame, StageSolution, _ce_arrays, _certified_equilibria, any_equilibrium,
                   enumerate_ne_stack, zero_sum_values)
 from .unfold import Node, StageGroup, Structure, node_json, write_json
 
@@ -123,25 +124,24 @@ def induce_groups(structure: Structure, rewards, step, profiles: Optional[dict] 
 class EquilibriumSolution:
     """Per-node strategy data and value vectors for a whole structure.
 
-    ``ne_counts`` holds, for a Nash solution from :func:`run_gbi` under a
-    deterministic policy (and from :func:`nscsg.fsi.run_fsi`), the number
-    of extreme Nash equilibria of each node's stage game under ``values``:
-    one int per node, 0 at leaves.  A game with one extreme equilibrium has
-    exactly one Nash equilibrium, so where every nonleaf count is 1 the
-    solution is the unique subgame-perfect Nash equilibrium.  It is ``None``
-    where nothing counted: correlated, minimax, "seeded-random" and loaded
-    solutions.
+    ``unique`` holds, for a solution from :func:`run_gbi` under a
+    deterministic policy (and from :func:`nscsg.fsi.run_fsi`), one bool per
+    node: True where the node's stage game under ``values`` provably has
+    exactly one equilibrium of the solution's kind
+    (:func:`nscsg.nfg._unique`), False at leaves.  Where every nonleaf flag
+    is set, the solution is the unique subgame-perfect equilibrium of its
+    kind.  It is ``None`` for minimax, "seeded-random" and loaded solutions.
     """
 
     kind: str  # "ne" | "ce"
     values: np.ndarray  # shape (n_nodes, 2)
     profiles: dict[int, StageSolution]
     policy: str = "sw-optimal"
-    ne_counts: Optional[np.ndarray] = None
+    unique: Optional[np.ndarray] = None
 
     def copy(self) -> "EquilibriumSolution":
         return EquilibriumSolution(self.kind, self.values.copy(), dict(self.profiles), self.policy,
-                                   None if self.ne_counts is None else self.ne_counts.copy())
+                                   None if self.unique is None else self.unique.copy())
 
 
 def _candidates_stack(p1: np.ndarray, p2: np.ndarray, kind: str) -> list[list[StageSolution]]:
@@ -185,14 +185,12 @@ def _candidates_or_errors(z: np.ndarray, kind: str) -> list:
 
 
 class StageGameCache:
-    """Memoises stage-game solutions keyed by rounded payoff matrices, with
-    the number of extreme Nash equilibria of each game whose equilibria were
-    enumerated, and the candidate equilibria of a stage game keyed by its
-    exact payoffs."""
+    """Memoises stage-game solutions keyed by rounded payoff matrices, each
+    with its game's uniqueness flag, and the candidate equilibria of a stage
+    game keyed by its exact payoffs."""
 
     def __init__(self):
-        self._store = {}
-        self._ne_counts = {}  # menu shape -> solve key -> extreme Nash equilibria
+        self._store = {}  # (kind, policy, menu shape) -> solve key -> (solution, unique)
         self.hits = 0
         self.misses = 0
         self._candidates = {}
@@ -246,50 +244,28 @@ class StageGameCache:
         in row order, under "sw-optimal" or "first-found", memoised by the
         game's payoffs rounded to 12 decimals.  Each distinct key not yet
         stored is one miss and every other row a hit; the missed games are
-        solved in one call, and a Nash game's count of extreme equilibria is
-        kept under its key."""
-        return self._solve_counted(z, kind, policy)[0]
+        solved in one call, and each game's uniqueness flag is kept beside
+        its solution."""
+        return self._solve_certified(z, kind, policy)[0]
 
-    def _solve_counted(self, z: np.ndarray, kind: str, policy: str):
-        """:meth:`solve_stack`'s solutions, and for "ne" each row's number of
-        extreme equilibria (``None`` for "ce")."""
+    def _solve_certified(self, z: np.ndarray, kind: str, policy: str):
+        """:meth:`solve_stack`'s solutions, and each row's uniqueness flag
+        (:func:`nscsg.nfg._unique`)."""
         store = self._store.setdefault((kind, policy, z.shape[2:]), {})
         keys = _row_keys(np.round(z, 12))
-        sols = [store.get(key) for key in keys]
+        entries = [store.get(key) for key in keys]
         missed: dict = {}  # key -> first row
-        for row, (key, sol) in enumerate(zip(keys, sols)):
-            if sol is None:
+        for row, (key, entry) in enumerate(zip(keys, entries)):
+            if entry is None:
                 missed.setdefault(key, row)
         self.misses += len(missed)
-        self.hits += len(sols) - len(missed)
+        self.hits += len(entries) - len(missed)
         if missed:
             rows = list(missed.values())
-            solved, counts = _counted_equilibria(z[0, rows], z[1, rows], kind, policy)
-            store.update(zip(missed, solved))
-            if counts is not None:
-                self._ne_counts.setdefault(z.shape[2:], {}).update(zip(missed, counts))
-            sols = [store[key] if sol is None else sol for key, sol in zip(keys, sols)]
-        if kind != "ne":
-            return sols, None
-        counts = self._ne_counts.setdefault(z.shape[2:], {})
-        return sols, [counts[key] for key in keys]
-
-    def ne_counts(self, z: np.ndarray) -> list[int]:
-        """The number of extreme Nash equilibria of each game of the stack
-        ``z`` (2, n, m1, m2), read under :meth:`solve_stack`'s key where a
-        Nash solve or an earlier count kept it; the other distinct games are
-        enumerated together and their counts kept.  Solutions are not
-        stored and the hit and miss counts do not move."""
-        counts = self._ne_counts.setdefault(z.shape[2:], {})
-        keys = _row_keys(np.round(z, 12))
-        missed: dict = {}  # key -> first row
-        for row, key in enumerate(keys):
-            if key not in counts:
-                missed.setdefault(key, row)
-        if missed:
-            rows = list(missed.values())
-            counts.update(zip(missed, map(len, enumerate_ne_stack(z[0, rows], z[1, rows]))))
-        return [counts[key] for key in keys]
+            solved = _certified_equilibria(z[0, rows], z[1, rows], kind, policy)
+            store.update(zip(missed, zip(*solved)))
+            entries = [store[key] if entry is None else entry for key, entry in zip(keys, entries)]
+        return [entry[0] for entry in entries], [entry[1] for entry in entries]
 
 
 def _row_keys(z: np.ndarray) -> list[bytes]:
@@ -311,10 +287,9 @@ def run_gbi(
     ``policy`` selects the equilibrium solved at each node ("sw-optimal",
     "first-found" or "seeded-random").  Each stage group is solved as one
     stack (:meth:`StageGameCache.solve_stack`); "seeded-random" draws from
-    its generator node by node, in id order within each stage.  A Nash pass
-    under a deterministic policy also returns each node's count of extreme
-    equilibria (:attr:`EquilibriumSolution.ne_counts`), read off the same
-    enumeration.
+    its generator node by node, in id order within each stage.  A pass
+    under a deterministic policy also returns each node's uniqueness flag
+    (:attr:`EquilibriumSolution.unique`), read off the same solve.
     """
     if len(rewards) != 2:
         raise ModelError("backward induction is implemented for two agents")
@@ -323,8 +298,7 @@ def run_gbi(
     rng = np.random.default_rng(seed)
     cache = cache or StageGameCache()
     profiles: dict[int, StageSolution] = {}
-    counts = (np.zeros(len(structure.nodes), dtype=np.intp)
-              if kind == "ne" and policy != "seeded-random" else None)
+    unique = None if policy == "seeded-random" else np.zeros(len(structure.nodes), dtype=bool)
 
     def step(groups, zs):
         if policy == "seeded-random":
@@ -336,16 +310,14 @@ def run_gbi(
         else:
             sols = []
             for g, z in zip(groups, zs):
-                group_sols, group_counts = cache._solve_counted(z, kind, policy)
+                group_sols, unique[g.ids] = cache._solve_certified(z, kind, policy)
                 sols.append(group_sols)
-                if counts is not None:
-                    counts[g.ids] = group_counts
         for g, group_sols in zip(groups, sols):
             profiles.update(zip(g.ids.tolist(), group_sols))
         return [np.array([sol.payoffs for sol in group_sols]) for group_sols in sols]
 
     values = induce_stages(structure, rewards, step)
-    return EquilibriumSolution(kind, values, profiles, policy, counts)
+    return EquilibriumSolution(kind, values, profiles, policy, unique)
 
 
 def run_minimax(structure: Structure, rewards: tuple[RewardStructure, ...]) -> EquilibriumSolution:

@@ -733,6 +733,9 @@ def _tabular_agent(idx: int, doc: dict) -> AgentSpec:
             return state.agent_states[_i].per
     elif obs_doc["type"] == "env-net":
         net = load_net_json(obs_doc["file"])
+        if net.output_dim != len(pers):
+            raise ModelError(f"agent {idx + 1}: observation network has {net.output_dim} outputs "
+                             f"for {len(pers)} percepts")
 
         def observation(state, _net=net, _pers=pers):
             scores = nn_forward(_net, state.env)

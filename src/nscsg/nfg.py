@@ -42,8 +42,13 @@ equilibrium is that action's pure profile, the one feasible point of its
 LP.  A game near the ``EQ_TOL`` edge, or whose best responses are tied or
 nearly tied, takes the general kernel in the same call.  Payoffs are the
 general kernels' own expressions, so points, counts, order and bytes are
-theirs; FSI reads the same margin to certify that a correlated step cannot
-move.
+theirs.
+
+:func:`_unique` is the one rule by which a stage game provably has one
+equilibrium of a kind: one extreme Nash equilibrium, or for correlated
+equilibria a 1x1 game or a one-sided game that passes :func:`_pure_ce`'s
+margin.  Backward induction keeps its flag beside each solution, and FSI
+skips the steps it certifies.
 
 Every Nash and correlated-equilibrium solver returns :class:`StageSolution`.
 """
@@ -571,21 +576,40 @@ def any_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str,
     Nash equilibria of the whole stack are enumerated together, and the
     games' correlated-equilibrium LPs are solved as one stack.
     """
-    return _counted_equilibria(p1, p2, kind, policy)[0]
+    return _certified_equilibria(p1, p2, kind, policy)[0]
 
 
-def _counted_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str, policy: str):
-    """:func:`any_equilibria`, and each game's number of enumerated extreme
-    Nash equilibria (``None`` for "ce")."""
+def _certified_equilibria(p1: np.ndarray, p2: np.ndarray, kind: str, policy: str):
+    """:func:`any_equilibria`, and each game's :func:`_unique` flag, read
+    off the same enumeration for "ne"."""
     _check_policy(kind, policy, None)
     if kind == "ne":
         found = enumerate_ne_stack(p1, p2)
         return ([points[0] if len(points) == 1 else _select_ne(points, policy) for points in found],
-                [len(points) for points in found])
+                _unique(p1, p2, kind, found))
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
         raise ValueError("payoffs must be finite")
     g, m, n = p1.shape
     objectives = (p1 + p2).reshape(g, m * n) if policy == "sw-optimal" else np.zeros((g, m * n))
-    return _ce_stack(p1, p2, objectives), None
+    return _ce_stack(p1, p2, objectives), _unique(p1, p2, kind)
+
+
+def _unique(p1: np.ndarray, p2: np.ndarray, kind: str, found=None) -> np.ndarray:
+    """Whether each game (p1[k], p2[k]) of a stack of games of one shape
+    provably has exactly one equilibrium of ``kind``, as a bool array.
+
+    A Nash game does when its enumeration (``found``, else enumerated here)
+    has one extreme equilibrium: its Nash set is a union of polytopes whose
+    vertices are extreme equilibria (Jansen 1981).  A correlated game does
+    when it is 1x1, or one-sided and passing :func:`_pure_ce`; a two-sided
+    game is never certified, since its correlated equilibria form a
+    polytope.
+    """
+    if kind == "ne":
+        found = enumerate_ne_stack(p1, p2) if found is None else found
+        return np.array([len(points) == 1 for points in found], dtype=bool)
+    if 1 not in p1.shape[1:]:
+        return np.zeros(len(p1), dtype=bool)
+    return _pure_ce(p1, p2)[1]

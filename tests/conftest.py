@@ -193,3 +193,31 @@ def random_profiles(structure, kind, rng):
                                           rng.dirichlet(np.ones(m1 * m2)).reshape(m1, m2),
                                           np.zeros(2))
     return EquilibriumSolution(kind, np.zeros((len(structure.nodes), 2)), profiles, "random")
+
+
+def certified_by_hand(p1, p2, kind) -> bool:
+    """Whether one stage game provably has one equilibrium of ``kind``,
+    decided from scratch: one enumerated extreme Nash equilibrium, or for
+    correlated equilibria a 1x1 game or a one-sided game whose chooser's
+    best payoff beats each other by more than the CE margin."""
+    from nscsg.nfg import _CE_MARGIN, BimatrixGame, enumerate_ne
+
+    if kind == "ne":
+        return len(enumerate_ne(BimatrixGame(p1, p2))) == 1
+    if 1 not in p1.shape:
+        return False
+    c = p1[:, 0] if p1.shape[1] == 1 else p2[0]
+    gaps = c.max() - np.delete(c, c.argmax())
+    return bool((gaps > _CE_MARGIN * max(1.0, np.abs(c).max())).all())
+
+
+def certified_flags(structure, rewards, kind, values):
+    """:func:`certified_by_hand` at every nonleaf node under ``values``,
+    False at leaves: the uniqueness flags recomputed node by node."""
+    from nscsg.gbi import stage_matrices
+
+    flags = np.zeros(len(structure.nodes), dtype=bool)
+    for nid in structure.nonleaf_ids():
+        p1, p2 = stage_matrices(structure, rewards, structure.nodes[nid], values)
+        flags[nid] = certified_by_hand(p1, p2, kind)
+    return flags

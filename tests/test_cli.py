@@ -9,6 +9,7 @@ from conftest import coin_model_doc
 
 from nscsg.benchmarks import build
 from nscsg.cli import main
+from nscsg.model import random_net, save_net_json
 from nscsg.unfold import unfold_regions
 
 
@@ -151,6 +152,25 @@ class TestSolve:
         code, out, _ = run_cli("verify", "--model", "counterexample", "--params", params,
                                "--solution", str(tmp_path / "sol" / "solution.json"), capsys=capsys)
         assert (code, out) == (0, "pass,0")
+
+    def test_minimax_refuses_a_model_that_is_not_zero_sum(self, tmp_path, capsys):
+        # with phi -10 agent 2's value under its own reward is -9, not the
+        # -1 that negating agent 1's would report
+        code, out, err = run_cli("solve", "--model", "counterexample", "--params", '{"phi": -10}',
+                                 "--algo", "minimax", "--out", str(tmp_path / "sol"), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == ("model error: minimax needs a zero-sum model: agent 2's rewards are not "
+                       "the negation of agent 1's")
+        assert not (tmp_path / "sol").exists()
+
+    def test_minimax_counts_negative_zero_as_zero(self, tmp_path, capsys):
+        # both agents earn 0.0 everywhere: agent 2's rewards equal -0.0
+        doc = coin_model_doc()
+        doc["rewards"] = [{"default": 0.0}, {"default": 0.0}]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("solve", "--model", str(path), "--algo", "minimax", capsys=capsys)
+        assert (code, err, out.split(",")[:2]) == (0, "", ["0", "0"])
 
     def test_fsi_writes_solution_and_trace(self, tmp_path, capsys):
         out_dir = tmp_path / "sol"
@@ -364,6 +384,44 @@ class TestModelInputErrors:
         code, out, err = run_cli("unfold", "--model", "vcas", "--params", params, capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"model error: cannot read network file {tmp_path / 'vcas_1.json'}: ")
+
+    @pytest.mark.parametrize("mode", ["tree", "region"])
+    def test_env_net_output_size_must_match_percepts(self, tmp_path, capsys, mode):
+        # agent 1 of the coin model has one percept: a three-output
+        # network is a model error, a one-output network unfolds as before
+        rows = {}
+        for outputs in (3, 1):
+            net = tmp_path / f"net{outputs}.json"
+            save_net_json(random_net([1, 4, outputs], seed=outputs), net)
+            doc = coin_model_doc()
+            doc["agents"][0]["observation"] = {"type": "env-net", "file": str(net)}
+            path = tmp_path / f"model{outputs}.json"
+            path.write_text(json.dumps(doc))
+            rows[outputs] = run_cli("unfold", "--model", str(path), "--mode", mode, capsys=capsys)
+        assert rows[3] == (2, "", "model error: agent 1: observation network has 3 outputs "
+                                  "for 1 percepts")
+        code, out, err = rows[1]
+        assert (code, err, out.split(",")[:2]) == (0, "", ["3", "2"])
+
+    @pytest.mark.parametrize("mode", ["tree", "region"])
+    @pytest.mark.parametrize("error", ["unknown-observation", "missing-transition"])
+    def test_tabular_agent_errors(self, tmp_path, capsys, mode, error):
+        # agent 1 with an observation type no loader knows, or with an
+        # action ("stay") that the environment table covers and agent 1's
+        # transition table does not
+        doc = coin_model_doc()
+        if error == "unknown-observation":
+            doc["agents"][0]["observation"] = {"type": "radar"}
+            message = "unknown observation type 'radar'"
+        else:
+            doc["agents"][0]["actions"].append({"label": "stay"})
+            doc["environment"]["table"].append({"env": [0], "joint": ["stay", "go"], "next": [0]})
+            message = "tabular transition missing for ((0.0,), (0.0,), ('stay', 'go'))"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("unfold", "--model", str(path), "--mode", mode, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("model error: ") and message in err
 
 
 class TestNonFiniteRewards:

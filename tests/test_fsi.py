@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import certified_by_hand, certified_flags, random_model
 
 import nscsg.fsi as fsi
 from nscsg.benchmarks import build
@@ -17,7 +17,7 @@ from nscsg.fsi import (
 )
 from nscsg.gbi import run_gbi, social_welfare, stage_matrices
 from nscsg.model import RewardStructure
-from nscsg.nfg import BimatrixGame, enumerate_ne
+from nscsg.nfg import _CE_MARGIN
 from nscsg.speprog import _closure, _free_part, solve_exact_grid
 from nscsg.unfold import unfold_regions, unfold_tree
 from nscsg.verify import check_spce, check_spne
@@ -345,16 +345,17 @@ class TestFreezePartition:
 
 
 def certificate_off(monkeypatch):
-    """Run FSI with the uniqueness certificate off: GBI's solution without
-    its equilibrium counts, so every step runs its inner solver."""
+    """Run FSI with the uniqueness certificate off, for either kind: GBI's
+    solution without its uniqueness flags, so every step runs its inner
+    solver."""
     real = fsi.run_gbi
 
-    def uncounted(*args, **kwargs):
+    def uncertified(*args, **kwargs):
         sol = real(*args, **kwargs)
-        sol.ne_counts = None
+        sol.unique = None
         return sol
 
-    monkeypatch.setattr(fsi, "run_gbi", uncounted)
+    monkeypatch.setattr(fsi, "run_gbi", uncertified)
 
 
 def random_model_cases():
@@ -385,16 +386,12 @@ def exactness_cases(counterexample):
     return cases
 
 
-def assert_counts_current(structure, rewards, sol, where):
-    """``sol.ne_counts`` is, at every nonleaf node, the number of extreme
-    Nash equilibria of its stage game under ``sol.values``, and 0 at leaves."""
-    counts = sol.ne_counts
-    assert counts.shape == (len(structure.nodes),), where
-    nonleaf = structure.nonleaf_ids()
-    assert not counts[structure.bounds[structure.horizon]:].any(), where
-    for nid in nonleaf:
-        game = BimatrixGame(*stage_matrices(structure, rewards, structure.nodes[nid], sol.values))
-        assert counts[nid] == len(enumerate_ne(game)), (where, nid)
+def assert_flags_current(structure, rewards, sol, where):
+    """``sol.unique`` is, at every node, the flag recomputed from scratch
+    under ``sol.values`` (:func:`conftest.certified_flags`)."""
+    assert sol.unique.dtype == bool, where
+    expected = certified_flags(structure, rewards, sol.kind, sol.values)
+    assert sol.unique.tolist() == expected.tolist(), where
 
 
 def profile_bytes(sol):
@@ -426,9 +423,9 @@ class TestUniquenessCertificate:
                 assert diff.max() <= 1e-9, (name, nid)
         assert skipped > 0
 
-    def test_counts_stay_current(self, counterexample):
-        # GBI's counts, and after each iteration those the loop refreshed
-        # where an accepted step moved a successor's value
+    def test_flags_stay_current(self, counterexample):
+        # GBI's flags, and after each iteration those the loop re-certified
+        # where an accepted step moved a successor's value, for either kind
         bm = build("parking", {"horizon": 8, "reward_structure": 2})
         cases = [("parking-k8", (bm, unfold_regions(bm.model, bm.initial, bm.horizon)),
                   FsiConfig(m_max=4, seed=0, solver_rounds=3)),
@@ -439,18 +436,47 @@ class TestUniquenessCertificate:
                           FsiConfig(m_max=3, seed=seed, policy="max-sw", epsilon=0.2)))
         refreshed = 0
         for name, (bm, structure), cfg in cases:
-            gbi = run_gbi(structure, bm.rewards, "ne", "sw-optimal")
-            assert_counts_current(structure, bm.rewards, gbi, name)
-            seen = [gbi.ne_counts]
+            for kind in ("ne", "ce"):
+                gbi = run_gbi(structure, bm.rewards, kind, "sw-optimal")
+                assert_flags_current(structure, bm.rewards, gbi, (name, kind))
+                seen = [gbi.unique]
 
-            def audit(m, sol, _name=name, _bm=bm, _structure=structure, _seen=seen):
-                assert_counts_current(_structure, _bm.rewards, sol, (_name, m))
-                _seen.append(sol.ne_counts)
+                def audit(m, sol, _where=(name, kind), _bm=bm, _structure=structure, _seen=seen):
+                    assert_flags_current(_structure, _bm.rewards, sol, (_where, m))
+                    _seen.append(sol.unique)
 
-            run_fsi(structure, bm.rewards, "ne", cfg, on_iteration=audit)
-            assert len(seen) == cfg.m_max + 1
-            refreshed += any((a != b).any() for a, b in zip(seen, seen[1:]))
-        assert refreshed > 0  # some count moved, so the refresh ran
+                run_fsi(structure, bm.rewards, kind, cfg, on_iteration=audit)
+                assert len(seen) == cfg.m_max + 1
+                refreshed += any((a != b).any() for a, b in zip(seen, seen[1:]))
+        assert refreshed > 0  # some flag moved, so the refresh ran
+
+    def test_correlated_refresh_follows_a_tie(self):
+        # natural runs never move a CE flag, so move one: random model 20's
+        # games are 3x1, and moving agent 1's value at a free successor
+        # until two of its parent's actions tie takes the parent's flag
+        # away; a gap of ten CE margins keeps it, though the NE tolerance
+        # reads that gap as a tie
+        bm = random_model(20)
+        tree = unfold_tree(bm.model, bm.initial, bm.horizon)
+        sol = run_gbi(tree, bm.rewards, "ce", "sw-optimal")
+        assert sol.unique[tree.nonleaf_ids()].all()
+        history = tree.stage_nodes(tree.horizon - 1)[0].id
+        free, _ = freeze_partition(tree, history)
+        parent, child = free[-2:].tolist()
+        group, row = tree.locate(parent)
+        (action, _, outcome), = np.argwhere(group.succ[row] == child)
+        prob = group.prob[row][action, 0, outcome]
+        z1 = stage_matrices(tree, bm.rewards, tree.nodes[parent], sol.values)[0][:, 0]
+        rival = np.delete(z1, action).max()
+        margin = _CE_MARGIN * max(1.0, np.abs(z1).max())
+        for gap, flagged in ((0.0, False), (10 * margin, True)):
+            values = sol.values.copy()
+            values[child, 0] += (rival + gap - z1[action]) / prob
+            unique = fsi._recertified(tree, bm.rewards, sol, values, free)
+            assert unique[parent] == flagged and sol.unique[parent]
+            assert unique.tolist() == certified_flags(tree, bm.rewards, "ce", values).tolist()
+            game = stage_matrices(tree, bm.rewards, tree.nodes[parent], values)
+            assert not certified_by_hand(*game, "ne")
 
     def test_no_choice_node_runs_no_solver(self, monkeypatch):
         # stub VCAS t0=4, trust-fuel, eps 0: every stage game has one
@@ -458,8 +484,8 @@ class TestUniquenessCertificate:
         bm = build("vcas", {"t0": 4, "eps_own": 0.0, "eps_int": 0.0, "reward": "trust-fuel"})
         graph = unfold_regions(bm.model, bm.initial, bm.horizon)
         gbi = run_gbi(graph, bm.rewards, "ne", "sw-optimal")
-        nonleaf = gbi.ne_counts[:graph.bounds[graph.horizon]]
-        assert len(nonleaf) == 776 and (nonleaf == 1).all()
+        nonleaf = gbi.unique[:graph.bounds[graph.horizon]]
+        assert len(nonleaf) == 776 and nonleaf.all()
 
         def unexpected(*args, **kwargs):
             raise AssertionError("an FSI step ran where nothing can move")
@@ -480,7 +506,7 @@ class TestUniquenessCertificate:
         bm, tree = counterexample
         assert tree.groups[0][0].succ.shape[1:3] == (2, 2)
         sol, trace = run_fsi(tree, bm.rewards, "ce", FsiConfig(m_max=5, seed=1))
-        assert sol.ne_counts is None
+        assert not sol.unique[0]
         assert {row.status for row in trace[1:]} == {"reinduce"}
 
     def test_correlated_skipping_is_exact(self, monkeypatch):
@@ -489,7 +515,7 @@ class TestUniquenessCertificate:
         # changes nothing
         cases = random_model_cases()
         runs = {name: run_fsi(tree, bm.rewards, "ce", cfg) for name, (bm, tree), cfg in cases}
-        monkeypatch.setattr(fsi, "_single_correlated", lambda *args: False)
+        certificate_off(monkeypatch)
         skipped = 0
         for name, (bm, tree), cfg in cases:
             sol, trace = runs[name]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import profile_value_by_hand, random_model
+from conftest import certified_flags, profile_value_by_hand, random_model
 
 from nscsg.benchmarks import build
 from nscsg.errors import ModelError, SolverError
@@ -342,35 +342,37 @@ class TestGroupStep:
         assert sum(calls) == 2 * cache.misses
 
 
-    def test_equilibrium_counts_where_counted(self, vcas_t3):
-        # a deterministic Nash pass counts each node's extreme equilibria,
-        # the same from the store's hits as from its misses; the passes
-        # that count nothing carry None
+    def test_uniqueness_flags_where_certified(self, vcas_t3):
+        # a pass under a deterministic policy flags each node whose stage
+        # game has one equilibrium of the pass's kind, the same from the
+        # store's hits as from its misses; the passes that certify nothing
+        # carry None
+        parking = build("parking", {"horizon": 4, "reward_structure": 2})
+        mixed = 0
+        for bm, graph in (vcas_t3, (parking, unfold_regions(parking.model, parking.initial, 4))):
+            for kind in ("ne", "ce"):
+                cache = StageGameCache()
+                first = run_gbi(graph, bm.rewards, kind, "sw-optimal", cache=cache)
+                flags = certified_flags(graph, bm.rewards, kind, first.values)
+                assert first.unique.dtype == bool and first.unique.tolist() == flags.tolist()
+                hits = cache.hits
+                again = run_gbi(graph, bm.rewards, kind, "sw-optimal", cache=cache)
+                assert cache.hits == hits + len(again.profiles)
+                assert again.unique.tolist() == first.unique.tolist()
+                first_found = run_gbi(graph, bm.rewards, kind, "first-found")
+                expected = certified_flags(graph, bm.rewards, kind, first_found.values)
+                assert first_found.unique.tolist() == expected.tolist()
+                copied = first.copy()
+                assert copied.unique is not first.unique
+                assert copied.unique.tolist() == first.unique.tolist()
+                mixed += 0 < first.unique[graph.nonleaf_ids()].sum() < len(graph.nonleaf_ids())
+        assert mixed == 2  # parking K4 has flagged and unflagged games of either kind
         bm, graph = vcas_t3
-
-        def enumerated(sol):
-            games = (BimatrixGame(*stage_matrices(graph, bm.rewards, node, sol.values))
-                     for node in graph.nodes if not graph.is_leaf(node))
-            return [len(enumerate_ne(game)) for game in games] + \
-                [0] * (len(graph.nodes) - graph.bounds[graph.horizon])
-
-        cache = StageGameCache()
-        first = run_gbi(graph, bm.rewards, "ne", "sw-optimal", cache=cache)
-        assert first.ne_counts.tolist() == enumerated(first)
-        hits = cache.hits
-        again = run_gbi(graph, bm.rewards, "ne", "sw-optimal", cache=cache)
-        assert cache.hits == hits + len(again.profiles)
-        assert again.ne_counts.tolist() == first.ne_counts.tolist()
-        first_found = run_gbi(graph, bm.rewards, "ne", "first-found")
-        assert first_found.ne_counts.tolist() == enumerated(first_found)
-        copied = first.copy()
-        assert copied.ne_counts is not first.ne_counts
-        assert copied.ne_counts.tolist() == first.ne_counts.tolist()
-        uncounted = [run_gbi(graph, bm.rewards, "ce"),
-                     run_gbi(graph, bm.rewards, "ne", "seeded-random", seed=3),
-                     run_minimax(graph, bm.rewards),
-                     solution_from_json(graph, solution_to_json(graph, first))]
-        assert [sol.ne_counts for sol in uncounted] == [None] * 4
+        uncertified = [run_gbi(graph, bm.rewards, "ce", "seeded-random", seed=3),
+                       run_gbi(graph, bm.rewards, "ne", "seeded-random", seed=3),
+                       run_minimax(graph, bm.rewards),
+                       solution_from_json(graph, solution_to_json(graph, run_gbi(graph, bm.rewards)))]
+        assert [sol.unique for sol in uncertified] == [None] * 4
 
 
 def solution_bytes(sols):

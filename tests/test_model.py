@@ -12,6 +12,7 @@ from nscsg.benchmarks import BuiltModel, build
 from nscsg.benchmarks.vcas import stub_networks
 from nscsg.errors import ModelError
 from nscsg.model import (
+    AgentState,
     FeedForwardNet,
     GlobalState,
     as_vector,
@@ -426,6 +427,40 @@ class TestTabularLoader:
         bundle = load_model_json({"environment": {"builtin": "counterexample",
                                                   "params": {"phi": -3.0}}})
         assert bundle.extras["phi"] == -3.0
+
+    def test_menus_come_from_the_availability_table(self):
+        # agent 1's rows are keyed by (loc, per); a pair with no row gets
+        # the idle action, and agent 2, with no table, gets every action
+        doc = coin_model_doc()
+        agent = doc["agents"][0]
+        agent["percepts"] = [[0], [1]]
+        agent["actions"].append({"label": "stay", "value": [0]})
+        agent["availability"] = [{"loc": [0], "per": [0], "actions": ["stay", "go"]},
+                                 {"loc": [0], "per": [1], "actions": ["stay"]}]
+        bundle = load_model_json(doc)
+        other = bundle.initial.agent_states[1]
+        menus = {}
+        for loc, per in ((0, 0), (0, 1), (1, 0)):
+            state = GlobalState((AgentState(as_vector([loc]), as_vector([per])), other),
+                                bundle.initial.env)
+            menus[loc, per] = joint_actions(bundle.model, state)
+        assert menus == {(0, 0): [("go", "go"), ("stay", "go")], (0, 1): [("stay", "go")],
+                         (1, 0): [("idle", "go")]}
+
+    def test_env_net_percept_is_the_argmax(self, tmp_path):
+        # scores (x, 0.5, -x) on environment x: percept 1 near 0, percept 0
+        # above 0.5 and percept 2 below -0.5
+        net = FeedForwardNet(((np.array([[1.0], [0.0], [-1.0]]), np.array([0.0, 0.5, 0.0])),))
+        save_net_json(net, tmp_path / "net.json")
+        doc = coin_model_doc()
+        doc["agents"][0]["percepts"] = [[10], [11], [12]]
+        doc["agents"][0]["observation"] = {"type": "env-net", "file": str(tmp_path / "net.json")}
+        bundle = load_model_json(doc)
+        observe = bundle.model.agents[0].observation
+        for env, percept in ((0.0, 11), (2.0, 10), (-2.0, 12), (0.25, 11)):
+            state = GlobalState(bundle.initial.agent_states, as_vector([env]))
+            assert observe(state).tolist() == [percept]
+            assert percept == 10 + int(np.argmax(nn_forward(net, state.env)))
 
     def test_old_percept_rule_rejected(self):
         # menus always read refreshed percepts; a file asking for the stored one is an error

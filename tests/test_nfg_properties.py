@@ -2,7 +2,8 @@
 bit for bit, the points and order of its one-game call; every enumerated
 point is a Nash equilibrium; every pure Nash equilibrium is enumerated;
 correlated welfare is never below Nash welfare; one-sided games' closed
-forms give the general kernels' bytes."""
+forms give the general kernels' bytes; a game certified unique has one
+equilibrium of its kind."""
 import itertools
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from test_nfg import ONE_SIDED_STYLES, assert_one_sided_exact, one_sided_stack  # noqa: E402
 
 import nscsg.nfg as nfg  # noqa: E402
+from nscsg.gbi import _candidates_stack  # noqa: E402
 from nscsg.nfg import BimatrixGame, enumerate_ne, enumerate_ne_stack, swce, swne  # noqa: E402
 
 #: Few distinct values, so draws have ties, duplicate vertices and -0.0.
@@ -133,3 +135,34 @@ def test_one_sided_closed_forms_are_the_general_kernels(k, column, styles, seed)
     rng = np.random.default_rng(seed)
     p1, p2 = one_sided_stack(rng, len(styles), (k, 1) if column else (1, k), styles)
     assert_one_sided_exact(p1, p2, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks())
+def test_a_certified_game_has_one_equilibrium(stack):
+    # FSI skips a step whose free games are all certified: a game flagged
+    # for NE enumerates exactly one point, which every brute-force pure
+    # equilibrium is; a game flagged for CE gets one distribution from the
+    # five objectives of its candidates, the pure profile the LPs find too
+    p1, p2 = stack
+    found = enumerate_ne_stack(p1, p2)
+    ne, ce = nfg._unique(p1, p2, "ne"), nfg._unique(p1, p2, "ce")
+    assert ne.dtype == ce.dtype == bool and ne.shape == ce.shape == (len(p1),)
+    assert ne.tolist() == [len(points) == 1 for points in found]
+    for k in np.flatnonzero(ne).tolist():
+        pt, = found[k]
+        for i, j in itertools.product(range(p1.shape[1]), range(p1.shape[2])):
+            if p1[k, i, j] >= p1[k, :, j].max() and p2[k, i, j] >= p2[k, i].max():
+                assert pt.mu1[i] >= 1.0 - 1e-9 and pt.mu2[j] >= 1.0 - 1e-9, (k, i, j)
+    if 1 not in p1.shape[1:]:
+        assert not ce.any()
+    rows = np.flatnonzero(ce)
+    if len(rows):
+        candidates = _candidates_stack(p1[rows], p2[rows], "ce")
+        assert [len(sols) for sols in candidates] == [1] * len(rows)
+        m, n = p1.shape[1:]
+        objectives = np.stack((p1 + p2, -p1, -p2, p1, p2), axis=1)[rows].reshape(-1, m * n)
+        mu, _ = nfg._ce_lps(np.repeat(p1[rows], 5, axis=0), np.repeat(p2[rows], 5, axis=0),
+                            objectives)
+        pure = np.repeat([sols[0].mu_joint.ravel() for sols in candidates], 5, axis=0)
+        assert np.abs(mu - pure).max() <= 1e-9
